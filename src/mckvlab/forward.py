@@ -13,7 +13,12 @@ Two nonlinear parabolic problems on the torus:
 The linear solves read the nonlinear trajectory at the stored node and
 predictor states, so each derivative is the exact derivative of the
 discrete time-stepping map; finite-difference checks of the solver
-therefore see pure O(eps^2) behaviour.
+therefore see pure O(eps^2) behaviour.  Every mean-field derivative is
+a solve with :class:`~mckvlab.parabolic.LWOperator`, batched over
+directions: :func:`jacobian_stack` builds all D basis columns in one
+solve, :func:`mckv_first_derivative` is the one-column case, and
+:func:`second_derivative_matrix` solves D^2 rho_W one row of the
+truncated basis at a time.
 """
 
 from __future__ import annotations
@@ -24,15 +29,15 @@ import numpy as np
 
 from . import spectral
 from .parabolic import (
+    LWOperator,
     StepperConfig,
     Trajectory,
-    TrajectoryCoeffs,
     _as_grad_coeffs,
-    _integrate_arrays,
     integrate,
     l2l2_inner,
-    make_lw_rhs,
-    solve_linear_lw,
+    solver_states,
+    state_index,
+    transport_forcing,
 )
 from .spectral import (
     PotentialVec,
@@ -179,14 +184,12 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     return integrate(phi, _mckv_rhs(grid, grad_w), T, stepper)
 
 
-def _forcing_trajectory(grid, rho: Trajectory, grad_h) -> Trajectory:
-    """Trajectory of div(rho gradH * rho) at nodes and predictor stages."""
-    nodes = np.array([grid.transport_div(c, grad_h, c) for c in rho.coeffs])
-    stages = None
-    if rho.stages is not None:
-        stages = np.array([grid.transport_div(c, grad_h, c) for c in rho.stages])
-    return Trajectory(T=rho.T, d=rho.d, n=rho.n, coeffs=nodes,
-                      scheme=rho.scheme, stages=stages)
+def _first_derivative_stack(problem: McKVProblem, rho_traj: Trajectory,
+                            grad_h: np.ndarray, keep_stages: bool = True):
+    """D rho_W[H_b] for a stack (B, d, grid) of direction gradients, in one solve."""
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    forcing = transport_forcing(op.grid, op.rho_states, grad_h)
+    return op.solve(forcing, keep_stages=keep_stages)
 
 
 def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
@@ -196,21 +199,29 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
     the supplied solution trajectory for ``problem``.  Linear in H.
     """
-    grid = problem.phi.grid
-    grad_h = _as_grad_coeffs(H, grid)
-    forcing = _forcing_trajectory(grid, rho_traj, grad_h)
-    v0 = SpectralField.zeros(problem.phi.n, problem.phi.d)
-    return solve_linear_lw(problem.W, rho_traj, forcing, v0, problem.stepper)
+    grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
+    nodes, stages = _first_derivative_stack(problem, rho_traj, grad_h)
+    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
+                                 problem.stepper.scheme)[0]
 
 
-def _second_forcing(grid, grad_w, grad_h1, grad_h2, rho_c, v1_c, v2_c):
-    out = grid.transport_div(v2_c, grad_h1, rho_c)
-    out += grid.transport_div(rho_c, grad_h1, v2_c)
-    out += grid.transport_div(v1_c, grad_h2, rho_c)
-    out += grid.transport_div(rho_c, grad_h2, v1_c)
-    out += grid.transport_div(v1_c, grad_w, v2_c)
-    out += grid.transport_div(v2_c, grad_w, v1_c)
-    return out
+def _second_derivative_stack(op: LWOperator, grad_h1, grad_h2, v1, v2,
+                             keep_stages: bool = True):
+    """D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b.
+
+    ``grad_h1`` holds d arrays (grid) and ``grad_h2`` d arrays (B, grid);
+    ``v1`` (S, 1, grid) and ``v2`` (S, B, grid) are the first derivatives
+    in solver-state order.  The forcing is the six-term expansion of the
+    quadratic transport term.
+    """
+    grid, rho = op.grid, op.rho_states[:, None]
+    forcing = grid.transport_div(v2, grad_h1, rho)
+    forcing += grid.transport_div(rho, grad_h1, v2)
+    forcing += grid.transport_div(v1, grad_h2, rho)
+    forcing += grid.transport_div(rho, grad_h2, v1)
+    forcing += grid.transport_div(v1, op.grad_w, v2)
+    forcing += grid.transport_div(v2, op.grad_w, v1)
+    return op.solve(forcing, keep_stages=keep_stages)
 
 
 def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
@@ -221,26 +232,14 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     Solves (d/dt - L_W)v = six-term forcing built from the cached first
     derivatives dH1, dH2 and the base trajectory, with v(0) = 0.
     """
-    grid = problem.phi.grid
-    grad_w = _as_grad_coeffs(problem.W, grid)
-    grad_h1 = _as_grad_coeffs(H1, grid)
-    grad_h2 = _as_grad_coeffs(H2, grid)
-
-    rho = TrajectoryCoeffs(rho_traj)
-    v1 = TrajectoryCoeffs(dH1)
-    v2 = TrajectoryCoeffs(dH2)
-
-    def forcing_at(m, stage):
-        return _second_forcing(grid, grad_w, grad_h1, grad_h2,
-                               rho.at(m, stage), v1.at(m, stage), v2.at(m, stage))
-
-    class _F:
-        def at(self, m, stage):
-            return forcing_at(m, stage)
-
-    rhs = make_lw_rhs(grid, grad_w, rho, _F())
-    v0 = SpectralField.zeros(problem.phi.n, problem.phi.d)
-    return integrate(v0, rhs, problem.T, problem.stepper)
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    grad_h1 = _as_grad_coeffs(H1, op.grid)
+    grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
+    v1 = solver_states(dH1, op.config.scheme)[:, None]
+    v2 = solver_states(dH2, op.config.scheme)[:, None]
+    nodes, stages = _second_derivative_stack(op, grad_h1, grad_h2, v1, v2)
+    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
+                                 problem.stepper.scheme)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -251,18 +250,14 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
                      K: int | None = None) -> list[Trajectory]:
     """All derivative trajectories D rho_W[tau_k], one per basis mode.
 
-    Column k is by definition ``mckv_first_derivative`` applied to the
-    k-th basis vector; all columns share one rho trajectory and one
-    operator assembly.
+    The columns of :func:`jacobian_stack`; column k equals
+    ``mckv_first_derivative`` applied to the k-th basis vector.
     """
     if rho_traj is None:
         rho_traj = solve_mckv(problem)
-    K = problem.W.K if K is None else K
-    cols = []
-    for k in modes_in_ball(K, problem.W.d):
-        H = PotentialVec.from_mode_dict(K, problem.W.d, {k: 1.0})
-        cols.append(mckv_first_derivative(problem, H, rho_traj))
-    return cols
+    nodes, stages = jacobian_stack(problem, rho_traj, K=K)
+    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
+                                 problem.stepper.scheme)
 
 
 def tau_gradient_stack(K: int, grid) -> np.ndarray:
@@ -278,125 +273,17 @@ def tau_gradient_stack(K: int, grid) -> np.ndarray:
     return out
 
 
-class LWOperator:
-    """Batched fast path for (d/dt - L_W)v = g along a fixed rho trajectory.
-
-    Precomputes the physical-space padded values of rho and of the
-    convolutions gradW_j * rho at every node and predictor stage, so
-    that each stage of a batched linear solve costs a handful of
-    vectorized transforms.  Used by the likelihood gradient, which
-    advances all D basis directions in lockstep.
-    """
-
-    def __init__(self, problem: McKVProblem, rho_traj: Trajectory):
-        if problem.stepper.M != rho_traj.M:
-            raise ValueError("stepper M must match the density trajectory")
-        self.grid = problem.phi.grid
-        self.config = problem.stepper
-        self.T = rho_traj.T
-        self.M = rho_traj.M
-        self.dt = rho_traj.dt
-        self.has_stages = rho_traj.stages is not None
-        grid = self.grid
-
-        states = rho_traj.coeffs
-        if self.has_stages:
-            states = np.concatenate([rho_traj.coeffs, rho_traj.stages], axis=0)
-        self.rho_states = states  # (S, grid)
-
-        pg = grid.padded
-        self._pg = pg
-        self.rho_phys = pg.to_values(grid.pad(states))  # (S, pad grid)
-        self.grad_w = _as_grad_coeffs(problem.W, grid)
-        conv1 = np.stack([gw * states for gw in self.grad_w], axis=1)
-        self.conv1_phys = pg.to_values(grid.pad(conv1))  # (S, d, pad grid)
-
-    def state_index(self, m: int, stage: int) -> int:
-        if stage == 1 and self.has_stages:
-            return (self.M + 1) + m
-        return m + stage
-
-    def forcing_from_grad_stack(self, grad_stack: np.ndarray) -> np.ndarray:
-        """div(rho gradH_b * rho) for a stack (B, d, grid) of gradients.
-
-        Returns an (S, B, grid) array indexed by solver state.
-        """
-        grid, pg = self.grid, self._pg
-        conv = grad_stack[None] * self.rho_states[:, None, None]
-        conv_phys = pg.to_values(grid.pad(conv))  # (S, B, d, pad)
-        prod = conv_phys * self.rho_phys[:, None, None]
-        qc = grid.crop(pg.from_values(prod))  # (S, B, d, grid)
-        out = None
-        for j in range(grid.d):
-            term = grid.ik[j] * qc[:, :, j]
-            out = term if out is None else out + term
-        return out
-
-    def _apply(self, m: int, stage: int, v: np.ndarray) -> np.ndarray:
-        """L_W v - Lap v for a stacked v of shape (B, grid)."""
-        grid, pg = self.grid, self._pg
-        s = self.state_index(m, stage)
-        # one padded transform for v and all gradW_j * v convolutions
-        comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in self.grad_w], axis=0)
-        phys = pg.to_values(grid.pad(comb))  # (1+d, B, pad)
-        v_phys, c2_phys = phys[0], phys[1:]
-        q = v_phys[None] * self.conv1_phys[s][:, None] + self.rho_phys[s] * c2_phys
-        qc = grid.crop(pg.from_values(q))  # (d, B, grid)
-        out = grid.ik[0] * qc[0]
-        for j in range(1, grid.d):
-            out += grid.ik[j] * qc[j]
-        return out
-
-    def solve(self, forcing_states: np.ndarray, keep_stages: bool = True):
-        """Advance all columns; forcing_states has shape (S, B, grid).
-
-        Returns (nodes, stages) with shapes (B, M+1, grid), (B, M, grid).
-        """
-        grid = self.grid
-        B = forcing_states.shape[1]
-        dt = self.dt
-        E = grid.heat_multiplier(dt)
-        heun = self.config.scheme == "if-heun"
-        shape = (B,) + grid.shape
-        nodes = np.zeros((self.M + 1,) + shape, dtype=complex)
-        stages = np.zeros((self.M,) + shape, dtype=complex) if (heun and keep_stages) else None
-
-        v = np.zeros(shape, dtype=complex)
-        for m in range(self.M):
-            k1 = self._apply(m, 0, v) + forcing_states[self.state_index(m, 0)]
-            if heun:
-                vstar = E * (v + dt * k1)
-                if stages is not None:
-                    stages[m] = vstar
-                k2 = self._apply(m, 1, vstar) + forcing_states[self.state_index(m, 1)]
-                v = E * v + (0.5 * dt) * (E * k1 + k2)
-            else:
-                v = E * (v + dt * k1)
-            mx = np.max(np.abs(v))
-            if not np.isfinite(mx) or mx > self.config.blowup_limit:
-                raise NumericalBlowUp(m + 1)
-            nodes[m + 1] = v
-
-        nodes = np.moveaxis(nodes, 0, 1)
-        if stages is not None:
-            stages = np.moveaxis(stages, 0, 1)
-        return nodes, stages
-
-
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory,
                    K: int | None = None, keep_stages: bool = True):
-    """Batched computation of all D derivative trajectories.
+    """All D derivative trajectories D rho_W[tau_k] in one stacked solve.
 
     Returns (nodes, stages) arrays of shape (D, M+1, grid) and
-    (D, M, grid).  This is the hot path behind likelihood gradients;
-    it agrees with the per-column public solves to rounding.
+    (D, M, grid); stages are None when ``keep_stages`` is False.  This
+    is the hot path behind likelihood gradients.
     """
-    grid = problem.phi.grid
     K = problem.W.K if K is None else K
-    op = LWOperator(problem, rho_traj)
-    gtau = tau_gradient_stack(K, grid)
-    forcing = op.forcing_from_grad_stack(gtau)
-    return op.solve(forcing, keep_stages=keep_stages)
+    gtau = tau_gradient_stack(K, problem.phi.grid)
+    return _first_derivative_stack(problem, rho_traj, gtau, keep_stages)
 
 
 def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):
@@ -417,6 +304,38 @@ def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray
         for k in range(j, D):
             G[j, k] = G[k, j] = l2l2_inner(columns[j], columns[k]) / T
     return G
+
+
+def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
+                             columns: list[Trajectory], reduce,
+                             K: int | None = None) -> np.ndarray:
+    """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
+
+    ``columns`` are the first derivatives from :func:`jacobian_columns`
+    at the same W and K, and ``reduce`` maps the (M+1, grid) nodes of one
+    second derivative to an array.  One operator serves all solves; row
+    j is a single stacked solve over the D - j modes k >= j, and each
+    result fills both (j, k) and (k, j), so the returned (D, D, ...)
+    array is symmetric by construction.
+    """
+    K = problem.W.K if K is None else K
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    gtau = tau_gradient_stack(K, op.grid)
+    D = gtau.shape[0]
+    if len(columns) != D:
+        raise ValueError(f"expected {D} jacobian columns, got {len(columns)}")
+    v = np.stack([solver_states(c, op.config.scheme) for c in columns], axis=1)  # (S, D, grid)
+    out = None
+    for j in range(D):
+        grad_h2 = list(np.moveaxis(gtau[j:], 1, 0))  # d arrays (D - j, grid)
+        nodes, _ = _second_derivative_stack(op, list(gtau[j]), grad_h2, v[:, j:j + 1],
+                                            v[:, j:], keep_stages=False)
+        row = np.array([reduce(c) for c in nodes])
+        if out is None:
+            out = np.zeros((D, D) + row.shape[1:])
+        out[j, j:] = row
+        out[j:, j] = row
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -460,11 +379,11 @@ def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory,
     """
     h_func = H.R if isinstance(H, ReactionSpec) else H
     grid = get_grid(u_traj.n, u_traj.d)
-    u = TrajectoryCoeffs(u_traj)
+    u = solver_states(u_traj, stepper.scheme)
     pg = grid.padded
 
     def rhs(m, stage, i_c):
-        u_vals = pg.to_values(grid.pad(u.at(m, stage)))
+        u_vals = pg.to_values(grid.pad(u[state_index(u_traj.M, m, stage)]))
         i_vals = pg.to_values(grid.pad(i_c))
         return grid.crop(pg.from_values(R.Rprime(u_vals) * i_vals + h_func(u_vals)))
 

@@ -19,17 +19,14 @@ from pathlib import Path
 import numpy as np
 
 from .forward import (
-    LWOperator,
     McKVProblem,
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
-    mckv_second_derivative,
+    second_derivative_matrix,
     solve_mckv,
-    stack_to_trajectories,
-    tau_gradient_stack,
 )
-from .parabolic import StepperConfig, Trajectory, l2l2_inner
+from .parabolic import ObservationOperator, StepperConfig, Trajectory, l2l2_inner
 from .spectral import PotentialVec, SpectralField, count_dim, modes_in_ball
 
 
@@ -316,9 +313,9 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
 class LikelihoodEvaluator:
     """ell_N and grad ell_N for a fixed dataset and forward model.
 
-    Point-evaluation phases and time brackets are precomputed once; each
-    call costs one nonlinear solve (value) plus the batched linearised
-    solves (gradient).
+    The observation operator at the data points is built once; each call
+    costs one nonlinear solve (value) plus the batched linearised solves
+    (gradient).  Observation times outside [0, T] are rejected.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -326,30 +323,15 @@ class LikelihoodEvaluator:
             raise ValueError("dataset dimension does not match the model")
         self.model = model
         self.dataset = dataset
-        grid = model.phi.grid
-        M = model.stepper.M
-        dt = model.T / M
-        s = np.clip(dataset.t / dt, 0.0, M)
-        self._m = np.minimum(s.astype(int), M - 1)
-        self._w = (s - self._m)[:, None]
-        phase = np.ones((dataset.n_obs, grid.size), dtype=complex)
-        for j in range(model.d):
-            kflat = grid.kvec[j].ravel()
-            phase *= np.exp(2j * np.pi * np.outer(dataset.x[:, j], kflat))
-        self._phase = phase
+        self._obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid,
+                                        dataset.t, dataset.x)
         self.n_solves = 0
-
-    def _eval_stack(self, stacked: np.ndarray) -> np.ndarray:
-        """Evaluate (B, M+1, grid) trajectories at the data points."""
-        flat = stacked.reshape(stacked.shape[:2] + (self._phase.shape[1],))
-        c = flat[:, self._m, :] * (1.0 - self._w) + flat[:, self._m + 1, :] * self._w
-        return np.einsum("bnk,nk->bn", c, self._phase).real
 
     def residuals(self, W: PotentialVec, rho: Trajectory | None = None):
         if rho is None:
             rho = self.model.solve(W)
             self.n_solves += 1
-        fitted = self._eval_stack(rho.coeffs[None])[0]
+        fitted = self._obs(rho.coeffs[None])[0]
         return self.dataset.y - fitted, rho
 
     def loglik(self, W: PotentialVec, rho: Trajectory | None = None) -> float:
@@ -362,7 +344,7 @@ class LikelihoodEvaluator:
         res, rho = self.residuals(W, rho)
         nodes, _ = jacobian_stack(self.model.problem(W), rho, K=self.model.K,
                                   keep_stages=False)
-        col_vals = self._eval_stack(nodes)  # (D, N)
+        col_vals = self._obs(nodes)  # (D, N)
         grad = col_vals @ res
         return -0.5 * float(np.dot(res, res)), grad
 
@@ -401,18 +383,11 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
     diff = Trajectory(T=rho.T, d=rho.d, n=rho.n,
                       coeffs=rho.coeffs - rho0.coeffs, scheme=rho.scheme)
     if np.max(np.abs(diff.coeffs)) > 0:
-        modes = modes_in_ball(model.K, model.d)
-        basis = [PotentialVec.from_mode_dict(model.K, model.d, {k: 1.0})
-                 for k in modes]
-        D = len(modes)
-        for j in range(D):
-            for k in range(j, D):
-                d2 = mckv_second_derivative(problem, basis[j], basis[k], rho,
-                                            cols[j], cols[k])
-                corr = l2l2_inner(diff, d2) / model.T
-                out[j, k] += corr
-                if k != j:
-                    out[k, j] += corr
+        def corr(d2_nodes):
+            d2 = Trajectory(T=rho.T, d=rho.d, n=rho.n, coeffs=d2_nodes)
+            return l2l2_inner(diff, d2) / model.T
+
+        out += second_derivative_matrix(problem, rho, cols, corr, K=model.K)
     return out
 
 
@@ -648,18 +623,7 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     best = max(best, float(np.max(grad_norm)))
 
     if include_hessian:
-        modes = modes_in_ball(model.K, model.d)
-        basis = [PotentialVec.from_mode_dict(model.K, model.d, {k: 1.0})
-                 for k in modes]
-        D = len(modes)
-        hess_vals = np.zeros((D, D) + col_vals.shape[1:])
-        for j in range(D):
-            for k in range(j, D):
-                d2 = mckv_second_derivative(problem, basis[j], basis[k], rho,
-                                            cols[j], cols[k])
-                vals = grid.to_values(d2.coeffs)
-                hess_vals[j, k] = vals
-                hess_vals[k, j] = vals
+        hess_vals = second_derivative_matrix(problem, rho, cols, grid.to_values, K=model.K)
         # Frobenius bound on the pointwise Hessian operator norm
         frob = np.sqrt(np.sum(hess_vals**2, axis=(0, 1)))
         best = max(best, float(np.max(frob)))

@@ -11,6 +11,12 @@ once at the predictor state.  Trajectories record these predictor
 discrete scheme exactly; derivative checks against finite differences
 of the solver then float on pure O(eps^2) error instead of an O(dt^2)
 consistency floor.
+
+Every solve in the library, nonlinear or linearised, single or stacked,
+runs through the one time loop behind :func:`integrate`.  The linear
+operator L_W with coefficients read along a density trajectory is
+:class:`LWOperator`; :class:`ObservationOperator` evaluates stacked
+trajectories at fixed space-time points.
 """
 
 from __future__ import annotations
@@ -38,16 +44,13 @@ class NumericalBlowUp(RuntimeError):
 class StepperConfig:
     """Time-stepping parameters.
 
-    M is the number of steps over the horizon; ``pad`` records the
-    dealiasing factor (the grids implement the 3/2 rule); ``tol_report``
-    is a diagnostic tolerance echoed into reports.
+    M is the number of steps over the horizon and ``scheme`` one of
+    :data:`SCHEMES`; a step whose largest coefficient modulus is not
+    finite or exceeds ``blowup_limit`` raises :class:`NumericalBlowUp`.
     """
 
     M: int = 256
     scheme: str = "if-heun"
-    pad: float = 1.5
-    tol_report: float = 1e-10
-    keep_stages: bool = True
     blowup_limit: float = 1e12
 
     def __post_init__(self):
@@ -101,24 +104,15 @@ class Trajectory:
 
     # -- point evaluation ----------------------------------------------------
 
-    def _time_bracket(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.T + 1e-12):
-            raise ValueError(f"time outside [0, {self.T}]")
-        s = np.clip(t / self.dt, 0.0, self.M)
-        m = np.minimum(s.astype(int), self.M - 1)
-        w = s - m
-        return m, w
-
     def eval(self, t: float, x) -> float:
         """Linear interpolation in time, exact synthesis in space."""
-        m, w = self._time_bracket(float(t))
+        m, w = _time_bracket(float(t), self.T, self.M)
         c = (1.0 - w) * self.coeffs[int(m)] + w * self.coeffs[int(m) + 1]
         return SpectralField(self.d, self.n, c).eval(x)
 
     def eval_batch(self, t: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Vectorized evaluation at points (t_i, x_i); x has shape (N, d)."""
-        return eval_trajectory_batch(self.coeffs[None], self.T, self.d, self.n, t, x)[0]
+        return ObservationOperator(self.T, self.M, self.grid, t, x)(self.coeffs[None])[0]
 
     # -- norms ----------------------------------------------------------------
 
@@ -193,33 +187,40 @@ def rel_l2l2_error(a: Trajectory, ref: Trajectory) -> float:
     return num / denom if denom > 0 else num
 
 
-def eval_trajectory_batch(stacked: np.ndarray, T: float, d: int, n: int,
-                          t: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Evaluate B stacked trajectories at N points; returns shape (B, N).
-
-    ``stacked`` has shape (B, M+1, n, ..., n); time interpolation is
-    linear between nodes, spatial synthesis exact.
-    """
+def _time_bracket(t, T: float, M: int):
+    """Node index m < M and weight w with t = (m + w) T/M, for t in [0, T]."""
     t = np.asarray(t, dtype=float)
-    x = np.asarray(x, dtype=float).reshape(len(t), d)
-    M = stacked.shape[1] - 1
-    dt = T / M
     if np.any(t < -1e-12) or np.any(t > T + 1e-12):
         raise ValueError(f"time outside [0, {T}]")
-    s = np.clip(t / dt, 0.0, M)
+    s = np.clip(t / (T / M), 0.0, M)
     m = np.minimum(s.astype(int), M - 1)
-    w = (s - m)[:, None]
+    return m, s - m
 
-    g = get_grid(n, d)
-    flat = stacked.reshape(stacked.shape[:2] + (g.size,))
-    c = flat[:, m, :] * (1.0 - w) + flat[:, m + 1, :] * w  # (B, N, size)
 
-    # synthesis phases e^{2 pi i k . x} for every point, flattened modes
-    phase = np.ones((len(t), g.size), dtype=complex)
-    kflat = [kv.ravel() for kv in g.kvec]
-    for j in range(d):
-        phase *= np.exp(2j * np.pi * np.outer(x[:, j], kflat[j]))
-    return np.einsum("bnk,nk->bn", c, phase).real
+class ObservationOperator:
+    """Evaluation of stacked trajectories at N fixed points (t_i, x_i).
+
+    The time brackets and the synthesis phases e^{2 pi i k . x_i} are
+    computed once, for trajectories with M+1 nodes over [0, T] on
+    ``grid``; each call interpolates linearly between nodes and
+    synthesises exactly in space.  Times outside [0, T] are rejected.
+    """
+
+    def __init__(self, T: float, M: int, grid: Grid, t, x):
+        t = np.asarray(t, dtype=float)
+        x = np.asarray(x, dtype=float).reshape(len(t), grid.d)
+        self.m, w = _time_bracket(t, T, M)
+        self.w = w[:, None]
+        phase = np.ones((len(t), grid.size), dtype=complex)
+        for j in range(grid.d):
+            phase *= np.exp(2j * np.pi * np.outer(x[:, j], grid.kvec[j].ravel()))
+        self.phase = phase
+
+    def __call__(self, stacked: np.ndarray) -> np.ndarray:
+        """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N)."""
+        flat = stacked.reshape(stacked.shape[:2] + (self.phase.shape[1],))
+        c = flat[:, self.m, :] * (1.0 - self.w) + flat[:, self.m + 1, :] * self.w
+        return np.einsum("bnk,nk->bn", c, self.phase).real
 
 
 # ---------------------------------------------------------------------------
@@ -240,8 +241,12 @@ def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajec
 
 
 def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
-                      grid: Grid):
-    """Core loop; ``u0`` may carry leading stack axes."""
+                      grid: Grid, keep_stages: bool = True):
+    """The time loop; ``u0`` may carry leading stack axes.
+
+    Returns (nodes, stages) with the time axis first; ``stages`` is None
+    for Lawson-Euler or when ``keep_stages`` is False.
+    """
     M = config.M
     dt = T / M
     E = grid.heat_multiplier(dt)
@@ -250,7 +255,7 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
     nodes = np.zeros((M + 1,) + u0.shape, dtype=complex)
     nodes[0] = u0
     stages = None
-    if heun and config.keep_stages:
+    if heun and keep_stages:
         stages = np.zeros((M,) + u0.shape, dtype=complex)
 
     u = u0.astype(complex)
@@ -289,24 +294,6 @@ def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
 # the linear operator L_W with time-dependent nonlocal coefficients
 
 
-class TrajectoryCoeffs:
-    """Stage-aware accessor for a coefficient (or forcing) trajectory.
-
-    Stage 0 of step m reads node m.  Stage 1 reads the stored predictor
-    when available and falls back to node m+1, which keeps the scheme
-    second-order for externally supplied trajectories.
-    """
-
-    def __init__(self, traj: Trajectory):
-        self.nodes = traj.coeffs
-        self.stages = traj.stages
-
-    def at(self, m: int, stage: int) -> np.ndarray:
-        if stage == 1 and self.stages is not None:
-            return self.stages[m]
-        return self.nodes[m + stage]
-
-
 def _as_grad_coeffs(W, grid: Grid) -> list[np.ndarray]:
     """Gradient coefficient arrays of a potential given as vec or field."""
     if isinstance(W, PotentialVec):
@@ -318,23 +305,98 @@ def _as_grad_coeffs(W, grid: Grid) -> list[np.ndarray]:
     return [grid.deriv(c, j) for j in range(grid.d)]
 
 
-def make_lw_rhs(grid: Grid, grad_w: list[np.ndarray], coeff: TrajectoryCoeffs,
-                forcing: TrajectoryCoeffs | None):
-    """RHS closure for (d/dt - L_W)u = f with L_W - Lap as the F term.
+def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
+    """div(rho gradH_b * rho) at every density state.
 
-    L_W u = Lap(u) + div(u gradW * rho) + div(rho gradW * u), rho taken
-    from ``coeff`` at the matching node/stage.
+    ``states`` has shape (S, n, ..., n) and ``grad_h`` stacks the
+    gradients of B directions H_b as (B, d, n, ..., n); returns
+    (S, B, n, ..., n).  This is the forcing of the first derivative in
+    direction H_b.
+    """
+    rho = states[:, None]
+    return grid.transport_div(rho, list(np.moveaxis(grad_h, 1, 0)), rho)
+
+
+def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
+    """A trajectory's states in the order a solve reads them, time first.
+
+    Nodes 0..M come first.  For Lawson-Heun the predictor of step m
+    follows at :func:`state_index` M+1+m; a trajectory without stored
+    stages supplies node m+1 there, which keeps the scheme second order.
+    """
+    if scheme != "if-heun":
+        return traj.coeffs
+    predictors = traj.coeffs[1:] if traj.stages is None else traj.stages
+    return np.concatenate([traj.coeffs, predictors], axis=0)
+
+
+def state_index(M: int, m: int, stage: int) -> int:
+    """Position in :func:`solver_states` of stage 0 (node m) or 1 of step m."""
+    return m if stage == 0 else M + 1 + m
+
+
+class LWOperator:
+    """L_W along a fixed density trajectory, for stacks of B fields.
+
+    L_W v = Lap(v) + div(v gradW * rho) + div(rho gradW * v), with rho
+    read at the node or predictor state matching each stage, so that
+    solves of (d/dt - L_W)v = g differentiate the discrete scheme
+    exactly.  The physical-space padded values of rho and of the
+    convolutions gradW_j * rho are precomputed at every state; an
+    application then costs one padded transform of v and its
+    convolutions.  Built from (W, rho_traj, stepper) alone; every
+    linearised solve of the mean-field map goes through :meth:`solve`.
     """
 
-    def rhs(m, stage, u):
-        rho = coeff.at(m, stage)
-        out = grid.transport_div(u, grad_w, rho)
-        out += grid.transport_div(rho, grad_w, u)
-        if forcing is not None:
-            out = out + forcing.at(m, stage)
+    def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
+        if stepper.M != rho_traj.M:
+            raise ValueError("stepper M must match the density trajectory")
+        self.grid = grid = rho_traj.grid
+        self.config = stepper
+        self.T = rho_traj.T
+        self.M = rho_traj.M
+        self.rho_states = solver_states(rho_traj, stepper.scheme)  # (S, grid)
+
+        pg = grid.padded
+        self._pg = pg
+        self.rho_phys = pg.to_values(grid.pad(self.rho_states))  # (S, pad grid)
+        self.grad_w = _as_grad_coeffs(W, grid)
+        conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
+        self.conv1_phys = pg.to_values(grid.pad(conv1))  # (S, d, pad grid)
+
+    def apply(self, m: int, stage: int, v: np.ndarray) -> np.ndarray:
+        """L_W v - Lap v for a stacked v of shape (B, grid)."""
+        grid, pg = self.grid, self._pg
+        s = state_index(self.M, m, stage)
+        # one padded transform for v and all gradW_j * v convolutions
+        comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in self.grad_w], axis=0)
+        phys = pg.to_values(grid.pad(comb))  # (1+d, B, pad)
+        v_phys, c2_phys = phys[0], phys[1:]
+        q = v_phys[None] * self.conv1_phys[s][:, None] + self.rho_phys[s] * c2_phys
+        qc = grid.crop(pg.from_values(q))  # (d, B, grid)
+        out = grid.ik[0] * qc[0]
+        for j in range(1, grid.d):
+            out += grid.ik[j] * qc[j]
         return out
 
-    return rhs
+    def solve(self, forcing: np.ndarray | None, v0: np.ndarray | None = None,
+              keep_stages: bool = True):
+        """Solve (d/dt - L_W)v = g for B fields at once.
+
+        ``forcing`` holds g at every solver state, shape (S, B, grid), or
+        is None for g = 0; ``v0`` (B, grid) defaults to zero.  Returns
+        (nodes, stages) of shapes (B, M+1, grid) and (B, M, grid).
+        """
+        if v0 is None:
+            v0 = np.zeros(forcing.shape[1:], dtype=complex)
+
+        def rhs(m, stage, v):
+            lv = self.apply(m, stage, v)
+            return lv if forcing is None else lv + forcing[state_index(self.M, m, stage)]
+
+        nodes, stages = _integrate_arrays(v0, rhs, self.T, self.config, self.grid,
+                                          keep_stages)
+        return np.moveaxis(nodes, 0, 1), None if stages is None else np.moveaxis(stages, 0, 1)
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
@@ -342,9 +404,9 @@ def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
     """Solve (d/dt - L_W)u = f, u(0) = u0, along a given density trajectory.
 
     Linear in (forcing, u0).  The coefficient trajectory and the forcing
-    must share the time grid.
+    must share the time grid.  A forcing without stages is read at node
+    m+1 in stage 1 of step m.
     """
-    grid = u0.grid
     if rho_traj.n != u0.n or rho_traj.d != u0.d:
         raise ValueError("coefficient trajectory grid mismatch")
     if forcing is not None:
@@ -355,10 +417,11 @@ def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
     if config.M != rho_traj.M:
         raise ValueError("stepper M must match the coefficient trajectory")
 
-    grad_w = _as_grad_coeffs(W, grid)
-    rhs = make_lw_rhs(grid, grad_w, TrajectoryCoeffs(rho_traj),
-                      TrajectoryCoeffs(forcing) if forcing is not None else None)
-    return integrate(u0, rhs, rho_traj.T, config)
+    op = LWOperator(W, rho_traj, config)
+    f = None if forcing is None else solver_states(forcing, config.scheme)[:, None]
+    nodes, stages = op.solve(f, u0.coeffs[None])
+    return Trajectory(T=rho_traj.T, d=u0.d, n=u0.n, coeffs=nodes[0], scheme=config.scheme,
+                      stages=None if stages is None else stages[0])
 
 
 # ---------------------------------------------------------------------------

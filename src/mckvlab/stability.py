@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .forward import McKVProblem, gram_matrix, jacobian_columns, solve_mckv
-from .parabolic import Trajectory, _as_grad_coeffs, l2l2_diff_norm, solve_linear_lw
+from .parabolic import (
+    Trajectory,
+    _as_grad_coeffs,
+    l2l2_diff_norm,
+    solve_linear_lw,
+    transport_forcing,
+)
 from .spectral import SpectralField, modes_in_ball
 
 
@@ -77,13 +83,13 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
                          coeffs=0.5 * (rho1.coeffs + rho2.coeffs),
                          scheme=rho1.scheme, stages=stages)
 
-    grad_dw = _as_grad_coeffs(problem2.W - problem1.W, grid)
-    f_nodes = np.array([grid.transport_div(c, grad_dw, c) for c in rho1.coeffs])
-    f_stages = None
-    if rho1.stages is not None:
-        f_stages = np.array([grid.transport_div(c, grad_dw, c) for c in rho1.stages])
-    forcing = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n, coeffs=f_nodes,
-                         scheme=rho1.scheme, stages=f_stages)
+    grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
+
+    def forcing_at(states):
+        return None if states is None else transport_forcing(grid, states, grad_dw)[:, 0]
+
+    forcing = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n, coeffs=forcing_at(rho1.coeffs),
+                         scheme=rho1.scheme, stages=forcing_at(rho1.stages))
 
     v0 = SpectralField.zeros(problem1.phi.n, problem1.phi.d)
     v = solve_linear_lw(problem2.W, rho_bar, forcing, v0, problem1.stepper)

@@ -87,6 +87,27 @@ def test_trilinear_is_trilinear():
     np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
 
 
+@pytest.mark.parametrize("d, n, K", [(1, N_GRID, 2), (2, 12, 1)])
+def test_lw_operator_apply_matches_trilinear(d, n, K):
+    # the batched L_W - Lap against its definition through trilinear_t,
+    # at a node state (stage 0) and at a Heun predictor state (stage 1)
+    rng = np.random.default_rng(20)
+    phi = _phi() if d == 1 else decay_density(n, 2, zeta=4.0, amplitude=0.1)
+    W = random_potential(K, d, rng, amplitude=0.5)
+    cfg = StepperConfig(M=16)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.05, stepper=cfg))
+    op = LWOperator(W, rho, cfg)
+    vs = [random_potential(n // 2 - 1, d, rng).to_field(n) for _ in range(3)]
+    v = np.stack([f.coeffs for f in vs])
+    m = 5
+    for stage, state in ((0, rho.coeffs[m]), (1, rho.stages[m])):
+        r = SpectralField(d, n, state)
+        got = op.apply(m, stage, v)
+        for b, vb in enumerate(vs):
+            ref = (trilinear_t(vb, W, r) + trilinear_t(r, W, vb)).coeffs
+            assert np.max(np.abs(got[b] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
 # ---------------------------------------------------------------------------
 # nonlinear forward solves
 

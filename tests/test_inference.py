@@ -236,6 +236,14 @@ def test_grad_loglik_linear_in_residuals():
     np.testing.assert_allclose(g3, 3.0 * g1, atol=1e-12 * max(1, np.abs(g1).max()))
 
 
+def test_likelihood_rejects_observation_time_beyond_horizon():
+    model = _model()
+    data = Dataset(y=np.zeros(3), t=np.array([0.0, 0.5 * T, T + 0.01]),
+                   x=np.full((3, 1), 0.3), noise_std=0.1)
+    with pytest.raises(ValueError):
+        LikelihoodEvaluator(model, data)
+
+
 # ---------------------------------------------------------------------------
 # expected curvature
 
