@@ -21,7 +21,6 @@ from .inference import (
     LikelihoodEvaluator,
     PriorSpec,
     SurrogateSpec,
-    cutoff_alpha,
     gamma_smooth,
     gamma_tilde,
     generate_data,

@@ -29,12 +29,12 @@ from .inference import (
     estimate_c1,
     generate_data,
     make_drift,
-    posterior_energy,
     validate_constants,
 )
 from .parabolic import NumericalBlowUp, heat_trajectory_exact, rel_l2l2_error
 from .sampler import DriftBlowUp, default_step_size, ergodic_average, run_ula, w2_squared
-from .stability import stability_report
+from .spectral import random_potential
+from .stability import sigma_min_trend, stability_report
 
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
@@ -209,8 +209,6 @@ def stability(config_path, seed, out_dir, mode):
     p = config["problem"]
     rng = np.random.default_rng(config.seed + 17)
     W1 = config.w0()
-    from .spectral import random_potential
-
     W2 = W1 + random_potential(int(p["K"]), int(p["d"]), rng, amplitude=0.3)
     try:
         rep = stability_report(
@@ -220,8 +218,6 @@ def stability(config_path, seed, out_dir, mode):
             beta=float(config["constants"]["beta"]))
     except NumericalBlowUp as exc:
         sys.exit(_fail(f"stability run blew up at step {exc.step}", EXIT_NUMERIC))
-    from .stability import sigma_min_trend
-
     trend = sigma_min_trend(
         McKVProblem(W=W1, phi=phi, T=float(p["T"]), stepper=stepper),
         K=int(p["K"]))
@@ -251,7 +247,7 @@ def _build_inference(config: ExperimentConfig):
                          rng=rng, seed=config.seed)
     prior = PriorSpec(alpha=config.prior_alpha(), K=model.K, d=model.d,
                       n_obs=data.n_obs)
-    return model, W0, data, prior, rng
+    return model, W0, data, prior
 
 
 def _build_surrogate(config, model, W0, data, warnings):
@@ -272,32 +268,41 @@ def _build_surrogate(config, model, W0, data, warnings):
     return spec, float(c1)
 
 
-@main.command()
-@_with_common
-def sample(config_path, seed, out_dir, mode):
-    """Run ULA over the surrogate posterior and store the chain."""
-    config = _load_config(config_path, seed, mode)
-    out = _out_dir(config, out_dir)
-    warnings: list[str] = []
-    model, W0, data, prior, rng = _build_inference(config)
+def _run_chain(config, model, W0, data, prior, warnings):
+    """Surrogate around W0, its drift and the ULA chain started at W0.
+
+    Returns (spec, c1, gamma, run); a diverging drift or PDE solve exits
+    with EXIT_NUMERIC.
+    """
     spec, c1 = _build_surrogate(config, model, W0, data, warnings)
-    like = LikelihoodEvaluator(model, data)
-    drift = make_drift(spec, prior, like)
+    drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
     sa = config["sampler"]
-    gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)
-    t0 = time.time()
+    gamma = float(sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam))
     try:
-        run = run_ula(drift, W0.values.copy(), float(gamma),
+        run = run_ula(drift, W0.values.copy(), gamma,
                       n_steps=int(sa["n_steps"]), burn_in=sa["burn_in"],
                       thin=int(sa["thin"]), seed=config.seed + 1)
     except DriftBlowUp as exc:
         sys.exit(_fail(f"drift diverged at iteration {exc.k}", EXIT_NUMERIC))
     except NumericalBlowUp as exc:
         sys.exit(_fail(f"PDE solve blew up at step {exc.step}", EXIT_NUMERIC))
+    return spec, c1, gamma, run
+
+
+@main.command()
+@_with_common
+def sample(config_path, seed, out_dir, mode):
+    """Run ULA over the surrogate posterior and store the chain."""
+    config = _load_config(config_path, seed, mode)
+    out = _out_dir(config, out_dir)
+    t0 = time.time()
+    warnings: list[str] = []
+    model, W0, data, prior = _build_inference(config)
+    spec, c1, gamma, run = _run_chain(config, model, W0, data, prior, warnings)
     run.save(out / "chain.csv")
     payload = _manifest(config, {
         "command": "sample",
-        "gamma": float(gamma),
+        "gamma": gamma,
         "c1_hat": c1,
         "lambda": spec.lam,
         "runtime_seconds": time.time() - t0,
@@ -317,38 +322,19 @@ def recover(config_path, seed, out_dir, mode):
     out = _out_dir(config, out_dir)
     t0 = time.time()
     warnings: list[str] = []
-    model, W0, data, prior, rng = _build_inference(config)
+    model, W0, data, prior = _build_inference(config)
 
     if _is_uniform_phi(model.phi):
         warnings.append("uniform steady state, non-identifiable")
 
-    # assumption checks: band-limited truth makes both biases vanish,
-    # but they are recomputed rather than assumed
-    W0K = W0  # truth already lives in E_K
-    rho0 = model.solve(W0)
-    rho0K = rho0
-    bias_forward = 0.0
-    bias_inverse = (W0 - W0K).l2_norm()
+    # the truth lies in E_K, so both projection biases vanish
     constants = validate_constants(config.constants(), n_obs=data.n_obs,
-                                   K=model.K, bias_forward=bias_forward,
-                                   bias_inverse=bias_inverse)
+                                   K=model.K, bias_forward=0.0, bias_inverse=0.0)
 
-    spec, c1 = _build_surrogate(config, model, W0K, data, warnings)
-    like = LikelihoodEvaluator(model, data)
-    drift = make_drift(spec, prior, like)
-    sa = config["sampler"]
-    gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)
-    try:
-        run = run_ula(drift, W0K.values.copy(), float(gamma),
-                      n_steps=int(sa["n_steps"]), burn_in=sa["burn_in"],
-                      thin=int(sa["thin"]), seed=config.seed + 1)
-    except DriftBlowUp as exc:
-        sys.exit(_fail(f"drift diverged at iteration {exc.k}", EXIT_NUMERIC))
-    except NumericalBlowUp as exc:
-        sys.exit(_fail(f"PDE solve blew up at step {exc.step}", EXIT_NUMERIC))
+    spec, c1, gamma, run = _run_chain(config, model, W0, data, prior, warnings)
 
     mean = ergodic_average(run)
-    err = float(np.linalg.norm(mean - W0K.values))
+    err = float(np.linalg.norm(mean - W0.values))
     half = run.n_kept // 2
     w2_halves = w2_squared(run.samples[:half], run.samples[half:2 * half]) \
         if half >= 2 else None
@@ -358,7 +344,7 @@ def recover(config_path, seed, out_dir, mode):
     report = _manifest(config, {
         "command": "recover",
         "runtime_seconds": time.time() - t0,
-        "gamma": float(gamma),
+        "gamma": gamma,
         "lambda": spec.lam,
         "c1_hat": c1,
         "oracle_initialiser": True,
@@ -367,9 +353,9 @@ def recover(config_path, seed, out_dir, mode):
         "w2_squared_chain_halves": w2_halves,
         "constants_report": json.loads(constants.to_json()),
         "assumption_checks": {
-            "bias_forward": bias_forward,
-            "bias_inverse": bias_inverse,
-            "warm_start_ok": spec.check_warm_start(W0K),
+            "bias_forward": 0.0,
+            "bias_inverse": 0.0,
+            "warm_start_ok": spec.check_warm_start(W0),
         },
         "warnings": warnings,
         "n_kept": run.n_kept,

@@ -131,10 +131,6 @@ class ExperimentConfig:
             data = {}
         return cls(raw=data, source=str(path))
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExperimentConfig":
-        return cls(raw=dict(data))
-
     def _validate(self):
         r = self.raw
         if r["mode"] not in ("strict", "experimental"):
@@ -176,6 +172,8 @@ class ExperimentConfig:
         if sur["r"] <= 0:
             raise ConfigError("surrogate.r must be positive")
         sa = r["sampler"]
+        if sa["gamma"] is not None and not sa["gamma"] > 0:
+            raise ConfigError("sampler.gamma must be positive (null: heuristic)")
         if sa["n_steps"] < 2:
             raise ConfigError("sampler.n_steps must be >= 2")
         if sa["burn_in"] is not None and not 0 <= sa["burn_in"] < sa["n_steps"]:

@@ -34,10 +34,10 @@ from .parabolic import (
     Trajectory,
     _as_grad_coeffs,
     integrate,
-    l2l2_inner,
     solver_states,
     state_index,
     transport_forcing,
+    trapz_inner,
 )
 from .spectral import (
     PotentialVec,
@@ -295,15 +295,16 @@ def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):
 
 
 def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray:
-    """Gram matrix (1/T) <col_j, col_k> in L2([0,T];L2); symmetric PSD."""
-    D = len(columns)
+    """Gram matrix (1/T) <col_j, col_k> in L2([0,T];L2); symmetric PSD.
+
+    One contraction of the stacked columns; the upper triangle is
+    mirrored, so the result is exactly symmetric.
+    """
     if T is None:
         T = columns[0].T
-    G = np.zeros((D, D))
-    for j in range(D):
-        for k in range(j, D):
-            G[j, k] = G[k, j] = l2l2_inner(columns[j], columns[k]) / T
-    return G
+    X = np.stack([c.coeffs for c in columns])
+    G = np.triu(trapz_inner(X, X, columns[0].dt)) / T
+    return G + np.triu(G, 1).T
 
 
 def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
@@ -312,11 +313,11 @@ def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
     """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
 
     ``columns`` are the first derivatives from :func:`jacobian_columns`
-    at the same W and K, and ``reduce`` maps the (M+1, grid) nodes of one
-    second derivative to an array.  One operator serves all solves; row
-    j is a single stacked solve over the D - j modes k >= j, and each
-    result fills both (j, k) and (k, j), so the returned (D, D, ...)
-    array is symmetric by construction.
+    at the same W and K, and ``reduce`` maps the (B, M+1, grid) nodes of
+    a stack of second derivatives to an array with leading axis B.  One
+    operator serves all solves; row j is a single stacked solve over the
+    D - j modes k >= j, and each result fills both (j, k) and (k, j), so
+    the returned (D, D, ...) array is symmetric by construction.
     """
     K = problem.W.K if K is None else K
     op = LWOperator(problem.W, rho_traj, problem.stepper)
@@ -330,9 +331,9 @@ def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
         grad_h2 = list(np.moveaxis(gtau[j:], 1, 0))  # d arrays (D - j, grid)
         nodes, _ = _second_derivative_stack(op, list(gtau[j]), grad_h2, v[:, j:j + 1],
                                             v[:, j:], keep_stages=False)
-        row = np.array([reduce(c) for c in nodes])
+        row = reduce(nodes)
         if out is None:
-            out = np.zeros((D, D) + row.shape[1:])
+            out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
         out[j, j:] = row
         out[j:, j] = row
     return out

@@ -26,7 +26,7 @@ from .forward import (
     second_derivative_matrix,
     solve_mckv,
 )
-from .parabolic import ObservationOperator, StepperConfig, Trajectory, l2l2_inner
+from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_inner
 from .spectral import PotentialVec, SpectralField, count_dim, modes_in_ball
 
 
@@ -380,12 +380,10 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
 
     if rho0 is None:
         rho0 = model.solve(W0)
-    diff = Trajectory(T=rho.T, d=rho.d, n=rho.n,
-                      coeffs=rho.coeffs - rho0.coeffs, scheme=rho.scheme)
-    if np.max(np.abs(diff.coeffs)) > 0:
+    diff = (rho.coeffs - rho0.coeffs)[None]
+    if np.max(np.abs(diff)) > 0:
         def corr(d2_nodes):
-            d2 = Trajectory(T=rho.T, d=rho.d, n=rho.n, coeffs=d2_nodes)
-            return l2l2_inner(diff, d2) / model.T
+            return trapz_inner(d2_nodes, diff, rho.dt)[:, 0] / model.T
 
         out += second_derivative_matrix(problem, rho, cols, corr, K=model.K)
     return out
@@ -525,10 +523,6 @@ class SurrogateSpec:
             raise ValueError(
                 f"lam {self.lam:.3e} below the admissible floor {self.lam_floor:.3e}")
 
-    @property
-    def mollifier_width(self) -> float:
-        return self.r / 8.0
-
     @classmethod
     def build(cls, r: float, W_init: PotentialVec, n_obs: int,
               c_hat: float = 1.0, c1_hat: float = 1.0,
@@ -618,7 +612,7 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     best = float(np.max(np.abs(grid.to_values(rho.coeffs))))
 
     cols = jacobian_columns(problem, rho, K=model.K)
-    col_vals = np.stack([grid.to_values(c.coeffs) for c in cols])  # (D, M+1, grid)
+    col_vals = grid.to_values(np.stack([c.coeffs for c in cols]))  # (D, M+1, grid)
     grad_norm = np.sqrt(np.sum(col_vals**2, axis=0))
     best = max(best, float(np.max(grad_norm)))
 

@@ -22,7 +22,7 @@ trajectories at fixed space-time points.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +30,7 @@ import numpy as np
 from .spectral import Grid, PotentialVec, SpectralField, get_grid, load_field, save_field
 
 SCHEMES = ("if-heun", "if-euler")
+BLOWUP_LIMIT = 1e12
 
 
 class NumericalBlowUp(RuntimeError):
@@ -46,23 +47,17 @@ class StepperConfig:
 
     M is the number of steps over the horizon and ``scheme`` one of
     :data:`SCHEMES`; a step whose largest coefficient modulus is not
-    finite or exceeds ``blowup_limit`` raises :class:`NumericalBlowUp`.
+    finite or exceeds :data:`BLOWUP_LIMIT` raises :class:`NumericalBlowUp`.
     """
 
     M: int = 256
     scheme: str = "if-heun"
-    blowup_limit: float = 1e12
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("step count M must be >= 1")
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
-
-
-def default_steps(T: float, per_unit: int = 64) -> int:
-    """Default step count: at least ``per_unit`` steps per unit time."""
-    return max(1, int(np.ceil(per_unit * T)))
 
 
 @dataclass
@@ -117,11 +112,7 @@ class Trajectory:
     # -- norms ----------------------------------------------------------------
 
     def l2l2_norm(self) -> float:
-        return float(np.sqrt(_trapz_sumsq(self.coeffs, self.dt, self.d)))
-
-    def sup_l2(self) -> float:
-        axes = tuple(range(-self.d, 0))
-        return float(np.sqrt(np.max(np.sum(np.abs(self.coeffs) ** 2, axis=axes))))
+        return float(np.sqrt(l2l2_inner(self, self)))
 
     def zero_mode(self) -> np.ndarray:
         """Mass trace: node values of the k=0 coefficient."""
@@ -160,25 +151,32 @@ class Trajectory:
                    scheme=manifest.get("scheme", "if-heun"))
 
 
-def _trapz_sumsq(coeffs: np.ndarray, dt: float, d: int) -> float:
-    axes = tuple(range(-d, 0))
-    sq = np.sum(np.abs(coeffs) ** 2, axis=axes)
-    return float(dt * (np.sum(sq) - 0.5 * (sq[0] + sq[-1])))
+def trapz_inner(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
+    """Trapezoid-in-time L2([0,T];L2) inner products of two stacks.
+
+    ``a`` (A, M+1, grid) and ``b`` (B, M+1, grid) hold coefficient
+    trajectories with node spacing ``dt``; returns the real (A, B)
+    matrix of dt * sum_m w_m Re<a_m, b_m>, with w = 1/2 at both ends
+    and 1 inside.
+    """
+    w = np.full(a.shape[1], dt)
+    w[0] = w[-1] = 0.5 * dt
+    aw = (a.reshape(a.shape[0], a.shape[1], -1) * w[:, None]).reshape(a.shape[0], -1)
+    return (aw @ b.reshape(b.shape[0], -1).conj().T).real
 
 
 def l2l2_inner(a: Trajectory, b: Trajectory) -> float:
     """Trapezoid-in-time L2([0,T];L2) inner product of two trajectories."""
     if a.M != b.M or abs(a.T - b.T) > 1e-12 or a.n != b.n or a.d != b.d:
         raise ValueError("trajectory grids do not match")
-    axes = tuple(range(-a.d, 0))
-    prod = np.sum(a.coeffs * np.conj(b.coeffs), axis=axes).real
-    return float(a.dt * (np.sum(prod) - 0.5 * (prod[0] + prod[-1])))
+    return float(trapz_inner(a.coeffs[None], b.coeffs[None], a.dt)[0, 0])
 
 
 def l2l2_diff_norm(a: Trajectory, b: Trajectory) -> float:
     if a.M != b.M or a.n != b.n or a.d != b.d:
         raise ValueError("trajectory grids do not match")
-    return float(np.sqrt(_trapz_sumsq(a.coeffs - b.coeffs, a.dt, a.d)))
+    diff = (a.coeffs - b.coeffs)[None]
+    return float(np.sqrt(trapz_inner(diff, diff, a.dt)[0, 0]))
 
 
 def rel_l2l2_error(a: Trajectory, ref: Trajectory) -> float:
@@ -270,7 +268,7 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
         else:
             u = E * (u + dt * k1)
         mx = np.max(np.abs(u))
-        if not np.isfinite(mx) or mx > config.blowup_limit:
+        if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
             raise NumericalBlowUp(m + 1)
         nodes[m + 1] = u
     return nodes, stages

@@ -26,40 +26,49 @@ ASSIGNMENT_MAX_N = 64
 
 
 class DriftBlowUp(RuntimeError):
-    """Non-finite drift; carries a snapshot of the offending iterate."""
+    """Non-finite drift or next iterate; carries a snapshot of the iterate
+    the step started from."""
 
     def __init__(self, k: int, theta: np.ndarray):
         self.k = k
         self.theta = np.array(theta)
-        super().__init__(f"non-finite drift at iteration {k}")
+        super().__init__(f"non-finite drift or iterate at iteration {k}")
 
 
 @dataclass
 class ChainState:
-    """One ULA iterate together with its RNG stream."""
+    """One ULA iterate together with its RNG stream and the drift that
+    produced it (None for the initial point)."""
 
     theta: np.ndarray
     gamma: float
     k: int
     rng: np.random.Generator
+    drift: np.ndarray | None = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=float)
-        if self.gamma <= 0:
+        if not self.gamma > 0:
             raise ValueError("step size gamma must be positive")
         if not np.all(np.isfinite(self.theta)):
             raise ValueError("iterate must be finite")
 
 
 def ula_step(state: ChainState, drift) -> ChainState:
-    """One Euler-Maruyama step of the Langevin diffusion."""
+    """One Euler-Maruyama step of the Langevin diffusion.
+
+    Raises :class:`DriftBlowUp` at iteration ``state.k`` when the drift
+    or the new iterate is not finite.
+    """
     g = np.asarray(drift(state.theta), dtype=float)
     if not np.all(np.isfinite(g)):
         raise DriftBlowUp(state.k, state.theta)
     xi = state.rng.standard_normal(state.theta.size)
     theta = state.theta + state.gamma * g + np.sqrt(2.0 * state.gamma) * xi
+    if not np.all(np.isfinite(theta)):
+        raise DriftBlowUp(state.k, state.theta)
     return ChainState(theta=theta, gamma=state.gamma, k=state.k + 1,
-                      rng=state.rng)
+                      rng=state.rng, drift=g)
 
 
 @dataclass
@@ -105,8 +114,8 @@ def _jsonable(obj):
 def run_ula(drift, w_init: np.ndarray, gamma: float, n_steps: int,
             burn_in: int | None = None, thin: int = 1,
             rng: np.random.Generator | None = None, seed: int | None = None,
-            energy=None, trace_every: int = 1) -> ChainRun:
-    """Run the chain and keep every ``thin``-th iterate after burn-in.
+            energy=None) -> ChainRun:
+    """Iterate :func:`ula_step` and keep every ``thin``-th iterate after burn-in.
 
     Burn-in defaults to 20% of the step count.  ``energy`` (optional
     callable) is traced along the kept samples for the boundedness
@@ -116,28 +125,23 @@ def run_ula(drift, w_init: np.ndarray, gamma: float, n_steps: int,
         burn_in = n_steps // 5
     if not 0 <= burn_in < n_steps:
         raise ValueError("need 0 <= burn_in < n_steps")
+    if thin < 1:
+        raise ValueError("thinning interval must be >= 1")
     if rng is None:
         rng = np.random.default_rng(seed)
 
-    # inlined ula_step (bit-identical to iterating it) so the drift norm
-    # trace costs no extra drift evaluations
-    theta = np.array(w_init, dtype=float)
-    sqrt2g = np.sqrt(2.0 * gamma)
+    state = ChainState(theta=w_init, gamma=gamma, k=0, rng=rng)
     kept = []
     drift_norms = []
     energies = []
     for step in range(1, n_steps + 1):
-        g = np.asarray(drift(theta), dtype=float)
-        if not np.all(np.isfinite(g)):
-            raise DriftBlowUp(step - 1, theta)
-        xi = rng.standard_normal(theta.size)
-        theta = theta + gamma * g + sqrt2g * xi
+        state = ula_step(state, drift)
         if step > burn_in and (step - burn_in) % thin == 0:
-            kept.append(theta.copy())
-            if energy is not None and len(kept) % trace_every == 0:
-                energies.append(float(energy(theta)))
+            kept.append(state.theta)
+            if energy is not None:
+                energies.append(float(energy(state.theta)))
         if step % max(1, n_steps // 200) == 0:
-            drift_norms.append(float(np.linalg.norm(g)))
+            drift_norms.append(float(np.linalg.norm(state.drift)))
 
     samples = np.array(kept)
     diag = {"drift_norms": np.array(drift_norms), "gamma": gamma}

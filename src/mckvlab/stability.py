@@ -152,14 +152,11 @@ def gradient_stability_sigma_min(problem: McKVProblem, K: int | None = None,
     """Smallest singular value of H -> D rho_W[H], (E_K, L2) -> L2(X, lambda).
 
     Computed as the square root of the smallest eigenvalue of the
-    jacobian Gram matrix (1/T) <col_j, col_k>.
+    jacobian Gram matrix (1/T) <col_j, col_k>: the K entry of
+    :func:`sigma_min_trend`.
     """
-    if rho_traj is None:
-        rho_traj = solve_mckv(problem)
-    cols = jacobian_columns(problem, rho_traj, K=K)
-    gram = gram_matrix(cols, problem.T)
-    lam_min = float(np.linalg.eigvalsh(gram)[0])
-    return float(np.sqrt(max(lam_min, 0.0)))
+    K = problem.W.K if K is None else K
+    return sigma_min_trend(problem, K, rho_traj)[K]
 
 
 def sigma_min_trend(problem: McKVProblem, K: int,

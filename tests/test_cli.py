@@ -69,6 +69,15 @@ def test_config_rejects_bad_values(tmp_path):
             ExperimentConfig.from_file(p)
 
 
+@pytest.mark.parametrize("gamma", [0.0, -1.0e-4])
+def test_sample_rejects_nonpositive_step_size(tmp_path, gamma):
+    p = _write(tmp_path, {"sampler.gamma": gamma})
+    res = CliRunner().invoke(main, ["sample", "--config", str(p),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert "sampler.gamma" in res.output
+
+
 def test_strict_mode_scales_surrogate_radius(tmp_path):
     p = _write(tmp_path, {"mode": "strict", "constants.w": 39.5})
     cfg = ExperimentConfig.from_file(p)
@@ -270,3 +279,12 @@ def test_seed_override_changes_hash(tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["seed"] == 99
     assert manifest["config_hash"] != c1.content_hash()
+
+
+@pytest.mark.parametrize("command", ["sample", "recover"])
+def test_diverging_chain_exits_three(tmp_path, command):
+    runner = CliRunner()
+    p = _write(tmp_path, {"sampler.gamma": 1.0e300})
+    res = runner.invoke(main, [command, "--config", str(p), "--out", str(tmp_path / "out")])
+    assert res.exit_code == 3
+    assert "drift diverged" in res.output

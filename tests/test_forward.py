@@ -12,6 +12,7 @@ from mckvlab.forward import (
     mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
+    second_derivative_matrix,
     solve_mckv,
     solve_mckv_field,
     solve_rd,
@@ -21,6 +22,7 @@ from mckvlab.forward import (
 from mckvlab.parabolic import (
     StepperConfig,
     heat_trajectory_exact,
+    l2l2_inner,
     rel_l2l2_error,
 )
 from mckvlab.spectral import (
@@ -404,3 +406,35 @@ def test_dimension_check_3d_smoke():
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.02, stepper=cfg))
     np.testing.assert_allclose(rho.zero_mode(), 1.0, atol=1e-13)
     assert rho.node(cfg.M).conj_symmetry_defect() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked contractions against the pairwise paths they replace
+
+
+@pytest.mark.parametrize("d, n, K, zeta, amplitude", [(1, 32, 3, 3.0, 0.3),
+                                                     (2, 12, 2, 4.0, 0.1)])
+def test_gram_matrix_matches_pairwise_inner_products(d, n, K, zeta, amplitude):
+    rng = np.random.default_rng(30 + d)
+    phi = decay_density(n, d, zeta=zeta, amplitude=amplitude)
+    W = random_potential(K, d, rng, amplitude=0.4)
+    prob = McKVProblem(W=W, phi=phi, T=0.1, stepper=StepperConfig(M=16))
+    cols = jacobian_columns(prob)
+    G = gram_matrix(cols)
+    ref = np.array([[l2l2_inner(a, b) / 0.1 for b in cols] for a in cols])
+    assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_second_derivative_matrix_matches_pairwise_solves():
+    rng = np.random.default_rng(32)
+    W = random_potential(2, 1, rng, amplitude=0.5)
+    prob = McKVProblem(W=W, phi=_phi(), T=T, stepper=CFG)
+    rho = solve_mckv(prob)
+    cols = jacobian_columns(prob, rho)
+    D2 = second_derivative_matrix(prob, rho, cols, lambda nodes: nodes)
+    basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
+    for j in range(W.dim):
+        for k in range(W.dim):
+            ref = mckv_second_derivative(prob, basis[j], basis[k], rho,
+                                         cols[j], cols[k]).coeffs
+            assert np.max(np.abs(D2[j, k] - ref)) <= 1e-12 * np.max(np.abs(ref))

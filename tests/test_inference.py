@@ -12,6 +12,7 @@ from mckvlab.inference import (
     cutoff_alpha,
     cutoff_alpha_deriv,
     delta_n,
+    estimate_c1,
     eta_exponent,
     expected_neg_hessian,
     gamma_smooth,
@@ -277,6 +278,16 @@ def test_expected_neg_hessian_zero_at_uniform_state():
     M = expected_neg_hessian(W0, W0, model)
     assert np.linalg.eigvalsh(M)[0] <= 1e-12
     assert np.max(np.abs(M)) <= 1e-12
+
+
+def test_estimate_c1_bounds_density_and_hessian_only_raises_it():
+    rng = np.random.default_rng(11)
+    model = _model()
+    W = random_potential(2, 1, rng, amplitude=0.4)
+    rho_max = float(np.max(np.abs(model.phi.grid.to_values(model.solve(W).coeffs))))
+    without = estimate_c1(model, W, include_hessian=False)
+    assert without >= rho_max
+    assert estimate_c1(model, W, include_hessian=True) >= without
 
 
 # ---------------------------------------------------------------------------

@@ -229,3 +229,47 @@ def test_w2_sliced_reasonable_on_shifted_gaussians():
     est = w2sq_sliced(A, B)
     # sliced-W2 of a pure shift contracts by the directional average E u_1^2 = 1/d
     assert 0.15 < est < 0.8
+
+
+# ---------------------------------------------------------------------------
+# bad inputs and divergence
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1e-3])
+def test_run_ula_rejects_nonpositive_step(gamma):
+    with pytest.raises(ValueError):
+        run_ula(_gauss_drift, np.zeros(D), gamma, n_steps=10, burn_in=0, seed=0)
+
+
+def test_run_ula_rejects_thin_below_one():
+    with pytest.raises(ValueError):
+        run_ula(_gauss_drift, np.zeros(D), 1e-3, n_steps=10, burn_in=0, thin=0, seed=0)
+
+
+def _overflowing_drift(theta):
+    # finite, but gamma * drift leaves the floating-point range
+    return np.full(theta.size, 1e308)
+
+
+def test_ula_step_overflow_raises_drift_blowup():
+    state = ChainState(theta=np.ones(D), gamma=10.0, k=3, rng=np.random.default_rng(0))
+    with pytest.raises(DriftBlowUp) as excinfo:
+        ula_step(state, _overflowing_drift)
+    assert excinfo.value.k == 3
+    np.testing.assert_array_equal(excinfo.value.theta, np.ones(D))
+
+
+def test_run_ula_overflow_raises_drift_blowup():
+    with pytest.raises(DriftBlowUp) as excinfo:
+        run_ula(_overflowing_drift, np.zeros(D), 10.0, n_steps=5, burn_in=0, seed=0)
+    assert excinfo.value.k == 0
+
+
+def test_run_ula_drift_norms_are_those_of_the_steps():
+    run = run_ula(_gauss_drift, np.zeros(D), 1e-3, n_steps=30, burn_in=0, seed=12)
+    state = ChainState(theta=np.zeros(D), gamma=1e-3, k=0, rng=np.random.default_rng(12))
+    norms = []
+    for _ in range(30):
+        state = ula_step(state, _gauss_drift)
+        norms.append(np.linalg.norm(state.drift))
+    assert np.array_equal(run.diagnostics["drift_norms"], np.array(norms))

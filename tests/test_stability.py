@@ -11,6 +11,7 @@ from mckvlab.stability import (
     forward_lipschitz_probe,
     gradient_stability_sigma_min,
     pseudo_linearised_difference,
+    sigma_min_trend,
     stability_report,
 )
 
@@ -230,3 +231,10 @@ def test_stability_report_fields_and_validation():
     with pytest.raises(ValueError):
         StabilityReport(sigma_min=-1.0, decon_margin=0.0, lipschitz_ratio=0.0,
                         pseudo_lin_residual=0.0)
+
+
+def test_sigma_min_is_last_entry_of_trend():
+    rng = np.random.default_rng(40)
+    prob = _problem(random_potential(3, 1, rng, amplitude=0.4))
+    rho = solve_mckv(prob)
+    assert sigma_min_trend(prob, 3, rho)[3] == gradient_stability_sigma_min(prob, 3, rho)
