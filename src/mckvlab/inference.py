@@ -4,9 +4,11 @@ surrogate.
 
 The observation model is Y_i = rho_W(t_i, X_i) + noise_std * eps_i with
 t_i uniform on [0,T] and X_i uniform on the torus; the log-likelihood is
-ell_N(W) = -1/2 sum_i |Y_i - rho_W(t_i, X_i)|^2.  Its gradient is
-assembled from one nonlinear solve plus all D linearised solves advanced
-in lockstep.
+ell_N(W) = -1/2 sum_i |Y_i - rho_W(t_i, X_i)|^2.  Its gradient costs
+one nonlinear solve, all D linearised solves advanced in lockstep, and
+one back-projection of the residuals onto the node grid through the
+adjoint of the observation operator; the D derivative columns are never
+evaluated at the N data points.
 """
 
 from __future__ import annotations
@@ -313,9 +315,12 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
 class LikelihoodEvaluator:
     """ell_N and grad ell_N for a fixed dataset and forward model.
 
-    The observation operator at the data points is built once; each call
-    costs one nonlinear solve (value) plus the batched linearised solves
-    (gradient).  Observation times outside [0, T] are rejected.
+    The observation operator at the data points is built once.  A value
+    costs one nonlinear solve; a gradient adds the batched linearised
+    solves and one back-projection B = A^T res of the residuals, after
+    which grad_k = Re<nodes_k, B>; memory is O(D (M+1) n^d + N n^d),
+    not O(D N n^d).  Observation times outside [0, T] are rejected, and
+    so is a supplied density trajectory on another time or space grid.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -328,9 +333,15 @@ class LikelihoodEvaluator:
         self.n_solves = 0
 
     def residuals(self, W: PotentialVec, rho: Trajectory | None = None):
+        model = self.model
         if rho is None:
-            rho = self.model.solve(W)
+            rho = model.solve(W)
             self.n_solves += 1
+        elif (rho.M != model.stepper.M or abs(rho.T - model.T) > 1e-12
+              or rho.n != model.n or rho.d != model.d):
+            raise ValueError(
+                f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}) does not "
+                f"match the model (M={model.stepper.M}, T={model.T}, n={model.n}, d={model.d})")
         fitted = self._obs(rho.coeffs[None])[0]
         return self.dataset.y - fitted, rho
 
@@ -344,8 +355,7 @@ class LikelihoodEvaluator:
         res, rho = self.residuals(W, rho)
         nodes, _ = jacobian_stack(self.model.problem(W), rho, K=self.model.K,
                                   keep_stages=False)
-        col_vals = self._obs(nodes)  # (D, N)
-        grad = col_vals @ res
+        grad = (nodes.reshape(nodes.shape[0], -1) @ self._obs.adjoint(res).ravel()).real
         return -0.5 * float(np.dot(res, res)), grad
 
 

@@ -16,7 +16,8 @@ Every solve in the library, nonlinear or linearised, single or stacked,
 runs through the one time loop behind :func:`integrate`.  The linear
 operator L_W with coefficients read along a density trajectory is
 :class:`LWOperator`; :class:`ObservationOperator` evaluates stacked
-trajectories at fixed space-time points.
+trajectories at fixed space-time points, and its adjoint back-projects
+point data onto the nodes.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+from scipy import sparse
 
 from .spectral import Grid, PotentialVec, SpectralField, get_grid, load_field, save_field
 
@@ -198,27 +200,44 @@ def _time_bracket(t, T: float, M: int):
 class ObservationOperator:
     """Evaluation of stacked trajectories at N fixed points (t_i, x_i).
 
-    The time brackets and the synthesis phases e^{2 pi i k . x_i} are
-    computed once, for trajectories with M+1 nodes over [0, T] on
-    ``grid``; each call interpolates linearly between nodes and
-    synthesises exactly in space.  Times outside [0, T] are rejected.
+    One sparse (N, M+1) matrix interpolates linearly in time between the
+    nodes of trajectories over [0, T] (row i holds 1-w_i at node m_i and
+    w_i at m_i+1), and the phases e^{2 pi i k . x_i} on ``grid``
+    synthesise exactly in space; both are built once.  Times outside
+    [0, T] are rejected.  :meth:`adjoint` is the transpose, so a
+    gradient sum_i y_i dv(t_i, x_i) over a stack of derivatives costs
+    one back-projection of y instead of an evaluation of every column.
     """
 
     def __init__(self, T: float, M: int, grid: Grid, t, x):
         t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float).reshape(len(t), grid.d)
-        self.m, w = _time_bracket(t, T, M)
-        self.w = w[:, None]
-        phase = np.ones((len(t), grid.size), dtype=complex)
+        n_pts = len(t)
+        x = np.asarray(x, dtype=float).reshape(n_pts, grid.d)
+        m, w = _time_bracket(t, T, M)
+        self.interp = sparse.csr_matrix(
+            (np.column_stack([1.0 - w, w]).ravel(), np.column_stack([m, m + 1]).ravel(),
+             np.arange(0, 2 * n_pts + 1, 2)), shape=(n_pts, M + 1))
+        phase = np.ones((n_pts, grid.size), dtype=complex)
         for j in range(grid.d):
             phase *= np.exp(2j * np.pi * np.outer(x[:, j], grid.kvec[j].ravel()))
         self.phase = phase
 
     def __call__(self, stacked: np.ndarray) -> np.ndarray:
         """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N)."""
-        flat = stacked.reshape(stacked.shape[:2] + (self.phase.shape[1],))
-        c = flat[:, self.m, :] * (1.0 - self.w) + flat[:, self.m + 1, :] * self.w
-        return np.einsum("bnk,nk->bn", c, self.phase).real
+        B, nodes = stacked.shape[:2]
+        size = self.phase.shape[1]
+        cols = np.moveaxis(stacked.reshape(B, nodes, size), 0, 1).reshape(nodes, B * size)
+        c = (self.interp @ cols).reshape(-1, B, size)
+        return np.einsum("nbk,nk->bn", c, self.phase).real
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Back-projection of point data y (N,) to the nodes, shape (M+1, n^d).
+
+        The transpose of :meth:`__call__` under the bilinear pairing:
+        Re sum(adjoint(y) * c) = y . self(c[None])[0] for every
+        trajectory c of shape (M+1, n, ..., n).
+        """
+        return self.interp.T @ (y[:, None] * self.phase)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Static checks on the library sources."""
 
 import ast
+import re
+import sys
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mckvlab"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mckvlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -28,3 +31,41 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+# import name -> distribution name, where the two differ
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def _third_party_imports(path: Path) -> dict[str, int]:
+    """Top-level modules imported absolutely that are not in the standard library."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names:
+                found.setdefault(top, node.lineno)
+    return found
+
+
+def _declared_dependencies() -> set[str]:
+    tomllib = pytest.importorskip("tomllib")  # standard library from Python 3.11
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", req).group(0).lower().replace("_", "-")
+            for req in project["dependencies"]}
+
+
+@pytest.mark.parametrize("path", MODULES + [SRC / "__init__.py"], ids=lambda p: p.name)
+def test_third_party_imports_are_declared(path):
+    declared = _declared_dependencies()
+    missing = [f"{path.name}:{line} {name}"
+               for name, line in sorted(_third_party_imports(path).items())
+               if DISTRIBUTIONS.get(name, name).lower() not in declared]
+    assert missing == []

@@ -1,7 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from mckvlab.forward import decay_density, gram_matrix, jacobian_columns, solve_mckv, uniform_density
+from mckvlab.forward import (
+    decay_density,
+    gram_matrix,
+    jacobian_columns,
+    jacobian_stack,
+    solve_mckv,
+    uniform_density,
+)
 from mckvlab.inference import (
     ConstantsConfig,
     Dataset,
@@ -30,7 +39,7 @@ from mckvlab.inference import (
     surrogate_loglik,
     validate_constants,
 )
-from mckvlab.parabolic import StepperConfig
+from mckvlab.parabolic import ObservationOperator, StepperConfig
 from mckvlab.spectral import PotentialVec, random_potential
 
 N_GRID = 32
@@ -243,6 +252,89 @@ def test_likelihood_rejects_observation_time_beyond_horizon():
                    x=np.full((3, 1), 0.3), noise_std=0.1)
     with pytest.raises(ValueError):
         LikelihoodEvaluator(model, data)
+
+
+def _small_model(d):
+    n = {1: 16, 2: 8}[d]
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    return ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=8))
+
+
+def test_likelihood_rejects_density_on_another_grid():
+    model = _small_model(1)
+    W0 = random_potential(2, 1, np.random.default_rng(20), amplitude=0.4)
+    data = generate_data(W0, model, 40, 0.05, np.random.default_rng(21))
+    like = LikelihoodEvaluator(model, data)
+    rho = model.solve(W0)
+    assert like.loglik(W0, rho) == like.loglik(W0)
+    others = [ForwardModel(phi=model.phi, T=model.T, K=2, stepper=StepperConfig(M=M))
+              for M in (2 * model.stepper.M, model.stepper.M // 2)]
+    others.append(ForwardModel(phi=model.phi, T=2 * model.T, K=2, stepper=model.stepper))
+    others.append(ForwardModel(phi=decay_density(32, 1, zeta=1.8, amplitude=0.3),
+                               T=model.T, K=2, stepper=model.stepper))
+    for other in others:
+        wrong = other.solve(W0)
+        for call in (like.residuals, like.loglik, like.loglik_and_grad):
+            with pytest.raises(ValueError, match="does not match the model"):
+                call(W0, wrong)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_grad_loglik_equals_observed_jacobian_columns(d):
+    # the gather of all D columns at the data points that back-projection replaced
+    rng = np.random.default_rng(30 + d)
+    model = _small_model(d)
+    W0 = random_potential(2, d, rng, amplitude=0.4)
+    data = generate_data(W0, model, 60, 0.05, rng)
+    like = LikelihoodEvaluator(model, data)
+    W = W0 + random_potential(2, d, rng, amplitude=0.1)
+    res, rho = like.residuals(W)
+    nodes, _ = jacobian_stack(model.problem(W), rho, K=model.K)
+    obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid, data.t, data.x)
+    expected = obs(nodes) @ res
+    value, grad = like.loglik_and_grad(W)
+    assert value == -0.5 * float(res @ res)
+    assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_data_and_residuals_match_pointwise_eval(d):
+    # Trajectory.eval synthesises axis by axis, a different summation from the
+    # operator's flattened phases, so the two agree to rounding, not bitwise
+    model = _small_model(d)
+    W0 = random_potential(2, d, np.random.default_rng(50), amplitude=0.4)
+    rho = model.solve(W0)
+    data = generate_data(W0, model, 30, 0.05, np.random.default_rng(51), rho0=rho)
+    rng = np.random.default_rng(51)
+    t = rng.uniform(0.0, model.T, 30)
+    x = rng.uniform(0.0, 1.0, (30, d))
+    noise = 0.05 * rng.standard_normal(30)
+    pointwise = np.array([rho.eval(ti, xi) for ti, xi in zip(t, x)])
+    assert np.array_equal(data.t, t) and np.array_equal(data.x, x)
+    scale = np.max(np.abs(pointwise))
+    assert np.max(np.abs(data.y - (pointwise + noise))) <= 1e-14 * scale
+    res, _ = LikelihoodEvaluator(model, data).residuals(W0, rho)
+    assert np.max(np.abs(res - noise)) <= 1e-14 * scale
+
+
+def test_grad_loglik_memory_stays_below_one_column_gather():
+    K, N = 4, 500
+    phi = decay_density(16, 2, zeta=3.8, amplitude=0.3)
+    model = ForwardModel(phi=phi, T=0.06, K=K, stepper=StepperConfig(M=8))
+    rng = np.random.default_rng(60)
+    W0 = random_potential(K, 2, rng, amplitude=0.3)
+    data = generate_data(W0, model, N, 0.05, rng)
+    like = LikelihoodEvaluator(model, data)
+    like.loglik_and_grad(W0)  # warm the grid and basis caches
+    tracemalloc.start()
+    try:
+        like.loglik_and_grad(W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    slab = model.dim * N * phi.grid.size * 16  # one (D, N, n^d) complex array
+    assert model.dim == 48
+    assert peak < 0.5 * slab
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckvlab.parabolic import (
     NumericalBlowUp,
+    ObservationOperator,
     StepperConfig,
     Trajectory,
     heat_trajectory_exact,
@@ -14,7 +17,7 @@ from mckvlab.parabolic import (
     solve_linear_lw,
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
-from mckvlab.spectral import PotentialVec, SpectralField, random_potential
+from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
 
 N_GRID = 32
 T = 0.25
@@ -194,3 +197,56 @@ def test_trajectory_serialization_round_trip(tmp_path):
     back = Trajectory.load(tmp_path / "traj")
     assert back.M == traj.M and back.T == traj.T
     np.testing.assert_allclose(back.coeffs, traj.coeffs, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# the observation operator and its adjoint
+
+_OBS_T = 0.3
+_OBS_M = 6
+# grid sizes per dimension: small enough to keep many examples fast
+_OBS_N = {1: 16, 2: 8}
+
+
+def _obs_points(d):
+    time = st.one_of(st.just(0.0), st.just(_OBS_T),
+                     st.floats(0.0, _OBS_T))
+    point = st.tuples(time, st.lists(st.floats(0.0, 1.0, exclude_max=True),
+                                     min_size=d, max_size=d))
+    return st.lists(point, min_size=1, max_size=12)
+
+
+def _random_stack(rng, B, d):
+    shape = (B, _OBS_M + 1) + (_OBS_N[d],) * d
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_observation_adjoint_dot_product_identity(d):
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(points=_obs_points(d), seed=st.integers(0, 2**32 - 1))
+    def check(points, seed):
+        t = np.array([p[0] for p in points])
+        x = np.array([p[1] for p in points])
+        op = ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[d], d), t, x)
+        rng = np.random.default_rng(seed)
+        c = _random_stack(rng, 1, d)[0]
+        y = rng.standard_normal(len(t))
+        back = op.adjoint(y)
+        assert back.shape == (_OBS_M + 1, _OBS_N[d] ** d)
+        forward = op(c[None])[0]
+        lhs = float(np.sum(back * c.reshape(back.shape)).real)
+        assert abs(lhs - y @ forward) <= 1e-12 * np.linalg.norm(y) * np.linalg.norm(forward)
+
+    check()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_observation_stacked_call_equals_single_calls(d):
+    rng = np.random.default_rng(40 + d)
+    t = np.concatenate([[0.0, _OBS_T], rng.uniform(0.0, _OBS_T, 9)])
+    x = rng.uniform(0.0, 1.0, (11, d))
+    op = ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[d], d), t, x)
+    c = _random_stack(rng, 3, d)
+    single = np.stack([op(c[b:b + 1])[0] for b in range(3)])
+    assert np.array_equal(op(c), single)
