@@ -18,7 +18,9 @@ a solve with :class:`~mckvlab.parabolic.LWOperator`, batched over
 directions: :func:`jacobian_stack` builds all D basis columns in one
 solve, :func:`mckv_first_derivative` is the one-column case, and
 :func:`second_derivative_matrix` solves D^2 rho_W one row of the
-truncated basis at a time.
+truncated basis at a time.  A vector-Jacobian product, which is all a
+gradient needs, is :func:`jacobian_vjp`: one backward solve of the
+exact transpose of the discrete scheme, whatever D is.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .parabolic import (
     solver_states,
     state_index,
     transport_forcing,
+    transport_forcing_transpose,
     trapz_inner,
 )
 from .spectral import (
@@ -185,11 +188,11 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
 
 
 def _first_derivative_stack(problem: McKVProblem, rho_traj: Trajectory,
-                            grad_h: np.ndarray, keep_stages: bool = True):
+                            grad_h: np.ndarray):
     """D rho_W[H_b] for a stack (B, d, grid) of direction gradients, in one solve."""
     op = LWOperator(problem.W, rho_traj, problem.stepper)
     forcing = transport_forcing(op.grid, op.rho_states, grad_h)
-    return op.solve(forcing, keep_stages=keep_stages)
+    return op.solve(forcing)
 
 
 def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
@@ -273,17 +276,36 @@ def tau_gradient_stack(K: int, grid) -> np.ndarray:
     return out
 
 
-def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory,
-                   K: int | None = None, keep_stages: bool = True):
+def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):
     """All D derivative trajectories D rho_W[tau_k] in one stacked solve.
 
     Returns (nodes, stages) arrays of shape (D, M+1, grid) and
-    (D, M, grid); stages are None when ``keep_stages`` is False.  This
-    is the hot path behind likelihood gradients.
+    (D, M, grid), stages None for Lawson-Euler.  The columns themselves
+    serve Gram, Fisher and sigma_min computations; a gradient needs only
+    :func:`jacobian_vjp`.
     """
     K = problem.W.K if K is None else K
     gtau = tau_gradient_stack(K, problem.phi.grid)
-    return _first_derivative_stack(problem, rho_traj, gtau, keep_stages)
+    return _first_derivative_stack(problem, rho_traj, gtau)
+
+
+def jacobian_vjp(problem: McKVProblem, rho_traj: Trajectory, g: np.ndarray,
+                 K: int | None = None) -> np.ndarray:
+    """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
+
+    ``g`` (M+1, n, ..., n) weights the nodes of a derivative trajectory.
+    One backward solve of the transposed L_W and one transposed forcing
+    give a (d, grid) array; D enters only in the final contraction with
+    :func:`tau_gradient_stack`, so time and memory do not grow with D
+    beyond it.  Equals the contraction of g with :func:`jacobian_stack`'s
+    nodes, to rounding.
+    """
+    K = problem.W.K if K is None else K
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    weights = op.solve_transpose(g.reshape((op.M + 1,) + op.grid.shape))
+    G = transport_forcing_transpose(op.grid, op.rho_states, weights)
+    gtau = tau_gradient_stack(K, op.grid)
+    return (gtau.reshape(gtau.shape[0], -1) @ G.ravel()).real
 
 
 def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):

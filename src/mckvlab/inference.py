@@ -5,10 +5,11 @@ surrogate.
 The observation model is Y_i = rho_W(t_i, X_i) + noise_std * eps_i with
 t_i uniform on [0,T] and X_i uniform on the torus; the log-likelihood is
 ell_N(W) = -1/2 sum_i |Y_i - rho_W(t_i, X_i)|^2.  Its gradient costs
-one nonlinear solve, all D linearised solves advanced in lockstep, and
-one back-projection of the residuals onto the node grid through the
-adjoint of the observation operator; the D derivative columns are never
-evaluated at the N data points.
+one nonlinear solve, one back-projection of the residuals onto the node
+grid through the adjoint of the observation operator, and one backward
+solve of the transposed linearised scheme; the D derivative columns are
+never built, so the cost of a gradient does not grow with D beyond one
+final contraction.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .forward import (
     McKVProblem,
     gram_matrix,
     jacobian_columns,
-    jacobian_stack,
+    jacobian_vjp,
     second_derivative_matrix,
     solve_mckv,
 )
@@ -316,11 +317,13 @@ class LikelihoodEvaluator:
     """ell_N and grad ell_N for a fixed dataset and forward model.
 
     The observation operator at the data points is built once.  A value
-    costs one nonlinear solve; a gradient adds the batched linearised
-    solves and one back-projection B = A^T res of the residuals, after
-    which grad_k = Re<nodes_k, B>; memory is O(D (M+1) n^d + N n^d),
-    not O(D N n^d).  Observation times outside [0, T] are rejected, and
-    so is a supplied density trajectory on another time or space grid.
+    costs one nonlinear solve; a gradient adds one back-projection
+    B = A^T res of the residuals and the vector-Jacobian product
+    grad_k = Re<D rho_W[tau_k], B> of :func:`~mckvlab.forward.jacobian_vjp`,
+    one backward linear solve whatever D is; memory is O(N n^d + d M n^d),
+    independent of D apart from the (D, d, n^d) basis gradients.
+    Observation times outside [0, T] are rejected, and so is a supplied
+    density trajectory on another time or space grid.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -353,9 +356,7 @@ class LikelihoodEvaluator:
                         rho: Trajectory | None = None):
         """Returns (ell_N, grad) with grad_k = sum_i res_i * D rho[tau_k](t_i, X_i)."""
         res, rho = self.residuals(W, rho)
-        nodes, _ = jacobian_stack(self.model.problem(W), rho, K=self.model.K,
-                                  keep_stages=False)
-        grad = (nodes.reshape(nodes.shape[0], -1) @ self._obs.adjoint(res).ravel()).real
+        grad = jacobian_vjp(self.model.problem(W), rho, self._obs.adjoint(res), K=self.model.K)
         return -0.5 * float(np.dot(res, res)), grad
 
 

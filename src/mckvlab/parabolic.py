@@ -167,16 +167,19 @@ def trapz_inner(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     return (aw @ b.reshape(b.shape[0], -1).conj().T).real
 
 
-def l2l2_inner(a: Trajectory, b: Trajectory) -> float:
-    """Trapezoid-in-time L2([0,T];L2) inner product of two trajectories."""
+def _check_same_time_grid(a: Trajectory, b: Trajectory):
     if a.M != b.M or abs(a.T - b.T) > 1e-12 or a.n != b.n or a.d != b.d:
         raise ValueError("trajectory grids do not match")
+
+
+def l2l2_inner(a: Trajectory, b: Trajectory) -> float:
+    """Trapezoid-in-time L2([0,T];L2) inner product of two trajectories."""
+    _check_same_time_grid(a, b)
     return float(trapz_inner(a.coeffs[None], b.coeffs[None], a.dt)[0, 0])
 
 
 def l2l2_diff_norm(a: Trajectory, b: Trajectory) -> float:
-    if a.M != b.M or a.n != b.n or a.d != b.d:
-        raise ValueError("trajectory grids do not match")
+    _check_same_time_grid(a, b)
     diff = (a.coeffs - b.coeffs)[None]
     return float(np.sqrt(trapz_inner(diff, diff, a.dt)[0, 0]))
 
@@ -286,11 +289,16 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
             u = E * u + (0.5 * dt) * (E * k1 + k2)
         else:
             u = E * (u + dt * k1)
-        mx = np.max(np.abs(u))
-        if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
-            raise NumericalBlowUp(m + 1)
+        _check_growth(u, m + 1)
         nodes[m + 1] = u
     return nodes, stages
+
+
+def _check_growth(u: np.ndarray, step: int):
+    """The blow-up guard of every time loop, forward and transposed."""
+    mx = np.max(np.abs(u))
+    if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
+        raise NumericalBlowUp(step)
 
 
 def solve_heat(u0: SpectralField, T: float, config: StepperConfig) -> Trajectory:
@@ -332,6 +340,42 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
     """
     rho = states[:, None]
     return grid.transport_div(rho, list(np.moveaxis(grad_h, 1, 0)), rho)
+
+
+def transport_forcing_transpose(grid: Grid, states: np.ndarray,
+                                weights: np.ndarray) -> np.ndarray:
+    """Transpose of :func:`transport_forcing` in ``grad_h``, summed over states.
+
+    ``weights`` (S, n, ..., n) pairs with the forcing at each state;
+    returns G of shape (d, n, ..., n) with
+    Re sum(weights * transport_forcing(grid, states, grad_h)[:, b])
+    = Re sum(G * grad_h[b]) for every direction b, so the directions
+    enter only through that last contraction.
+    """
+    pg = grid.padded
+    rho_phys = pg.to_values(grid.pad(states))[:, None]  # (S, 1, pad grid)
+    r = _from_values_transpose(pg, grid.pad(np.stack(grid.ik) * weights[:, None]))
+    back = grid.crop(_to_values_transpose(pg, rho_phys * r))  # (S, d, grid)
+    return np.einsum("s...,sj...->j...", states, back)
+
+
+def _to_values_transpose(pg: Grid, values: np.ndarray) -> np.ndarray:
+    """Transpose of ``pg.to_values``, the real part of n^d times an inverse FFT.
+
+    The FFT matrices are symmetric, so the transpose on real values is
+    the same unnormalised inverse FFT, complex-valued.
+    """
+    if pg.d == 1:
+        return np.fft.ifft(values, axis=-1, norm="forward")
+    return np.fft.ifftn(values, axes=pg.axes, norm="forward")
+
+
+def _from_values_transpose(pg: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Transpose of ``pg.from_values``, a masked FFT over n^d of real values."""
+    coeffs = coeffs * pg.resolved
+    if pg.d == 1:
+        return np.fft.fft(coeffs, axis=-1, norm="forward").real
+    return np.fft.fftn(coeffs, axes=pg.axes, norm="forward").real
 
 
 def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
@@ -378,6 +422,7 @@ class LWOperator:
         self._pg = pg
         self.rho_phys = pg.to_values(grid.pad(self.rho_states))  # (S, pad grid)
         self.grad_w = _as_grad_coeffs(W, grid)
+        self._ik = np.stack(grid.ik)[:, None]  # (d, 1, grid)
         conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
         self.conv1_phys = pg.to_values(grid.pad(conv1))  # (S, d, pad grid)
 
@@ -394,6 +439,25 @@ class LWOperator:
         out = grid.ik[0] * qc[0]
         for j in range(1, grid.d):
             out += grid.ik[j] * qc[j]
+        return out
+
+    def apply_transpose(self, m: int, stage: int, y: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`apply` under the pairing Re sum(a * c).
+
+        For stacks y and v of shape (B, grid),
+        Re sum(y * apply(m, stage, v)) = Re sum(apply_transpose(m, stage, y) * v).
+        The diagonals ik_j and gradW_j enter unconjugated; the d directions
+        share one padded forward and one inverse transform.
+        """
+        grid, pg = self.grid, self._pg
+        s = state_index(self.M, m, stage)
+        r = _from_values_transpose(pg, grid.pad(self._ik * y))  # (d, B, pad grid)
+        v_phys = np.sum(self.conv1_phys[s][:, None] * r, axis=0, keepdims=True)
+        w = np.concatenate([v_phys, self.rho_phys[s] * r], axis=0)
+        back = grid.crop(_to_values_transpose(pg, w))  # (1+d, B, grid)
+        out = back[0]
+        for j in range(grid.d):
+            out += self.grad_w[j] * back[1 + j]
         return out
 
     def solve(self, forcing: np.ndarray | None, v0: np.ndarray | None = None,
@@ -414,6 +478,36 @@ class LWOperator:
         nodes, stages = _integrate_arrays(v0, rhs, self.T, self.config, self.grid,
                                           keep_stages)
         return np.moveaxis(nodes, 0, 1), None if stages is None else np.moveaxis(stages, 0, 1)
+
+    def solve_transpose(self, g: np.ndarray) -> np.ndarray:
+        """Transpose of the map from forcing to nodes of :meth:`solve` (v0 = 0).
+
+        ``g`` (M+1, grid) weights the nodes; returns w (S, grid) weighting
+        the forcing at every solver state, so that for any forcing f
+        (S, 1, grid) Re sum(g * solve(f)[0][0]) = Re sum(w * f[:, 0]).
+        The recurrence runs the steps of the time loop backwards, with its
+        blow-up guard; a Heun step is transposed through both stages.
+        """
+        M, grid = self.M, self.grid
+        dt = self.T / M
+        E = grid.heat_multiplier(dt)
+        heun = self.config.scheme == "if-heun"
+        w = np.zeros((len(self.rho_states),) + g.shape[1:], dtype=complex)
+        lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
+        for m in range(M - 1, -1, -1):
+            if heun:
+                kappa2 = (0.5 * dt) * lam
+                mu = self.apply_transpose(m, 1, kappa2)  # weight of the predictor
+                kappa1 = E * ((0.5 * dt) * lam + dt * mu)
+                w[state_index(M, m, 1)] = kappa2[0]
+                lam = E * (lam + mu)
+            else:
+                kappa1 = dt * (E * lam)
+                lam = E * lam
+            w[state_index(M, m, 0)] = kappa1[0]
+            lam += self.apply_transpose(m, 0, kappa1) + g[m]
+            _check_growth(lam, m)
+        return w
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,

@@ -157,12 +157,16 @@ class Grid:
         ``grad_v_c`` is the list of d coefficient arrays of grad V.  The
         convolution is a coefficientwise product, the product with r is
         dealiased, and the divergence is spectral.  Inputs may carry
-        broadcast-compatible leading (stack) axes.
+        broadcast-compatible leading (stack) axes.  r is padded and
+        transformed once; each axis term is bit-identical to
+        ``ik_j * dealiased_product(r, gradV_j * s)``.
         """
+        pg = self.padded
+        r_vals = pg.to_values(self.pad(r_c))
         out = None
         for j in range(self.d):
-            conv_j = grad_v_c[j] * s_c
-            q_j = self.dealiased_product(r_c, conv_j)
+            conv_vals = pg.to_values(self.pad(grad_v_c[j] * s_c))
+            q_j = self.crop(pg.from_values(r_vals * conv_vals))
             term = self.ik[j] * q_j
             out = term if out is None else out + term
         return out

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -298,6 +299,24 @@ def test_grad_loglik_equals_observed_jacobian_columns(d):
 
 
 @pytest.mark.parametrize("d", [1, 2])
+def test_grad_loglik_equals_observed_jacobian_columns_lawson_euler(d):
+    # the backward solve transposes the Lawson-Euler step as exactly as Heun's
+    rng = np.random.default_rng(35 + d)
+    model = replace(_small_model(d), stepper=StepperConfig(M=8, scheme="if-euler"))
+    W0 = random_potential(2, d, rng, amplitude=0.4)
+    data = generate_data(W0, model, 60, 0.05, rng)
+    like = LikelihoodEvaluator(model, data)
+    W = W0 + random_potential(2, d, rng, amplitude=0.1)
+    res, rho = like.residuals(W)
+    assert rho.stages is None
+    nodes, _ = jacobian_stack(model.problem(W), rho, K=model.K)
+    obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid, data.t, data.x)
+    expected = obs(nodes) @ res
+    _, grad = like.loglik_and_grad(W)
+    assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("d", [1, 2])
 def test_data_and_residuals_match_pointwise_eval(d):
     # Trajectory.eval synthesises axis by axis, a different summation from the
     # operator's flattened phases, so the two agree to rounding, not bitwise
@@ -335,6 +354,30 @@ def test_grad_loglik_memory_stays_below_one_column_gather():
     slab = model.dim * N * phi.grid.size * 16  # one (D, N, n^d) complex array
     assert model.dim == 48
     assert peak < 0.5 * slab
+
+
+def _grad_loglik_peak_bytes(K, N=500):
+    phi = decay_density(16, 2, zeta=3.8, amplitude=0.3)
+    model = ForwardModel(phi=phi, T=0.06, K=K, stepper=StepperConfig(M=8))
+    rng = np.random.default_rng(61)
+    W0 = random_potential(K, 2, rng, amplitude=0.3)
+    data = generate_data(W0, model, N, 0.05, rng)
+    like = LikelihoodEvaluator(model, data)
+    like.loglik_and_grad(W0)  # warm the grid and basis caches
+    tracemalloc.start()
+    try:
+        like.loglik_and_grad(W0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return model.dim, peak
+
+
+def test_grad_loglik_memory_independent_of_dim():
+    # the gradient never builds the D derivative columns or their forcing
+    (d_small, small), (d_large, large) = _grad_loglik_peak_bytes(2), _grad_loglik_peak_bytes(4)
+    assert (d_small, d_large) == (12, 48)
+    assert large <= 1.25 * small
 
 
 # ---------------------------------------------------------------------------

@@ -4,17 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckvlab.parabolic import (
+    SCHEMES,
+    LWOperator,
     NumericalBlowUp,
     ObservationOperator,
     StepperConfig,
     Trajectory,
     heat_trajectory_exact,
     integrate,
+    l2l2_diff_norm,
     l2l2_inner,
     rel_l2l2_error,
     self_convergence_error,
     solve_heat,
     solve_linear_lw,
+    transport_forcing,
+    transport_forcing_transpose,
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
@@ -190,6 +195,17 @@ def test_trajectory_inner_product_is_trapezoid():
     assert traj.l2l2_norm() == pytest.approx(np.sqrt(expected), rel=1e-14)
 
 
+def test_l2l2_diff_norm_rejects_another_horizon():
+    phi = _phi()
+    a = solve_heat(phi, T, StepperConfig(M=16))
+    b = solve_heat(phi, 2 * T, StepperConfig(M=16))
+    with pytest.raises(ValueError):
+        l2l2_inner(a, b)
+    with pytest.raises(ValueError):
+        l2l2_diff_norm(a, b)
+    assert l2l2_diff_norm(a, a) == 0.0
+
+
 def test_trajectory_serialization_round_trip(tmp_path):
     phi = _phi()
     traj = solve_heat(phi, T, StepperConfig(M=8))
@@ -250,3 +266,109 @@ def test_observation_stacked_call_equals_single_calls(d):
     c = _random_stack(rng, 3, d)
     single = np.stack([op(c[b:b + 1])[0] for b in range(3)])
     assert np.array_equal(op(c), single)
+
+
+# ---------------------------------------------------------------------------
+# the transposed linearised scheme
+
+_LW_T = 0.06
+_LW_M = 6
+_LW_N = {1: 16, 2: 8}
+
+
+def _lw_operator(d, scheme):
+    phi = decay_density(_LW_N[d], d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    cfg = StepperConfig(M=_LW_M, scheme=scheme)
+    W = random_potential(2, d, np.random.default_rng(70 + d), amplitude=0.4)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=_LW_T, stepper=cfg))
+    return LWOperator(W, rho, cfg)
+
+
+def _complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_transpose_pair(y, jh, jty, h):
+    # Re sum(y * J h) = Re sum(J^T y * h), to rounding of either side
+    lhs = float(np.sum(y * jh).real)
+    rhs = float(np.sum(jty * h).real)
+    scale = (np.linalg.norm(y) * np.linalg.norm(jh)
+             + np.linalg.norm(jty) * np.linalg.norm(h))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+_DOT_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_apply_transpose_dot_product_identity(d, scheme):
+    op = _lw_operator(d, scheme)
+    stages = (0, 1) if scheme == "if-heun" else (0,)
+
+    @_DOT_SETTINGS
+    @given(m=st.integers(0, _LW_M - 1), stage=st.sampled_from(stages),
+           B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def check(m, stage, B, seed):
+        rng = np.random.default_rng(seed)
+        h = _complex(rng, (B,) + op.grid.shape)
+        y = _complex(rng, (B,) + op.grid.shape)
+        jty = op.apply_transpose(m, stage, y)
+        assert jty.shape == h.shape
+        _assert_transpose_pair(y, op.apply(m, stage, h), jty, h)
+
+    check()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_solve_transpose_dot_product_identity(d, scheme):
+    # the whole map from forcing at every solver state to the nodes
+    op = _lw_operator(d, scheme)
+    n_states = len(op.rho_states)
+
+    @_DOT_SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1))
+    def check(seed):
+        rng = np.random.default_rng(seed)
+        f = _complex(rng, (n_states, 1) + op.grid.shape)
+        g = _complex(rng, (_LW_M + 1,) + op.grid.shape)
+        nodes, _ = op.solve(f)
+        w = op.solve_transpose(g)
+        assert w.shape == (n_states,) + op.grid.shape
+        _assert_transpose_pair(g, nodes[0], w, f[:, 0])
+
+    check()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_transport_forcing_transpose_dot_product_identity(d):
+    op = _lw_operator(d, "if-heun")
+    grid, states = op.grid, op.rho_states
+
+    @_DOT_SETTINGS
+    @given(B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def check(B, seed):
+        rng = np.random.default_rng(seed)
+        grad_h = _complex(rng, (B, d) + grid.shape)
+        weights = _complex(rng, states.shape)
+        forcing = transport_forcing(grid, states, grad_h)
+        G = transport_forcing_transpose(grid, states, weights)
+        assert G.shape == (d,) + grid.shape
+        for b in range(B):
+            _assert_transpose_pair(weights, forcing[:, b], G, grad_h[b])
+
+    check()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lw_solve_transpose_blowup_guard(scheme):
+    op = _lw_operator(1, scheme)
+    g = np.zeros((_LW_M + 1,) + op.grid.shape, dtype=complex)
+    g[_LW_M, 1] = 1e13
+    with pytest.raises(NumericalBlowUp):
+        op.solve_transpose(g)
+    g[_LW_M, 1] = np.nan
+    with pytest.raises(NumericalBlowUp) as excinfo:
+        op.solve_transpose(g)
+    assert excinfo.value.step == _LW_M - 1
