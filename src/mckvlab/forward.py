@@ -157,22 +157,13 @@ def trilinear_t(r: SpectralField, V, s: SpectralField) -> SpectralField:
 # mean-field forward map
 
 
-def _mckv_rhs(grid, grad_w):
-    def rhs(m, stage, u):
-        return grid.transport_div(u, grad_w, u)
-
-    return rhs
-
-
 def solve_mckv(problem: McKVProblem) -> Trajectory:
     """Solve the nonlinear mean-field PDE; mass is conserved exactly.
 
     The forcing is in divergence form, so the zero mode is untouched by
     every stage and |rho_hat(t, 0) - 1| stays at machine zero.
     """
-    grid = problem.phi.grid
-    grad_w = _as_grad_coeffs(problem.W, grid)
-    return integrate(problem.phi, _mckv_rhs(grid, grad_w), problem.T, problem.stepper)
+    return solve_mckv_field(problem.W, problem.phi, problem.T, problem.stepper)
 
 
 def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
@@ -184,7 +175,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     """
     grid = phi.grid
     grad_w = _as_grad_coeffs(W_field, grid)
-    return integrate(phi, _mckv_rhs(grid, grad_w), T, stepper)
+    return integrate(phi, lambda m, stage, u: grid.transport_div(u, grad_w, u), T, stepper)
 
 
 def _first_derivative_stack(problem: McKVProblem, rho_traj: Trajectory,
@@ -369,9 +360,7 @@ def _pointwise_rhs(grid, func_of_values):
     """RHS applying a pointwise map on the 3/2-padded grid."""
 
     def rhs(m, stage, u):
-        pg = grid.padded
-        vals = pg.to_values(grid.pad(u))
-        return grid.crop(pg.from_values(func_of_values(m, stage, vals)))
+        return grid.from_padded(func_of_values(m, stage, grid.to_padded(u)))
 
     return rhs
 
@@ -403,12 +392,11 @@ def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory,
     h_func = H.R if isinstance(H, ReactionSpec) else H
     grid = get_grid(u_traj.n, u_traj.d)
     u = solver_states(u_traj, stepper.scheme)
-    pg = grid.padded
 
     def rhs(m, stage, i_c):
-        u_vals = pg.to_values(grid.pad(u[state_index(u_traj.M, m, stage)]))
-        i_vals = pg.to_values(grid.pad(i_c))
-        return grid.crop(pg.from_values(R.Rprime(u_vals) * i_vals + h_func(u_vals)))
+        u_vals = grid.to_padded(u[state_index(u_traj.M, m, stage)])
+        i_vals = grid.to_padded(i_c)
+        return grid.from_padded(R.Rprime(u_vals) * i_vals + h_func(u_vals))
 
     i0 = SpectralField.zeros(u_traj.n, u_traj.d)
     return integrate(i0, rhs, u_traj.T, stepper)

@@ -352,30 +352,10 @@ def transport_forcing_transpose(grid: Grid, states: np.ndarray,
     = Re sum(G * grad_h[b]) for every direction b, so the directions
     enter only through that last contraction.
     """
-    pg = grid.padded
-    rho_phys = pg.to_values(grid.pad(states))[:, None]  # (S, 1, pad grid)
-    r = _from_values_transpose(pg, grid.pad(np.stack(grid.ik) * weights[:, None]))
-    back = grid.crop(_to_values_transpose(pg, rho_phys * r))  # (S, d, grid)
+    rho_phys = grid.to_padded(states)[:, None]  # (S, 1, pad grid)
+    r = grid.from_padded_transpose(np.stack(grid.ik) * weights[:, None])
+    back = grid.to_padded_transpose(rho_phys * r)  # (S, d, grid)
     return np.einsum("s...,sj...->j...", states, back)
-
-
-def _to_values_transpose(pg: Grid, values: np.ndarray) -> np.ndarray:
-    """Transpose of ``pg.to_values``, the real part of n^d times an inverse FFT.
-
-    The FFT matrices are symmetric, so the transpose on real values is
-    the same unnormalised inverse FFT, complex-valued.
-    """
-    if pg.d == 1:
-        return np.fft.ifft(values, axis=-1, norm="forward")
-    return np.fft.ifftn(values, axes=pg.axes, norm="forward")
-
-
-def _from_values_transpose(pg: Grid, coeffs: np.ndarray) -> np.ndarray:
-    """Transpose of ``pg.from_values``, a masked FFT over n^d of real values."""
-    coeffs = coeffs * pg.resolved
-    if pg.d == 1:
-        return np.fft.fft(coeffs, axis=-1, norm="forward").real
-    return np.fft.fftn(coeffs, axes=pg.axes, norm="forward").real
 
 
 def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
@@ -402,11 +382,12 @@ class LWOperator:
     L_W v = Lap(v) + div(v gradW * rho) + div(rho gradW * v), with rho
     read at the node or predictor state matching each stage, so that
     solves of (d/dt - L_W)v = g differentiate the discrete scheme
-    exactly.  The physical-space padded values of rho and of the
-    convolutions gradW_j * rho are precomputed at every state; an
-    application then costs one padded transform of v and its
-    convolutions.  Built from (W, rho_traj, stepper) alone; every
-    linearised solve of the mean-field map goes through :meth:`solve`.
+    exactly.  The values of rho and of the convolutions gradW_j * rho
+    on the padded grid are precomputed at every state; an application
+    then costs one padded synthesis of v with its convolutions and one
+    padded analysis (:meth:`Grid.to_padded`, :meth:`Grid.from_padded`).
+    Built from (W, rho_traj, stepper) alone; every linearised solve of
+    the mean-field map goes through :meth:`solve`.
     """
 
     def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
@@ -418,28 +399,22 @@ class LWOperator:
         self.M = rho_traj.M
         self.rho_states = solver_states(rho_traj, stepper.scheme)  # (S, grid)
 
-        pg = grid.padded
-        self._pg = pg
-        self.rho_phys = pg.to_values(grid.pad(self.rho_states))  # (S, pad grid)
+        self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
         self.grad_w = _as_grad_coeffs(W, grid)
         self._ik = np.stack(grid.ik)[:, None]  # (d, 1, grid)
         conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
-        self.conv1_phys = pg.to_values(grid.pad(conv1))  # (S, d, pad grid)
+        self.conv1_phys = grid.to_padded(conv1)  # (S, d, pad grid)
 
     def apply(self, m: int, stage: int, v: np.ndarray) -> np.ndarray:
         """L_W v - Lap v for a stacked v of shape (B, grid)."""
-        grid, pg = self.grid, self._pg
+        grid = self.grid
         s = state_index(self.M, m, stage)
-        # one padded transform for v and all gradW_j * v convolutions
+        # one padded synthesis for v and all gradW_j * v convolutions
         comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in self.grad_w], axis=0)
-        phys = pg.to_values(grid.pad(comb))  # (1+d, B, pad)
+        phys = grid.to_padded(comb)  # (1+d, B, pad)
         v_phys, c2_phys = phys[0], phys[1:]
         q = v_phys[None] * self.conv1_phys[s][:, None] + self.rho_phys[s] * c2_phys
-        qc = grid.crop(pg.from_values(q))  # (d, B, grid)
-        out = grid.ik[0] * qc[0]
-        for j in range(1, grid.d):
-            out += grid.ik[j] * qc[j]
-        return out
+        return np.sum(self._ik * grid.from_padded(q), axis=0)
 
     def apply_transpose(self, m: int, stage: int, y: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` under the pairing Re sum(a * c).
@@ -447,14 +422,14 @@ class LWOperator:
         For stacks y and v of shape (B, grid),
         Re sum(y * apply(m, stage, v)) = Re sum(apply_transpose(m, stage, y) * v).
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
-        share one padded forward and one inverse transform.
+        share one transposed padded analysis and one transposed synthesis.
         """
-        grid, pg = self.grid, self._pg
+        grid = self.grid
         s = state_index(self.M, m, stage)
-        r = _from_values_transpose(pg, grid.pad(self._ik * y))  # (d, B, pad grid)
+        r = grid.from_padded_transpose(self._ik * y)  # (d, B, pad grid)
         v_phys = np.sum(self.conv1_phys[s][:, None] * r, axis=0, keepdims=True)
         w = np.concatenate([v_phys, self.rho_phys[s] * r], axis=0)
-        back = grid.crop(_to_values_transpose(pg, w))  # (1+d, B, grid)
+        back = grid.to_padded_transpose(w)  # (1+d, B, grid)
         out = back[0]
         for j in range(grid.d):
             out += self.grad_w[j] * back[1 + j]

@@ -44,9 +44,11 @@ class Grid:
 
     Holds the integer mode vectors, the resolved-mode mask (Nyquist
     excluded), derivative multipliers 2*pi*i*k_j with the Nyquist plane
-    zeroed, and the block-copy slices implementing 3/2-rule padding.
-    All array methods accept stacked inputs of shape (..., n, ..., n)
-    and act on the trailing d axes.
+    zeroed, and the dense per-axis DFT matrices of the 3/2-rule padded
+    grid of pad_n = 3n/2 points: the (n, pad_n) synthesis, Nyquist row
+    zero, and the (pad_n, n) analysis, its conjugate transpose over
+    pad_n, which crops to the resolved modes.  All array methods accept
+    stacked inputs (..., n, ..., n) and act on the trailing d axes.
     """
 
     def __init__(self, n: int, d: int):
@@ -80,51 +82,65 @@ class Grid:
         ]
         self.lap_mult = -(TWO_PI**2) * self.ksq
 
-        # 3/2-rule padding: per-axis block copies skipping the Nyquist index
-        self.pad_n = 3 * n // 2
-        h = n // 2
-        self._blk_src = (slice(0, h), slice(h + 1, n))
-        self._blk_dst = (slice(0, h), slice(self.pad_n - (h - 1), self.pad_n))
+        # 3/2-rule padded grid: entries read from an exact table of the
+        # pad_n-th roots of unity at (k x) mod pad_n, conjugate-symmetric
+        # to the bit, so no phase is evaluated at a large argument
+        pn = self.pad_n = 3 * n // 2
+        j = np.arange(pn)
+        ang = TWO_PI * np.minimum(j, pn - j) / pn
+        roots = np.cos(ang) + 1j * np.sign(pn - 2 * j) * np.sin(ang)
+        synth = roots[np.outer(axis_modes, j) % pn]  # (n, pad_n)
+        synth[nyq] = 0.0
+        analysis = synth.conj().T / pn  # (pad_n, n)
+        self._to_padded = _axis_products(synth, d, real_in=False, real_out=True)
+        self._from_padded = _axis_products(analysis, d, real_in=True, real_out=False)
+        self._to_padded_t = _axis_products(synth.T, d, real_in=True, real_out=False)
+        self._from_padded_t = _axis_products(analysis.T, d, real_in=False, real_out=True)
 
     # -- transforms --------------------------------------------------------
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Real grid values of a (possibly stacked) coefficient array."""
-        if self.d == 1:
-            return np.fft.ifft(coeffs, axis=-1).real * self.size
         return np.fft.ifftn(coeffs, axes=self.axes).real * self.size
 
     def from_values(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of real grid values, Nyquist plane zeroed."""
-        if self.d == 1:
-            c = np.fft.fft(values, axis=-1) / self.size
-        else:
-            c = np.fft.fftn(values, axes=self.axes) / self.size
-        return c * self.resolved
+        return np.fft.fftn(values, axes=self.axes) / self.size * self.resolved
 
-    # -- padding ------------------------------------------------------------
+    # -- padded transforms ---------------------------------------------------
 
-    @property
-    def padded(self) -> "Grid":
-        return get_grid(self.pad_n, self.d)
+    def _per_axis(self, x: np.ndarray, products) -> np.ndarray:
+        """One real matrix product per trailing axis, stack axes folded into rows.
 
-    def pad(self, coeffs: np.ndarray) -> np.ndarray:
-        out_shape = coeffs.shape[: -self.d] + (self.pad_n,) * self.d
-        out = np.zeros(out_shape, dtype=complex)
-        for combo in itertools.product(range(2), repeat=self.d):
-            src = tuple(self._blk_src[c] for c in combo)
-            dst = tuple(self._blk_dst[c] for c in combo)
-            out[(Ellipsis,) + dst] = coeffs[(Ellipsis,) + src]
-        return out
+        So a line's bits do not depend on the stack around it.  A lone row
+        goes in twice: BLAS sums a one-row product in another order.
+        """
+        for mat, width, complex_in, complex_out in products:
+            x = np.ascontiguousarray(x, dtype=complex if complex_in else float)
+            rows = x.view(float).reshape(-1, mat.shape[0])
+            out = rows @ mat if len(rows) > 1 else (np.concatenate([rows, rows]) @ mat)[:1]
+            x = out[:, :width].reshape(x.shape[:-1] + (width,))
+            if complex_out:
+                x = x.view(complex)
+            if self.d > 1:
+                x = np.moveaxis(x, -1, -self.d)
+        return x
 
-    def crop(self, coeffs_padded: np.ndarray) -> np.ndarray:
-        out_shape = coeffs_padded.shape[: -self.d] + self.shape
-        out = np.zeros(out_shape, dtype=complex)
-        for combo in itertools.product(range(2), repeat=self.d):
-            src = tuple(self._blk_src[c] for c in combo)
-            dst = tuple(self._blk_dst[c] for c in combo)
-            out[(Ellipsis,) + src] = coeffs_padded[(Ellipsis,) + dst]
-        return out
+    def to_padded(self, coeffs: np.ndarray) -> np.ndarray:
+        """Real values on the padded grid of a (stacked) coefficient array."""
+        return self._per_axis(coeffs, self._to_padded)
+
+    def from_padded(self, values: np.ndarray) -> np.ndarray:
+        """Resolved coefficients of real values on the padded grid."""
+        return self._per_axis(values, self._from_padded)
+
+    def to_padded_transpose(self, values: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`to_padded` under the pairing Re sum(a * c)."""
+        return self._per_axis(values, self._to_padded_t)
+
+    def from_padded_transpose(self, coeffs: np.ndarray) -> np.ndarray:
+        """Transpose of :meth:`from_padded` under the pairing Re sum(a * c)."""
+        return self._per_axis(coeffs, self._from_padded_t)
 
     # -- pointwise algebra --------------------------------------------------
 
@@ -134,10 +150,7 @@ class Grid:
         Exact (up to rounding) for resolved output modes when both inputs
         are resolved, since pad_n >= max source mode + max kept mode + 1.
         """
-        pg = self.padded
-        vf = pg.to_values(self.pad(cf))
-        vg = pg.to_values(self.pad(cg))
-        return self.crop(pg.from_values(vf * vg))
+        return self.from_padded(self.to_padded(cf) * self.to_padded(cg))
 
     def heat_multiplier(self, dt: float) -> np.ndarray:
         """Exact semigroup factor exp(-4 pi^2 |k|^2 dt)."""
@@ -157,19 +170,36 @@ class Grid:
         ``grad_v_c`` is the list of d coefficient arrays of grad V.  The
         convolution is a coefficientwise product, the product with r is
         dealiased, and the divergence is spectral.  Inputs may carry
-        broadcast-compatible leading (stack) axes.  r is padded and
-        transformed once; each axis term is bit-identical to
+        broadcast-compatible leading (stack) axes.  r is synthesised on
+        the padded grid once; each axis term is bit-identical to
         ``ik_j * dealiased_product(r, gradV_j * s)``.
         """
-        pg = self.padded
-        r_vals = pg.to_values(self.pad(r_c))
-        out = None
-        for j in range(self.d):
-            conv_vals = pg.to_values(self.pad(grad_v_c[j] * s_c))
-            q_j = self.crop(pg.from_values(r_vals * conv_vals))
-            term = self.ik[j] * q_j
-            out = term if out is None else out + term
-        return out
+        r_vals = self.to_padded(r_c)
+        return sum(self.ik[j] * self.from_padded(r_vals * self.to_padded(grad_v_c[j] * s_c))
+                   for j in range(self.d))
+
+
+def _axis_products(Z: np.ndarray, d: int, real_in: bool, real_out: bool):
+    """(matrix, width, complex in, complex out) of each axis of a d-axis product with Z.
+
+    Complex arrays enter as interleaved (re, im) pairs, so Z becomes a
+    (2m, 2p) real matrix; a real first-axis input keeps its re rows and
+    a real last-axis output its re columns.  Zero columns pad it to a
+    multiple of 8: OpenBLAS picks its small- or large-matrix kernel by
+    the row count, and the two round a column tail of another width
+    differently.
+    """
+    m, p = Z.shape
+    full = np.stack([np.stack([Z.real, Z.imag], -1), np.stack([-Z.imag, Z.real], -1)],
+                    axis=1).reshape(2 * m, 2 * p)
+    out = []
+    for axis in range(d):
+        rin, rout = real_in and axis == 0, real_out and axis == d - 1
+        mat = full[::2 if rin else 1, ::2 if rout else 1]
+        width = mat.shape[1]
+        mat = np.pad(mat, ((0, 0), (0, -width % 8)))
+        out.append((mat, width, not rin, not rout))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -574,6 +604,7 @@ def save_field(f: SpectralField, csv_path, sidecar_path=None):
 
 
 def load_field(csv_path, sidecar_path=None) -> SpectralField:
+    """Inverse of :func:`save_field`; a row off the resolved modes raises ValueError."""
     csv_path = Path(csv_path)
     sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
     meta = json.loads(sidecar.read_text())
@@ -582,7 +613,10 @@ def load_field(csv_path, sidecar_path=None) -> SpectralField:
     with open(csv_path, newline="") as fh:
         reader = csv.reader(fh)
         next(reader)
-        for row in reader:
-            k = tuple(int(x) for x in row[:d])
-            f.coeffs[tuple(m % n for m in k)] = float(row[d]) + 1j * float(row[d + 1])
+        for line, row in enumerate(reader, start=2):
+            if len(row) != d + 2 or max(abs(int(x)) for x in row[:d]) > n // 2 - 1:
+                raise ValueError(f"{csv_path}, row {line}: {row} is not k_1..k_{d}, re, im "
+                                 f"with |k_j| <= {n // 2 - 1}")
+            k = tuple(int(x) % n for x in row[:d])
+            f.coeffs[k] = float(row[d]) + 1j * float(row[d + 1])
     return f

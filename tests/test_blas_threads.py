@@ -1,0 +1,54 @@
+"""Chains are bit-reproducible whatever number of threads BLAS runs."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# 40 ULA iterates of the frozen criterion-13 recovery model, printed as hex
+CHAIN = """
+import json, sys
+import numpy as np
+from mckvlab.forward import decay_density
+from mckvlab.inference import (ForwardModel, LikelihoodEvaluator, PriorSpec,
+                               SurrogateSpec, generate_data, make_drift)
+from mckvlab.parabolic import StepperConfig
+from mckvlab.sampler import run_ula
+from mckvlab.spectral import random_potential
+
+s = json.loads(open(sys.argv[1]).read())["settings"]
+phi = decay_density(s["n"], 1, zeta=s["zeta"], amplitude=s["amplitude"])
+model = ForwardModel(phi=phi, T=s["T"], K=s["K"], stepper=StepperConfig(M=s["M"]))
+W0 = random_potential(s["K"], 1, np.random.default_rng(s["w0_seed"]),
+                      amplitude=s["w0_amplitude"], decay=s["w0_decay"])
+prior = PriorSpec(alpha=s["prior_alpha"], K=s["K"], d=1, n_obs=s["N"])
+spec = SurrogateSpec.build(r=s["r"], W_init=W0, n_obs=s["N"], c_hat=1.0, c1_hat=2.0)
+data = generate_data(W0, model, s["N"], s["noise_std"], np.random.default_rng(7), seed=7)
+drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
+run = run_ula(drift, W0.values.copy(), s["gamma"], n_steps=40, burn_in=0, seed=1007)
+print(run.samples.tobytes().hex())
+"""
+
+
+def _chain(threads):
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
+    if threads is not None:
+        env.update({k: str(threads) for k in THREAD_VARS})
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    fixture = ROOT / "tests" / "fixtures" / "recovery_tau.json"
+    out = subprocess.run([sys.executable, "-c", CHAIN, str(fixture)], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return np.frombuffer(bytes.fromhex(out.stdout.strip()), dtype=float)
+
+
+def test_ula_chain_bit_equal_at_one_and_default_blas_threads():
+    pinned, default = _chain(1), _chain(None)
+    assert pinned.size == 40 * 8
+    assert np.all(np.isfinite(pinned))
+    assert np.array_equal(pinned, default)

@@ -1,7 +1,10 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mckvlab.spectral import (
     PotentialVec,
@@ -247,3 +250,167 @@ def test_transport_div_bit_identical_to_per_axis_products(d):
     out = grid.transport_div(r, grad_v, s)
     assert out.shape == (3, 2) + grid.shape
     assert np.array_equal(out, expected)
+
+
+# -- padded transforms -----------------------------------------------------
+
+_PADDED_GRIDS = [(1, 32), (1, 64), (2, 16), (3, 8)]
+
+
+def _fft_pad_index(grid):
+    # positions of the n-grid modes |k_j| <= n/2 - 1 in the n grid and in the 3n/2 grid
+    h, pn = grid.n // 2, grid.pad_n
+    src = np.r_[0:h, h + 1:grid.n]
+    dst = np.r_[0:h, pn - (h - 1):pn]
+    return np.ix_(*[src] * grid.d), np.ix_(*[dst] * grid.d)
+
+
+def _fft_to_padded(grid, c):
+    src, dst = _fft_pad_index(grid)
+    padded = np.zeros(c.shape[:-grid.d] + (grid.pad_n,) * grid.d, dtype=complex)
+    padded[(Ellipsis,) + dst] = c[(Ellipsis,) + src]
+    return np.fft.ifftn(padded, axes=grid.axes).real * grid.pad_n**grid.d
+
+
+def _fft_from_padded(grid, v):
+    src, dst = _fft_pad_index(grid)
+    full = np.fft.fftn(v, axes=grid.axes) / grid.pad_n**grid.d
+    out = np.zeros(v.shape[:-grid.d] + grid.shape, dtype=complex)
+    out[(Ellipsis,) + src] = full[(Ellipsis,) + dst]
+    return out
+
+
+def _rand_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _assert_rel(a, b, tol):
+    assert np.max(np.abs(a - b)) <= tol * np.max(np.abs(b))
+
+
+def _assert_transpose_pair(y, jh, jty, h):
+    # Re sum(y * J h) = Re sum(J^T y * h), to rounding of either side
+    lhs = float(np.sum(y * jh).real)
+    rhs = float(np.sum(jty * h).real)
+    scale = (np.linalg.norm(y) * np.linalg.norm(jh)
+             + np.linalg.norm(jty) * np.linalg.norm(h))
+    assert abs(lhs - rhs) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("d,n", _PADDED_GRIDS)
+def test_padded_transforms_match_zero_pad_fft_crop(d, n):
+    # the Nyquist plane of the input is ignored, as by the zero pad
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(40 + 10 * d + n)
+    c = _rand_complex(rng, (3, 2) + grid.shape)
+    v = rng.standard_normal((3, 2) + (grid.pad_n,) * d)
+    vals = grid.to_padded(c)
+    coeffs = grid.from_padded(v)
+    assert vals.dtype == float and vals.shape == v.shape
+    assert coeffs.dtype == complex and coeffs.shape == c.shape
+    _assert_rel(vals, _fft_to_padded(grid, c), 1e-14)
+    _assert_rel(coeffs, _fft_from_padded(grid, v), 1e-14)
+    assert np.all(coeffs[..., ~grid.resolved] == 0)
+
+
+_PAD_DOT = settings(derandomize=True, max_examples=30, deadline=None)
+
+
+@pytest.mark.parametrize("d,n", _PADDED_GRIDS)
+def test_padded_transposes_dot_product_identity(d, n):
+    grid = get_grid(n, d)
+    pad_shape = (grid.pad_n,) * d
+
+    @_PAD_DOT
+    @given(B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def check(B, seed):
+        rng = np.random.default_rng(seed)
+        c = _rand_complex(rng, (B,) + grid.shape)
+        y = rng.standard_normal((B,) + pad_shape)
+        _assert_transpose_pair(y, grid.to_padded(c), grid.to_padded_transpose(y), c)
+        v = rng.standard_normal((B,) + pad_shape)
+        yc = _rand_complex(rng, (B,) + grid.shape)
+        _assert_transpose_pair(yc, grid.from_padded(v), grid.from_padded_transpose(yc), v)
+
+    check()
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_padded_transform_row_bits_do_not_depend_on_the_stack(d, n):
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(60 + d)
+    pad_shape = (grid.pad_n,) * d
+    big = 48
+    inputs = {
+        grid.to_padded: _rand_complex(rng, (big,) + grid.shape),
+        grid.from_padded: rng.standard_normal((big,) + pad_shape),
+        grid.to_padded_transpose: rng.standard_normal((big,) + pad_shape),
+        grid.from_padded_transpose: _rand_complex(rng, (big,) + grid.shape),
+    }
+    for method, x in inputs.items():
+        whole = method(x)
+        for rows in (1, 2, 7):
+            for start in (0, 5):
+                part = method(x[start:start + rows])
+                assert np.array_equal(part, whole[start:start + rows]), (method, rows)
+        assert np.array_equal(method(x[3]), whole[3])
+
+
+def _direct_product(grid, a, b):
+    # coefficient-space convolution over the resolved modes, in centred layout
+    h = grid.n // 2 - 1
+    idx = np.ix_(*[np.r_[-h:h + 1] % grid.n] * grid.d)
+    ac, bc = a[idx], b[idx]
+    width = 2 * h + 1
+    full = np.zeros((2 * width - 1,) * grid.d, dtype=complex)
+    for k in itertools.product(range(width), repeat=grid.d):
+        sl = tuple(slice(j, j + width) for j in k)
+        full[sl] += ac[k] * bc
+    out = np.zeros(grid.shape, dtype=complex)
+    out[idx] = full[(slice(h, h + width),) * grid.d]
+    return out
+
+
+@pytest.mark.parametrize("d,n", [(2, 16), (3, 8), (1, 10), (2, 10)])
+def test_dealiased_product_is_exact_convolution(d, n):
+    # n = 10 has an odd padded grid of 15 points
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(70 + d)
+    a = grid.from_values(rng.standard_normal(grid.shape))
+    b = grid.from_values(rng.standard_normal(grid.shape))
+    edge = (Ellipsis,) + (grid.n // 2 - 1,) * d
+    assert abs(a[edge]) > 0 and abs(b[edge]) > 0
+    _assert_rel(grid.dealiased_product(a, b), _direct_product(grid, a, b), 1e-13)
+
+
+# -- serialization bounds ----------------------------------------------------
+
+
+def _write_field_csv(path, d, n, rows):
+    path.with_suffix(".json").write_text(json.dumps({"d": d, "n": n, "K": n // 2 - 1}))
+    lines = [",".join([f"k_{j + 1}" for j in range(d)] + ["re", "im"])]
+    lines += [",".join(str(x) for x in row) for row in rows]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("bad_row", [(40, 1.0, 0.0), (-16, 0.5, 0.0), (16, 0.5, 0.0)])
+def test_load_field_rejects_unresolved_modes(tmp_path, bad_row):
+    path = tmp_path / "field.csv"
+    _write_field_csv(path, 1, 32, [(1, 0.25, 0.5), bad_row])
+    with pytest.raises(ValueError, match=r"field\.csv, row 3"):
+        load_field(path)
+
+
+def test_load_field_rejects_wrong_column_count(tmp_path):
+    path = tmp_path / "field.csv"
+    _write_field_csv(path, 2, 16, [(1, 2, 0.25, 0.5), (1, 0.25, 0.5)])
+    with pytest.raises(ValueError, match=r"row 3: .* is not k_1..k_2, re, im"):
+        load_field(path)
+
+
+def test_load_field_accepts_the_edge_modes(tmp_path):
+    path = tmp_path / "field.csv"
+    _write_field_csv(path, 1, 32, [(15, 0.25, 0.5), (-15, 0.25, -0.5)])
+    f = load_field(path)
+    assert f.coeffs[15] == 0.25 + 0.5j and f.coeffs[-15] == 0.25 - 0.5j
+    assert f.conj_symmetry_defect() == 0.0
