@@ -180,6 +180,9 @@ class ExperimentConfig:
             raise ConfigError("sampler.burn_in must lie in [0, n_steps)")
         if sa["thin"] < 1:
             raise ConfigError("sampler.thin must be >= 1")
+        burn_in = sa["n_steps"] // 5 if sa["burn_in"] is None else sa["burn_in"]
+        if sa["thin"] > sa["n_steps"] - burn_in:
+            raise ConfigError("sampler.thin must be <= n_steps - burn_in, or no iterate is kept")
 
     # -- accessors ----------------------------------------------------------
 

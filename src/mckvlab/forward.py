@@ -42,13 +42,7 @@ from .parabolic import (
     transport_forcing_transpose,
     trapz_inner,
 )
-from .spectral import (
-    PotentialVec,
-    SpectralField,
-    get_grid,
-    modes_in_ball,
-    tau_expansion,
-)
+from .spectral import PotentialVec, SpectralField, get_grid, tau_table
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +249,12 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
 
 
 def tau_gradient_stack(K: int, grid) -> np.ndarray:
-    """Stacked gradient coefficient arrays of all tau_k, shape (D, d, grid)."""
-    modes = modes_in_ball(K, grid.d)
-    out = np.zeros((len(modes), grid.d) + grid.shape, dtype=complex)
-    for i, k in enumerate(modes):
-        c = np.zeros(grid.shape, dtype=complex)
-        for mode, w in tau_expansion(k):
-            c[tuple(m % grid.n for m in mode)] += w
-        for j in range(grid.d):
-            out[i, j] = grid.deriv(c, j)
-    return out
+    """Gradient coefficient arrays of every tau_k, shape (D, d, grid).
+
+    The cached :func:`spectral.tau_table` times the derivative multipliers
+    ``grid.ik``, so K > n/2 - 1 raises ValueError instead of aliasing.
+    """
+    return tau_table(K, grid.d, grid.n)[:, None] * grid.ik
 
 
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):

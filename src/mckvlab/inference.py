@@ -30,7 +30,7 @@ from .forward import (
     solve_mckv,
 )
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_inner
-from .spectral import PotentialVec, SpectralField, count_dim, modes_in_ball
+from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +122,7 @@ def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
     checks["w_window"] = w_lo < w < w_hi
     values["w_window"] = (w_lo, w_hi)
 
-    delta, eta = delta_n(alpha, d, n_obs, beta, zeta) if n_obs else (None, None)
+    delta, eta = delta_n(alpha, d, n_obs, beta, zeta) if n_obs is not None else (None, None)
     if n_obs is not None:
         values["delta_N"] = delta
         values["eta"] = eta
@@ -175,10 +175,8 @@ class PriorSpec:
 
     def __post_init__(self):
         self.delta = delta_n(self.alpha, self.d, self.n_obs)
-        ksq = np.array([sum(m * m for m in k)
-                        for k in modes_in_ball(self.K, self.d)], dtype=float)
         scale = 1.0 / (np.sqrt(self.n_obs) * self.delta)
-        self.diag = scale * (1.0 + ksq) ** (-(self.alpha + 1.0) / 2.0)
+        self.diag = scale * (1.0 + mode_ksq(self.K, self.d)) ** (-(self.alpha + 1.0) / 2.0)
         if np.any(self.diag <= 0):
             raise ValueError("prior scales must be strictly positive")
 

@@ -353,7 +353,7 @@ def transport_forcing_transpose(grid: Grid, states: np.ndarray,
     enter only through that last contraction.
     """
     rho_phys = grid.to_padded(states)[:, None]  # (S, 1, pad grid)
-    r = grid.from_padded_transpose(np.stack(grid.ik) * weights[:, None])
+    r = grid.from_padded_transpose(grid.ik * weights[:, None])
     back = grid.to_padded_transpose(rho_phys * r)  # (S, d, grid)
     return np.einsum("s...,sj...->j...", states, back)
 
@@ -401,7 +401,7 @@ class LWOperator:
 
         self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
         self.grad_w = _as_grad_coeffs(W, grid)
-        self._ik = np.stack(grid.ik)[:, None]  # (d, 1, grid)
+        self._ik = grid.ik[:, None]  # (d, 1, grid)
         conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
         self.conv1_phys = grid.to_padded(conv1)  # (S, d, pad grid)
 

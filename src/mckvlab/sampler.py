@@ -127,6 +127,9 @@ def run_ula(drift, w_init: np.ndarray, gamma: float, n_steps: int,
         raise ValueError("need 0 <= burn_in < n_steps")
     if thin < 1:
         raise ValueError("thinning interval must be >= 1")
+    if thin > n_steps - burn_in:
+        raise ValueError(f"thin={thin} exceeds the {n_steps - burn_in} steps after "
+                         "burn-in: no iterate would be kept")
     if rng is None:
         rng = np.random.default_rng(seed)
 
@@ -223,21 +226,20 @@ def w2sq_assignment(a, b) -> float:
     return float(cost[rows, cols].mean())
 
 
-def w2sq_sliced(a, b, n_projections: int = SLICED_W2_PROJECTIONS,
-                seed: int = SLICED_W2_SEED) -> float:
-    """Sliced squared W2: mean over fixed-seed random directions."""
+def w2sq_sliced(a, b) -> float:
+    """Sliced squared W2: mean over SLICED_W2_PROJECTIONS fixed-seed random directions."""
     a, b = _as_samples(a), _as_samples(b)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SLICED_W2_SEED)
     d = a.shape[1]
     total = 0.0
-    for _ in range(n_projections):
+    for _ in range(SLICED_W2_PROJECTIONS):
         u = rng.standard_normal(d)
         u /= np.linalg.norm(u)
         total += w2sq_quantile_1d(a @ u, b @ u)
-    return total / n_projections
+    return total / SLICED_W2_PROJECTIONS
 
 
-def w2_squared(a, b, method: str = "auto") -> float:
+def w2_squared(a, b) -> float:
     """Squared W2 diagnostic between two sample sets of equal size.
 
     1-d marginals use sorted quantiles (exact); small sets (n <= 64) use
@@ -245,19 +247,8 @@ def w2_squared(a, b, method: str = "auto") -> float:
     sliced estimate with fixed-seed projections.
     """
     a, b = _as_samples(a), _as_samples(b)
-    if method == "auto":
-        if a.shape[1] == 1:
-            method = "quantile"
-        elif a.shape[0] <= ASSIGNMENT_MAX_N:
-            method = "assignment"
-        else:
-            method = "sliced"
-    if method == "quantile":
-        if a.shape[1] != 1:
-            raise ValueError("quantile method is for 1-d samples")
+    if a.shape[1] == 1:
         return w2sq_quantile_1d(a[:, 0], b[:, 0])
-    if method == "assignment":
+    if a.shape[0] <= ASSIGNMENT_MAX_N:
         return w2sq_assignment(a, b)
-    if method == "sliced":
-        return w2sq_sliced(a, b)
-    raise ValueError(f"unknown method {method!r}")
+    return w2sq_sliced(a, b)

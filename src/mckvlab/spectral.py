@@ -13,9 +13,13 @@ Conventions used throughout the package:
   symmetry are exact.
 * Mode ordering.  The mean-zero real basis functions tau_k with
   0 < |k| <= K (Euclidean ball) are ordered lexicographically in the
-  integer vector k.  This single ordering is used for PotentialVec
-  coordinates, Gram matrices, prior covariances and all serialized
-  artifacts.
+  integer vector k.  The cached tables of this module are the single
+  source of that ordering and of the basis: :func:`mode_array` (the
+  modes) with :func:`mode_ksq` (their |k|^2) per (K, d), and
+  :func:`tau_table` (the Fourier coefficients of every tau_k) per
+  (K, d, n).  PotentialVec coordinates, Gram matrices, prior
+  covariances, the deconvolution margin and all serialized artifacts
+  read them.
 * Products of two fields are formed pseudospectrally on a grid padded
   by the 3/2 rule, which is alias-free for quadratic nonlinearities.
 """
@@ -43,12 +47,13 @@ class Grid:
     """Precomputed mode arrays and spectral multipliers for an n^d grid.
 
     Holds the integer mode vectors, the resolved-mode mask (Nyquist
-    excluded), derivative multipliers 2*pi*i*k_j with the Nyquist plane
-    zeroed, and the dense per-axis DFT matrices of the 3/2-rule padded
-    grid of pad_n = 3n/2 points: the (n, pad_n) synthesis, Nyquist row
-    zero, and the (pad_n, n) analysis, its conjugate transpose over
-    pad_n, which crops to the resolved modes.  All array methods accept
-    stacked inputs (..., n, ..., n) and act on the trailing d axes.
+    excluded), the (d, n, ..., n) derivative multipliers 2*pi*i*k_j with
+    the Nyquist plane zeroed, and the dense per-axis DFT matrices of the
+    3/2-rule padded grid of pad_n = 3n/2 points: the (n, pad_n)
+    synthesis, Nyquist row zero, and the (pad_n, n) analysis, its
+    conjugate transpose over pad_n, which crops to the resolved modes.
+    All array methods accept stacked inputs (..., n, ..., n) and act on
+    the trailing d axes.
     """
 
     def __init__(self, n: int, d: int):
@@ -76,10 +81,7 @@ class Grid:
         self.max_mode = nyq - 1
 
         # derivative multipliers; Nyquist zeroed to keep real fields real
-        self.ik = [
-            TWO_PI * 1j * np.where(np.abs(m) == nyq, 0, m).astype(float)
-            for m in kvec
-        ]
+        self.ik = TWO_PI * 1j * np.where(np.abs(kvec) == nyq, 0, kvec).astype(float)
         self.lap_mult = -(TWO_PI**2) * self.ksq
 
         # 3/2-rule padded grid: entries read from an exact table of the
@@ -211,51 +213,65 @@ def get_grid(n: int, d: int) -> Grid:
 # mode bookkeeping
 
 
-def modes_in_ball(K: int, d: int) -> list[tuple[int, ...]]:
-    """Nonzero integer vectors with Euclidean length <= K, lexicographic.
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
-    This is the canonical ordering of the tau_k basis of the mean-zero
-    trigonometric space of degree K.
+
+@lru_cache(maxsize=None)
+def mode_array(K: int, d: int) -> np.ndarray:
+    """Nonzero integer vectors k with |k| <= K as the rows of a (D, d) array.
+
+    Lexicographic: the canonical ordering of the tau_k basis of E_K.
+    Cached and read-only.
     """
     if K < 1:
         raise ValueError("truncation radius K must be >= 1")
-    ksq = K * K
-    out = []
-    for k in itertools.product(range(-K, K + 1), repeat=d):
-        s = sum(c * c for c in k)
-        if 0 < s <= ksq:
-            out.append(k)
-    return out
+    axis = np.arange(-K, K + 1)
+    k = np.stack(np.meshgrid(*([axis] * d), indexing="ij"), axis=-1).reshape(-1, d)
+    ksq = np.sum(k * k, axis=1)
+    return _read_only(k[(ksq > 0) & (ksq <= K * K)])
+
+
+@lru_cache(maxsize=None)
+def mode_ksq(K: int, d: int) -> np.ndarray:
+    """|k|^2 of every mode of :func:`mode_array`, as floats; read-only."""
+    k = mode_array(K, d)
+    return _read_only(np.sum(k * k, axis=1).astype(float))
+
+
+@lru_cache(maxsize=None)
+def tau_table(K: int, d: int, n: int) -> np.ndarray:
+    """Fourier coefficients of every tau_k of E_K on the n^d grid, (D, n, ..., n).
+
+    Row i belongs to the i-th mode of :func:`mode_array`.  Built per axis
+    from the 1-D rows of sqrt(2) cos(2 pi m y) = (e_m + e_-m)/sqrt(2),
+    the constant 1 and sqrt(2) sin(2 pi m y) = i (e_|m| - e_-|m|)/sqrt(2)
+    for m < 0.  Cached and read-only.
+    """
+    if K > n // 2 - 1:
+        raise ValueError(f"K={K} not representable on grid n={n}")
+    w = 1.0 / SQRT2
+    m = np.arange(1, K + 1)
+    rows = np.zeros((2 * K + 1, n), dtype=complex)  # row K + m holds T_m
+    rows[K, 0] = 1.0
+    rows[K + m, m] = rows[K + m, -m] = w
+    rows[K - m, m], rows[K - m, -m] = 1j * w, -1j * w
+    idx = mode_array(K, d) + K
+    table = rows[idx[:, 0]]
+    for j in range(1, d):
+        table = table[..., None] * rows[idx[:, j]].reshape((-1,) + (1,) * j + (n,))
+    return _read_only(table)
+
+
+def modes_in_ball(K: int, d: int) -> list[tuple[int, ...]]:
+    """The rows of :func:`mode_array` as tuples."""
+    return [tuple(k) for k in mode_array(K, d).tolist()]
 
 
 def count_dim(K: int, d: int) -> int:
     """Dimension of the mean-zero trigonometric space of degree K."""
-    return len(modes_in_ball(K, d))
-
-
-def _axis_expansion(m: int) -> list[tuple[int, complex]]:
-    # T_m as a combination of complex exponentials e_j
-    if m == 0:
-        return [(0, 1.0 + 0j)]
-    if m > 0:
-        w = 1.0 / SQRT2
-        return [(m, w + 0j), (-m, w + 0j)]
-    a = abs(m)
-    w = 1j / SQRT2
-    return [(-a, -w), (a, w)]
-
-
-def tau_expansion(k: tuple[int, ...]) -> list[tuple[tuple[int, ...], complex]]:
-    """Expansion of tau_k as sum of weights times complex exponentials."""
-    per_axis = [_axis_expansion(m) for m in k]
-    out = []
-    for combo in itertools.product(*per_axis):
-        mode = tuple(c[0] for c in combo)
-        w = 1.0 + 0j
-        for c in combo:
-            w *= c[1]
-        out.append((mode, w))
-    return out
+    return len(mode_array(K, d))
 
 
 def basis_tau(k, x) -> float:
@@ -448,7 +464,7 @@ class PotentialVec:
 
     The basis is orthonormal in L2, so the Euclidean norm of ``values``
     equals the L2 norm of the represented function.  Coordinates follow
-    the lexicographic mode ordering of :func:`modes_in_ball`.
+    the lexicographic mode ordering of :func:`mode_array`.
     """
 
     K: int
@@ -484,14 +500,11 @@ class PotentialVec:
 
     # -- norms ---------------------------------------------------------------
 
-    def _mode_ksq(self) -> np.ndarray:
-        return np.array([sum(m * m for m in k) for k in self.modes], dtype=float)
-
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.values))
 
     def sobolev_norm(self, s: float) -> float:
-        w = (1.0 + self._mode_ksq()) ** s
+        w = (1.0 + mode_ksq(self.K, self.d)) ** s
         return float(np.sqrt(np.sum(w * self.values**2)))
 
     def eval(self, x) -> float:
@@ -500,15 +513,8 @@ class PotentialVec:
     # -- change of representation ---------------------------------------------
 
     def coeff_grid(self, n: int) -> np.ndarray:
-        """Complex coefficient array of the represented function."""
-        if self.K > n // 2 - 1:
-            raise ValueError(f"K={self.K} not representable on grid n={n}")
-        c = np.zeros((n,) * self.d, dtype=complex)
-        for k, val in zip(self.modes, self.values):
-            for mode, w in tau_expansion(k):
-                idx = tuple(m % n for m in mode)
-                c[idx] += val * w
-        return c
+        """Complex coefficient array of the represented function (a new array)."""
+        return np.tensordot(self.values, tau_table(self.K, self.d, n), axes=1)
 
     def to_field(self, n: int) -> SpectralField:
         return SpectralField(self.d, n, self.coeff_grid(n))
@@ -533,17 +539,7 @@ class PotentialVec:
 
 def project_to_ek(f: SpectralField, K: int) -> PotentialVec:
     """Coordinates <f, tau_k> for 0 < |k| <= K; the mean is discarded."""
-    if K > f.n // 2 - 1:
-        raise ValueError(f"K={K} exceeds resolved modes of grid n={f.n}")
-    modes = modes_in_ball(K, f.d)
-    vals = np.empty(len(modes))
-    c = f.coeffs
-    for i, k in enumerate(modes):
-        acc = 0.0 + 0j
-        for mode, w in tau_expansion(k):
-            idx = tuple((-m) % f.n for m in mode)
-            acc += w * c[idx]
-        vals[i] = acc.real
+    vals = np.sum(tau_table(K, f.d, f.n).conj() * f.coeffs, axis=f.grid.axes).real
     return PotentialVec(K, f.d, vals)
 
 
@@ -552,9 +548,7 @@ def embed_potential(v: PotentialVec, K_new: int) -> PotentialVec:
     if K_new < v.K:
         raise ValueError("target truncation must be >= source truncation")
     out = PotentialVec.zeros(K_new, v.d)
-    index = {k: i for i, k in enumerate(out.modes)}
-    for k, val in zip(v.modes, v.values):
-        out.values[index[k]] = val
+    out.values[mode_ksq(K_new, v.d) <= v.K**2] = v.values
     return out
 
 
@@ -562,8 +556,7 @@ def random_potential(K: int, d: int, rng: np.random.Generator,
                      amplitude: float = 1.0, decay: float = 0.0) -> PotentialVec:
     """Random element of E_K with coordinates ~ amplitude * (1+|k|^2)^(-decay/2)."""
     v = PotentialVec.zeros(K, d)
-    ksq = v._mode_ksq()
-    v.values[:] = amplitude * (1.0 + ksq) ** (-decay / 2.0) * rng.standard_normal(v.dim)
+    v.values[:] = amplitude * (1.0 + mode_ksq(K, d)) ** (-decay / 2.0) * rng.standard_normal(v.dim)
     return v
 
 

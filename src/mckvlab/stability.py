@@ -27,7 +27,7 @@ from .parabolic import (
     solve_linear_lw,
     transport_forcing,
 )
-from .spectral import SpectralField, modes_in_ball
+from .spectral import SpectralField, mode_array, mode_ksq
 
 
 @dataclass
@@ -112,7 +112,7 @@ def deconvolution_window(rho_traj: Trajectory, K: int, zeta: float) -> float:
     computable quantities (the true constant is non-constructive).
     """
     grid = rho_traj.grid
-    c_star = _margin_at(rho_traj.coeffs[0], grid, K, zeta)
+    c_star = _margin(rho_traj.coeffs[0], rho_traj.d, K, zeta)
     if c_star == 0.0:
         return 0.0
     diffs = np.diff(rho_traj.coeffs, axis=0) / rho_traj.dt
@@ -123,13 +123,14 @@ def deconvolution_window(rho_traj: Trajectory, K: int, zeta: float) -> float:
     return float(min(rho_traj.T, c_star * K ** (-zeta) / (2.0 * c_hat)))
 
 
-def _margin_at(coeffs: np.ndarray, grid, K: int, zeta: float) -> float:
-    best = np.inf
-    for k in modes_in_ball(K, grid.d):
-        idx = tuple(m % grid.n for m in k)
-        kn = np.sqrt(sum(m * m for m in k))
-        best = min(best, abs(coeffs[idx]) * kn**zeta)
-    return float(best)
+def _margin(coeffs: np.ndarray, d: int, K: int, zeta: float) -> float:
+    """min |c_k| |k|^zeta over 0 < |k| <= K and the leading axes of coeffs.
+
+    |c_k| is taken by hypot, the scalar complex abs: numpy's vectorised
+    complex abs can differ from it in the last bit.
+    """
+    c = coeffs[(...,) + tuple((mode_array(K, d) % coeffs.shape[-1]).T)]
+    return float(np.min(np.hypot(c.real, c.imag) * np.sqrt(mode_ksq(K, d)) ** zeta))
 
 
 def deconvolution_margin(rho_traj: Trajectory, K: int, zeta: float,
@@ -137,14 +138,10 @@ def deconvolution_margin(rho_traj: Trajectory, K: int, zeta: float,
     """min |rho_hat(t,k)| |k|^zeta over 0 < |k| <= K and stored t <= t_0."""
     if K > rho_traj.n // 2 - 1:
         raise ValueError("K exceeds resolved modes")
-    grid = rho_traj.grid
     if t0 is None:
         t0 = deconvolution_window(rho_traj, K, zeta)
     m_max = int(np.floor(t0 / rho_traj.dt + 1e-12))
-    best = np.inf
-    for m in range(0, m_max + 1):
-        best = min(best, _margin_at(rho_traj.coeffs[m], grid, K, zeta))
-    return float(best)
+    return _margin(rho_traj.coeffs[:m_max + 1], rho_traj.d, K, zeta)
 
 
 def gradient_stability_sigma_min(problem: McKVProblem, K: int | None = None,
@@ -172,12 +169,11 @@ def sigma_min_trend(problem: McKVProblem, K: int,
         rho_traj = solve_mckv(problem)
     cols = jacobian_columns(problem, rho_traj, K=K)
     gram = gram_matrix(cols, problem.T)
-    modes = modes_in_ball(K, problem.W.d)
+    ksq = mode_ksq(K, problem.W.d)
     out = {}
     for Kp in range(1, K + 1):
-        idx = [i for i, k in enumerate(modes)
-               if sum(m * m for m in k) <= Kp * Kp]
-        sub = gram[np.ix_(idx, idx)]
+        inner = ksq <= Kp * Kp
+        sub = gram[np.ix_(inner, inner)]
         lam = float(np.linalg.eigvalsh(sub)[0])
         out[Kp] = float(np.sqrt(max(lam, 0.0)))
     return out

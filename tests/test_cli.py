@@ -78,6 +78,17 @@ def test_sample_rejects_nonpositive_step_size(tmp_path, gamma):
     assert "sampler.gamma" in res.output
 
 
+@pytest.mark.parametrize("command", ["sample", "recover"])
+def test_chain_commands_reject_thinning_that_keeps_nothing(tmp_path, command):
+    p = _write(tmp_path, {"sampler.n_steps": 10, "sampler.burn_in": None,
+                          "sampler.thin": 100})
+    res = CliRunner().invoke(main, [command, "--config", str(p),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == 1
+    assert "sampler.thin" in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
+
+
 def test_strict_mode_scales_surrogate_radius(tmp_path):
     p = _write(tmp_path, {"mode": "strict", "constants.w": 39.5})
     cfg = ExperimentConfig.from_file(p)

@@ -9,6 +9,7 @@ from mckvlab.forward import (
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
+    jacobian_vjp,
     mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
@@ -438,3 +439,17 @@ def test_second_derivative_matrix_matches_pairwise_solves():
             ref = mckv_second_derivative(prob, basis[j], basis[k], rho,
                                          cols[j], cols[k]).coeffs
             assert np.max(np.abs(D2[j, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_basis_maps_reject_K_beyond_the_grid():
+    # at n = 8 the modes |k| = 4, 5 alias onto resolved ones (or the Nyquist plane)
+    phi = decay_density(8, 1, zeta=3.0, amplitude=0.3)
+    prob = McKVProblem(W=PotentialVec.zeros(2, 1), phi=phi, T=0.1, stepper=StepperConfig(M=8))
+    rho = solve_mckv(prob)
+    g = np.ones_like(rho.coeffs)
+    with pytest.raises(ValueError, match="not representable"):
+        jacobian_stack(prob, rho, K=5)
+    with pytest.raises(ValueError, match="not representable"):
+        jacobian_vjp(prob, rho, g, K=5)
+    with pytest.raises(ValueError, match="not representable"):
+        second_derivative_matrix(prob, rho, [], lambda nodes: nodes, K=5)

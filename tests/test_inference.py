@@ -82,6 +82,12 @@ def test_validate_constants_worked_instance():
     assert hi == pytest.approx(39.7, abs=1e-9)
 
 
+def test_validate_constants_rejects_zero_sample_size():
+    cfg = ConstantsConfig(d=1, alpha=78.0, beta=6.0, zeta=6.55, w=39.5)
+    with pytest.raises(ValueError, match="sample size must be >= 1"):
+        validate_constants(cfg, n_obs=0)
+
+
 def test_validate_constants_rejects_odd_beta():
     cfg = ConstantsConfig(d=1, alpha=78.0, beta=5.0, zeta=6.55, w=39.5)
     assert not validate_constants(cfg).checks["beta_even_ge"]

@@ -246,6 +246,20 @@ def test_run_ula_rejects_thin_below_one():
         run_ula(_gauss_drift, np.zeros(D), 1e-3, n_steps=10, burn_in=0, thin=0, seed=0)
 
 
+def test_run_ula_rejects_thinning_that_keeps_nothing():
+    calls = []
+
+    def drift(theta):
+        calls.append(theta)
+        return _gauss_drift(theta)
+
+    with pytest.raises(ValueError, match="no iterate would be kept"):
+        run_ula(drift, np.zeros(D), 1e-3, n_steps=10, thin=100, seed=0)
+    assert calls == []
+    # the last step after burn-in is still kept
+    assert run_ula(drift, np.zeros(D), 1e-3, n_steps=10, burn_in=2, thin=8, seed=0).n_kept == 1
+
+
 def _overflowing_drift(theta):
     # finite, but gamma * drift leaves the floating-point range
     return np.full(theta.size, 1e308)

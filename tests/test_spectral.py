@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mckvlab.forward import tau_gradient_stack
 from mckvlab.spectral import (
     PotentialVec,
     SpectralField,
@@ -18,12 +19,15 @@ from mckvlab.spectral import (
     grad,
     laplacian,
     load_field,
+    mode_array,
+    mode_ksq,
     modes_in_ball,
     multiply,
     project_to_ek,
     random_potential,
     save_field,
     sobolev_norm,
+    tau_table,
 )
 
 SQRT2 = np.sqrt(2.0)
@@ -56,6 +60,88 @@ def test_mode_ordering_is_lexicographic():
     assert modes_in_ball(2, 1) == [(-2,), (-1,), (1,), (2,)]
     m = modes_in_ball(1, 2)
     assert m == [(-1, 0), (0, -1), (0, 1), (1, 0)]
+
+
+# ---------------------------------------------------------------------------
+# the cached tau_k basis tables
+
+
+def _axis_terms(m):
+    # T_m as (mode, weight) pairs of complex exponentials
+    w = 1.0 / np.sqrt(2.0)
+    if m == 0:
+        return [(0, 1.0 + 0j)]
+    if m > 0:
+        return [(m, w + 0j), (-m, w + 0j)]
+    return [(m, -1j * w), (-m, 1j * w)]
+
+
+def _tau_coeffs_reference(K, d, n):
+    """Coefficient array of each tau_k, built mode by mode from its per-axis terms."""
+    out = []
+    for k in modes_in_ball(K, d):
+        c = np.zeros((n,) * d, dtype=complex)
+        for combo in itertools.product(*[_axis_terms(m) for m in k]):
+            w = 1.0 + 0j
+            for _, wj in combo:
+                w *= wj
+            c[tuple(m % n for m, _ in combo)] += w
+        out.append(c)
+    return out
+
+
+def test_mode_tables_are_read_only():
+    for table in (mode_array(3, 2), mode_ksq(3, 2), tau_table(3, 2, 8)):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[0] = 0
+
+
+def test_coeff_grid_returns_fresh_writable_array():
+    v = PotentialVec.from_mode_dict(2, 2, {(1, 0): 1.0})
+    c = v.coeff_grid(8)
+    assert c.flags.writeable
+    c[...] = 7.0
+    assert np.array_equal(v.coeff_grid(8), tau_table(2, 2, 8)[v.modes.index((1, 0))])
+
+
+def test_mode_ksq_matches_modes():
+    assert mode_ksq(3, 3).tolist() == [float(sum(m * m for m in k)) for k in modes_in_ball(3, 3)]
+
+
+@pytest.mark.parametrize("d,K,n", [(1, 5, 32), (2, 4, 16), (3, 3, 8)])
+def test_tau_table_and_its_users_equal_per_mode_reference(d, K, n):
+    ref = _tau_coeffs_reference(K, d, n)
+    assert np.array_equal(tau_table(K, d, n), np.array(ref))
+
+    v = random_potential(K, d, np.random.default_rng(d))
+    expected = np.zeros((n,) * d, dtype=complex)
+    for val, c in zip(v.values, ref):
+        expected += val * c
+    assert np.array_equal(v.coeff_grid(n), expected)
+
+    noise = 0.1 * random_potential(n // 2 - 1, d, np.random.default_rng(7)).coeff_grid(n)
+    f = SpectralField(d, n, v.coeff_grid(n) + noise)
+    proj = [np.sum(np.conj(c) * f.coeffs).real for c in ref]
+    assert np.array_equal(project_to_ek(f, K).values, proj)
+
+    grid = get_grid(n, d)
+    gtau = [[grid.deriv(c, j) for j in range(d)] for c in ref]
+    assert np.array_equal(tau_gradient_stack(K, grid), np.array(gtau))
+
+
+def test_tau_table_rows_synthesise_basis_tau():
+    K, d, n = 2, 2, 8
+    x = np.stack(np.meshgrid(*([np.arange(n) / n] * d), indexing="ij"), axis=-1)
+    g = get_grid(n, d)
+    for k, row in zip(modes_in_ball(K, d), tau_table(K, d, n)):
+        tau = np.array([[basis_tau(k, p) for p in line] for line in x])
+        np.testing.assert_allclose(g.to_values(row), tau, atol=1e-13)
+
+
+def test_tau_table_rejects_unresolvable_K():
+    with pytest.raises(ValueError, match="not representable"):
+        tau_table(4, 1, 8)
 
 
 def test_basis_orthonormality_by_quadrature():

@@ -124,6 +124,20 @@ def test_margin_heat_case_matches_closed_form():
     assert margin == pytest.approx(best, rel=1e-10)
 
 
+@pytest.mark.parametrize("d,n,K,zeta", [(1, 32, 4, 2.5), (2, 16, 3, 3.8)])
+def test_margin_equals_per_step_minimum(d, n, K, zeta):
+    phi = decay_density(n, d, zeta=zeta, amplitude=0.3)
+    W = random_potential(2, d, np.random.default_rng(41), amplitude=0.4)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.1, stepper=StepperConfig(M=16)))
+    t0 = 0.05
+    per_step = []
+    for m in range(int(np.floor(t0 / rho.dt + 1e-12)) + 1):
+        per_step.append(min(abs(rho.coeffs[m][tuple(j % n for j in k)])
+                            * np.sqrt(sum(j * j for j in k)) ** zeta
+                            for k in modes_in_ball(K, d)))
+    assert deconvolution_margin(rho, K, zeta, t0=t0) == min(per_step)
+
+
 def test_margin_zero_iff_vanishing_mode():
     # a density missing mode 3 has zero margin at K = 3, positive at K = 2
     phi = _phi(zeta=2.0, amplitude=0.25)
@@ -238,3 +252,11 @@ def test_sigma_min_is_last_entry_of_trend():
     prob = _problem(random_potential(3, 1, rng, amplitude=0.4))
     rho = solve_mckv(prob)
     assert sigma_min_trend(prob, 3, rho)[3] == gradient_stability_sigma_min(prob, 3, rho)
+
+
+def test_sigma_min_trend_rejects_K_beyond_the_grid():
+    # at n = 8, K' = 4 and 5 would read aliased directions and report sigma_min = 0
+    phi = decay_density(8, 1, zeta=3.0, amplitude=0.3)
+    prob = McKVProblem(W=PotentialVec.zeros(2, 1), phi=phi, T=0.1, stepper=StepperConfig(M=8))
+    with pytest.raises(ValueError, match="not representable"):
+        sigma_min_trend(prob, 5)
