@@ -55,12 +55,12 @@ def _fd_error(problem_of, base_problem, H, eps):
     return num / den
 
 
-def suite_gradients(config: ExperimentConfig, n_pairs: int = 3) -> list[dict]:
+def suite_gradients(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed + 101)
     phi = config.phi()
     stepper = config.stepper()
     p = config["problem"]
-    K, d, T = int(p["K"]), int(p["d"]), float(p["T"])
+    K, d, T = p["K"], p["d"], p["T"]
     records = []
 
     def make(W):
@@ -72,7 +72,7 @@ def suite_gradients(config: ExperimentConfig, n_pairs: int = 3) -> list[dict]:
             phi=phi, T=T, stepper=c)),
         stepper)
 
-    for i in range(n_pairs):
+    for i in range(3):
         W = random_potential(K, d, rng, amplitude=0.5)
         H = random_potential(K, d, rng, amplitude=0.5)
         errs = [_fd_error(lambda e: make(W + e * H), make(W), H, eps)
@@ -105,7 +105,7 @@ def suite_gradients(config: ExperimentConfig, n_pairs: int = 3) -> list[dict]:
     model = ForwardModel(phi=phi, T=T, K=K, stepper=stepper)
     W0 = config.w0()
     data = generate_data(W0, model, n_obs=30,
-                         noise_std=float(config["inference"]["noise_std"]),
+                         noise_std=config["inference"]["noise_std"],
                          rng=rng)
     like = LikelihoodEvaluator(model, data)
     Wt = W0 + random_potential(K, d, rng, amplitude=0.1)
@@ -128,9 +128,8 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
     phi = config.phi()
     stepper = config.stepper()
     p = config["problem"]
-    K, d, T = int(p["K"]), int(p["d"]), float(p["T"])
-    zeta = float(config["constants"]["zeta"])
-    beta = float(config["constants"]["beta"])
+    K, d, T = p["K"], p["d"], p["T"]
+    zeta, beta = config["constants"]["zeta"], config["constants"]["beta"]
     records = []
 
     W1 = random_potential(K, d, rng, amplitude=0.4)
@@ -174,18 +173,18 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     phi = config.phi()
     stepper = config.stepper()
     p = config["problem"]
-    K, d, T = int(p["K"]), int(p["d"]), float(p["T"])
+    K, d, T = p["K"], p["d"], p["T"]
     records = []
 
     model = ForwardModel(phi=phi, T=T, K=K, stepper=stepper)
     W0 = config.w0()
     data = generate_data(W0, model, n_obs=20,
-                         noise_std=float(config["inference"]["noise_std"]), rng=rng)
+                         noise_std=config["inference"]["noise_std"], rng=rng)
     like = LikelihoodEvaluator(model, data)
     r = config.surrogate_radius(model.dim)
     spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
-                               c_hat=float(config["surrogate"]["c_hat"]),
-                               c1_hat=float(config["surrogate"]["c1_hat"] or 1.0),
+                               c_hat=config["surrogate"]["c_hat"],
+                               c1_hat=config["surrogate"]["c1_hat"] or 1.0,
                                lam=config["surrogate"]["lam"])
 
     knot = gamma_tilde(5 * r / 8, r)
@@ -227,8 +226,9 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     return records
 
 
-def suite_sampler(config: ExperimentConfig, n_steps: int = 100_000) -> list[dict]:
+def suite_sampler(config: ExperimentConfig) -> list[dict]:
     records = []
+    n_steps = 100_000
     prior = PriorSpec(alpha=1.0, K=2, d=1, n_obs=1024)
     sig2 = prior.covariance_diag()
     gamma = 0.3 * float(sig2.min())

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .checks import SUITES, run_suites
-from .config import ConfigError, ExperimentConfig
+from .config import ConfigError, ExperimentConfig, load_yaml
 from .forward import McKVProblem, solve_mckv, solve_rd
 from .inference import (
     ForwardModel,
@@ -42,14 +42,11 @@ EXIT_NUMERIC = 3
 
 
 def _load_config(path, seed, mode) -> ExperimentConfig:
+    """The config file with the --seed and --mode overrides, validated once."""
     try:
-        cfg = ExperimentConfig.from_file(path)
-        if seed is not None:
-            cfg.raw["seed"] = int(seed)
-        if mode is not None:
-            cfg.raw["mode"] = mode
-            cfg = ExperimentConfig(raw=cfg.raw, source=cfg.source)
-        return cfg
+        raw = load_yaml(path)
+        raw.update({k: v for k, v in (("seed", seed), ("mode", mode)) if v is not None})
+        return ExperimentConfig(raw=raw)
     except (ConfigError, FileNotFoundError, OSError) as exc:
         raise SystemExit(_fail(str(exc), EXIT_CONFIG))
 
@@ -129,7 +126,7 @@ def simulate(config_path, seed, out_dir, mode):
     try:
         if p["kind"] == "mckv":
             W0 = config.w0()
-            problem = McKVProblem(W=W0, phi=phi, T=float(p["T"]), stepper=stepper)
+            problem = McKVProblem(W=W0, phi=phi, T=p["T"], stepper=stepper)
             traj = solve_mckv(problem)
             extra = {}
             if W0.l2_norm() == 0.0:
@@ -138,7 +135,7 @@ def simulate(config_path, seed, out_dir, mode):
             if _is_uniform_phi(phi):
                 flags.append("uniform steady state, non-identifiable")
         else:
-            traj = solve_rd(config.reaction(), phi, float(p["T"]), stepper)
+            traj = solve_rd(config.reaction(), phi, p["T"], stepper)
             extra = {}
     except NumericalBlowUp as exc:
         sys.exit(_fail(f"integration blew up at step {exc.step}", EXIT_NUMERIC))
@@ -209,18 +206,15 @@ def stability(config_path, seed, out_dir, mode):
     p = config["problem"]
     rng = np.random.default_rng(config.seed + 17)
     W1 = config.w0()
-    W2 = W1 + random_potential(int(p["K"]), int(p["d"]), rng, amplitude=0.3)
+    W2 = W1 + random_potential(p["K"], p["d"], rng, amplitude=0.3)
+    problem = McKVProblem(W=W1, phi=phi, T=p["T"], stepper=stepper)
     try:
         rep = stability_report(
-            McKVProblem(W=W1, phi=phi, T=float(p["T"]), stepper=stepper),
-            McKVProblem(W=W2, phi=phi, T=float(p["T"]), stepper=stepper),
-            K=int(p["K"]), zeta=float(config["constants"]["zeta"]),
-            beta=float(config["constants"]["beta"]))
+            problem, McKVProblem(W=W2, phi=phi, T=p["T"], stepper=stepper),
+            K=p["K"], zeta=config["constants"]["zeta"], beta=config["constants"]["beta"])
     except NumericalBlowUp as exc:
         sys.exit(_fail(f"stability run blew up at step {exc.step}", EXIT_NUMERIC))
-    trend = sigma_min_trend(
-        McKVProblem(W=W1, phi=phi, T=float(p["T"]), stepper=stepper),
-        K=int(p["K"]))
+    trend = sigma_min_trend(problem, K=p["K"])
     payload = _manifest(config, {"command": "stability",
                                  "report": json.loads(rep.to_json()),
                                  "sigma_min_vs_K": {str(k): v
@@ -238,12 +232,11 @@ def stability(config_path, seed, out_dir, mode):
 def _build_inference(config: ExperimentConfig):
     phi = _phi_or_exit(config)
     p = config["problem"]
-    model = ForwardModel(phi=phi, T=float(p["T"]), K=int(p["K"]),
-                         stepper=config.stepper())
+    model = ForwardModel(phi=phi, T=p["T"], K=p["K"], stepper=config.stepper())
     W0 = config.w0()
     rng = np.random.default_rng(config.seed)
-    data = generate_data(W0, model, n_obs=int(config["inference"]["N"]),
-                         noise_std=float(config["inference"]["noise_std"]),
+    data = generate_data(W0, model, n_obs=config["inference"]["N"],
+                         noise_std=config["inference"]["noise_std"],
                          rng=rng, seed=config.seed)
     prior = PriorSpec(alpha=config.prior_alpha(), K=model.K, d=model.d,
                       n_obs=data.n_obs)
@@ -258,14 +251,16 @@ def _build_surrogate(config, model, W0, data, warnings):
             f"surrogate radius r={r:.3e} is astronomically small; "
             "strict-mode scaling D^-w is impractical at this dimension; "
             "proceeding with the experimental-mode radius")
-        r = float(sur["r"])
+        r = sur["r"]
     c1 = sur["c1_hat"]
     if c1 is None:
         c1 = estimate_c1(model, W0, include_hessian=model.dim <= 16)
-    spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
-                               c_hat=float(sur["c_hat"]), c1_hat=float(c1),
-                               lam=sur["lam"])
-    return spec, float(c1)
+    try:
+        spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
+                                   c_hat=sur["c_hat"], c1_hat=c1, lam=sur["lam"])
+    except ValueError as exc:  # lam below the floor, known only once c1 is
+        sys.exit(_fail(f"surrogate.lam: {exc}", EXIT_CONFIG))
+    return spec, c1
 
 
 def _run_chain(config, model, W0, data, prior, warnings):
@@ -277,11 +272,10 @@ def _run_chain(config, model, W0, data, prior, warnings):
     spec, c1 = _build_surrogate(config, model, W0, data, warnings)
     drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
     sa = config["sampler"]
-    gamma = float(sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam))
+    gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)
     try:
-        run = run_ula(drift, W0.values.copy(), gamma,
-                      n_steps=int(sa["n_steps"]), burn_in=sa["burn_in"],
-                      thin=int(sa["thin"]), seed=config.seed + 1)
+        run = run_ula(drift, W0.values.copy(), gamma, n_steps=sa["n_steps"],
+                      burn_in=sa["burn_in"], thin=sa["thin"], seed=config.seed + 1)
     except DriftBlowUp as exc:
         sys.exit(_fail(f"drift diverged at iteration {exc.k}", EXIT_NUMERIC))
     except NumericalBlowUp as exc:

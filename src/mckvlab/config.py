@@ -1,57 +1,21 @@
 """Experiment configuration: schema, validation, derived quantities, hashing.
 
-Configs are YAML (JSON works too) with the following blocks; all times
-are in the PDE's time units, space is the unit torus [0,1)^d.
-
-    seed: 123                 # uint64 master seed
-    mode: experimental        # strict | experimental
-    output: out               # artifact directory (CLI --out overrides)
-    problem:
-      kind: mckv              # mckv | rd
-      d: 1
-      K: 4                    # truncation radius of the potential space
-      T: 0.5                  # horizon
-      phi:                    # initial probability density
-        type: decay           # decay | uniform
-        zeta: 3.0             # coefficient decay exponent
-        amplitude: 0.3        # coefficient scale; must keep phi > 0
-      W0:                     # ground-truth potential
-        type: random          # random | coeffs | zero
-        amplitude: 0.4
-        decay: 2.0
-        seed: 1
-        values: []            # for type: coeffs, length dim(E_K)
-      reaction: sin           # rd only: sin | logistic | linear
-      reaction_lam: 0.8       # rd only: rate for 'linear'
-    solver:
-      n: 64                   # grid points per axis (even)
-      M: 256                  # time steps
-      scheme: if-heun         # if-heun | if-euler
-    constants:                # exponent system for the validator
-      alpha: 2.0
-      beta: 6.0
-      zeta: 3.0
-      w: 20.0
-    inference:
-      N: 200                  # sample size
-      noise_std: 0.05
-      alpha: 2.0              # prior smoothness (defaults to constants.alpha)
-    surrogate:
-      r: 1.0                  # ball radius (strict mode: r_tilde, scaled D^-w)
-      lam: null               # convexifier weight; null -> admissible floor
-      c_hat: 1.0              # stand-in for the non-constructive constant
-      c1_hat: 2.0             # local regularity bound; null -> probe estimate
-    sampler:
-      gamma: null             # step size; null -> stability heuristic
-      n_steps: 2000
-      burn_in: null           # null -> 20%
-      thin: 1
+Configs are YAML (JSON works too).  :data:`SCHEMA` is the one list of
+keys: each entry holds the key's default, its type and its range, and
+merging and validation walk it, so values reach
+:attr:`ExperimentConfig.raw` typed (a float key holds a float even when
+written ``1``).  Rules between keys (the truncation K against the grid,
+the length of ``W0.values``, burn-in and thinning against ``n_steps``)
+are checked after the merge.  All times are in the PDE's time units;
+space is the unit torus [0,1)^d.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import numbers
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,43 +32,151 @@ class ConfigError(ValueError):
     """Raised for malformed or inconsistent experiment configurations."""
 
 
-_DEFAULTS = {
-    "seed": 0,
-    "mode": "experimental",
-    "output": "out",
+@dataclass(frozen=True)
+class Key:
+    """One config value: its default, its type and its range.
+
+    ``type`` is int, float, str, list (a list of numbers) or the tuple of
+    the allowed values.  ``range`` is a lower bound such as ``">= 1"`` or
+    ``"> 0"``; ``null`` admits None, ``even`` asks for an even integer.
+    An int key takes integers only (never a bool), a float key any real
+    number, stored as a float.
+    """
+
+    default: object
+    type: object
+    range: str | None = None
+    null: bool = False
+    even: bool = False
+
+
+SCHEMA = {
+    "seed": Key(0, int, ">= 0"),                        # master seed
+    "mode": Key("experimental", ("strict", "experimental")),
+    "output": Key("out", str),                          # artifact directory (CLI --out overrides)
     "problem": {
-        "kind": "mckv", "d": 1, "K": 4, "T": 0.5,
-        "phi": {"type": "decay", "zeta": 3.0, "amplitude": 0.3, "kmax": None},
-        "W0": {"type": "random", "amplitude": 0.4, "decay": 2.0, "seed": 1,
-               "values": []},
-        "reaction": "sin",
-        "reaction_lam": 0.8,
+        "kind": Key("mckv", ("mckv", "rd")),
+        "d": Key(1, (1, 2, 3)),
+        "K": Key(4, int, ">= 1"),                       # truncation radius of the potential space
+        "T": Key(0.5, float, "> 0"),                    # horizon
+        "phi": {                                        # initial probability density
+            "type": Key("decay", ("decay", "uniform")),
+            "zeta": Key(3.0, float),                    # coefficient decay exponent
+            "amplitude": Key(0.3, float),               # coefficient scale; must keep phi > 0
+        },
+        "W0": {                                         # ground-truth potential
+            "type": Key("random", ("random", "coeffs", "zero")),
+            "amplitude": Key(0.4, float),
+            "decay": Key(2.0, float),
+            "seed": Key(1, int, ">= 0"),
+            "values": Key([], list),                    # type coeffs: dim(E_K) coefficients
+        },
+        "reaction": Key("sin", ("sin", "logistic", "linear")),  # rd only
+        "reaction_lam": Key(0.8, float),                # rd only: rate of 'linear'
     },
-    "solver": {"n": 64, "M": 256, "scheme": "if-heun"},
-    "constants": {"alpha": 2.0, "beta": 6.0, "zeta": 3.0, "w": 20.0},
-    "inference": {"N": 200, "noise_std": 0.05, "alpha": None},
-    "surrogate": {"r": 1.0, "lam": None, "c_hat": 1.0, "c1_hat": 2.0},
-    "sampler": {"gamma": None, "n_steps": 2000, "burn_in": None, "thin": 1},
+    "solver": {
+        "n": Key(64, int, ">= 4", even=True),           # grid points per axis
+        "M": Key(256, int, ">= 1"),                     # time steps
+        "scheme": Key("if-heun", ("if-heun", "if-euler")),
+    },
+    "constants": {                                      # exponent system for the validator
+        "alpha": Key(2.0, float),
+        "beta": Key(6.0, float),
+        "zeta": Key(3.0, float),
+        "w": Key(20.0, float),
+    },
+    "inference": {
+        "N": Key(200, int, ">= 1"),                     # sample size
+        "noise_std": Key(0.05, float, ">= 0"),
+        "alpha": Key(None, float, null=True),           # prior smoothness; null: constants.alpha
+    },
+    "surrogate": {
+        "r": Key(1.0, float, "> 0"),                    # ball radius (strict mode: r_tilde, scaled D^-w)
+        "lam": Key(None, float, "> 0", null=True),      # convexifier weight; null: admissible floor
+        "c_hat": Key(1.0, float),                       # stand-in for the non-constructive constant
+        "c1_hat": Key(2.0, float, null=True),           # local regularity bound; null: probe estimate
+    },
+    "sampler": {
+        "gamma": Key(None, float, "> 0", null=True),    # step size; null: stability heuristic
+        "n_steps": Key(2000, int, ">= 2"),
+        "burn_in": Key(None, int, ">= 0", null=True),   # null: n_steps // 5
+        "thin": Key(1, int, ">= 1"),
+    },
 }
 
+# type -> (the classes it takes, its name in an error)
+_TYPES = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          str: (str, "a string"), list: (list, "a list of numbers")}
+_BOUNDS = {">=": operator.ge, ">": operator.gt}
 
-def _merge(defaults, user, path=""):
+
+def _is(value, kind) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _reads_as_float(text) -> bool:
+    """A string such as '1e-4', which YAML 1.1 reads as a string, not a float."""
+    try:
+        return isinstance(text, str) and float(text) == float(text)
+    except ValueError:
+        return False
+
+
+def _typed(key: Key, value, name: str):
+    """``value`` checked against ``key`` and converted to its type."""
+    if value is None and key.null:
+        return None
+    if isinstance(key.type, tuple):
+        if not any(type(value) is type(c) and value == c for c in key.type):
+            raise ConfigError(f"{name} must be one of {', '.join(map(str, key.type))}, "
+                              f"got {value!r}")
+        return value
+    kind, noun = _TYPES[key.type]
+    if not _is(value, kind) or key.type is list and not all(
+            _is(v, numbers.Real) for v in value):
+        hint = " (YAML reads it as a string: write floats with a dot, e.g. 2.0e-4)" \
+            if key.type is float and _reads_as_float(value) else ""
+        raise ConfigError(f"{name} must be {noun}{' or null' if key.null else ''}, "
+                          f"got {value!r}{hint}")
+    value = [float(v) for v in value] if key.type is list else key.type(value)
+    if key.range is not None:
+        op, bound = key.range.split()
+        if not _BOUNDS[op](value, float(bound)):
+            raise ConfigError(f"{name} must be {key.range}, got {value!r}")
+    if key.even and value % 2:
+        raise ConfigError(f"{name} must be even, got {value!r}")
+    return value
+
+
+def _merge(schema: dict, user, block: str = "") -> dict:
+    """``user`` checked against ``schema``, each missing key at its default."""
     if not isinstance(user, dict):
-        raise ConfigError(f"block '{path or '<root>'}' must be a mapping")
-    out = {}
-    for key, dval in defaults.items():
-        if key in user:
-            uval = user[key]
-            if isinstance(dval, dict) and not (key == "W0" and uval is None):
-                out[key] = _merge(dval, uval, f"{path}{key}.")
-            else:
-                out[key] = uval
-        else:
-            out[key] = dval
-    unknown = set(user) - set(defaults)
+        raise ConfigError(f"{block or 'the config'} must be a mapping, got {user!r}")
+    unknown = set(user) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys in '{path or '<root>'}': {sorted(unknown)}")
+        raise ConfigError(f"unknown keys in '{block or '<root>'}': {sorted(unknown)}")
+    out = {}
+    for name, key in schema.items():
+        path = f"{block}.{name}" if block else name
+        if isinstance(key, Key):
+            out[name] = _typed(key, user.get(name, key.default), path)
+        else:
+            out[name] = _merge(key, user.get(name, {}), path)
     return out
+
+
+def load_yaml(path) -> dict:
+    """The mapping in a YAML (or JSON) config file; {} for an empty file."""
+    path = Path(path)
+    try:
+        data = yaml.safe_load(path.read_text())
+    except yaml.YAMLError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if data is None:
+        return {}
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} must hold a mapping, got {type(data).__name__}")
+    return data
 
 
 @dataclass
@@ -112,74 +184,29 @@ class ExperimentConfig:
     """Validated experiment configuration with derived quantities."""
 
     raw: dict
-    source: str | None = None
 
     def __post_init__(self):
-        self.raw = _merge(_DEFAULTS, self.raw)
+        self.raw = _merge(SCHEMA, self.raw)
         self._validate()
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        path = Path(path)
-        try:
-            data = yaml.safe_load(path.read_text())
-        except yaml.YAMLError as exc:
-            raise ConfigError(f"cannot parse {path}: {exc}") from exc
-        if data is None:
-            data = {}
-        return cls(raw=data, source=str(path))
+        return cls(raw=load_yaml(path))
 
     def _validate(self):
-        r = self.raw
-        if r["mode"] not in ("strict", "experimental"):
-            raise ConfigError("mode must be strict or experimental")
-        p = r["problem"]
-        if p["kind"] not in ("mckv", "rd"):
-            raise ConfigError("problem.kind must be mckv or rd")
-        if p["d"] not in (1, 2, 3):
-            raise ConfigError("problem.d must be 1, 2 or 3")
-        if p["K"] < 1:
-            raise ConfigError("problem.K must be >= 1")
-        if p["T"] <= 0:
-            raise ConfigError("problem.T must be positive")
-        s = r["solver"]
-        if s["n"] < 4 or s["n"] % 2:
-            raise ConfigError("solver.n must be even and >= 4")
+        """The rules between keys; each key on its own is checked by the merge."""
+        p, s, sa = self.raw["problem"], self.raw["solver"], self.raw["sampler"]
         if p["K"] > s["n"] // 2 - 1:
-            raise ConfigError("problem.K exceeds the resolved modes of solver.n")
-        if s["M"] < 1:
-            raise ConfigError("solver.M must be >= 1")
-        if s["scheme"] not in ("if-heun", "if-euler"):
-            raise ConfigError("solver.scheme must be if-heun or if-euler")
-        if p["phi"]["type"] not in ("decay", "uniform"):
-            raise ConfigError("problem.phi.type must be decay or uniform")
-        if p["W0"]["type"] not in ("random", "coeffs", "zero"):
-            raise ConfigError("problem.W0.type must be random, coeffs or zero")
+            raise ConfigError(f"problem.K must be <= solver.n/2 - 1 = {s['n'] // 2 - 1}, "
+                              "the largest mode the grid resolves")
         if p["W0"]["type"] == "coeffs":
             D = count_dim(p["K"], p["d"])
             if len(p["W0"]["values"]) != D:
                 raise ConfigError(f"problem.W0.values must have length {D}")
-        if p["reaction"] not in ("sin", "logistic", "linear"):
-            raise ConfigError("problem.reaction must be sin, logistic or linear")
-        i = r["inference"]
-        if i["N"] < 1:
-            raise ConfigError("inference.N must be >= 1")
-        if i["noise_std"] < 0:
-            raise ConfigError("inference.noise_std must be >= 0")
-        sur = r["surrogate"]
-        if sur["r"] <= 0:
-            raise ConfigError("surrogate.r must be positive")
-        sa = r["sampler"]
-        if sa["gamma"] is not None and not sa["gamma"] > 0:
-            raise ConfigError("sampler.gamma must be positive (null: heuristic)")
-        if sa["n_steps"] < 2:
-            raise ConfigError("sampler.n_steps must be >= 2")
-        if sa["burn_in"] is not None and not 0 <= sa["burn_in"] < sa["n_steps"]:
+        if sa["burn_in"] is not None and sa["burn_in"] >= sa["n_steps"]:
             raise ConfigError("sampler.burn_in must lie in [0, n_steps)")
-        if sa["thin"] < 1:
-            raise ConfigError("sampler.thin must be >= 1")
         burn_in = sa["n_steps"] // 5 if sa["burn_in"] is None else sa["burn_in"]
         if sa["thin"] > sa["n_steps"] - burn_in:
             raise ConfigError("sampler.thin must be <= n_steps - burn_in, or no iterate is kept")
@@ -191,7 +218,7 @@ class ExperimentConfig:
 
     @property
     def seed(self) -> int:
-        return int(self.raw["seed"])
+        return self.raw["seed"]
 
     @property
     def mode(self) -> str:
@@ -206,32 +233,29 @@ class ExperimentConfig:
 
     def stepper(self) -> StepperConfig:
         s = self.raw["solver"]
-        return StepperConfig(M=int(s["M"]), scheme=s["scheme"])
+        return StepperConfig(M=s["M"], scheme=s["scheme"])
 
     def phi(self) -> SpectralField:
         p = self.raw["problem"]
         spec = p["phi"]
-        n, d = int(self.raw["solver"]["n"]), int(p["d"])
+        n, d = self.raw["solver"]["n"], p["d"]
         if spec["type"] == "uniform":
             return uniform_density(n, d)
         try:
-            return decay_density(n, d, zeta=float(spec["zeta"]),
-                                 amplitude=float(spec["amplitude"]),
-                                 kmax=spec.get("kmax"))
+            return decay_density(n, d, zeta=spec["zeta"], amplitude=spec["amplitude"])
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"problem.phi: {exc}") from exc
 
     def w0(self) -> PotentialVec:
         p = self.raw["problem"]
         spec = p["W0"]
-        K, d = int(p["K"]), int(p["d"])
+        K, d = p["K"], p["d"]
         if spec["type"] == "zero":
             return PotentialVec.zeros(K, d)
         if spec["type"] == "coeffs":
-            return PotentialVec(K, d, np.asarray(spec["values"], dtype=float))
-        rng = np.random.default_rng(int(spec["seed"]))
-        return random_potential(K, d, rng, amplitude=float(spec["amplitude"]),
-                                decay=float(spec["decay"]))
+            return PotentialVec(K, d, spec["values"])
+        rng = np.random.default_rng(spec["seed"])
+        return random_potential(K, d, rng, amplitude=spec["amplitude"], decay=spec["decay"])
 
     def reaction(self) -> ReactionSpec:
         p = self.raw["problem"]
@@ -241,47 +265,41 @@ class ExperimentConfig:
         if name == "logistic":
             return ReactionSpec(R=lambda u: u * (1.0 - u),
                                 Rprime=lambda u: 1.0 - 2.0 * u)
-        lam = float(p["reaction_lam"])
+        lam = p["reaction_lam"]
         return ReactionSpec(R=lambda u: lam * u,
                             Rprime=lambda u: lam * np.ones_like(u))
 
     def constants(self) -> ConstantsConfig:
-        c = self.raw["constants"]
-        return ConstantsConfig(d=int(self.raw["problem"]["d"]),
-                               alpha=float(c["alpha"]), beta=float(c["beta"]),
-                               zeta=float(c["zeta"]), w=float(c["w"]),
-                               mode=self.mode)
+        return ConstantsConfig(d=self.raw["problem"]["d"], mode=self.mode,
+                               **self.raw["constants"])
 
     def prior_alpha(self) -> float:
         a = self.raw["inference"]["alpha"]
-        return float(a) if a is not None else float(self.raw["constants"]["alpha"])
+        return a if a is not None else self.raw["constants"]["alpha"]
 
     def derived(self) -> dict:
         """Derived quantities recomputed for manifests and reports."""
         from .inference import delta_n, lambda_min_bound
 
-        p = self.raw["problem"]
-        D = count_dim(int(p["K"]), int(p["d"]))
-        N = int(self.raw["inference"]["N"])
-        alpha = self.prior_alpha()
-        delta = delta_n(alpha, int(p["d"]), N)
+        p, sur = self.raw["problem"], self.raw["surrogate"]
+        D = count_dim(p["K"], p["d"])
+        N = self.raw["inference"]["N"]
+        delta = delta_n(self.prior_alpha(), p["d"], N)
         r = self.surrogate_radius(D)
         out = {
             "D": D,
             "delta_N": delta,
             "N_delta2": N * delta**2,
             "surrogate_r": r,
-            "dt": float(p["T"]) / int(self.raw["solver"]["M"]),
+            "dt": p["T"] / self.raw["solver"]["M"],
         }
-        c1 = self.raw["surrogate"]["c1_hat"]
-        if c1 is not None:
-            out["lambda_floor"] = lambda_min_bound(
-                N, r, float(self.raw["surrogate"]["c_hat"]), float(c1))
+        if sur["c1_hat"] is not None:
+            out["lambda_floor"] = lambda_min_bound(N, r, sur["c_hat"], sur["c1_hat"])
         return out
 
     def surrogate_radius(self, D: int) -> float:
         """Ball radius: r directly in experimental mode, r_tilde * D^-w in strict."""
-        r = float(self.raw["surrogate"]["r"])
+        r = self.raw["surrogate"]["r"]
         if self.mode == "strict":
-            return r * float(D) ** (-float(self.raw["constants"]["w"]))
+            return r * float(D) ** -self.raw["constants"]["w"]
         return r

@@ -105,22 +105,18 @@ def uniform_density(n: int, d: int) -> SpectralField:
     return SpectralField.constant(1.0, n, d)
 
 
-def decay_density(n: int, d: int, zeta: float, amplitude: float = 0.25,
-                  kmax: int | None = None) -> SpectralField:
+def decay_density(n: int, d: int, zeta: float, amplitude: float = 0.25) -> SpectralField:
     """Probability density with coefficients amplitude * |k|^(-zeta).
 
-    All nonzero resolved modes (or modes up to ``kmax``) get the real
-    positive coefficient amplitude * |k|^(-zeta); the mean is 1.  The
-    construction is rejected if the resulting field is not strictly
-    positive on the grid.
+    All nonzero resolved modes get the real positive coefficient
+    amplitude * |k|^(-zeta); the mean is 1.  The construction is
+    rejected if the resulting field is not strictly positive on the grid.
     """
     f = SpectralField.constant(1.0, n, d)
     g = f.grid
     with np.errstate(divide="ignore"):
         mag = amplitude * np.where(g.ksq > 0, g.ksq ** (-zeta / 2.0), 0.0)
     mag = mag * g.resolved
-    if kmax is not None:
-        mag = mag * (g.ksq <= kmax * kmax)
     mag[(0,) * d] = 0.0
     f.coeffs += mag
     min_val = float(np.min(f.values()))
@@ -346,28 +342,20 @@ def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
 # reaction-diffusion forward map
 
 
-def _pointwise_rhs(grid, func_of_values):
-    """RHS applying a pointwise map on the 3/2-padded grid."""
-
-    def rhs(m, stage, u):
-        return grid.from_padded(func_of_values(m, stage, grid.to_padded(u)))
-
-    return rhs
-
-
 def solve_rd(R: ReactionSpec, phi: SpectralField, T: float,
              stepper: StepperConfig) -> Trajectory:
     """Solve d/dt u = Lap(u) + R(u), u(0) = phi (d <= 3)."""
     grid = phi.grid
     lo, hi = R.domain if R.domain is not None else (-np.inf, np.inf)
 
-    def apply_r(m, stage, vals):
+    def rhs(m, stage, u):
+        vals = grid.to_padded(u)  # R applied pointwise on the 3/2-padded grid
         if R.domain is not None and (vals.min() < lo or vals.max() > hi):
             raise ValueError(
                 f"solution left the declared reaction domain at step {m}")
-        return R.R(vals)
+        return grid.from_padded(R.R(vals))
 
-    return integrate(phi, _pointwise_rhs(grid, apply_r), T, stepper)
+    return integrate(phi, rhs, T, stepper)
 
 
 def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory,

@@ -95,7 +95,6 @@ class ConstantsReport:
 
 def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
                        K: int | None = None, c_pr: float = 1.0,
-                       c_err: float = 1.0,
                        bias_forward: float | None = None,
                        bias_inverse: float | None = None) -> ConstantsReport:
     """Per-inequality report on the exponent system and its side conditions.
@@ -145,8 +144,8 @@ def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
     else:
         checks["bias_forward"] = None
     if bias_inverse is not None and delta is not None:
-        checks["bias_inverse"] = bias_inverse <= c_err * delta**eta
-        values["bias_inverse"] = (bias_inverse, c_err * delta**eta)
+        checks["bias_inverse"] = bias_inverse <= delta**eta
+        values["bias_inverse"] = (bias_inverse, delta**eta)
     else:
         checks["bias_inverse"] = None
 
@@ -229,7 +228,7 @@ class Dataset:
     def d(self) -> int:
         return self.x.shape[1]
 
-    def save(self, csv_path, meta_path=None):
+    def save(self, csv_path):
         csv_path = Path(csv_path)
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -239,14 +238,12 @@ class Dataset:
                                 + [repr(float(v)) for v in self.x[i]])
         meta = {"seed": self.seed, "noise_std": self.noise_std,
                 "truth": self.truth, "N": int(self.n_obs), "d": int(self.d)}
-        meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
-        meta_path.write_text(json.dumps(meta, indent=2))
+        csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
     @classmethod
-    def load(cls, csv_path, meta_path=None) -> "Dataset":
+    def load(cls, csv_path) -> "Dataset":
         csv_path = Path(csv_path)
-        meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
-        meta = json.loads(meta_path.read_text())
+        meta = json.loads(csv_path.with_suffix(".json").read_text())
         rows = []
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)

@@ -38,9 +38,9 @@ BLOWUP_LIMIT = 1e12
 class NumericalBlowUp(RuntimeError):
     """Raised when an integration produces non-finite or huge coefficients."""
 
-    def __init__(self, step: int, message: str = ""):
+    def __init__(self, step: int):
         self.step = step
-        super().__init__(message or f"blow-up detected at step {step}")
+        super().__init__(f"blow-up detected at step {step}")
 
 
 @dataclass
@@ -92,9 +92,6 @@ class Trajectory:
 
     def node(self, m: int) -> SpectralField:
         return SpectralField(self.d, self.n, self.coeffs[m].copy())
-
-    def initial(self) -> SpectralField:
-        return self.node(0)
 
     def without_stages(self) -> "Trajectory":
         return replace(self, coeffs=self.coeffs, stages=None)

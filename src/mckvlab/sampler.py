@@ -87,7 +87,7 @@ class ChainRun:
     def n_kept(self) -> int:
         return self.samples.shape[0]
 
-    def save(self, csv_path, meta_path=None):
+    def save(self, csv_path):
         csv_path = Path(csv_path)
         with open(csv_path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -97,8 +97,7 @@ class ChainRun:
         meta = {"burn_in": self.burn_in, "thin": self.thin, "gamma": self.gamma,
                 "n_steps": self.n_steps, "seed": self.seed,
                 "diagnostics": _jsonable(self.diagnostics)}
-        meta_path = Path(meta_path) if meta_path else csv_path.with_suffix(".json")
-        meta_path.write_text(json.dumps(meta, indent=2))
+        csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
 
 
 def _jsonable(obj):
@@ -169,8 +168,8 @@ def ergodic_average(run: ChainRun, H=None) -> np.ndarray:
     return vals.mean(axis=0)
 
 
-def integrated_autocorr_time(x: np.ndarray, c: float = 6.0) -> float:
-    """Sokal-windowed integrated autocorrelation time of a scalar trace."""
+def integrated_autocorr_time(x: np.ndarray) -> float:
+    """Sokal-windowed integrated autocorrelation time of a scalar trace (c = 6)."""
     x = np.asarray(x, dtype=float)
     n = x.size
     x = x - x.mean()
@@ -183,7 +182,7 @@ def integrated_autocorr_time(x: np.ndarray, c: float = 6.0) -> float:
     tau = 1.0
     for m in range(1, n):
         tau += 2.0 * acf[m]
-        if m >= c * tau:
+        if m >= 6.0 * tau:
             break
     return float(max(tau, 1.0))
 

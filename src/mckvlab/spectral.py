@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -78,7 +79,6 @@ class Grid:
         for m in kvec:
             resolved &= np.abs(m) != nyq
         self.resolved = resolved
-        self.max_mode = nyq - 1
 
         # derivative multipliers; Nyquist zeroed to keep real fields real
         self.ik = TWO_PI * 1j * np.where(np.abs(kvec) == nyq, 0, kvec).astype(float)
@@ -218,13 +218,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mode_array(K: int, d: int) -> np.ndarray:
     """Nonzero integer vectors k with |k| <= K as the rows of a (D, d) array.
 
     Lexicographic: the canonical ordering of the tau_k basis of E_K.
-    Cached and read-only.
+    Cached and read-only.  A float K raises; ``typed`` keeps it apart
+    from the int of equal value in the cache.
     """
+    try:
+        K = operator.index(K)
+    except TypeError:
+        raise ValueError(f"truncation radius K must be an integer, got {K!r}") from None
     if K < 1:
         raise ValueError("truncation radius K must be >= 1")
     axis = np.arange(-K, K + 1)
@@ -578,7 +583,7 @@ def w2inf_norm(v: PotentialVec, n: int = 64) -> float:
 # serialization
 
 
-def save_field(f: SpectralField, csv_path, sidecar_path=None):
+def save_field(f: SpectralField, csv_path):
     """CSV with columns (k_1..k_d, re, im) plus a JSON sidecar {d, n, K}.
 
     Rows cover the resolved modes in lexicographic order.
@@ -592,15 +597,14 @@ def save_field(f: SpectralField, csv_path, sidecar_path=None):
         for k in modes:
             c = f.coeffs[tuple(m % f.n for m in k)]
             writer.writerow(list(k) + [repr(float(c.real)), repr(float(c.imag))])
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    sidecar.write_text(json.dumps({"d": f.d, "n": f.n, "K": f.n // 2 - 1}))
+    csv_path.with_suffix(".json").write_text(
+        json.dumps({"d": f.d, "n": f.n, "K": f.n // 2 - 1}))
 
 
-def load_field(csv_path, sidecar_path=None) -> SpectralField:
+def load_field(csv_path) -> SpectralField:
     """Inverse of :func:`save_field`; a row off the resolved modes raises ValueError."""
     csv_path = Path(csv_path)
-    sidecar = Path(sidecar_path) if sidecar_path else csv_path.with_suffix(".json")
-    meta = json.loads(sidecar.read_text())
+    meta = json.loads(csv_path.with_suffix(".json").read_text())
     d, n = int(meta["d"]), int(meta["n"])
     f = SpectralField.zeros(n, d)
     with open(csv_path, newline="") as fh:

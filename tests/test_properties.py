@@ -1,0 +1,95 @@
+"""Property tests of the mean-field forward map and its derivatives.
+
+Random potentials W, H, random initial densities phi, both schemes and
+d in {1, 2} at small sizes.  They add to the fixed-seed oracles of
+test_forward.py and test_acceptance.py and replace none of them.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mckvlab.forward import (
+    McKVProblem,
+    mckv_first_derivative,
+    mckv_second_derivative,
+    solve_mckv,
+    solve_mckv_field,
+)
+from mckvlab.parabolic import SCHEMES, StepperConfig
+from mckvlab.spectral import SpectralField, random_potential
+
+# (n, K) per dimension: K <= n/2 - 1 so every mode of E_K is resolved
+SIZES = {1: (16, 3), 2: (8, 2)}
+T, M = 0.1, 8
+
+_SETTINGS = settings(derandomize=True, max_examples=50, deadline=None)
+_CASES = dict(d=st.sampled_from(sorted(SIZES)), scheme=st.sampled_from(SCHEMES),
+              seed=st.integers(0, 2**32 - 1))
+
+
+def _problem(d, scheme, seed):
+    """A random W, a random positive phi of unit mass, and the rng for more draws."""
+    n, K = SIZES[d]
+    rng = np.random.default_rng(seed)
+    W = random_potential(K, d, rng, amplitude=rng.uniform(0.1, 1.0))
+    bump = random_potential(K, d, rng, decay=rng.uniform(0.0, 3.0)).to_field(n)
+    scale = rng.uniform(0.05, 0.9) / np.max(np.abs(bump.values()))
+    phi = SpectralField.constant(1.0, n, d)
+    phi.coeffs += scale * bump.coeffs
+    return McKVProblem(W=W, phi=phi, T=T, stepper=StepperConfig(M=M, scheme=scheme)), rng
+
+
+def _rel(a, b):
+    return float(np.max(np.abs(a - b)) / max(1.0, np.max(np.abs(b))))
+
+
+@_SETTINGS
+@given(**_CASES)
+def test_solve_keeps_real_field_invariants_and_unit_mass(d, scheme, seed):
+    problem, _ = _problem(d, scheme, seed)
+    rho = solve_mckv(problem)
+    nyq = problem.phi.n // 2
+    for m in range(rho.M + 1):
+        node = rho.node(m)
+        assert node.conj_symmetry_defect() <= 1e-14
+        for axis in range(d):
+            assert not np.any(np.take(node.coeffs, nyq, axis=axis))
+    np.testing.assert_allclose(rho.zero_mode(), 1.0, rtol=0, atol=1e-14)
+
+
+@_SETTINGS
+@given(shift=st.floats(-10.0, 10.0), **_CASES)
+def test_constant_added_to_W_leaves_the_trajectory_unchanged(d, scheme, seed, shift):
+    problem, _ = _problem(d, scheme, seed)
+    W = problem.W.to_field(problem.phi.n)
+    shifted = W.copy()
+    shifted.coeffs[(0,) * d] += shift
+    a = solve_mckv_field(W, problem.phi, T, problem.stepper)
+    b = solve_mckv_field(shifted, problem.phi, T, problem.stepper)
+    assert np.array_equal(a.coeffs, b.coeffs)
+
+
+@_SETTINGS
+@given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), **_CASES)
+def test_first_derivative_is_linear_in_H(d, scheme, seed, a, b):
+    problem, rng = _problem(d, scheme, seed)
+    rho = solve_mckv(problem)
+    H1, H2 = (random_potential(problem.W.K, d, rng) for _ in range(2))
+    lhs = mckv_first_derivative(problem, a * H1 + b * H2, rho)
+    v1 = mckv_first_derivative(problem, H1, rho)
+    v2 = mckv_first_derivative(problem, H2, rho)
+    assert _rel(a * v1.coeffs + b * v2.coeffs, lhs.coeffs) <= 1e-12
+
+
+@_SETTINGS
+@given(**_CASES)
+def test_second_derivative_is_symmetric(d, scheme, seed):
+    problem, rng = _problem(d, scheme, seed)
+    rho = solve_mckv(problem)
+    H1, H2 = (random_potential(problem.W.K, d, rng) for _ in range(2))
+    v1 = mckv_first_derivative(problem, H1, rho)
+    v2 = mckv_first_derivative(problem, H2, rho)
+    s12 = mckv_second_derivative(problem, H1, H2, rho, v1, v2)
+    s21 = mckv_second_derivative(problem, H2, H1, rho, v2, v1)
+    assert _rel(s21.coeffs, s12.coeffs) <= 1e-12

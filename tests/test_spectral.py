@@ -144,6 +144,17 @@ def test_tau_table_rejects_unresolvable_K():
         tau_table(4, 1, 8)
 
 
+def test_mode_array_rejects_a_float_K_and_keeps_the_cache_sound():
+    # 3.0 == 3 as a cache key: a float K once cached a float table there
+    assert mode_array(3, 1).dtype.kind == "i"
+    with pytest.raises(ValueError, match="integer"):
+        mode_array(3.0, 1)
+    assert mode_array(np.int64(3), 1).dtype.kind == "i"
+    assert tau_table(3, 1, 16).shape == (6, 16)
+    with pytest.raises(ValueError, match="integer"):
+        count_dim(2.5, 1)
+
+
 def test_basis_orthonormality_by_quadrature():
     K, d, n = 2, 2, 16
     modes = modes_in_ball(K, d)
