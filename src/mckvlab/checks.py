@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .forward import McKVProblem, ReactionSpec, solve_mckv, solve_rd, rd_linearisation
-from .forward import mckv_first_derivative
+from .forward import is_uniform, mckv_first_derivative
 from .inference import (
     ForwardModel,
     LikelihoodEvaluator,
@@ -145,19 +145,18 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
     records.append(_record("pseudo_linearisation", residual <= tol, residual, tol))
 
     sigma = gradient_stability_sigma_min(p1, K=K, rho_traj=rho1)
-    is_uniform = float(np.sum(np.abs(phi.coeffs)) - abs(phi.mean())) < 1e-13
-    if is_uniform:
+    uniform = is_uniform(phi)
+    if uniform:
         records.append(_record("sigma_min_uniform_zero", sigma <= 1e-12, sigma, 1e-12))
     else:
         records.append(_record("sigma_min_positive", sigma > 0, sigma, 0.0))
 
     margin = deconvolution_margin(rho1, K, zeta)
-    expected_zero = is_uniform
-    records.append(_record("decon_margin_zero" if expected_zero else "decon_margin",
-                           (margin <= 1e-14) if expected_zero else margin >= 0.0,
+    records.append(_record("decon_margin_zero" if uniform else "decon_margin",
+                           (margin <= 1e-14) if uniform else margin >= 0.0,
                            margin, 0.0))
 
-    if not is_uniform:
+    if not uniform:
         ratios = []
         base = random_potential(K, d, rng, amplitude=1.0)
         for eps in (1e-2, 1e-3):

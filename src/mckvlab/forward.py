@@ -105,6 +105,12 @@ def uniform_density(n: int, d: int) -> SpectralField:
     return SpectralField.constant(1.0, n, d)
 
 
+def is_uniform(phi: SpectralField) -> bool:
+    """Whether phi is constant: then rho_W = phi for every W, a steady
+    state from which W cannot be identified."""
+    return float(np.sum(np.abs(phi.coeffs)) - abs(phi.mean())) < 1e-13
+
+
 def decay_density(n: int, d: int, zeta: float, amplitude: float = 0.25) -> SpectralField:
     """Probability density with coefficients amplitude * |k|^(-zeta).
 

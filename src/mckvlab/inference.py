@@ -88,10 +88,6 @@ class ConstantsReport:
         evaluated = [v for v in self.checks.values() if v is not None]
         return all(evaluated)
 
-    def to_json(self) -> str:
-        return json.dumps({"mode": self.mode, "checks": self.checks,
-                           "values": self.values}, indent=2)
-
 
 def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
                        K: int | None = None, c_pr: float = 1.0,
@@ -201,7 +197,12 @@ def sample_prior(spec: PriorSpec, rng: np.random.Generator) -> PotentialVec:
 
 @dataclass
 class Dataset:
-    """N observation triples (Y_i, t_i, X_i) plus generation metadata."""
+    """N observation triples (Y_i, t_i, X_i) plus generation metadata.
+
+    ``obs`` is the observation operator at (t_i, X_i) that
+    :func:`generate_data` evaluated the truth with, kept for the
+    likelihood on the same grid; it is not saved, compared or shown.
+    """
 
     y: np.ndarray
     t: np.ndarray
@@ -209,6 +210,8 @@ class Dataset:
     noise_std: float
     seed: int | None = None
     truth: dict = field(default_factory=dict)
+    obs: ObservationOperator | None = field(default=None, init=False, repr=False,
+                                            compare=False)
 
     def __post_init__(self):
         self.y = np.asarray(self.y, dtype=float)
@@ -298,10 +301,12 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
         rho0 = model.solve(W0)
     t = rng.uniform(0.0, model.T, size=n_obs)
     x = rng.uniform(0.0, 1.0, size=(n_obs, model.d))
-    clean = rho0.eval_batch(t, x)
-    y = clean + noise_std * rng.standard_normal(n_obs)
+    obs = ObservationOperator(rho0.T, rho0.M, rho0.grid, t, x)
+    y = obs(rho0.coeffs[None])[0] + noise_std * rng.standard_normal(n_obs)
     truth = {"W0": W0.values.tolist(), "K": W0.K, "noise_std": noise_std}
-    return Dataset(y=y, t=t, x=x, noise_std=noise_std, seed=seed, truth=truth)
+    data = Dataset(y=y, t=t, x=x, noise_std=noise_std, seed=seed, truth=truth)
+    data.obs = obs
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +316,9 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
 class LikelihoodEvaluator:
     """ell_N and grad ell_N for a fixed dataset and forward model.
 
-    The observation operator at the data points is built once.  A value
+    The observation operator at the data points is built once, or taken
+    from the dataset when :func:`generate_data` built it on the model's
+    (T, M, n, d).  A value
     costs one nonlinear solve; a gradient adds one back-projection
     B = A^T res of the residuals and the vector-Jacobian product
     grad_k = Re<D rho_W[tau_k], B> of :func:`~mckvlab.forward.jacobian_vjp`,
@@ -326,8 +333,10 @@ class LikelihoodEvaluator:
             raise ValueError("dataset dimension does not match the model")
         self.model = model
         self.dataset = dataset
-        self._obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid,
-                                        dataset.t, dataset.x)
+        self._obs = dataset.obs
+        if self._obs is None or self._obs.key != (model.T, model.stepper.M, model.n, model.d):
+            self._obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid,
+                                            dataset.t, dataset.x)
         self.n_solves = 0
 
     def residuals(self, W: PotentialVec, rho: Trajectory | None = None):

@@ -78,6 +78,16 @@ class Trajectory:
     scheme: str = "if-heun"
     stages: np.ndarray | None = None
 
+    def __post_init__(self):
+        space = (self.n,) * self.d
+        shape = np.shape(self.coeffs)
+        if len(shape) != self.d + 1 or shape[0] < 2 or shape[1:] != space:
+            raise ValueError(f"coeffs of shape {shape} do not match (M+1,) + {space} "
+                             "with M >= 1")
+        if self.stages is not None and np.shape(self.stages) != (shape[0] - 1,) + space:
+            raise ValueError(f"stages of shape {np.shape(self.stages)} do not match "
+                             f"(M,) + {space} with M = {shape[0] - 1}")
+
     @property
     def M(self) -> int:
         return self.coeffs.shape[0] - 1
@@ -207,9 +217,11 @@ class ObservationOperator:
     [0, T] are rejected.  :meth:`adjoint` is the transpose, so a
     gradient sum_i y_i dv(t_i, x_i) over a stack of derivatives costs
     one back-projection of y instead of an evaluation of every column.
+    ``key`` is (T, M, n, d), the trajectories the operator applies to.
     """
 
     def __init__(self, T: float, M: int, grid: Grid, t, x):
+        self.key = (T, M, grid.n, grid.d)
         t = np.asarray(t, dtype=float)
         n_pts = len(t)
         x = np.asarray(x, dtype=float).reshape(n_pts, grid.d)

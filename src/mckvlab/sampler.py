@@ -96,18 +96,15 @@ class ChainRun:
                 writer.writerow([repr(float(v)) for v in row])
         meta = {"burn_in": self.burn_in, "thin": self.thin, "gamma": self.gamma,
                 "n_steps": self.n_steps, "seed": self.seed,
-                "diagnostics": _jsonable(self.diagnostics)}
-        csv_path.with_suffix(".json").write_text(json.dumps(meta, indent=2))
+                "diagnostics": self.diagnostics}
+        csv_path.with_suffix(".json").write_text(
+            json.dumps(meta, indent=2, default=json_default))
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+def json_default(obj):
+    """The ``default`` of every json.dumps of a report: numpy arrays and
+    scalars become lists and Python numbers."""
+    return obj.tolist()
 
 
 def run_ula(drift, w_init: np.ndarray, gamma: float, n_steps: int,

@@ -299,3 +299,100 @@ def test_diverging_chain_exits_three(tmp_path, command):
     res = runner.invoke(main, [command, "--config", str(p), "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
     assert "drift diverged" in res.output
+
+
+# ---------------------------------------------------------------------------
+# the one run path: every command ends in a report with the common header,
+# or in one `error:` line and its exit code
+
+COMMANDS = {  # command: its extra arguments
+    "simulate": [],
+    "verify": ["--suite", "surrogate"],
+    "gradcheck": [],
+    "stability": [],
+    "sample": [],
+    "recover": [],
+}
+REPORTS = {"simulate": "manifest.json", "verify": "verify_report.json",
+           "gradcheck": "verify_report.json", "stability": "stability_report.json",
+           "sample": "sample_manifest.json", "recover": "recover_report.json"}
+HEADER = ["version", "config_hash", "config", "derived", "command",
+          "runtime_seconds", "warnings"]
+
+
+def _invoke(command, config, out):
+    res = CliRunner().invoke(main, [command, "--config", str(config), "--out", str(out)]
+                             + COMMANDS[command])
+    assert res.exception is None or isinstance(res.exception, SystemExit), res.output
+    assert "Traceback" not in res.output
+    return res
+
+
+def _errors(res):
+    return [line for line in res.output.splitlines() if line.startswith("error:")]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_every_report_starts_with_the_common_header(tmp_path, command):
+    res = _invoke(command, _write(tmp_path), tmp_path / "out")
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "out" / REPORTS[command]).read_text())
+    assert list(report)[:len(HEADER)] == HEADER
+    assert report["command"] == ("verify" if command == "gradcheck" else command)
+    assert report["runtime_seconds"] > 0 and report["warnings"] == []
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_blowup_exits_three_with_one_error_line(tmp_path, command):
+    p = _write(tmp_path, {"problem.W0.amplitude": 2000.0, "solver.M": 8})
+    res = _invoke(command, p, tmp_path / "out")
+    assert res.exit_code == 3, res.output
+    assert _errors(res) == [_errors(res)[0]]
+    assert "blew up at step" in _errors(res)[0]
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_bad_phi_exits_one(tmp_path, command):
+    res = _invoke(command, _write(tmp_path, {"problem.phi.amplitude": 5.0}),
+                  tmp_path / "out")
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1 and _errors(res)[0].startswith("error: problem.phi")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_out_naming_an_existing_file_exits_one(tmp_path, command):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    res = _invoke(command, _write(tmp_path), taken)
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1 and str(taken) in _errors(res)[0]
+
+
+@pytest.mark.parametrize("command", ["stability", "sample", "recover"])
+def test_mean_field_commands_reject_rd(tmp_path, command):
+    out = tmp_path / "out"
+    res = _invoke(command, _write(tmp_path, {"problem.kind": "rd"}), out)
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1
+    assert _errors(res)[0].startswith("error: problem.kind: 'rd'")
+    assert _errors(res)[0].endswith("mckv only")
+    assert not out.exists()
+
+
+def test_verify_keeps_handling_rd(tmp_path):
+    res = _invoke("verify", _write(tmp_path, {"problem.kind": "rd"}), tmp_path / "out")
+    assert res.exit_code == 0, res.output
+
+
+def test_sample_echoes_its_warnings(tmp_path):
+    p = _write(tmp_path, {
+        "mode": "strict",
+        "constants": {"alpha": 78.0, "beta": 6.0, "zeta": 6.55, "w": 39.5},
+        "inference": {"N": 30, "noise_std": 0.05, "alpha": 2.0},
+        "sampler": {"gamma": 1.0e-4, "n_steps": 40, "burn_in": 10},
+    })
+    res = _invoke("sample", p, tmp_path / "out")
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "out" / "sample_manifest.json").read_text())
+    assert len(report["warnings"]) == 1
+    assert f"warning: {report['warnings'][0]}" in res.output

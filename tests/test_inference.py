@@ -630,3 +630,34 @@ def test_drift_is_surrogate_grad_minus_prior_term():
     _, sg = surrogate_loglik(model.vec(theta), spec, like)
     np.testing.assert_allclose(drift(theta),
                                sg - prior.precision_diag() * theta, atol=1e-14)
+
+
+def test_setup_builds_the_observation_operator_once(monkeypatch, tmp_path):
+    model = _small_model(1)
+    W0 = random_potential(2, 1, np.random.default_rng(22), amplitude=0.4)
+    built = []
+    init = ObservationOperator.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(ObservationOperator, "__init__", counting_init)
+    data = generate_data(W0, model, 40, 0.05, np.random.default_rng(23))
+    like = LikelihoodEvaluator(model, data)
+    assert len(built) == 1
+    assert "obs" not in repr(data)
+
+    # a dataset without the operator, or a model on another grid, builds its own
+    data.save(tmp_path / "data.csv")
+    loaded = Dataset.load(tmp_path / "data.csv")
+    fresh = LikelihoodEvaluator(model, replace(data))
+    other_M = ForwardModel(phi=model.phi, T=model.T, K=2, stepper=StepperConfig(M=16))
+    assert LikelihoodEvaluator(other_M, data)._obs is not data.obs
+    LikelihoodEvaluator(model, loaded)
+    assert len(built) == 4
+    assert loaded.obs is None and replace(data).obs is None
+
+    W = W0 + random_potential(2, 1, np.random.default_rng(24), amplitude=0.1)
+    assert np.array_equal(like.residuals(W)[0], fresh.residuals(W)[0])
+    assert np.array_equal(like.loglik_and_grad(W)[1], fresh.loglik_and_grad(W)[1])

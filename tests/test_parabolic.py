@@ -372,3 +372,26 @@ def test_lw_solve_transpose_blowup_guard(scheme):
     with pytest.raises(NumericalBlowUp) as excinfo:
         op.solve_transpose(g)
     assert excinfo.value.step == _LW_M - 1
+
+
+@pytest.mark.parametrize("coeffs_shape, stages_shape", [
+    ((N_GRID,), None),                  # no time axis
+    ((1, N_GRID), None),                # M = 0
+    ((9, N_GRID, N_GRID), None),        # d = 2 data declared d = 1
+    ((9, N_GRID // 2), None),           # another n
+    ((9, N_GRID), (9, N_GRID)),         # M + 1 stages
+    ((9, N_GRID), (8, N_GRID // 2)),    # stages on another grid
+])
+def test_trajectory_rejects_arrays_of_the_wrong_shape(coeffs_shape, stages_shape):
+    stages = None if stages_shape is None else np.zeros(stages_shape, dtype=complex)
+    with pytest.raises(ValueError) as err:
+        Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros(coeffs_shape, dtype=complex),
+                   stages=stages)
+    bad = coeffs_shape if stages_shape is None else stages_shape
+    assert str(bad) in str(err.value) and str((N_GRID,)) in str(err.value)
+
+
+def test_trajectory_accepts_matching_stages():
+    traj = Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros((9, N_GRID), dtype=complex),
+                      stages=np.zeros((8, N_GRID), dtype=complex))
+    assert traj.M == 8
