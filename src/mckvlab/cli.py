@@ -7,8 +7,8 @@ run by :func:`_run`, which loads the config with the ``--seed`` and
 writes its report.  Every report starts with the same header: version,
 config content hash, merged config, derived quantities, command,
 runtime and warnings, sufficient to re-run the experiment
-bit-identically.  Exit codes: 0 success, 1 config error, 2 verification
-failure, 3 numerical abort.
+bit-identically.  Exit codes: 0 success, 1 config or usage error, 2
+verification failure, 3 numerical abort.
 """
 
 from __future__ import annotations
@@ -64,15 +64,34 @@ COMMON_OPTIONS = [
 ]
 
 
-@click.group()
-@click.version_option(__version__)
-def main():
-    """Mean-field PDE forward maps, derivative checks and Langevin inference."""
-
-
 def _fail(message: str, code: int) -> int:
     click.echo(f"error: {message}", err=True)
     return code
+
+
+class _Group(click.Group):
+    """The command group.  Click's usage errors (a missing or bad option,
+    an unknown or missing command) end like a config error, with one
+    ``error:`` line and exit 1: click's own code for them, 2, is the
+    code of a failed verification here."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            sys.exit(_fail(exc.format_message(), EXIT_CONFIG))
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            sys.exit(_fail(exc.format_message(), EXIT_CONFIG))
+
+
+@click.group(cls=_Group, no_args_is_help=False)
+@click.version_option(__version__)
+def main():
+    """Mean-field PDE forward maps, derivative checks and Langevin inference."""
 
 
 def _run(body, report: str, mckv_only: bool, config_path, seed, out_dir, mode,

@@ -17,10 +17,14 @@ therefore see pure O(eps^2) behaviour.  Every mean-field derivative is
 a solve with :class:`~mckvlab.parabolic.LWOperator`, batched over
 directions: :func:`jacobian_stack` builds all D basis columns in one
 solve, :func:`mckv_first_derivative` is the one-column case, and
-:func:`second_derivative_matrix` solves D^2 rho_W one row of the
-truncated basis at a time.  A vector-Jacobian product, which is all a
-gradient needs, is :func:`jacobian_vjp`: one backward solve of the
-exact transpose of the discrete scheme, whatever D is.
+:func:`second_derivative_matrix` solves D^2 rho_W over the truncated
+basis with rows j and D-1-j folded into one solve, ceil(D/2) solves in
+all.  A vector-Jacobian product, which is all a gradient needs, is
+:func:`jacobian_vjp`: one backward solve of the exact transpose of the
+discrete scheme, whatever D is.  Its second-order counterpart
+:func:`second_derivative_vjp` gives a weighted sum of every
+D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from
+one backward solve and no second-derivative solve.
 """
 
 from __future__ import annotations
@@ -195,14 +199,13 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
                                  problem.stepper.scheme)[0]
 
 
-def _second_derivative_stack(op: LWOperator, grad_h1, grad_h2, v1, v2,
-                             keep_stages: bool = True):
-    """D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b.
+def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
+    """Forcing of D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b.
 
     ``grad_h1`` holds d arrays (grid) and ``grad_h2`` d arrays (B, grid);
     ``v1`` (S, 1, grid) and ``v2`` (S, B, grid) are the first derivatives
-    in solver-state order.  The forcing is the six-term expansion of the
-    quadratic transport term.
+    in solver-state order.  Returns the six-term expansion of the
+    quadratic transport term at every state, shape (S, B, grid).
     """
     grid, rho = op.grid, op.rho_states[:, None]
     forcing = grid.transport_div(v2, grad_h1, rho)
@@ -211,7 +214,7 @@ def _second_derivative_stack(op: LWOperator, grad_h1, grad_h2, v1, v2,
     forcing += grid.transport_div(rho, grad_h2, v1)
     forcing += grid.transport_div(v1, op.grad_w, v2)
     forcing += grid.transport_div(v2, op.grad_w, v1)
-    return op.solve(forcing, keep_stages=keep_stages)
+    return forcing
 
 
 def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
@@ -227,7 +230,7 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
     v1 = solver_states(dH1, op.config.scheme)[:, None]
     v2 = solver_states(dH2, op.config.scheme)[:, None]
-    nodes, stages = _second_derivative_stack(op, grad_h1, grad_h2, v1, v2)
+    nodes, stages = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
     return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
                                  problem.stepper.scheme)[0]
 
@@ -312,6 +315,16 @@ def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray
     return G + np.triu(G, 1).T
 
 
+def _basis_derivatives(op: LWOperator, columns: list[Trajectory], K: int):
+    """Basis gradients (D, d, grid) and first derivatives (S, D, grid) in
+    solver-state order, after checking that ``columns`` has D entries."""
+    gtau = tau_gradient_stack(K, op.grid)
+    D = gtau.shape[0]
+    if len(columns) != D:
+        raise ValueError(f"expected {D} jacobian columns, got {len(columns)}")
+    return gtau, np.stack([solver_states(c, op.config.scheme) for c in columns], axis=1)
+
+
 def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
                              columns: list[Trajectory], reduce,
                              K: int | None = None) -> np.ndarray:
@@ -320,28 +333,77 @@ def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
     ``columns`` are the first derivatives from :func:`jacobian_columns`
     at the same W and K, and ``reduce`` maps the (B, M+1, grid) nodes of
     a stack of second derivatives to an array with leading axis B.  One
-    operator serves all solves; row j is a single stacked solve over the
-    D - j modes k >= j, and each result fills both (j, k) and (k, j), so
-    the returned (D, D, ...) array is symmetric by construction.
+    operator serves all solves.  Row j holds the D - j modes k >= j, and
+    rows j and D-1-j share one stacked solve of D+1 columns, so D rows
+    take ceil(D/2) solves; a column's bits do not depend on the stack
+    around it, so the result equals a solve per row bit for bit.  Each
+    row fills both (j, k) and (k, j), so the returned (D, D, ...) array
+    is symmetric by construction.  A weighted sum of the nodes alone is
+    :func:`second_derivative_vjp`, with no second-derivative solve.
     """
     K = problem.W.K if K is None else K
     op = LWOperator(problem.W, rho_traj, problem.stepper)
-    gtau = tau_gradient_stack(K, op.grid)
+    gtau, v = _basis_derivatives(op, columns, K)
     D = gtau.shape[0]
-    if len(columns) != D:
-        raise ValueError(f"expected {D} jacobian columns, got {len(columns)}")
-    v = np.stack([solver_states(c, op.config.scheme) for c in columns], axis=1)  # (S, D, grid)
     out = None
-    for j in range(D):
-        grad_h2 = list(np.moveaxis(gtau[j:], 1, 0))  # d arrays (D - j, grid)
-        nodes, _ = _second_derivative_stack(op, list(gtau[j]), grad_h2, v[:, j:j + 1],
-                                            v[:, j:], keep_stages=False)
-        row = reduce(nodes)
-        if out is None:
-            out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
-        out[j, j:] = row
-        out[j:, j] = row
+    for j in range((D + 1) // 2):
+        rows = sorted({j, D - 1 - j})
+        # unnamed, so the forcing is freed once solved
+        nodes, _ = op.solve(np.concatenate([
+            _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
+                                       v[:, r:r + 1], v[:, r:])
+            for r in rows], axis=1), keep_stages=False)
+        for r, block in zip(rows, np.split(nodes, [D - rows[0]])):
+            row = reduce(block)
+            if out is None:
+                out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
+            out[r, r:] = row
+            out[r:, r] = row
     return out
+
+
+def second_derivative_vjp(problem: McKVProblem, rho_traj: Trajectory,
+                          columns: list[Trajectory], g: np.ndarray,
+                          K: int | None = None) -> np.ndarray:
+    """Re sum(g * D^2 rho_W[tau_j, tau_k]) for every pair of basis modes, (D, D).
+
+    ``g`` (M+1, n, ..., n) weights the nodes of a second-derivative
+    trajectory, and ``columns`` are the first derivatives from
+    :func:`jacobian_columns` at the same W and K.  One backward solve
+    gives the weight w of the forcing at every solver state.  With
+    T(r, gradV, s) = div(r (gradV * s)) the six-term forcing of the pair
+    (j, k) is A(j, k) + A(k, j), where
+    A(j, k) = T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k)
+    + T(v_j, gradW, v_k); pairing w with A through the transposed padded
+    transforms gives B_jk with no second-derivative solve, and B + B^T is
+    exactly symmetric.  Equals the contraction of g with the nodes of
+    :func:`second_derivative_matrix`, to rounding.
+    """
+    K = problem.W.K if K is None else K
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    grid = op.grid
+    gtau, v = _basis_derivatives(op, columns, K)
+    D = gtau.shape[0]
+    w = op.solve_transpose(g.reshape((op.M + 1,) + grid.shape))
+    # Re sum(w * T(r, gradV, s)) = sum over axes i of Re sum(back_i * gradV_i * s),
+    # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w))
+    r = grid.from_padded_transpose(grid.ik * w[:, None])  # (S, d, pad grid)
+    rho_back = grid.to_padded_transpose(op.rho_phys[:, None] * r)  # (S, d, grid)
+    v_phys = grid.to_padded(v)  # (S, D, pad grid)
+    S, size = len(w), grid.size
+    rho, vf = op.rho_states.reshape(S, size), v.reshape(S, D, size)
+    B = np.zeros((D, D))
+    for i in range(grid.d):
+        v_back = grid.to_padded_transpose(r[:, i:i + 1] * v_phys).reshape(S, D, size)
+        # T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k): grad_i tau_j against
+        # the state sums of v_back_k rho and rho_back v_k
+        y = np.einsum("skg,sg->kg", v_back, rho)
+        y += np.einsum("sg,skg->kg", rho_back[:, i].reshape(S, size), vf)
+        B += (gtau[:, i].reshape(D, size) @ y.T).real
+        # T(v_j, gradW, v_k): v_back_j gradW_i against v_k
+        v_back *= op.grad_w[i].reshape(size)
+        B += np.matmul(v_back, vf.transpose(0, 2, 1)).sum(axis=0).real
+    return B + B.T
 
 
 # ---------------------------------------------------------------------------

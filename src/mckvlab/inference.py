@@ -27,9 +27,10 @@ from .forward import (
     jacobian_columns,
     jacobian_vjp,
     second_derivative_matrix,
+    second_derivative_vjp,
     solve_mckv,
 )
-from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_inner
+from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
 
@@ -202,6 +203,8 @@ class Dataset:
     ``obs`` is the observation operator at (t_i, X_i) that
     :func:`generate_data` evaluated the truth with, kept for the
     likelihood on the same grid; it is not saved, compared or shown.
+    Two datasets are equal when their arrays, noise level, seed and
+    truth are.
     """
 
     y: np.ndarray
@@ -222,6 +225,14 @@ class Dataset:
         n = self.y.size
         if n < 1 or self.t.shape != (n,) or self.x.shape[0] != n:
             raise ValueError("inconsistent dataset arrays")
+
+    def __eq__(self, other):
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (all(np.array_equal(a, b) for a, b in
+                    ((self.y, other.y), (self.t, other.t), (self.x, other.x)))
+                and (self.noise_std, self.seed, self.truth)
+                == (other.noise_std, other.seed, other.truth))
 
     @property
     def n_obs(self) -> int:
@@ -383,9 +394,12 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
     """Average single-datum curvature E_{W0}[-Hess ell(W)], a D x D matrix.
 
     Equals (1/T) <D rho_W[tau_j], D rho_W[tau_k]> plus the correction
-    (1/T) <rho_W - rho_{W0}, D^2 rho_W[tau_j, tau_k]>; the correction
-    vanishes at W = W0, leaving the Gram matrix.  Symmetric by
-    construction.
+    (1/T) <rho_W - rho_{W0}, D^2 rho_W[tau_j, tau_k]>.  The Gram part
+    takes one stacked solve of the D columns; the correction is a linear
+    functional of the second derivatives, so it takes one backward solve
+    (:func:`~mckvlab.forward.second_derivative_vjp`) and no
+    second-derivative solve.  The correction vanishes at W = W0, where
+    the result is exactly the Gram matrix.  Exactly symmetric.
     """
     problem = model.problem(W)
     if rho is None:
@@ -395,12 +409,11 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
 
     if rho0 is None:
         rho0 = model.solve(W0)
-    diff = (rho.coeffs - rho0.coeffs)[None]
+    diff = rho.coeffs - rho0.coeffs
     if np.max(np.abs(diff)) > 0:
-        def corr(d2_nodes):
-            return trapz_inner(d2_nodes, diff, rho.dt)[:, 0] / model.T
-
-        out += second_derivative_matrix(problem, rho, cols, corr, K=model.K)
+        weights = trapz_weights(rho.M + 1, rho.dt).reshape((-1,) + (1,) * model.d)
+        out += second_derivative_vjp(problem, rho, cols, weights * diff.conj() / model.T,
+                                     K=model.K)
     return out
 
 

@@ -160,16 +160,22 @@ class Trajectory:
                    scheme=manifest.get("scheme", "if-heun"))
 
 
+def trapz_weights(nodes: int, dt: float) -> np.ndarray:
+    """Trapezoid-in-time weights of ``nodes`` nodes spaced ``dt``: dt/2 at
+    both ends and dt inside."""
+    w = np.full(nodes, dt)
+    w[0] = w[-1] = 0.5 * dt
+    return w
+
+
 def trapz_inner(a: np.ndarray, b: np.ndarray, dt: float) -> np.ndarray:
     """Trapezoid-in-time L2([0,T];L2) inner products of two stacks.
 
     ``a`` (A, M+1, grid) and ``b`` (B, M+1, grid) hold coefficient
     trajectories with node spacing ``dt``; returns the real (A, B)
-    matrix of dt * sum_m w_m Re<a_m, b_m>, with w = 1/2 at both ends
-    and 1 inside.
+    matrix of sum_m w_m Re<a_m, b_m> with the :func:`trapz_weights` w.
     """
-    w = np.full(a.shape[1], dt)
-    w[0] = w[-1] = 0.5 * dt
+    w = trapz_weights(a.shape[1], dt)
     aw = (a.reshape(a.shape[0], a.shape[1], -1) * w[:, None]).reshape(a.shape[0], -1)
     return (aw @ b.reshape(b.shape[0], -1).conj().T).real
 

@@ -158,6 +158,18 @@ def test_missing_config_exits_one(tmp_path):
     assert res.exit_code == 1
 
 
+@pytest.mark.parametrize("args, message", [
+    (["sample"], "error: Missing option '--config'."),
+    (["sample", "--config", "exp.yaml", "--mode", "fast"],
+     "error: Invalid value for '--mode': 'fast' is not one of 'strict', 'experimental'."),
+])
+def test_usage_errors_exit_one_with_one_error_line(args, message):
+    # exit 2 is reserved for a failed verification
+    res = CliRunner().invoke(main, args)
+    assert res.exit_code == 1, res.output
+    assert res.output.splitlines() == [message]
+
+
 def test_blowup_exits_three(tmp_path):
     runner = CliRunner()
     p = _write(tmp_path, {"problem.W0.amplitude": 2000.0, "solver.M": 8})

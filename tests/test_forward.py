@@ -5,6 +5,7 @@ from mckvlab.forward import (
     LWOperator,
     McKVProblem,
     ReactionSpec,
+    _second_derivative_forcing,
     decay_density,
     gram_matrix,
     jacobian_columns,
@@ -17,14 +18,17 @@ from mckvlab.forward import (
     solve_mckv,
     solve_mckv_field,
     solve_rd,
+    tau_gradient_stack,
     trilinear_t,
     uniform_density,
 )
 from mckvlab.parabolic import (
+    SCHEMES,
     StepperConfig,
     heat_trajectory_exact,
     l2l2_inner,
     rel_l2l2_error,
+    solver_states,
 )
 from mckvlab.spectral import (
     PotentialVec,
@@ -426,12 +430,21 @@ def test_gram_matrix_matches_pairwise_inner_products(d, n, K, zeta, amplitude):
     assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def test_second_derivative_matrix_matches_pairwise_solves():
-    rng = np.random.default_rng(32)
-    W = random_potential(2, 1, rng, amplitude=0.5)
-    prob = McKVProblem(W=W, phi=_phi(), T=T, stepper=CFG)
+def _curvature_problem(d, scheme, seed):
+    """A random W on a small grid per dimension, with its rho_W and D columns."""
+    n, K, zeta, amplitude = {1: (N_GRID, 2, 3.0, 0.3), 2: (8, 2, 4.0, 0.1)}[d]
+    W = random_potential(K, d, np.random.default_rng(seed), amplitude=0.5)
+    prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=zeta, amplitude=amplitude), T=0.1,
+                       stepper=StepperConfig(M=16, scheme=scheme))
     rho = solve_mckv(prob)
-    cols = jacobian_columns(prob, rho)
+    return prob, rho, jacobian_columns(prob, rho)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
+    prob, rho, cols = _curvature_problem(d, scheme, 32)
+    W = prob.W
     D2 = second_derivative_matrix(prob, rho, cols, lambda nodes: nodes)
     basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
     for j in range(W.dim):
@@ -439,6 +452,31 @@ def test_second_derivative_matrix_matches_pairwise_solves():
             ref = mckv_second_derivative(prob, basis[j], basis[k], rho,
                                          cols[j], cols[k]).coeffs
             assert np.max(np.abs(D2[j, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _second_derivative_rows(prob, rho, cols):
+    """The row loop that folding replaced: one stacked solve per row j over k >= j."""
+    op = LWOperator(prob.W, rho, prob.stepper)
+    gtau = tau_gradient_stack(prob.W.K, op.grid)
+    v = np.stack([solver_states(c, prob.stepper.scheme) for c in cols], axis=1)
+    D = len(cols)
+    out = np.zeros((D, D, rho.M + 1) + op.grid.shape, dtype=complex)
+    for j in range(D):
+        forcing = _second_derivative_forcing(op, list(gtau[j]), list(np.moveaxis(gtau[j:], 1, 0)),
+                                             v[:, j:j + 1], v[:, j:])
+        nodes, _ = op.solve(forcing, keep_stages=False)
+        out[j, j:] = nodes
+        out[j:, j] = nodes
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
+    # D = 4 (d=1) pairs rows (0, 3), (1, 2); D = 12 (d=2) pairs six rows
+    prob, rho, cols = _curvature_problem(d, scheme, 33)
+    folded = second_derivative_matrix(prob, rho, cols, lambda nodes: nodes)
+    assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
 
 
 def test_basis_maps_reject_K_beyond_the_grid():

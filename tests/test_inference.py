@@ -194,6 +194,19 @@ def test_dataset_round_trip(tmp_path):
     assert back.noise_std == 0.5
 
 
+def test_loaded_dataset_equals_the_generated_one(tmp_path):
+    model = _small_model(1)
+    W0 = random_potential(2, 1, np.random.default_rng(25), amplitude=0.4)
+    data = generate_data(W0, model, 30, 0.05, np.random.default_rng(26), seed=26)
+    data.save(tmp_path / "data.csv")
+    loaded = Dataset.load(tmp_path / "data.csv")
+    assert loaded.obs is None and data.obs is not None
+    assert loaded == data and not loaded != data
+    loaded.y[3] += 1e-3
+    assert loaded != data
+    assert data != "data"
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 

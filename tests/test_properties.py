@@ -11,12 +11,17 @@ from hypothesis import strategies as st
 
 from mckvlab.forward import (
     McKVProblem,
+    gram_matrix,
+    jacobian_columns,
     mckv_first_derivative,
     mckv_second_derivative,
+    second_derivative_matrix,
+    second_derivative_vjp,
     solve_mckv,
     solve_mckv_field,
 )
-from mckvlab.parabolic import SCHEMES, StepperConfig
+from mckvlab.inference import ForwardModel, expected_neg_hessian
+from mckvlab.parabolic import SCHEMES, StepperConfig, trapz_inner, trapz_weights
 from mckvlab.spectral import SpectralField, random_potential
 
 # (n, K) per dimension: K <= n/2 - 1 so every mode of E_K is resolved
@@ -93,3 +98,27 @@ def test_second_derivative_is_symmetric(d, scheme, seed):
     s12 = mckv_second_derivative(problem, H1, H2, rho, v1, v2)
     s21 = mckv_second_derivative(problem, H2, H1, rho, v2, v1)
     assert _rel(s21.coeffs, s12.coeffs) <= 1e-12
+
+
+@_SETTINGS
+@given(**_CASES)
+def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, scheme, seed):
+    problem, rng = _problem(d, scheme, seed)
+    W0 = random_potential(problem.W.K, d, rng, amplitude=rng.uniform(0.1, 1.0))
+    model = ForwardModel(phi=problem.phi, T=T, K=problem.W.K, stepper=problem.stepper)
+    rho, rho0 = solve_mckv(problem), model.solve(W0)
+    cols = jacobian_columns(problem, rho)
+    diff = rho.coeffs - rho0.coeffs
+
+    # the reduction the backward solve replaced: every D^2 rho_W[tau_j, tau_k] solved
+    ref = second_derivative_matrix(problem, rho, cols,
+                                   lambda nodes: trapz_inner(nodes, diff[None], rho.dt)[:, 0] / T)
+    g = trapz_weights(M + 1, rho.dt).reshape((-1,) + (1,) * d) * diff.conj() / T
+    corr = second_derivative_vjp(problem, rho, cols, g)
+    assert np.max(np.abs(corr - ref)) <= 1e-12 * np.max(np.abs(ref))
+    assert np.array_equal(corr, corr.T)
+
+    H = expected_neg_hessian(problem.W, W0, model, rho=rho, rho0=rho0)
+    H_ref = gram_matrix(cols, T) + ref
+    assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
+    assert np.array_equal(H, H.T)
