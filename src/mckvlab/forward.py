@@ -15,20 +15,22 @@ predictor states, so each derivative is the exact derivative of the
 discrete time-stepping map; finite-difference checks of the solver
 therefore see pure O(eps^2) behaviour.  Every mean-field derivative is
 a solve with :class:`~mckvlab.parabolic.LWOperator`, batched over
-directions: :func:`jacobian_stack` builds all D basis columns in one
-solve, :func:`mckv_first_derivative` is the one-column case, and
-:func:`second_derivative_matrix` solves D^2 rho_W over the truncated
-basis with rows j and D-1-j folded into one solve, ceil(D/2) solves in
-all.  A vector-Jacobian product, which is all a gradient needs, is
-:func:`jacobian_vjp`: one backward solve of the exact transpose of the
-discrete scheme, whatever D is.  Its second-order counterpart
-:func:`second_derivative_vjp` gives a weighted sum of every
+directions.  The basis derivatives are built in one place,
+:class:`Linearisation`: one operator along rho_W, the D basis columns
+from one stacked solve (:func:`jacobian_stack`), their Gram matrix, a
+vector-Jacobian product from one backward solve of the exact transpose
+of the discrete scheme whatever D is (:func:`jacobian_vjp`), D^2 rho_W
+over the truncated basis with rows j and D-1-j folded into one solve,
+ceil(D/2) solves in all, and the weighted sum of every
 D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from
 one backward solve and no second-derivative solve.
+:func:`mckv_first_derivative` and :func:`mckv_second_derivative` solve
+one direction each and serve as the oracles of the stacked paths.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,14 +180,6 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     return integrate(phi, lambda m, stage, u: grid.transport_div(u, grad_w, u), T, stepper)
 
 
-def _first_derivative_stack(problem: McKVProblem, rho_traj: Trajectory,
-                            grad_h: np.ndarray):
-    """D rho_W[H_b] for a stack (B, d, grid) of direction gradients, in one solve."""
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
-    forcing = transport_forcing(op.grid, op.rho_states, grad_h)
-    return op.solve(forcing)
-
-
 def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
                           rho_traj: Trajectory) -> Trajectory:
     """Derivative of W -> rho_W in direction H, as a linear PDE solve.
@@ -193,8 +187,9 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
     the supplied solution trajectory for ``problem``.  Linear in H.
     """
+    op = LWOperator(problem.W, rho_traj, problem.stepper)
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
-    nodes, stages = _first_derivative_stack(problem, rho_traj, grad_h)
+    nodes, stages = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
     return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
                                  problem.stepper.scheme)[0]
 
@@ -239,6 +234,141 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
 # whole-basis linearisation
 
 
+def tau_gradient_stack(K: int, grid) -> np.ndarray:
+    """Gradient coefficient arrays of every tau_k, shape (D, d, grid).
+
+    The cached :func:`spectral.tau_table` times the derivative multipliers
+    ``grid.ik``, so K > n/2 - 1 raises ValueError instead of aliasing.
+    """
+    return tau_table(K, grid.d, grid.n)[:, None] * grid.ik
+
+
+def _gram(nodes: np.ndarray, dt: float, T: float) -> np.ndarray:
+    """(1/T) <col_j, col_k> of stacked nodes (D, M+1, grid), exactly symmetric."""
+    G = np.triu(trapz_inner(nodes, nodes, dt)) / T
+    return G + np.triu(G, 1).T
+
+
+class Linearisation:
+    """D rho_W on the truncated basis, built once per (W, rho_W, K).
+
+    The one place where the basis derivatives are built: it holds the
+    L_W operator along rho_W (``op``) and the basis gradients ``gtau`` of
+    :func:`tau_gradient_stack`, so K > n/2 - 1 raises here.  The D
+    columns are solved on first read, in one stacked solve, and kept.
+    """
+
+    def __init__(self, problem: McKVProblem, rho: Trajectory, K: int | None = None):
+        self.op = LWOperator(problem.W, rho, problem.stepper)
+        self.gtau = tau_gradient_stack(problem.W.K if K is None else K, self.op.grid)
+
+    @functools.cached_property
+    def columns(self):
+        """(nodes, stages) of every D rho_W[tau_k], shapes (D, M+1, grid) and
+        (D, M, grid), stages None for Lawson-Euler; one stacked solve."""
+        op = self.op
+        return op.solve(transport_forcing(op.grid, op.rho_states, self.gtau))
+
+    @functools.cached_property
+    def states(self) -> np.ndarray:
+        """The columns in solver-state order, shape (S, D, grid)."""
+        nodes, stages = self.columns  # stages None for Lawson-Euler
+        states = nodes if stages is None else np.concatenate([nodes, stages], axis=1)
+        return np.ascontiguousarray(np.moveaxis(states, 0, 1))
+
+    def vjp(self, g: np.ndarray) -> np.ndarray:
+        """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
+
+        ``g`` (M+1, n, ..., n) weights the nodes of a derivative trajectory.
+        One backward solve of the transposed L_W and one transposed forcing
+        give a (d, grid) array; D enters only in the final contraction with
+        ``gtau``, so time and memory do not grow with D beyond it, and the
+        columns are never solved.  Equals the contraction of g with the
+        nodes of :attr:`columns`, to rounding.
+        """
+        op = self.op
+        weights = op.solve_transpose(g.reshape((op.M + 1,) + op.grid.shape))
+        G = transport_forcing_transpose(op.grid, op.rho_states, weights)
+        return (self.gtau.reshape(self.gtau.shape[0], -1) @ G.ravel()).real
+
+    def gram(self) -> np.ndarray:
+        """Gram matrix (1/T) <col_j, col_k> of the columns; symmetric PSD."""
+        return _gram(self.columns[0], self.op.T / self.op.M, self.op.T)
+
+    def second_derivative_rows(self):
+        """Yield (j, nodes (D-j, M+1, grid) of D^2 rho_W[tau_j, tau_k], k >= j).
+
+        Rows j and D-1-j share one stacked solve of D+1 columns, so D rows
+        take ceil(D/2) solves; a column's bits do not depend on the stack
+        around it, so each row equals a solve per row bit for bit.
+        """
+        op, gtau, v = self.op, self.gtau, self.states
+        D = gtau.shape[0]
+        for j in range((D + 1) // 2):
+            rows = sorted({j, D - 1 - j})
+            # unnamed, so the forcing is freed once solved
+            nodes, _ = op.solve(np.concatenate([
+                _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
+                                           v[:, r:r + 1], v[:, r:])
+                for r in rows], axis=1), keep_stages=False)
+            yield from zip(rows, np.split(nodes, [D - rows[0]]))
+
+    def second_derivative_matrix(self, reduce) -> np.ndarray:
+        """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
+
+        ``reduce`` maps the (B, M+1, grid) nodes of a stack of second
+        derivatives to an array with leading axis B.  Each row fills both
+        (j, k) and (k, j), so the (D, D, ...) result is symmetric by
+        construction.
+        """
+        D = self.gtau.shape[0]
+        out = None
+        for r, block in self.second_derivative_rows():
+            row = reduce(block)
+            if out is None:
+                out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
+            out[r, r:] = row
+            out[r:, r] = row
+        return out
+
+    def second_derivative_vjp(self, g: np.ndarray) -> np.ndarray:
+        """Re sum(g * D^2 rho_W[tau_j, tau_k]) for every pair of basis modes, (D, D).
+
+        ``g`` (M+1, n, ..., n) weights the nodes of a second-derivative
+        trajectory.  One backward solve gives the weight w of the forcing
+        at every solver state.  With T(r, gradV, s) = div(r (gradV * s))
+        the six-term forcing of the pair (j, k) is A(j, k) + A(k, j), where
+        A(j, k) = T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k)
+        + T(v_j, gradW, v_k); pairing w with A through the transposed padded
+        transforms gives B_jk with no second-derivative solve, and B + B^T is
+        exactly symmetric.  Equals the contraction of g with the nodes of
+        :meth:`second_derivative_matrix`, to rounding.
+        """
+        op, gtau, v = self.op, self.gtau, self.states
+        grid = op.grid
+        D = gtau.shape[0]
+        w = op.solve_transpose(g.reshape((op.M + 1,) + grid.shape))
+        # Re sum(w * T(r, gradV, s)) = sum over axes i of Re sum(back_i * gradV_i * s),
+        # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w))
+        r = grid.from_padded_transpose(grid.ik * w[:, None])  # (S, d, pad grid)
+        rho_back = grid.to_padded_transpose(op.rho_phys[:, None] * r)  # (S, d, grid)
+        v_phys = grid.to_padded(v)  # (S, D, pad grid)
+        S, size = len(w), grid.size
+        rho, vf = op.rho_states.reshape(S, size), v.reshape(S, D, size)
+        B = np.zeros((D, D))
+        for i in range(grid.d):
+            v_back = grid.to_padded_transpose(r[:, i:i + 1] * v_phys).reshape(S, D, size)
+            # T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k): grad_i tau_j against
+            # the state sums of v_back_k rho and rho_back v_k
+            y = np.einsum("skg,sg->kg", v_back, rho)
+            y += np.einsum("sg,skg->kg", rho_back[:, i].reshape(S, size), vf)
+            B += (gtau[:, i].reshape(D, size) @ y.T).real
+            # T(v_j, gradW, v_k): v_back_j gradW_i against v_k
+            v_back *= op.grad_w[i].reshape(size)
+            B += np.matmul(v_back, vf.transpose(0, 2, 1)).sum(axis=0).real
+        return B + B.T
+
+
 def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
                      K: int | None = None) -> list[Trajectory]:
     """All derivative trajectories D rho_W[tau_k], one per basis mode.
@@ -253,45 +383,15 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
                                  problem.stepper.scheme)
 
 
-def tau_gradient_stack(K: int, grid) -> np.ndarray:
-    """Gradient coefficient arrays of every tau_k, shape (D, d, grid).
-
-    The cached :func:`spectral.tau_table` times the derivative multipliers
-    ``grid.ik``, so K > n/2 - 1 raises ValueError instead of aliasing.
-    """
-    return tau_table(K, grid.d, grid.n)[:, None] * grid.ik
-
-
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):
-    """All D derivative trajectories D rho_W[tau_k] in one stacked solve.
-
-    Returns (nodes, stages) arrays of shape (D, M+1, grid) and
-    (D, M, grid), stages None for Lawson-Euler.  The columns themselves
-    serve Gram, Fisher and sigma_min computations; a gradient needs only
-    :func:`jacobian_vjp`.
-    """
-    K = problem.W.K if K is None else K
-    gtau = tau_gradient_stack(K, problem.phi.grid)
-    return _first_derivative_stack(problem, rho_traj, gtau)
+    """The :attr:`Linearisation.columns` at (problem, rho_traj, K)."""
+    return Linearisation(problem, rho_traj, K).columns
 
 
 def jacobian_vjp(problem: McKVProblem, rho_traj: Trajectory, g: np.ndarray,
                  K: int | None = None) -> np.ndarray:
-    """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
-
-    ``g`` (M+1, n, ..., n) weights the nodes of a derivative trajectory.
-    One backward solve of the transposed L_W and one transposed forcing
-    give a (d, grid) array; D enters only in the final contraction with
-    :func:`tau_gradient_stack`, so time and memory do not grow with D
-    beyond it.  Equals the contraction of g with :func:`jacobian_stack`'s
-    nodes, to rounding.
-    """
-    K = problem.W.K if K is None else K
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
-    weights = op.solve_transpose(g.reshape((op.M + 1,) + op.grid.shape))
-    G = transport_forcing_transpose(op.grid, op.rho_states, weights)
-    gtau = tau_gradient_stack(K, op.grid)
-    return (gtau.reshape(gtau.shape[0], -1) @ G.ravel()).real
+    """The :meth:`Linearisation.vjp` of g at (problem, rho_traj, K)."""
+    return Linearisation(problem, rho_traj, K).vjp(g)
 
 
 def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):
@@ -304,106 +404,10 @@ def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):
 
 def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray:
     """Gram matrix (1/T) <col_j, col_k> in L2([0,T];L2); symmetric PSD.
-
-    One contraction of the stacked columns; the upper triangle is
-    mirrored, so the result is exactly symmetric.
-    """
+    The contraction of :meth:`Linearisation.gram` on the stacked columns."""
     if T is None:
         T = columns[0].T
-    X = np.stack([c.coeffs for c in columns])
-    G = np.triu(trapz_inner(X, X, columns[0].dt)) / T
-    return G + np.triu(G, 1).T
-
-
-def _basis_derivatives(op: LWOperator, columns: list[Trajectory], K: int):
-    """Basis gradients (D, d, grid) and first derivatives (S, D, grid) in
-    solver-state order, after checking that ``columns`` has D entries."""
-    gtau = tau_gradient_stack(K, op.grid)
-    D = gtau.shape[0]
-    if len(columns) != D:
-        raise ValueError(f"expected {D} jacobian columns, got {len(columns)}")
-    return gtau, np.stack([solver_states(c, op.config.scheme) for c in columns], axis=1)
-
-
-def second_derivative_matrix(problem: McKVProblem, rho_traj: Trajectory,
-                             columns: list[Trajectory], reduce,
-                             K: int | None = None) -> np.ndarray:
-    """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
-
-    ``columns`` are the first derivatives from :func:`jacobian_columns`
-    at the same W and K, and ``reduce`` maps the (B, M+1, grid) nodes of
-    a stack of second derivatives to an array with leading axis B.  One
-    operator serves all solves.  Row j holds the D - j modes k >= j, and
-    rows j and D-1-j share one stacked solve of D+1 columns, so D rows
-    take ceil(D/2) solves; a column's bits do not depend on the stack
-    around it, so the result equals a solve per row bit for bit.  Each
-    row fills both (j, k) and (k, j), so the returned (D, D, ...) array
-    is symmetric by construction.  A weighted sum of the nodes alone is
-    :func:`second_derivative_vjp`, with no second-derivative solve.
-    """
-    K = problem.W.K if K is None else K
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
-    gtau, v = _basis_derivatives(op, columns, K)
-    D = gtau.shape[0]
-    out = None
-    for j in range((D + 1) // 2):
-        rows = sorted({j, D - 1 - j})
-        # unnamed, so the forcing is freed once solved
-        nodes, _ = op.solve(np.concatenate([
-            _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
-                                       v[:, r:r + 1], v[:, r:])
-            for r in rows], axis=1), keep_stages=False)
-        for r, block in zip(rows, np.split(nodes, [D - rows[0]])):
-            row = reduce(block)
-            if out is None:
-                out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
-            out[r, r:] = row
-            out[r:, r] = row
-    return out
-
-
-def second_derivative_vjp(problem: McKVProblem, rho_traj: Trajectory,
-                          columns: list[Trajectory], g: np.ndarray,
-                          K: int | None = None) -> np.ndarray:
-    """Re sum(g * D^2 rho_W[tau_j, tau_k]) for every pair of basis modes, (D, D).
-
-    ``g`` (M+1, n, ..., n) weights the nodes of a second-derivative
-    trajectory, and ``columns`` are the first derivatives from
-    :func:`jacobian_columns` at the same W and K.  One backward solve
-    gives the weight w of the forcing at every solver state.  With
-    T(r, gradV, s) = div(r (gradV * s)) the six-term forcing of the pair
-    (j, k) is A(j, k) + A(k, j), where
-    A(j, k) = T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k)
-    + T(v_j, gradW, v_k); pairing w with A through the transposed padded
-    transforms gives B_jk with no second-derivative solve, and B + B^T is
-    exactly symmetric.  Equals the contraction of g with the nodes of
-    :func:`second_derivative_matrix`, to rounding.
-    """
-    K = problem.W.K if K is None else K
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
-    grid = op.grid
-    gtau, v = _basis_derivatives(op, columns, K)
-    D = gtau.shape[0]
-    w = op.solve_transpose(g.reshape((op.M + 1,) + grid.shape))
-    # Re sum(w * T(r, gradV, s)) = sum over axes i of Re sum(back_i * gradV_i * s),
-    # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w))
-    r = grid.from_padded_transpose(grid.ik * w[:, None])  # (S, d, pad grid)
-    rho_back = grid.to_padded_transpose(op.rho_phys[:, None] * r)  # (S, d, grid)
-    v_phys = grid.to_padded(v)  # (S, D, pad grid)
-    S, size = len(w), grid.size
-    rho, vf = op.rho_states.reshape(S, size), v.reshape(S, D, size)
-    B = np.zeros((D, D))
-    for i in range(grid.d):
-        v_back = grid.to_padded_transpose(r[:, i:i + 1] * v_phys).reshape(S, D, size)
-        # T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k): grad_i tau_j against
-        # the state sums of v_back_k rho and rho_back v_k
-        y = np.einsum("skg,sg->kg", v_back, rho)
-        y += np.einsum("sg,skg->kg", rho_back[:, i].reshape(S, size), vf)
-        B += (gtau[:, i].reshape(D, size) @ y.T).real
-        # T(v_j, gradW, v_k): v_back_j gradW_i against v_k
-        v_back *= op.grad_w[i].reshape(size)
-        B += np.matmul(v_back, vf.transpose(0, 2, 1)).sum(axis=0).real
-    return B + B.T
+    return _gram(np.stack([c.coeffs for c in columns]), columns[0].dt, T)
 
 
 # ---------------------------------------------------------------------------

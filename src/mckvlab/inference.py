@@ -21,15 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (
-    McKVProblem,
-    gram_matrix,
-    jacobian_columns,
-    jacobian_vjp,
-    second_derivative_matrix,
-    second_derivative_vjp,
-    solve_mckv,
-)
+from .forward import Linearisation, McKVProblem, jacobian_vjp, solve_mckv
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -394,26 +386,26 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
     """Average single-datum curvature E_{W0}[-Hess ell(W)], a D x D matrix.
 
     Equals (1/T) <D rho_W[tau_j], D rho_W[tau_k]> plus the correction
-    (1/T) <rho_W - rho_{W0}, D^2 rho_W[tau_j, tau_k]>.  The Gram part
-    takes one stacked solve of the D columns; the correction is a linear
+    (1/T) <rho_W - rho_{W0}, D^2 rho_W[tau_j, tau_k]>, both read off one
+    :class:`~mckvlab.forward.Linearisation`.  The Gram part takes one
+    stacked solve of the D columns; the correction is a linear
     functional of the second derivatives, so it takes one backward solve
-    (:func:`~mckvlab.forward.second_derivative_vjp`) and no
+    (:meth:`~mckvlab.forward.Linearisation.second_derivative_vjp`) and no
     second-derivative solve.  The correction vanishes at W = W0, where
     the result is exactly the Gram matrix.  Exactly symmetric.
     """
     problem = model.problem(W)
     if rho is None:
         rho = solve_mckv(problem)
-    cols = jacobian_columns(problem, rho, K=model.K)
-    out = gram_matrix(cols, model.T)
+    lin = Linearisation(problem, rho, K=model.K)
+    out = lin.gram()
 
     if rho0 is None:
         rho0 = model.solve(W0)
     diff = rho.coeffs - rho0.coeffs
     if np.max(np.abs(diff)) > 0:
         weights = trapz_weights(rho.M + 1, rho.dt).reshape((-1,) + (1,) * model.d)
-        out += second_derivative_vjp(problem, rho, cols, weights * diff.conj() / model.T,
-                                     K=model.K)
+        out += lin.second_derivative_vjp(weights * diff.conj() / model.T)
     return out
 
 
@@ -639,14 +631,19 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     grid = model.phi.grid
     best = float(np.max(np.abs(grid.to_values(rho.coeffs))))
 
-    cols = jacobian_columns(problem, rho, K=model.K)
-    col_vals = grid.to_values(np.stack([c.coeffs for c in cols]))  # (D, M+1, grid)
+    lin = Linearisation(problem, rho, K=model.K)
+    col_vals = grid.to_values(lin.columns[0])  # (D, M+1, grid)
     grad_norm = np.sqrt(np.sum(col_vals**2, axis=0))
     best = max(best, float(np.max(grad_norm)))
 
     if include_hessian:
-        hess_vals = second_derivative_matrix(problem, rho, cols, grid.to_values, K=model.K)
         # Frobenius bound on the pointwise Hessian operator norm
-        frob = np.sqrt(np.sum(hess_vals**2, axis=(0, 1)))
-        best = max(best, float(np.max(frob)))
+        best = max(best, float(np.max(_hessian_frobenius(lin))))
     return best
+
+
+def _hessian_frobenius(lin: Linearisation) -> np.ndarray:
+    """sqrt(sum over (j, k) of D^2 rho_W[tau_j, tau_k]^2) in grid values, (M+1, grid),
+    summed row by row (diagonal once, k > j twice): no (D, D, M+1, grid) array."""
+    sq = (lin.op.grid.to_values(block) ** 2 for _, block in lin.second_derivative_rows())
+    return np.sqrt(sum(s[0] + 2.0 * np.sum(s[1:], axis=0) for s in sq))

@@ -19,15 +19,16 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import McKVProblem, gram_matrix, jacobian_columns, solve_mckv
+from .forward import Linearisation, McKVProblem, solve_mckv
 from .parabolic import (
+    LWOperator,
     Trajectory,
     _as_grad_coeffs,
     l2l2_diff_norm,
-    solve_linear_lw,
+    solver_states,
     transport_forcing,
 )
-from .spectral import SpectralField, mode_array, mode_ksq
+from .spectral import mode_array, mode_ksq
 
 
 @dataclass
@@ -55,6 +56,8 @@ def _check_shared_setup(p1: McKVProblem, p2: McKVProblem):
         raise ValueError("problems must share the initial density")
     if abs(p1.T - p2.T) > 1e-12 or p1.stepper.M != p2.stepper.M:
         raise ValueError("problems must share the time grid")
+    if p1.stepper.scheme != p2.stepper.scheme:
+        raise ValueError("problems must share the time-stepping scheme")
 
 
 def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
@@ -84,15 +87,11 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
                          scheme=rho1.scheme, stages=stages)
 
     grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
-
-    def forcing_at(states):
-        return None if states is None else transport_forcing(grid, states, grad_dw)[:, 0]
-
-    forcing = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n, coeffs=forcing_at(rho1.coeffs),
-                         scheme=rho1.scheme, stages=forcing_at(rho1.stages))
-
-    v0 = SpectralField.zeros(problem1.phi.n, problem1.phi.d)
-    v = solve_linear_lw(problem2.W, rho_bar, forcing, v0, problem1.stepper)
+    config = problem1.stepper
+    nodes, stages = LWOperator(problem2.W, rho_bar, config).solve(
+        transport_forcing(grid, solver_states(rho1, config.scheme), grad_dw))
+    v = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n, coeffs=nodes[0], scheme=config.scheme,
+                   stages=None if stages is None else stages[0])
 
     diff = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n,
                       coeffs=rho2.coeffs - rho1.coeffs, scheme=rho1.scheme)
@@ -167,8 +166,7 @@ def sigma_min_trend(problem: McKVProblem, K: int,
     """
     if rho_traj is None:
         rho_traj = solve_mckv(problem)
-    cols = jacobian_columns(problem, rho_traj, K=K)
-    gram = gram_matrix(cols, problem.T)
+    gram = Linearisation(problem, rho_traj, K=K).gram()
     ksq = mode_ksq(K, problem.W.d)
     out = {}
     for Kp in range(1, K + 1):

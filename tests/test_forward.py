@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mckvlab.forward import (
+    Linearisation,
     LWOperator,
     McKVProblem,
     ReactionSpec,
@@ -14,7 +15,6 @@ from mckvlab.forward import (
     mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
-    second_derivative_matrix,
     solve_mckv,
     solve_mckv_field,
     solve_rd,
@@ -445,7 +445,7 @@ def _curvature_problem(d, scheme, seed):
 def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
     prob, rho, cols = _curvature_problem(d, scheme, 32)
     W = prob.W
-    D2 = second_derivative_matrix(prob, rho, cols, lambda nodes: nodes)
+    D2 = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
     for j in range(W.dim):
         for k in range(W.dim):
@@ -475,7 +475,7 @@ def _second_derivative_rows(prob, rho, cols):
 def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
     # D = 4 (d=1) pairs rows (0, 3), (1, 2); D = 12 (d=2) pairs six rows
     prob, rho, cols = _curvature_problem(d, scheme, 33)
-    folded = second_derivative_matrix(prob, rho, cols, lambda nodes: nodes)
+    folded = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
 
 
@@ -490,4 +490,4 @@ def test_basis_maps_reject_K_beyond_the_grid():
     with pytest.raises(ValueError, match="not representable"):
         jacobian_vjp(prob, rho, g, K=5)
     with pytest.raises(ValueError, match="not representable"):
-        second_derivative_matrix(prob, rho, [], lambda nodes: nodes, K=5)
+        Linearisation(prob, rho, K=5).second_derivative_matrix(lambda nodes: nodes)

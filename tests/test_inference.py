@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from mckvlab.forward import (
+    Linearisation,
     decay_density,
     gram_matrix,
     jacobian_columns,
@@ -38,10 +39,12 @@ from mckvlab.inference import (
     posterior_energy_grad,
     sample_prior,
     surrogate_loglik,
+    _hessian_frobenius,
     validate_constants,
 )
-from mckvlab.parabolic import ObservationOperator, StepperConfig
+from mckvlab.parabolic import SCHEMES, LWOperator, ObservationOperator, StepperConfig
 from mckvlab.spectral import PotentialVec, random_potential
+from mckvlab.stability import sigma_min_trend
 
 N_GRID = 32
 T = 0.25
@@ -442,6 +445,76 @@ def test_estimate_c1_bounds_density_and_hessian_only_raises_it():
     without = estimate_c1(model, W, include_hessian=False)
     assert without >= rho_max
     assert estimate_c1(model, W, include_hessian=True) >= without
+
+
+def _curvature_model(d, scheme):
+    n = {1: 16, 2: 8}[d]
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    return ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=8, scheme=scheme))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_hessian_frobenius_summed_by_rows_matches_the_full_array(d, scheme):
+    model = _curvature_model(d, scheme)
+    W = random_potential(2, d, np.random.default_rng(40 + d), amplitude=0.5)
+    problem = model.problem(W)
+    lin = Linearisation(problem, solve_mckv(problem))
+    ref = np.sqrt(np.sum(lin.second_derivative_matrix(model.phi.grid.to_values) ** 2,
+                         axis=(0, 1)))
+    field = _hessian_frobenius(lin)
+    assert field.shape == ref.shape
+    assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def _count_operator_work(monkeypatch):
+    """Count LWOperator constructions and its forward and backward solves."""
+    counts = dict.fromkeys(("built", "solve", "solve_transpose"), 0)
+
+    def counting(key, method):
+        def wrapper(self, *args, **kwargs):
+            counts[key] += 1
+            return method(self, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(LWOperator, "__init__", counting("built", LWOperator.__init__))
+    for name in ("solve", "solve_transpose"):
+        monkeypatch.setattr(LWOperator, name, counting(name, getattr(LWOperator, name)))
+    return counts
+
+
+def test_curvature_quantities_build_one_operator_per_W(monkeypatch):
+    rng = np.random.default_rng(12)
+    model = _model()
+    W0 = random_potential(2, 1, rng, amplitude=0.3)
+    W = W0 + random_potential(2, 1, rng, amplitude=0.4)
+    D = model.dim
+    counts = _count_operator_work(monkeypatch)
+
+    expected_neg_hessian(W, W0, model)
+    assert counts == {"built": 1, "solve": 1, "solve_transpose": 1}
+    counts.update(dict.fromkeys(counts, 0))
+    estimate_c1(model, W, include_hessian=True)
+    assert counts == {"built": 1, "solve": 1 + (D + 1) // 2, "solve_transpose": 0}
+    counts.update(dict.fromkeys(counts, 0))
+    sigma_min_trend(model.problem(W), K=model.K)
+    assert counts == {"built": 1, "solve": 1, "solve_transpose": 0}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
+    model = _curvature_model(d, scheme)
+    rng = np.random.default_rng(50 + d)
+    problem = model.problem(random_potential(2, d, rng, amplitude=0.5))
+    rho = solve_mckv(problem)
+    g = rng.standard_normal(rho.coeffs.shape) + 1j * rng.standard_normal(rho.coeffs.shape)
+    lin = Linearisation(problem, rho)
+    vjp = lin.vjp(g)
+    assert "columns" not in vars(lin)  # the backward solve needs no columns
+    nodes = lin.columns[0]
+    ref = np.sum(g[None] * nodes, axis=tuple(range(1, nodes.ndim))).real
+    assert np.max(np.abs(vjp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 # ---------------------------------------------------------------------------

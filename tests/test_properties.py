@@ -10,13 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckvlab.forward import (
+    Linearisation,
     McKVProblem,
     gram_matrix,
     jacobian_columns,
     mckv_first_derivative,
     mckv_second_derivative,
-    second_derivative_matrix,
-    second_derivative_vjp,
     solve_mckv,
     solve_mckv_field,
 )
@@ -111,10 +110,10 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, sche
     diff = rho.coeffs - rho0.coeffs
 
     # the reduction the backward solve replaced: every D^2 rho_W[tau_j, tau_k] solved
-    ref = second_derivative_matrix(problem, rho, cols,
-                                   lambda nodes: trapz_inner(nodes, diff[None], rho.dt)[:, 0] / T)
+    ref = Linearisation(problem, rho).second_derivative_matrix(
+        lambda nodes: trapz_inner(nodes, diff[None], rho.dt)[:, 0] / T)
     g = trapz_weights(M + 1, rho.dt).reshape((-1,) + (1,) * d) * diff.conj() / T
-    corr = second_derivative_vjp(problem, rho, cols, g)
+    corr = Linearisation(problem, rho).second_derivative_vjp(g)
     assert np.max(np.abs(corr - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(corr, corr.T)
 
