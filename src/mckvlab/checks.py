@@ -140,7 +140,7 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
 
     floor = self_convergence_error(
         lambda c: solve_mckv(McKVProblem(W=W1, phi=phi, T=T, stepper=c)), stepper)
-    _, residual = pseudo_linearised_difference(p1, p2)
+    _, residual = pseudo_linearised_difference(p1, p2, rho1=rho1)
     tol = max(5.0 * floor, 1e-12)
     records.append(_record("pseudo_linearisation", residual <= tol, residual, tol))
 

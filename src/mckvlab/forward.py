@@ -189,9 +189,8 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     """
     op = LWOperator(problem.W, rho_traj, problem.stepper)
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
-    nodes, stages = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
-    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
-                                 problem.stepper.scheme)[0]
+    states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
+    return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
 
 
 def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
@@ -225,22 +224,23 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
     v1 = solver_states(dH1, op.config.scheme)[:, None]
     v2 = solver_states(dH2, op.config.scheme)[:, None]
-    nodes, stages = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
-    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
-                                 problem.stepper.scheme)[0]
+    states = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
+    return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
 
 
 # ---------------------------------------------------------------------------
 # whole-basis linearisation
 
 
+@functools.lru_cache(maxsize=None)
 def tau_gradient_stack(K: int, grid) -> np.ndarray:
     """Gradient coefficient arrays of every tau_k, shape (D, d, grid).
 
     The cached :func:`spectral.tau_table` times the derivative multipliers
     ``grid.ik``, so K > n/2 - 1 raises ValueError instead of aliasing.
+    Cached per (K, grid) and read-only, like the table.
     """
-    return tau_table(K, grid.d, grid.n)[:, None] * grid.ik
+    return spectral._read_only(tau_table(K, grid.d, grid.n)[:, None] * grid.ik)
 
 
 def _gram(nodes: np.ndarray, dt: float, T: float) -> np.ndarray:
@@ -263,18 +263,19 @@ class Linearisation:
         self.gtau = tau_gradient_stack(problem.W.K if K is None else K, self.op.grid)
 
     @functools.cached_property
-    def columns(self):
-        """(nodes, stages) of every D rho_W[tau_k], shapes (D, M+1, grid) and
-        (D, M, grid), stages None for Lawson-Euler; one stacked solve."""
+    def states(self) -> np.ndarray:
+        """Every D rho_W[tau_k] in solver-state order, shape (S, D, grid);
+        one stacked solve."""
         op = self.op
         return op.solve(transport_forcing(op.grid, op.rho_states, self.gtau))
 
-    @functools.cached_property
-    def states(self) -> np.ndarray:
-        """The columns in solver-state order, shape (S, D, grid)."""
-        nodes, stages = self.columns  # stages None for Lawson-Euler
-        states = nodes if stages is None else np.concatenate([nodes, stages], axis=1)
-        return np.ascontiguousarray(np.moveaxis(states, 0, 1))
+    @property
+    def columns(self):
+        """(nodes, stages) of the columns, shapes (D, M+1, grid) and (D, M, grid),
+        stages None for Lawson-Euler; views of :attr:`states`."""
+        M, states = self.op.M, self.states
+        stages = np.moveaxis(states[M + 1:], 0, 1) if len(states) > M + 1 else None
+        return np.moveaxis(states[:M + 1], 0, 1), stages
 
     def vjp(self, g: np.ndarray) -> np.ndarray:
         """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
@@ -307,11 +308,11 @@ class Linearisation:
         for j in range((D + 1) // 2):
             rows = sorted({j, D - 1 - j})
             # unnamed, so the forcing is freed once solved
-            nodes, _ = op.solve(np.concatenate([
+            nodes = op.solve(np.concatenate([
                 _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
                                            v[:, r:r + 1], v[:, r:])
                 for r in rows], axis=1), keep_stages=False)
-            yield from zip(rows, np.split(nodes, [D - rows[0]]))
+            yield from zip(rows, np.split(np.moveaxis(nodes, 0, 1), [D - rows[0]]))
 
     def second_derivative_matrix(self, reduce) -> np.ndarray:
         """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.

@@ -328,7 +328,8 @@ class LikelihoodEvaluator:
     one backward linear solve whatever D is; memory is O(N n^d + d M n^d),
     independent of D apart from the (D, d, n^d) basis gradients.
     Observation times outside [0, T] are rejected, and so is a supplied
-    density trajectory on another time or space grid.
+    density trajectory on another time or space grid or from another
+    time-stepping scheme.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -348,10 +349,11 @@ class LikelihoodEvaluator:
             rho = model.solve(W)
             self.n_solves += 1
         elif (rho.M != model.stepper.M or abs(rho.T - model.T) > 1e-12
-              or rho.n != model.n or rho.d != model.d):
+              or rho.n != model.n or rho.d != model.d or rho.scheme != model.stepper.scheme):
             raise ValueError(
-                f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}) does not "
-                f"match the model (M={model.stepper.M}, T={model.T}, n={model.n}, d={model.d})")
+                f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}, "
+                f"scheme={rho.scheme}) does not match the model (M={model.stepper.M}, "
+                f"T={model.T}, n={model.n}, d={model.d}, scheme={model.stepper.scheme})")
         fitted = self._obs(rho.coeffs[None])[0]
         return self.dataset.y - fitted, rho
 

@@ -18,6 +18,11 @@ operator L_W with coefficients read along a density trajectory is
 :class:`LWOperator`; :class:`ObservationOperator` evaluates stacked
 trajectories at fixed space-time points, and its adjoint back-projects
 point data onto the nodes.
+
+Every stack a solve reads or writes (forcings, backward weights, density
+states and solutions) has one layout, (S, B, n, ..., n) in
+:func:`solver_states` order: nodes 0..M, then the Heun predictors, so
+S = 2M+1 for Lawson-Heun and M+1 for Lawson-Euler.
 """
 
 from __future__ import annotations
@@ -102,6 +107,15 @@ class Trajectory:
 
     def node(self, m: int) -> SpectralField:
         return SpectralField(self.d, self.n, self.coeffs[m].copy())
+
+    @classmethod
+    def from_states(cls, states: np.ndarray, T: float, M: int,
+                    scheme: str) -> "Trajectory":
+        """The trajectory of ``states`` (S, n, ..., n) in :func:`solver_states`
+        order, as views: nodes 0..M, and the predictors if S > M+1."""
+        stages = states[M + 1:] if len(states) > M + 1 else None
+        return cls(T=T, d=states.ndim - 1, n=states.shape[1], coeffs=states[:M + 1],
+                   scheme=scheme, stages=stages)
 
     def without_stages(self) -> "Trajectory":
         return replace(self, coeffs=self.coeffs, stages=None)
@@ -270,43 +284,40 @@ def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajec
     t_{m+1}) and the coefficient array u.  Deterministic for fixed
     inputs; raises :class:`NumericalBlowUp` on divergence.
     """
-    nodes, stages = _integrate_arrays(u0.coeffs, rhs, T, config, u0.grid)
-    return Trajectory(T=T, d=u0.d, n=u0.n, coeffs=nodes,
-                      scheme=config.scheme, stages=stages)
+    states = _integrate_arrays(u0.coeffs, rhs, T, config, u0.grid)
+    return Trajectory.from_states(states, T, config.M, config.scheme)
 
 
 def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
                       grid: Grid, keep_stages: bool = True):
     """The time loop; ``u0`` may carry leading stack axes.
 
-    Returns (nodes, stages) with the time axis first; ``stages`` is None
-    for Lawson-Euler or when ``keep_stages`` is False.
+    Returns the states in :func:`solver_states` order, time first; only the
+    M+1 nodes for Lawson-Euler or when ``keep_stages`` is False.
     """
     M = config.M
     dt = T / M
     E = grid.heat_multiplier(dt)
     heun = config.scheme == "if-heun"
+    keep = heun and keep_stages
 
-    nodes = np.zeros((M + 1,) + u0.shape, dtype=complex)
-    nodes[0] = u0
-    stages = None
-    if heun and keep_stages:
-        stages = np.zeros((M,) + u0.shape, dtype=complex)
+    states = np.zeros((2 * M + 1 if keep else M + 1,) + u0.shape, dtype=complex)
+    states[0] = u0
 
     u = u0.astype(complex)
     for m in range(M):
         k1 = rhs(m, 0, u)
         if heun:
             ustar = E * (u + dt * k1)
-            if stages is not None:
-                stages[m] = ustar
+            if keep:
+                states[state_index(M, m, 1)] = ustar
             k2 = rhs(m, 1, ustar)
             u = E * u + (0.5 * dt) * (E * k1 + k2)
         else:
             u = E * (u + dt * k1)
         _check_growth(u, m + 1)
-        nodes[m + 1] = u
-    return nodes, stages
+        states[m + 1] = u
+    return states
 
 
 def _check_growth(u: np.ndarray, step: int):
@@ -408,6 +419,9 @@ class LWOperator:
     def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
         if stepper.M != rho_traj.M:
             raise ValueError("stepper M must match the density trajectory")
+        if stepper.scheme != rho_traj.scheme:
+            raise ValueError(f"stepper scheme {stepper.scheme!r} must match the density "
+                             f"trajectory's {rho_traj.scheme!r}")
         self.grid = grid = rho_traj.grid
         self.config = stepper
         self.T = rho_traj.T
@@ -455,8 +469,9 @@ class LWOperator:
         """Solve (d/dt - L_W)v = g for B fields at once.
 
         ``forcing`` holds g at every solver state, shape (S, B, grid), or
-        is None for g = 0; ``v0`` (B, grid) defaults to zero.  Returns
-        (nodes, stages) of shapes (B, M+1, grid) and (B, M, grid).
+        is None for g = 0; ``v0`` (B, grid) defaults to zero.  Returns the
+        states of v in the same layout, (S, B, grid), or its M+1 nodes when
+        ``keep_stages`` is False.
         """
         if v0 is None:
             v0 = np.zeros(forcing.shape[1:], dtype=complex)
@@ -465,16 +480,14 @@ class LWOperator:
             lv = self.apply(m, stage, v)
             return lv if forcing is None else lv + forcing[state_index(self.M, m, stage)]
 
-        nodes, stages = _integrate_arrays(v0, rhs, self.T, self.config, self.grid,
-                                          keep_stages)
-        return np.moveaxis(nodes, 0, 1), None if stages is None else np.moveaxis(stages, 0, 1)
+        return _integrate_arrays(v0, rhs, self.T, self.config, self.grid, keep_stages)
 
     def solve_transpose(self, g: np.ndarray) -> np.ndarray:
         """Transpose of the map from forcing to nodes of :meth:`solve` (v0 = 0).
 
         ``g`` (M+1, grid) weights the nodes; returns w (S, grid) weighting
         the forcing at every solver state, so that for any forcing f
-        (S, 1, grid) Re sum(g * solve(f)[0][0]) = Re sum(w * f[:, 0]).
+        (S, 1, grid) Re sum(g * solve(f)[:M + 1, 0]) = Re sum(w * f[:, 0]).
         The recurrence runs the steps of the time loop backwards, with its
         blow-up guard; a Heun step is transposed through both stages.
         """
@@ -520,9 +533,8 @@ def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
 
     op = LWOperator(W, rho_traj, config)
     f = None if forcing is None else solver_states(forcing, config.scheme)[:, None]
-    nodes, stages = op.solve(f, u0.coeffs[None])
-    return Trajectory(T=rho_traj.T, d=u0.d, n=u0.n, coeffs=nodes[0], scheme=config.scheme,
-                      stages=None if stages is None else stages[0])
+    return Trajectory.from_states(op.solve(f, u0.coeffs[None])[:, 0], rho_traj.T,
+                                  config.M, config.scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -77,24 +77,18 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
         rho1 = solve_mckv(problem1)
     if rho2 is None:
         rho2 = solve_mckv(problem2)
-    grid = problem1.phi.grid
+    grid, config = problem1.phi.grid, problem1.stepper
 
-    stages = None
-    if rho1.stages is not None and rho2.stages is not None:
-        stages = 0.5 * (rho1.stages + rho2.stages)
-    rho_bar = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n,
-                         coeffs=0.5 * (rho1.coeffs + rho2.coeffs),
-                         scheme=rho1.scheme, stages=stages)
+    staged = rho1.stages is not None and rho2.stages is not None
+    s1, s2 = (solver_states(r, config.scheme) if staged else r.coeffs for r in (rho1, rho2))
+    rho_bar = Trajectory.from_states(0.5 * (s1 + s2), rho1.T, rho1.M, rho1.scheme)
 
     grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
-    config = problem1.stepper
-    nodes, stages = LWOperator(problem2.W, rho_bar, config).solve(
+    states = LWOperator(problem2.W, rho_bar, config).solve(
         transport_forcing(grid, solver_states(rho1, config.scheme), grad_dw))
-    v = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n, coeffs=nodes[0], scheme=config.scheme,
-                   stages=None if stages is None else stages[0])
+    v = Trajectory.from_states(states[:, 0], rho1.T, config.M, config.scheme)
 
-    diff = Trajectory(T=rho1.T, d=rho1.d, n=rho1.n,
-                      coeffs=rho2.coeffs - rho1.coeffs, scheme=rho1.scheme)
+    diff = Trajectory.from_states(rho2.coeffs - rho1.coeffs, rho1.T, rho1.M, rho1.scheme)
     denom = diff.l2l2_norm()
     num = l2l2_diff_norm(v, diff)
     residual = 0.0 if denom < 1e-300 else num / denom

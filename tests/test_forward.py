@@ -464,7 +464,7 @@ def _second_derivative_rows(prob, rho, cols):
     for j in range(D):
         forcing = _second_derivative_forcing(op, list(gtau[j]), list(np.moveaxis(gtau[j:], 1, 0)),
                                              v[:, j:j + 1], v[:, j:])
-        nodes, _ = op.solve(forcing, keep_stages=False)
+        nodes = np.moveaxis(op.solve(forcing, keep_stages=False), 0, 1)
         out[j, j:] = nodes
         out[j:, j] = nodes
     return out
@@ -477,6 +477,18 @@ def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme)
     prob, rho, cols = _curvature_problem(d, scheme, 33)
     folded = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
+
+
+def test_linear_operators_reject_density_from_another_scheme():
+    phi = decay_density(16, 1, zeta=3.0, amplitude=0.3)
+    W = random_potential(2, 1, np.random.default_rng(80), amplitude=0.4)
+    heun, euler = (McKVProblem(W=W, phi=phi, T=0.1, stepper=StepperConfig(M=8, scheme=s))
+                   for s in SCHEMES)
+    rho_euler = solve_mckv(euler)
+    with pytest.raises(ValueError, match="scheme"):
+        LWOperator(W, rho_euler, heun.stepper)
+    with pytest.raises(ValueError, match="scheme"):
+        Linearisation(heun, rho_euler)
 
 
 def test_basis_maps_reject_K_beyond_the_grid():

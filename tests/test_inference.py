@@ -295,6 +295,8 @@ def test_likelihood_rejects_density_on_another_grid():
     others.append(ForwardModel(phi=model.phi, T=2 * model.T, K=2, stepper=model.stepper))
     others.append(ForwardModel(phi=decay_density(32, 1, zeta=1.8, amplitude=0.3),
                                T=model.T, K=2, stepper=model.stepper))
+    others.append(ForwardModel(phi=model.phi, T=model.T, K=2,
+                               stepper=StepperConfig(M=model.stepper.M, scheme="if-euler")))
     for other in others:
         wrong = other.solve(W0)
         for call in (like.residuals, like.loglik, like.loglik_and_grad):
@@ -515,6 +517,22 @@ def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
     nodes = lin.columns[0]
     ref = np.sum(g[None] * nodes, axis=tuple(range(1, nodes.ndim))).real
     assert np.max(np.abs(vjp - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearisation_holds_its_columns_once(d, scheme):
+    model = _curvature_model(d, scheme)
+    problem = model.problem(random_potential(2, d, np.random.default_rng(60 + d)))
+    rho = solve_mckv(problem)
+    lin = Linearisation(problem, rho)
+    lin.vjp(np.ones_like(rho.coeffs))
+    assert "states" not in vars(lin)  # the backward solve needs no columns
+    S = 2 * rho.M + 1 if scheme == "if-heun" else rho.M + 1
+    assert lin.states.shape == (S, model.dim) + lin.op.grid.shape
+    nodes, stages = lin.columns
+    assert np.shares_memory(nodes, lin.states)
+    assert stages is None if scheme == "if-euler" else np.shares_memory(stages, lin.states)
 
 
 # ---------------------------------------------------------------------------

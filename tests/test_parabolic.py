@@ -333,12 +333,22 @@ def test_lw_solve_transpose_dot_product_identity(d, scheme):
         rng = np.random.default_rng(seed)
         f = _complex(rng, (n_states, 1) + op.grid.shape)
         g = _complex(rng, (_LW_M + 1,) + op.grid.shape)
-        nodes, _ = op.solve(f)
+        nodes = op.solve(f)[:_LW_M + 1, 0]
         w = op.solve_transpose(g)
         assert w.shape == (n_states,) + op.grid.shape
-        _assert_transpose_pair(g, nodes[0], w, f[:, 0])
+        _assert_transpose_pair(g, nodes, w, f[:, 0])
 
     check()
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_solve_returns_states_in_the_layout_of_its_forcing(d, scheme):
+    op = _lw_operator(d, scheme)
+    f = _complex(np.random.default_rng(90 + d), (len(op.rho_states), 2) + op.grid.shape)
+    states = op.solve(f)
+    assert states.shape == f.shape
+    assert np.array_equal(op.solve(f, keep_stages=False), states[:_LW_M + 1])
 
 
 @pytest.mark.parametrize("d", [1, 2])

@@ -20,7 +20,14 @@ from mckvlab.forward import (
     solve_mckv_field,
 )
 from mckvlab.inference import ForwardModel, expected_neg_hessian
-from mckvlab.parabolic import SCHEMES, StepperConfig, trapz_inner, trapz_weights
+from mckvlab.parabolic import (
+    SCHEMES,
+    StepperConfig,
+    Trajectory,
+    solver_states,
+    trapz_inner,
+    trapz_weights,
+)
 from mckvlab.spectral import SpectralField, random_potential
 
 # (n, K) per dimension: K <= n/2 - 1 so every mode of E_K is resolved
@@ -121,3 +128,20 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, sche
     H_ref = gram_matrix(cols, T) + ref
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.array_equal(H, H.T)
+
+
+@_SETTINGS
+@given(**_CASES, steps=st.integers(1, 6))
+def test_trajectory_from_states_is_a_view_of_the_solver_states(d, scheme, seed, steps):
+    n = SIZES[d][0]
+    S = 2 * steps + 1 if scheme == "if-heun" else steps + 1
+    rng = np.random.default_rng(seed)
+    shape = (S,) + (n,) * d
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    traj = Trajectory.from_states(states, T, steps, scheme)
+    assert np.array_equal(solver_states(traj, scheme), states)
+    assert np.shares_memory(traj.coeffs, states)
+    if scheme == "if-heun":
+        assert np.shares_memory(traj.stages, states)
+    else:
+        assert traj.stages is None

@@ -97,6 +97,14 @@ def test_mode_tables_are_read_only():
             table[0] = 0
 
 
+def test_tau_gradient_stack_is_cached_and_read_only():
+    grid = get_grid(8, 2)
+    gtau = tau_gradient_stack(3, grid)
+    assert tau_gradient_stack(3, grid) is gtau
+    assert not gtau.flags.writeable
+    assert np.array_equal(gtau, tau_table(3, 2, 8)[:, None] * grid.ik)
+
+
 def test_coeff_grid_returns_fresh_writable_array():
     v = PotentialVec.from_mode_dict(2, 2, {(1, 0): 1.0})
     c = v.coeff_grid(8)
