@@ -26,12 +26,23 @@ D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from
 one backward solve and no second-derivative solve.
 :func:`mckv_first_derivative` and :func:`mckv_second_derivative` solve
 one direction each and serve as the oracles of the stacked paths.
+
+:func:`linearisation` keeps the :class:`Linearisation` of the
+:data:`MEMO_SIZE` = 2 most recently used problems, keyed by their
+content, so that the W and W0 of one diagnostics pass are solved once.
+``inference.estimate_c1``, ``inference.expected_neg_hessian``,
+``stability.stability_report``, ``stability.sigma_min_trend`` and
+``stability.gradient_stability_sigma_min`` read it when no trajectory is
+passed in; the likelihood and its gradient, ``inference.generate_data``,
+:func:`jacobian_vjp` and :func:`solve_mckv` never do.  A memoised rho_W
+and its columns are read-only.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -41,6 +52,7 @@ from .parabolic import (
     StepperConfig,
     Trajectory,
     _as_grad_coeffs,
+    check_stepper,
     integrate,
     solver_states,
     state_index,
@@ -252,22 +264,34 @@ def _gram(nodes: np.ndarray, dt: float, T: float) -> np.ndarray:
 class Linearisation:
     """D rho_W on the truncated basis, built once per (W, rho_W, K).
 
-    The one place where the basis derivatives are built: it holds the
-    L_W operator along rho_W (``op``) and the basis gradients ``gtau`` of
-    :func:`tau_gradient_stack`, so K > n/2 - 1 raises here.  The D
-    columns are solved on first read, in one stacked solve, and kept.
+    The one place where the basis derivatives are built: it holds rho_W
+    (``rho``), the L_W operator along it (``op``, built on first use) and
+    the basis gradients ``gtau`` of :func:`tau_gradient_stack`, so
+    K > n/2 - 1 and a trajectory from another time grid or scheme raise
+    here.  The D columns are solved on first read, in one stacked solve,
+    and kept read-only.
     """
 
     def __init__(self, problem: McKVProblem, rho: Trajectory, K: int | None = None):
-        self.op = LWOperator(problem.W, rho, problem.stepper)
-        self.gtau = tau_gradient_stack(problem.W.K if K is None else K, self.op.grid)
+        check_stepper(rho, problem.stepper)
+        self.rho = rho
+        self.gtau = tau_gradient_stack(problem.W.K if K is None else K, rho.grid)
+        # a copy, so that the operator built later sees the W of rho
+        # even if the caller changes W.values in place
+        self._W = replace(problem.W, values=problem.W.values.copy())
+        self._stepper = problem.stepper
+
+    @functools.cached_property
+    def op(self) -> LWOperator:
+        """L_W along rho_W; a caller that reads only ``rho`` never builds it."""
+        return LWOperator(self._W, self.rho, self._stepper)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
         """Every D rho_W[tau_k] in solver-state order, shape (S, D, grid);
-        one stacked solve."""
+        one stacked solve, read-only."""
         op = self.op
-        return op.solve(transport_forcing(op.grid, op.rho_states, self.gtau))
+        return spectral._read_only(op.solve(transport_forcing(op.grid, op.rho_states, self.gtau)))
 
     @property
     def columns(self):
@@ -368,6 +392,42 @@ class Linearisation:
             v_back *= op.grad_w[i].reshape(size)
             B += np.matmul(v_back, vf.transpose(0, 2, 1)).sum(axis=0).real
         return B + B.T
+
+
+# the W and W0 that a two-potential diagnostic touches
+MEMO_SIZE = 2
+_memo: OrderedDict[tuple, Linearisation] = OrderedDict()
+
+
+def _memo_key(problem: McKVProblem, K: int) -> tuple:
+    W, phi, stepper = problem.W, problem.phi, problem.stepper
+    return (W.K, W.d, W.values.tobytes(), phi.n, phi.d, phi.coeffs.tobytes(),
+            problem.T, stepper.M, stepper.scheme, K)
+
+
+def linearisation(problem: McKVProblem, K: int | None = None) -> Linearisation:
+    """The :class:`Linearisation` at (problem, K) with rho_W from :func:`solve_mckv`,
+    kept for the :data:`MEMO_SIZE` most recently used keys.
+
+    The key is the content of the problem (W, phi, T, M, scheme) and K, so
+    a W changed in place is solved again.  An entry's rho_W and columns
+    are read-only, since every caller shares them.  The likelihood does
+    not read the memo: each ULA step is at a new W.
+    """
+    K = problem.W.K if K is None else K
+    key = _memo_key(problem, K)
+    lin = _memo.get(key)
+    if lin is not None:
+        _memo.move_to_end(key)
+        return lin
+    rho = solve_mckv(problem)
+    for a in (rho.coeffs.base, rho.coeffs, rho.stages):
+        if a is not None:
+            a.flags.writeable = False
+    lin = _memo[key] = Linearisation(problem, rho, K)
+    while len(_memo) > MEMO_SIZE:
+        _memo.popitem(last=False)
+    return lin
 
 
 def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,

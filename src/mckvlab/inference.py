@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import Linearisation, McKVProblem, jacobian_vjp, solve_mckv
+from .forward import Linearisation, McKVProblem, jacobian_vjp, linearisation, solve_mckv
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -397,13 +397,12 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
     the result is exactly the Gram matrix.  Exactly symmetric.
     """
     problem = model.problem(W)
-    if rho is None:
-        rho = solve_mckv(problem)
-    lin = Linearisation(problem, rho, K=model.K)
+    lin = linearisation(problem, model.K) if rho is None else Linearisation(problem, rho, model.K)
+    rho = lin.rho
     out = lin.gram()
 
     if rho0 is None:
-        rho0 = model.solve(W0)
+        rho0 = linearisation(model.problem(W0), model.K).rho
     diff = rho.coeffs - rho0.coeffs
     if np.max(np.abs(diff)) > 0:
         weights = trapz_weights(rho.M + 1, rho.dt).reshape((-1,) + (1,) * model.d)
@@ -628,12 +627,10 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     of the Euclidean norm of the gradient vector, and (optionally) of
     the Hessian operator norm, all read off forward-map outputs.
     """
-    problem = model.problem(W)
-    rho = solve_mckv(problem)
+    lin = linearisation(model.problem(W), model.K)
     grid = model.phi.grid
-    best = float(np.max(np.abs(grid.to_values(rho.coeffs))))
+    best = float(np.max(np.abs(grid.to_values(lin.rho.coeffs))))
 
-    lin = Linearisation(problem, rho, K=model.K)
     col_vals = grid.to_values(lin.columns[0])  # (D, M+1, grid)
     grad_norm = np.sqrt(np.sum(col_vals**2, axis=0))
     best = max(best, float(np.max(grad_norm)))

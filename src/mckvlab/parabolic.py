@@ -118,7 +118,8 @@ class Trajectory:
                    scheme=scheme, stages=stages)
 
     def without_stages(self) -> "Trajectory":
-        return replace(self, coeffs=self.coeffs, stages=None)
+        """The nodes alone, copied, so no predictor memory stays alive."""
+        return replace(self, coeffs=self.coeffs.copy(), stages=None)
 
     # -- point evaluation ----------------------------------------------------
 
@@ -390,16 +391,37 @@ def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
     Nodes 0..M come first.  For Lawson-Heun the predictor of step m
     follows at :func:`state_index` M+1+m; a trajectory without stored
     stages supplies node m+1 there, which keeps the scheme second order.
+    A trajectory from :meth:`Trajectory.from_states` already holds its
+    states in this order, and gets a view of that buffer, not a copy.
     """
     if scheme != "if-heun":
         return traj.coeffs
+    base, M = traj.coeffs.base, traj.M
+    if (traj.stages is not None and base is not None and traj.stages.base is base
+            and _layout(base[:M + 1]) == _layout(traj.coeffs)
+            and _layout(base[M + 1:]) == _layout(traj.stages)):
+        return base[:]
     predictors = traj.coeffs[1:] if traj.stages is None else traj.stages
     return np.concatenate([traj.coeffs, predictors], axis=0)
+
+
+def _layout(a: np.ndarray) -> tuple:
+    """Where a view starts, and its shape and strides: equal for equal views."""
+    return a.__array_interface__["data"][0], a.shape, a.strides
 
 
 def state_index(M: int, m: int, stage: int) -> int:
     """Position in :func:`solver_states` of stage 0 (node m) or 1 of step m."""
     return m if stage == 0 else M + 1 + m
+
+
+def check_stepper(rho_traj: Trajectory, stepper: StepperConfig):
+    """Reject a density trajectory from another time grid or scheme than ``stepper``."""
+    if stepper.M != rho_traj.M:
+        raise ValueError("stepper M must match the density trajectory")
+    if stepper.scheme != rho_traj.scheme:
+        raise ValueError(f"stepper scheme {stepper.scheme!r} must match the density "
+                         f"trajectory's {rho_traj.scheme!r}")
 
 
 class LWOperator:
@@ -417,11 +439,7 @@ class LWOperator:
     """
 
     def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
-        if stepper.M != rho_traj.M:
-            raise ValueError("stepper M must match the density trajectory")
-        if stepper.scheme != rho_traj.scheme:
-            raise ValueError(f"stepper scheme {stepper.scheme!r} must match the density "
-                             f"trajectory's {rho_traj.scheme!r}")
+        check_stepper(rho_traj, stepper)
         self.grid = grid = rho_traj.grid
         self.config = stepper
         self.T = rho_traj.T

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import Linearisation, McKVProblem, solve_mckv
+from .forward import Linearisation, McKVProblem, linearisation, solve_mckv
 from .parabolic import (
     LWOperator,
     Trajectory,
@@ -158,9 +158,8 @@ def sigma_min_trend(problem: McKVProblem, K: int,
     Nested values reuse one jacobian: the restricted Gram is a principal
     submatrix of the full one.
     """
-    if rho_traj is None:
-        rho_traj = solve_mckv(problem)
-    gram = Linearisation(problem, rho_traj, K=K).gram()
+    lin = linearisation(problem, K) if rho_traj is None else Linearisation(problem, rho_traj, K)
+    gram = lin.gram()
     ksq = mode_ksq(K, problem.W.d)
     out = {}
     for Kp in range(1, K + 1):
@@ -191,10 +190,10 @@ def forward_lipschitz_probe(problem1: McKVProblem, problem2: McKVProblem,
 def stability_report(problem1: McKVProblem, problem2: McKVProblem,
                      K: int, zeta: float, beta: float) -> StabilityReport:
     """Run all four probes on a pair of problems sharing phi and the grid."""
-    rho1 = solve_mckv(problem1)
-    rho2 = solve_mckv(problem2)
+    rho1 = linearisation(problem1, K).rho
+    rho2 = linearisation(problem2, K).rho
     _, residual = pseudo_linearised_difference(problem1, problem2, rho1, rho2)
-    sigma = gradient_stability_sigma_min(problem1, K=K, rho_traj=rho1)
+    sigma = gradient_stability_sigma_min(problem1, K=K)
     margin = deconvolution_margin(rho1, K, zeta)
     dW = problem2.W - problem1.W
     if dW.l2_norm() > 0:

@@ -1,12 +1,15 @@
 import json
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from mckvlab import forward
 from mckvlab.cli import main
 from mckvlab.config import ConfigError, ExperimentConfig
+from mckvlab.parabolic import LWOperator
 
 BASE = {
     "seed": 11,
@@ -237,6 +240,23 @@ def test_stability_command_writes_report(tmp_path):
                 "pseudo_lin_residual"):
         assert key in report["report"]
 
+
+def test_stability_command_solves_the_columns_once(tmp_path, monkeypatch):
+    # the report's sigma_min and the trend read one memoised linearisation at W1
+    monkeypatch.setattr(forward, "_memo", OrderedDict())
+    batches = []
+    solve = LWOperator.solve
+
+    def counting(self, forcing, *args, **kwargs):
+        batches.append(forcing.shape[1])
+        return solve(self, forcing, *args, **kwargs)
+
+    monkeypatch.setattr(LWOperator, "solve", counting)
+    res = CliRunner().invoke(main, ["stability", "--config", str(_write(tmp_path)),
+                                    "--out", str(tmp_path / "st")])
+    assert res.exit_code == 0, res.output
+    # the pseudo-linearised difference solves one field, the columns D = 4
+    assert sorted(batches) == [1, 4]
 
 def test_sample_command(tmp_path):
     runner = CliRunner()

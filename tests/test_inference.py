@@ -1,15 +1,18 @@
 import tracemalloc
+from collections import OrderedDict
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from mckvlab import forward, inference
 from mckvlab.forward import (
     Linearisation,
     decay_density,
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
+    linearisation,
     solve_mckv,
     uniform_density,
 )
@@ -42,9 +45,15 @@ from mckvlab.inference import (
     _hessian_frobenius,
     validate_constants,
 )
-from mckvlab.parabolic import SCHEMES, LWOperator, ObservationOperator, StepperConfig
+from mckvlab.parabolic import (
+    SCHEMES,
+    LWOperator,
+    ObservationOperator,
+    StepperConfig,
+    solver_states,
+)
 from mckvlab.spectral import PotentialVec, random_potential
-from mckvlab.stability import sigma_min_trend
+from mckvlab.stability import gradient_stability_sigma_min, sigma_min_trend, stability_report
 
 N_GRID = 32
 T = 0.25
@@ -485,7 +494,7 @@ def _count_operator_work(monkeypatch):
     return counts
 
 
-def test_curvature_quantities_build_one_operator_per_W(monkeypatch):
+def test_curvature_quantities_build_one_operator_per_W(monkeypatch, fresh_memo):
     rng = np.random.default_rng(12)
     model = _model()
     W0 = random_potential(2, 1, rng, amplitude=0.3)
@@ -493,14 +502,17 @@ def test_curvature_quantities_build_one_operator_per_W(monkeypatch):
     D = model.dim
     counts = _count_operator_work(monkeypatch)
 
+    # one operator at W and one column solve serve all three calls;
+    # rho_{W0} is read from its memo entry, which builds no operator
     expected_neg_hessian(W, W0, model)
     assert counts == {"built": 1, "solve": 1, "solve_transpose": 1}
     counts.update(dict.fromkeys(counts, 0))
     estimate_c1(model, W, include_hessian=True)
-    assert counts == {"built": 1, "solve": 1 + (D + 1) // 2, "solve_transpose": 0}
+    # only the ceil(D/2) folded second-derivative rows
+    assert counts == {"built": 0, "solve": (D + 1) // 2, "solve_transpose": 0}
     counts.update(dict.fromkeys(counts, 0))
     sigma_min_trend(model.problem(W), K=model.K)
-    assert counts == {"built": 1, "solve": 1, "solve_transpose": 0}
+    assert counts == {"built": 0, "solve": 0, "solve_transpose": 0}
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -513,7 +525,7 @@ def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
     g = rng.standard_normal(rho.coeffs.shape) + 1j * rng.standard_normal(rho.coeffs.shape)
     lin = Linearisation(problem, rho)
     vjp = lin.vjp(g)
-    assert "columns" not in vars(lin)  # the backward solve needs no columns
+    assert "states" not in vars(lin)  # the backward solve needs no columns
     nodes = lin.columns[0]
     ref = np.sum(g[None] * nodes, axis=tuple(range(1, nodes.ndim))).real
     assert np.max(np.abs(vjp - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -533,6 +545,131 @@ def test_linearisation_holds_its_columns_once(d, scheme):
     nodes, stages = lin.columns
     assert np.shares_memory(nodes, lin.states)
     assert stages is None if scheme == "if-euler" else np.shares_memory(stages, lin.states)
+
+
+# ---------------------------------------------------------------------------
+# the memo of rho_W and its linearisation
+
+
+@pytest.fixture
+def fresh_memo(monkeypatch):
+    """An empty memo in place of the module's, restored after the test."""
+    memo = OrderedDict()
+    monkeypatch.setattr(forward, "_memo", memo)
+    return memo
+
+
+def _count_solves(monkeypatch):
+    """Count nonlinear solves, wherever the library looks solve_mckv up."""
+    calls = []
+    original = forward.solve_mckv
+
+    def counting(problem):
+        calls.append(problem.W.values.copy())
+        return original(problem)
+
+    monkeypatch.setattr(forward, "solve_mckv", counting)
+    monkeypatch.setattr(inference, "solve_mckv", counting)
+    return calls
+
+
+def _diagnostics(model, W, W0, zeta=1.8):
+    """The curvature and stability diagnostics at (W, W0), as calls in the
+    order a diagnostics pass makes them."""
+    K = model.K
+    return [lambda: estimate_c1(model, W, include_hessian=True),
+            lambda: expected_neg_hessian(W, W0, model).tobytes(),
+            lambda: stability_report(model.problem(W), model.problem(W0), K=K,
+                                     zeta=zeta, beta=6.0),
+            lambda: sigma_min_trend(model.problem(W), K),
+            lambda: gradient_stability_sigma_min(model.problem(W0), K)]
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, scheme):
+    model = _curvature_model(d, scheme)
+    rng = np.random.default_rng(70 + d)
+    W0 = random_potential(2, d, rng, amplitude=0.5)
+    shared = OrderedDict()
+    for _ in range(2):
+        W = W0 + random_potential(2, d, rng, amplitude=0.2)
+        fresh = []
+        for call in _diagnostics(model, W, W0):
+            monkeypatch.setattr(forward, "_memo", OrderedDict())
+            fresh.append(call())
+        monkeypatch.setattr(forward, "_memo", shared)
+        memoised = [call() for call in _diagnostics(model, W, W0)]
+        assert memoised == fresh
+        assert len(shared) == forward.MEMO_SIZE
+    # an explicit trajectory builds its own Linearisation, with the same values
+    rho, rho0 = solve_mckv(model.problem(W)), solve_mckv(model.problem(W0))
+    assert expected_neg_hessian(W, W0, model, rho, rho0).tobytes() == memoised[1]
+    assert sigma_min_trend(model.problem(W), model.K, rho) == memoised[3]
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_memo_entries_are_read_only(fresh_memo, scheme):
+    model = _curvature_model(1, scheme)
+    lin = linearisation(model.problem(random_potential(2, 1, np.random.default_rng(71))))
+    nodes, stages = lin.columns
+    arrays = [lin.rho.coeffs, solver_states(lin.rho, scheme), lin.states, nodes]
+    arrays += [a for a in (lin.rho.stages, stages) if a is not None]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 0.0
+    assert linearisation(model.problem(random_potential(2, 1, np.random.default_rng(71)))) is lin
+
+
+def test_memo_keeps_the_two_most_recent_problems(monkeypatch, fresh_memo):
+    model = _curvature_model(1, "if-heun")
+    rng = np.random.default_rng(72)
+    problems = [model.problem(random_potential(2, 1, rng, amplitude=0.4)) for _ in range(3)]
+    calls = _count_solves(monkeypatch)
+    lins = [linearisation(p) for p in problems]
+    assert len(calls) == 3 and len(fresh_memo) == forward.MEMO_SIZE == 2
+    assert linearisation(problems[2]) is lins[2] and linearisation(problems[1]) is lins[1]
+    assert len(calls) == 3
+    # the first problem was evicted, so it is solved again and evicts the
+    # least recently used entry, the third
+    assert linearisation(problems[0]) is not lins[0] and len(calls) == 4
+    assert linearisation(problems[1]) is lins[1] and len(fresh_memo) == 2
+    # another K is another entry
+    linearisation(problems[1], K=1)
+    assert len(calls) == 5 and len(fresh_memo) == 2
+
+
+def test_memo_solves_again_after_W_changes_in_place(monkeypatch, fresh_memo):
+    model = _curvature_model(1, "if-heun")
+    W = random_potential(2, 1, np.random.default_rng(73), amplitude=0.4)
+    W_before = PotentialVec(W.K, W.d, W.values.copy())
+    problem = model.problem(W)
+    calls = _count_solves(monkeypatch)
+    lin = linearisation(problem)
+    W.values[0] += 0.1
+    changed = linearisation(problem)
+    assert changed is not lin and len(calls) == 2
+    assert np.array_equal(changed.rho.coeffs, solve_mckv(model.problem(W)).coeffs)
+    # the first entry's operator, built only now, still linearises at the old W
+    ref = Linearisation(model.problem(W_before), solve_mckv(model.problem(W_before)))
+    assert lin.gram().tobytes() == ref.gram().tobytes()
+
+
+def test_loglik_and_grad_neither_reads_nor_fills_the_memo(monkeypatch, fresh_memo):
+    model = _curvature_model(1, "if-heun")
+    W = random_potential(2, 1, np.random.default_rng(74), amplitude=0.4)
+    data = generate_data(W, model, 40, 0.05, np.random.default_rng(75))
+    assert not fresh_memo
+    like = LikelihoodEvaluator(model, data)
+    calls = _count_solves(monkeypatch)
+    ref = like.loglik_and_grad(W)
+    assert len(calls) == 1 and not fresh_memo
+    lin = linearisation(model.problem(W))
+    entries = list(fresh_memo.items())
+    value, grad = like.loglik_and_grad(W)
+    assert len(calls) == 3  # the entry's solve, then the likelihood's own
+    assert list(fresh_memo.items()) == entries and fresh_memo[entries[0][0]] is lin
+    assert value == ref[0] and grad.tobytes() == ref[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

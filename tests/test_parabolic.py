@@ -18,6 +18,7 @@ from mckvlab.parabolic import (
     self_convergence_error,
     solve_heat,
     solve_linear_lw,
+    solver_states,
     transport_forcing,
     transport_forcing_transpose,
 )
@@ -405,3 +406,33 @@ def test_trajectory_accepts_matching_stages():
     traj = Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros((9, N_GRID), dtype=complex),
                       stages=np.zeros((8, N_GRID), dtype=complex))
     assert traj.M == 8
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solver_states_of_a_solve_is_a_view_of_its_buffer(d):
+    n = {1: 16, 2: 8}[d]
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    W = random_potential(2, d, np.random.default_rng(90 + d), amplitude=0.4)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=8)))
+    states = solver_states(rho, "if-heun")
+    assert np.shares_memory(states, rho.coeffs) and np.shares_memory(states, rho.stages)
+    # a hand-built trajectory holds nodes and predictors apart: they are concatenated
+    apart = Trajectory(T=rho.T, d=d, n=n, coeffs=rho.coeffs.copy(), stages=rho.stages.copy())
+    copied = solver_states(apart, "if-heun")
+    assert not np.shares_memory(copied, apart.coeffs)
+    assert copied.tobytes() == states.tobytes()
+    # as do nodes and predictors of one buffer in another order
+    swapped = np.concatenate([states[rho.M + 1:], states[:rho.M + 1]])
+    odd = Trajectory(T=rho.T, d=d, n=n, coeffs=swapped[rho.M:], stages=swapped[:rho.M])
+    assert solver_states(odd, "if-heun").tobytes() == states.tobytes()
+    assert not np.shares_memory(solver_states(odd, "if-heun"), swapped)
+
+
+def test_without_stages_copies_the_nodes_alone():
+    phi = decay_density(8, 2, zeta=3.8, amplitude=0.3)
+    W = random_potential(2, 2, np.random.default_rng(92), amplitude=0.4)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=8)))
+    bare = rho.without_stages()
+    assert bare.stages is None and np.array_equal(bare.coeffs, rho.coeffs)
+    assert not np.shares_memory(bare.coeffs, rho.stages)
+    assert bare.coeffs.base is None  # no (2M+1, ...) buffer kept alive behind it
