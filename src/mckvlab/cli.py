@@ -241,9 +241,10 @@ def _chain(config, phi, warnings):
     p, sur, sa = config["problem"], config["surrogate"], config["sampler"]
     model = ForwardModel(phi=phi, T=p["T"], K=p["K"], stepper=config.stepper())
     W0 = config.w0()
+    rho0 = model.solve(W0)
     data = generate_data(W0, model, n_obs=config["inference"]["N"],
                          noise_std=config["inference"]["noise_std"],
-                         rng=np.random.default_rng(config.seed), seed=config.seed)
+                         rng=np.random.default_rng(config.seed), seed=config.seed, rho0=rho0)
     prior = PriorSpec(alpha=config.prior_alpha(), K=model.K, d=model.d,
                       n_obs=data.n_obs)
     r = config.surrogate_radius(model.dim)
@@ -255,7 +256,9 @@ def _chain(config, phi, warnings):
         r = sur["r"]
     c1 = sur["c1_hat"]
     if c1 is None:
-        c1 = estimate_c1(model, W0, include_hessian=model.dim <= 16)
+        # on the data's rho_{W0}, not through the memo of forward.linearisation:
+        # its linearisation and columns are freed before the chain starts
+        c1 = estimate_c1(model, W0, include_hessian=model.dim <= 16, rho=rho0)
     try:
         spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
                                    c_hat=sur["c_hat"], c1_hat=c1, lam=sur["lam"])

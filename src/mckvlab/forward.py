@@ -189,7 +189,19 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     """
     grid = phi.grid
     grad_w = _as_grad_coeffs(W_field, grid)
-    return integrate(phi, lambda m, stage, u: grid.transport_div(u, grad_w, u), T, stepper)
+    # div(u gradW * u), equal bit for bit to grid.transport_div(u, grad_w, u): one
+    # padded synthesis of u and its d convolutions, one analysis of the d products
+    syn, ana = grid.plan("to_padded", (1 + grid.d,)), grid.plan("from_padded", (grid.d,))
+
+    def rhs(m, stage, u):
+        syn.x[0] = u
+        for j, gw in enumerate(grad_w):
+            np.multiply(gw, u, out=syn.x[1 + j])
+        phys = syn.run()
+        np.multiply(phys[:1], phys[1:], out=ana.x)
+        return (grid.ik * ana.run()).sum(axis=0)
+
+    return integrate(phi, rhs, T, stepper)
 
 
 def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,

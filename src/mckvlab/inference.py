@@ -343,11 +343,14 @@ class LikelihoodEvaluator:
                                             dataset.t, dataset.x)
         self.n_solves = 0
 
+    def _solve(self, problem: McKVProblem) -> Trajectory:
+        self.n_solves += 1
+        return solve_mckv(problem)
+
     def residuals(self, W: PotentialVec, rho: Trajectory | None = None):
         model = self.model
         if rho is None:
-            rho = model.solve(W)
-            self.n_solves += 1
+            rho = self._solve(model.problem(W))
         elif (rho.M != model.stepper.M or abs(rho.T - model.T) > 1e-12
               or rho.n != model.n or rho.d != model.d or rho.scheme != model.stepper.scheme):
             raise ValueError(
@@ -364,8 +367,9 @@ class LikelihoodEvaluator:
     def loglik_and_grad(self, W: PotentialVec,
                         rho: Trajectory | None = None):
         """Returns (ell_N, grad) with grad_k = sum_i res_i * D rho[tau_k](t_i, X_i)."""
-        res, rho = self.residuals(W, rho)
-        grad = jacobian_vjp(self.model.problem(W), rho, self._obs.adjoint(res), K=self.model.K)
+        problem = self.model.problem(W)  # one validation of phi, shared by both solves
+        res, rho = self.residuals(W, self._solve(problem) if rho is None else rho)
+        grad = jacobian_vjp(problem, rho, self._obs.adjoint(res), K=self.model.K)
         return -0.5 * float(np.dot(res, res)), grad
 
 
@@ -620,14 +624,18 @@ def make_drift(spec: SurrogateSpec, prior: PriorSpec,
 
 
 def estimate_c1(model: ForwardModel, W: PotentialVec,
-                include_hessian: bool = True) -> float:
+                include_hessian: bool = True, rho: Trajectory | None = None) -> float:
     """Probe-set estimate of the local regularity bound.
 
     Maximum over the stored trajectory nodes and grid points of |G|,
     of the Euclidean norm of the gradient vector, and (optionally) of
-    the Hessian operator norm, all read off forward-map outputs.
+    the Hessian operator norm, all read off forward-map outputs.  A
+    supplied rho_W builds its own linearisation, which is freed on
+    return; without one, rho_W and its columns come from the memo of
+    :func:`~mckvlab.forward.linearisation`.
     """
-    lin = linearisation(model.problem(W), model.K)
+    problem = model.problem(W)
+    lin = linearisation(problem, model.K) if rho is None else Linearisation(problem, rho, model.K)
     grid = model.phi.grid
     best = float(np.max(np.abs(grid.to_values(lin.rho.coeffs))))
 

@@ -23,6 +23,14 @@ Every stack a solve reads or writes (forcings, backward weights, density
 states and solutions) has one layout, (S, B, n, ..., n) in
 :func:`solver_states` order: nodes 0..M, then the Heun predictors, so
 S = 2M+1 for Lawson-Heun and M+1 for Lawson-Euler.
+
+At the sizes of the library a stage is paid in numpy calls rather than
+flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
+:meth:`LWOperator.apply` and :meth:`LWOperator.apply_transpose`) run their
+padded transforms through plans of a fixed stack shape
+(:class:`~mckvlab.spectral.PaddedPlan`), built once per solve or per
+operator, bit for bit equal to the one-shot transforms of
+:class:`~mckvlab.spectral.Grid`.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .spectral import Grid, PotentialVec, SpectralField, get_grid, load_field, save_field
+from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, get_grid, load_field,
+                       save_field)
 
 SCHEMES = ("if-heun", "if-euler")
 BLOWUP_LIMIT = 1e12
@@ -323,7 +332,7 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
 
 def _check_growth(u: np.ndarray, step: int):
     """The blow-up guard of every time loop, forward and transposed."""
-    mx = np.max(np.abs(u))
+    mx = np.abs(u).max()
     if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
         raise NumericalBlowUp(step)
 
@@ -433,9 +442,15 @@ class LWOperator:
     exactly.  The values of rho and of the convolutions gradW_j * rho
     on the padded grid are precomputed at every state; an application
     then costs one padded synthesis of v with its convolutions and one
-    padded analysis (:meth:`Grid.to_padded`, :meth:`Grid.from_padded`).
-    Built from (W, rho_traj, stepper) alone; every linearised solve of
-    the mean-field map goes through :meth:`solve`.
+    padded analysis, and its transpose one transposed analysis and one
+    transposed synthesis.  Each of these runs a
+    :class:`~mckvlab.spectral.PaddedPlan` that the operator builds on
+    first use for each stack size B, so a stage is a fixed set of BLAS
+    calls into buffers the operator owns; both applications return new
+    arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
+    they return, so an operator kept between solves (as in the memo of
+    ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj, stepper) alone; every
+    linearised solve of the mean-field map goes through :meth:`solve`.
     """
 
     def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
@@ -451,34 +466,54 @@ class LWOperator:
         self._ik = grid.ik[:, None]  # (d, 1, grid)
         conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
         self.conv1_phys = grid.to_padded(conv1)  # (S, d, pad grid)
+        self._plans: dict[tuple[int, bool], tuple[PaddedPlan, PaddedPlan]] = {}
+
+    def _plans_for(self, B: int, transpose: bool) -> tuple[PaddedPlan, PaddedPlan]:
+        """The operator's own plans for stacks of B fields, built on first use:
+        (synthesis, analysis) for :meth:`apply`, (transposed analysis,
+        transposed synthesis) for :meth:`apply_transpose`."""
+        plans = self._plans.get((B, transpose))
+        if plans is None:
+            d, plan = self.grid.d, self.grid.plan
+            if transpose:
+                plans = (plan("from_padded_transpose", (d, B)),
+                         plan("to_padded_transpose", (1 + d, B)))
+            else:
+                plans = plan("to_padded", (1 + d, B)), plan("from_padded", (d, B))
+            self._plans[B, transpose] = plans
+        return plans
 
     def apply(self, m: int, stage: int, v: np.ndarray) -> np.ndarray:
-        """L_W v - Lap v for a stacked v of shape (B, grid)."""
-        grid = self.grid
+        """L_W v - Lap v for a stacked v of shape (B, grid); a new array."""
         s = state_index(self.M, m, stage)
+        syn, ana = self._plans_for(len(v), transpose=False)
         # one padded synthesis for v and all gradW_j * v convolutions
-        comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in self.grad_w], axis=0)
-        phys = grid.to_padded(comb)  # (1+d, B, pad)
-        v_phys, c2_phys = phys[0], phys[1:]
-        q = v_phys[None] * self.conv1_phys[s][:, None] + self.rho_phys[s] * c2_phys
-        return np.sum(self._ik * grid.from_padded(q), axis=0)
+        syn.x[0] = v
+        for j, gw in enumerate(self.grad_w):
+            np.multiply(gw, v, out=syn.x[1 + j])
+        phys = syn.run()  # (1+d, B, pad grid)
+        q = np.multiply(phys[:1], self.conv1_phys[s][:, None], out=ana.x)
+        q += self.rho_phys[s] * phys[1:]
+        return (self._ik * ana.run()).sum(axis=0)
 
     def apply_transpose(self, m: int, stage: int, y: np.ndarray) -> np.ndarray:
-        """Transpose of :meth:`apply` under the pairing Re sum(a * c).
+        """Transpose of :meth:`apply` under the pairing Re sum(a * c); a new array.
 
         For stacks y and v of shape (B, grid),
         Re sum(y * apply(m, stage, v)) = Re sum(apply_transpose(m, stage, y) * v).
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
         share one transposed padded analysis and one transposed synthesis.
         """
-        grid = self.grid
         s = state_index(self.M, m, stage)
-        r = grid.from_padded_transpose(self._ik * y)  # (d, B, pad grid)
-        v_phys = np.sum(self.conv1_phys[s][:, None] * r, axis=0, keepdims=True)
-        w = np.concatenate([v_phys, self.rho_phys[s] * r], axis=0)
-        back = grid.to_padded_transpose(w)  # (1+d, B, grid)
-        out = back[0]
-        for j in range(grid.d):
+        ana_t, syn_t = self._plans_for(len(y), transpose=True)
+        np.multiply(self._ik, y, out=ana_t.x)
+        r = ana_t.run()  # (d, B, pad grid)
+        w = syn_t.x
+        (self.conv1_phys[s][:, None] * r).sum(axis=0, out=w[0])
+        np.multiply(self.rho_phys[s], r, out=w[1:])
+        back = syn_t.run()  # (1+d, B, grid)
+        out = back[0] + self.grad_w[0] * back[1]
+        for j in range(1, self.grid.d):
             out += self.grad_w[j] * back[1 + j]
         return out
 
@@ -498,7 +533,9 @@ class LWOperator:
             lv = self.apply(m, stage, v)
             return lv if forcing is None else lv + forcing[state_index(self.M, m, stage)]
 
-        return _integrate_arrays(v0, rhs, self.T, self.config, self.grid, keep_stages)
+        states = _integrate_arrays(v0, rhs, self.T, self.config, self.grid, keep_stages)
+        self._plans.clear()
+        return states
 
     def solve_transpose(self, g: np.ndarray) -> np.ndarray:
         """Transpose of the map from forcing to nodes of :meth:`solve` (v0 = 0).
@@ -528,6 +565,7 @@ class LWOperator:
             w[state_index(M, m, 0)] = kappa1[0]
             lam += self.apply_transpose(m, 0, kappa1) + g[m]
             _check_growth(lam, m)
+        self._plans.clear()
         return w
 
 

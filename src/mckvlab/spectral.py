@@ -29,6 +29,7 @@ from __future__ import annotations
 import csv
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache
@@ -54,7 +55,10 @@ class Grid:
     synthesis, Nyquist row zero, and the (pad_n, n) analysis, its
     conjugate transpose over pad_n, which crops to the resolved modes.
     All array methods accept stacked inputs (..., n, ..., n) and act on
-    the trailing d axes.
+    the trailing d axes.  The four padded transforms run per axis through
+    :meth:`_per_axis` on a call; a kernel that repeats one of them on a
+    fixed stack shape builds its own :meth:`plan` instead.  The grid
+    keeps no plan, so no two callers share a buffer.
     """
 
     def __init__(self, n: int, d: int):
@@ -94,10 +98,13 @@ class Grid:
         synth = roots[np.outer(axis_modes, j) % pn]  # (n, pad_n)
         synth[nyq] = 0.0
         analysis = synth.conj().T / pn  # (pad_n, n)
-        self._to_padded = _axis_products(synth, d, real_in=False, real_out=True)
-        self._from_padded = _axis_products(analysis, d, real_in=True, real_out=False)
-        self._to_padded_t = _axis_products(synth.T, d, real_in=True, real_out=False)
-        self._from_padded_t = _axis_products(analysis.T, d, real_in=False, real_out=True)
+        self._products = {
+            "to_padded": _axis_products(synth, d, real_in=False, real_out=True),
+            "from_padded": _axis_products(analysis, d, real_in=True, real_out=False),
+            "to_padded_transpose": _axis_products(synth.T, d, real_in=True, real_out=False),
+            "from_padded_transpose": _axis_products(analysis.T, d, real_in=False,
+                                                    real_out=True),
+        }
 
     # -- transforms --------------------------------------------------------
 
@@ -130,19 +137,25 @@ class Grid:
 
     def to_padded(self, coeffs: np.ndarray) -> np.ndarray:
         """Real values on the padded grid of a (stacked) coefficient array."""
-        return self._per_axis(coeffs, self._to_padded)
+        return self._per_axis(coeffs, self._products["to_padded"])
 
     def from_padded(self, values: np.ndarray) -> np.ndarray:
         """Resolved coefficients of real values on the padded grid."""
-        return self._per_axis(values, self._from_padded)
+        return self._per_axis(values, self._products["from_padded"])
 
     def to_padded_transpose(self, values: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`to_padded` under the pairing Re sum(a * c)."""
-        return self._per_axis(values, self._to_padded_t)
+        return self._per_axis(values, self._products["to_padded_transpose"])
 
     def from_padded_transpose(self, coeffs: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`from_padded` under the pairing Re sum(a * c)."""
-        return self._per_axis(coeffs, self._from_padded_t)
+        return self._per_axis(coeffs, self._products["from_padded_transpose"])
+
+    def plan(self, transform: str, lead: tuple[int, ...]) -> "PaddedPlan":
+        """A :class:`PaddedPlan` of the padded transform named ``transform``
+        (``"to_padded"``, ``"from_padded"`` or one of their transposes) for
+        inputs of stack shape ``lead``."""
+        return PaddedPlan(self._products[transform], tuple(lead))
 
     # -- pointwise algebra --------------------------------------------------
 
@@ -202,6 +215,50 @@ def _axis_products(Z: np.ndarray, d: int, real_in: bool, real_out: bool):
         mat = np.pad(mat, ((0, 0), (0, -width % 8)))
         out.append((mat, width, not rin, not rout))
     return tuple(out)
+
+
+class PaddedPlan:
+    """One padded transform of a fixed stack shape, run into buffers it owns.
+
+    Built from the per-axis products of :meth:`Grid._per_axis` and the
+    stack shape ``lead``.  The caller writes the input into :attr:`x`,
+    shape ``lead`` + the input grid, and :meth:`run` returns the output,
+    a view of the plan's own buffer that holds only until the next run.
+    Each axis is one ``np.matmul(..., out=)`` on the same rows and the
+    same padded matrix as :meth:`Grid._per_axis`, so the output equals it
+    bit for bit.  A lone row goes in over a spare zero row, so that BLAS
+    runs the two-row product of :meth:`Grid._per_axis`, whose row 0 does
+    not depend on row 1.  Filling a plan's buffers costs more
+    than one call of :meth:`Grid._per_axis`; a plan pays for itself only
+    when it runs many times.
+    """
+
+    def __init__(self, products, lead: tuple[int, ...]):
+        d = len(products)
+        mat, _, complex_in, _ = products[0]
+        shape = lead + (mat.shape[0] // (2 if complex_in else 1),) * d
+        self._steps = []  # (copy of the previous output into x, a, mat, b) per axis
+        y = None
+        for mat, width, complex_in, complex_out in products:
+            rows = math.prod(shape[:-1])
+            a = np.zeros((max(rows, 2), mat.shape[0]))
+            b = np.empty((max(rows, 2), mat.shape[1]))
+            x = a[:rows].view(complex if complex_in else float).reshape(shape)
+            if y is None:
+                self.x = x
+            self._steps.append((None if y is None else (x, y), a, mat, b))
+            y = b[:rows, :width].reshape(shape[:-1] + (width,))
+            y = np.moveaxis(y.view(complex) if complex_out else y, -1, -d)
+            shape = y.shape
+        self.y = y
+
+    def run(self) -> np.ndarray:
+        """The transform of :attr:`x`; a view of :attr:`y`, overwritten by the next run."""
+        for copy, a, mat, b in self._steps:
+            if copy is not None:
+                np.copyto(*copy)
+            np.matmul(a, mat, out=b)
+        return self.y
 
 
 @lru_cache(maxsize=None)

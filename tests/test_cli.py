@@ -6,9 +6,10 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from mckvlab import forward
+from mckvlab import cli, forward, sampler
 from mckvlab.cli import main
 from mckvlab.config import ConfigError, ExperimentConfig
+from mckvlab.inference import ForwardModel, estimate_c1
 from mckvlab.parabolic import LWOperator
 
 BASE = {
@@ -257,6 +258,28 @@ def test_stability_command_solves_the_columns_once(tmp_path, monkeypatch):
     assert res.exit_code == 0, res.output
     # the pseudo-linearised difference solves one field, the columns D = 4
     assert sorted(batches) == [1, 4]
+
+def test_chain_starts_with_an_empty_memo_and_the_memo_c1(tmp_path, monkeypatch):
+    # with surrogate.c1_hat null, c1 is estimated on the data's rho_W0; no
+    # linearisation at W0 stays alive while the chain runs
+    monkeypatch.setattr(forward, "_memo", OrderedDict())
+    seen = {}
+
+    def run_ula(*args, **kwargs):
+        seen["memo"] = len(forward._memo)
+        return sampler.run_ula(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_ula", run_ula)
+    config = ExperimentConfig.from_file(_write(tmp_path, {"surrogate.c1_hat": None}))
+    res = CliRunner().invoke(main, ["sample", "--config", str(tmp_path / "exp.yaml"),
+                                    "--out", str(tmp_path / "sa")])
+    assert res.exit_code == 0, res.output
+    assert seen == {"memo": 0}
+    p = config["problem"]
+    model = ForwardModel(phi=config.phi(), T=p["T"], K=p["K"], stepper=config.stepper())
+    manifest = json.loads((tmp_path / "sa" / "sample_manifest.json").read_text())
+    assert manifest["c1_hat"] == estimate_c1(model, config.w0(), include_hessian=True)
+
 
 def test_sample_command(tmp_path):
     runner = CliRunner()

@@ -26,6 +26,7 @@ from mckvlab.parabolic import (
     SCHEMES,
     StepperConfig,
     heat_trajectory_exact,
+    integrate,
     l2l2_inner,
     rel_l2l2_error,
     solver_states,
@@ -117,6 +118,23 @@ def test_lw_operator_apply_matches_trilinear(d, n, K):
 
 # ---------------------------------------------------------------------------
 # nonlinear forward solves
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_mckv_equals_the_loop_on_the_one_shot_transport_kernel(d, scheme):
+    n = 32 if d == 1 else 16
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    W = random_potential(3, d, np.random.default_rng(30 + d), amplitude=0.6)
+    cfg = StepperConfig(M=24, scheme=scheme)
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
+    grid = phi.grid
+    grad_w = [grid.deriv(W.coeff_grid(n), j) for j in range(d)]
+    oracle = integrate(phi, lambda m, s, u: grid.transport_div(u, grad_w, u), T, cfg)
+    assert np.array_equal(rho.coeffs, oracle.coeffs)
+    assert (rho.stages is None) == (oracle.stages is None)
+    if rho.stages is not None:
+        assert np.array_equal(rho.stages, oracle.stages)
 
 
 def test_mckv_zero_potential_is_heat():

@@ -672,6 +672,20 @@ def test_loglik_and_grad_neither_reads_nor_fills_the_memo(monkeypatch, fresh_mem
     assert value == ref[0] and grad.tobytes() == ref[1].tobytes()
 
 
+def test_a_gradient_builds_one_problem(monkeypatch):
+    # phi is validated once per gradient, and the solve count stays one
+    model = _model()
+    W = random_potential(2, 1, np.random.default_rng(76), amplitude=0.4)
+    like = LikelihoodEvaluator(model, generate_data(W, model, 40, 0.05,
+                                                    np.random.default_rng(77)))
+    built = []
+    post_init = forward.McKVProblem.__post_init__
+    monkeypatch.setattr(forward.McKVProblem, "__post_init__",
+                        lambda self: built.append(post_init(self)))
+    like.loglik_and_grad(W)
+    assert len(built) == 1 and like.n_solves == 1
+
+
 # ---------------------------------------------------------------------------
 # surrogate building blocks
 

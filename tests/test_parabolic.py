@@ -19,6 +19,7 @@ from mckvlab.parabolic import (
     solve_heat,
     solve_linear_lw,
     solver_states,
+    state_index,
     transport_forcing,
     transport_forcing_transpose,
 )
@@ -93,9 +94,15 @@ def test_self_convergence_order(scheme, expected_ratio, window):
 def test_blowup_detection_reports_step():
     phi = _phi()
     big = random_potential(3, 1, np.random.default_rng(3), amplitude=500.0)
+    cfg = StepperConfig(M=8)
     with pytest.raises(NumericalBlowUp) as excinfo:
-        solve_mckv(McKVProblem(W=big, phi=phi, T=T, stepper=StepperConfig(M=8)))
-    assert 1 <= excinfo.value.step <= 8
+        solve_mckv(McKVProblem(W=big, phi=phi, T=T, stepper=cfg))
+    # the step at which the loop on the one-shot transport kernel blows up
+    grid = phi.grid
+    grad_w = [grid.deriv(big.coeff_grid(N_GRID), 0)]
+    with pytest.raises(NumericalBlowUp) as oracle:
+        integrate(phi, lambda m, s, u: grid.transport_div(u, grad_w, u), T, cfg)
+    assert excinfo.value.step == oracle.value.step
 
 
 def test_linear_lw_heat_limit():
@@ -436,3 +443,62 @@ def test_without_stages_copies_the_nodes_alone():
     assert bare.stages is None and np.array_equal(bare.coeffs, rho.coeffs)
     assert not np.shares_memory(bare.coeffs, rho.stages)
     assert bare.coeffs.base is None  # no (2M+1, ...) buffer kept alive behind it
+
+
+def _apply_oracle(op, m, stage, v):
+    # LWOperator.apply on the one-shot padded transforms of Grid
+    grid = op.grid
+    s = state_index(op.M, m, stage)
+    comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in op.grad_w], axis=0)
+    phys = grid.to_padded(comb)  # (1+d, B, pad)
+    v_phys, c2_phys = phys[0], phys[1:]
+    q = v_phys[None] * op.conv1_phys[s][:, None] + op.rho_phys[s] * c2_phys
+    return np.sum(grid.ik[:, None] * grid.from_padded(q), axis=0)
+
+
+def _apply_transpose_oracle(op, m, stage, y):
+    # LWOperator.apply_transpose on the one-shot padded transforms of Grid
+    grid = op.grid
+    s = state_index(op.M, m, stage)
+    r = grid.from_padded_transpose(grid.ik[:, None] * y)  # (d, B, pad grid)
+    v_phys = np.sum(op.conv1_phys[s][:, None] * r, axis=0, keepdims=True)
+    w = np.concatenate([v_phys, op.rho_phys[s] * r], axis=0)
+    back = grid.to_padded_transpose(w)  # (1+d, B, grid)
+    out = back[0]
+    for j in range(grid.d):
+        out += op.grad_w[j] * back[1 + j]
+    return out
+
+
+@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B):
+    op = _lw_operator(d, scheme)
+    rng = np.random.default_rng(120 + 10 * d + B)
+    stages = (0, 1) if scheme == "if-heun" else (0,)
+    kernels = [(op.apply, _apply_oracle), (op.apply_transpose, _apply_transpose_oracle)]
+    for kernel, oracle in kernels:
+        for m in (0, _LW_M - 1):
+            for stage in stages:
+                first = _complex(rng, (B,) + op.grid.shape)
+                out = kernel(m, stage, first)
+                kept = out.copy()
+                assert np.array_equal(out, oracle(op, m, stage, first))
+                # a second call on new input is right and leaves the first result alone
+                second = _complex(rng, (B,) + op.grid.shape)
+                assert np.array_equal(kernel(m, stage, second), oracle(op, m, stage, second))
+                assert np.array_equal(out, kept)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_lw_solves_drop_their_plans(scheme):
+    # an operator kept between solves (the memo of forward.linearisation) holds no buffers
+    op = _lw_operator(2, scheme)
+    rng = np.random.default_rng(130)
+    op.apply(0, 0, _complex(rng, (2,) + op.grid.shape))
+    assert op._plans
+    op.solve(_complex(rng, (len(op.rho_states), 3) + op.grid.shape))
+    assert not op._plans
+    op.solve_transpose(_complex(rng, (_LW_M + 1,) + op.grid.shape))
+    assert not op._plans

@@ -519,3 +519,30 @@ def test_load_field_accepts_the_edge_modes(tmp_path):
     f = load_field(path)
     assert f.coeffs[15] == 0.25 + 0.5j and f.coeffs[-15] == 0.25 - 0.5j
     assert f.conj_symmetry_defect() == 0.0
+
+
+_PLAN_TRANSFORMS = ("to_padded", "from_padded", "to_padded_transpose", "from_padded_transpose")
+
+
+@pytest.mark.parametrize("lead", [(1,), (2,), (1, 1), (3, 4)])
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_padded_plans_equal_the_one_shot_transforms_bit_for_bit(d, n, lead):
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(80 + 10 * d + len(lead))
+    for name in _PLAN_TRANSFORMS:
+        plan = grid.plan(name, lead)
+        complex_in = name in ("to_padded", "from_padded_transpose")
+        shape = lead + (grid.shape if complex_in else (grid.pad_n,) * d)
+        assert plan.x.shape == shape
+        outputs = []
+        # the second run, on new input, must not see the first
+        for _ in range(2):
+            x = _rand_complex(rng, shape) if complex_in else rng.standard_normal(shape)
+            plan.x[...] = x
+            y = plan.run()
+            ref = getattr(grid, name)(x)
+            assert y.dtype == ref.dtype and y.shape == ref.shape, name
+            assert np.array_equal(y, ref), (name, lead)
+            outputs.append(y)
+        # the output is the plan's own buffer, overwritten by each run
+        assert np.shares_memory(outputs[0], outputs[1])
