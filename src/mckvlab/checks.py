@@ -10,14 +10,14 @@ config.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 
 from .config import ExperimentConfig
-from .forward import McKVProblem, ReactionSpec, solve_mckv, solve_rd, rd_linearisation
-from .forward import is_uniform, mckv_first_derivative
+from .forward import ReactionSpec, solve_mckv, solve_rd, rd_linearisation
+from .forward import is_uniform, linearisation, mckv_first_derivative
 from .inference import (
-    ForwardModel,
     LikelihoodEvaluator,
     PriorSpec,
     SurrogateSpec,
@@ -57,25 +57,17 @@ def _fd_error(problem_of, base_problem, H, eps):
 
 def suite_gradients(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed + 101)
-    phi = config.phi()
-    stepper = config.stepper()
-    p = config["problem"]
-    K, d, T = p["K"], p["d"], p["T"]
+    model = config.model()
+    phi, T, K, d, stepper = model.phi, model.T, model.K, model.d, model.stepper
     records = []
 
-    def make(W):
-        return McKVProblem(W=W, phi=phi, T=T, stepper=stepper)
-
-    floor = self_convergence_error(
-        lambda c: solve_mckv(McKVProblem(
-            W=random_potential(K, d, np.random.default_rng(config.seed), 0.5),
-            phi=phi, T=T, stepper=c)),
-        stepper)
+    W_floor = random_potential(K, d, np.random.default_rng(config.seed), 0.5)
+    floor = self_convergence_error(lambda c: replace(model, stepper=c).solve(W_floor), stepper)
 
     for i in range(3):
         W = random_potential(K, d, rng, amplitude=0.5)
         H = random_potential(K, d, rng, amplitude=0.5)
-        errs = [_fd_error(lambda e: make(W + e * H), make(W), H, eps)
+        errs = [_fd_error(lambda e: model.problem(W + e * H), model.problem(W), H, eps)
                 for eps in (1e-2, 1e-3)]
         tol = 1e-4 + 10.0 * floor
         records.append(_record(f"mckv_first_fd_{i}", errs[1] <= tol, errs[1], tol))
@@ -102,7 +94,6 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
                            err, 1e-4 + 10 * floor))
 
     # likelihood gradient, small data
-    model = ForwardModel(phi=phi, T=T, K=K, stepper=stepper)
     W0 = config.w0()
     data = generate_data(W0, model, n_obs=30,
                          noise_std=config["inference"]["noise_std"],
@@ -125,27 +116,23 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
 
 def suite_stability(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed + 202)
-    phi = config.phi()
-    stepper = config.stepper()
-    p = config["problem"]
-    K, d, T = p["K"], p["d"], p["T"]
+    model = config.model()
+    K, d = model.K, model.d
     zeta, beta = config["constants"]["zeta"], config["constants"]["beta"]
     records = []
 
     W1 = random_potential(K, d, rng, amplitude=0.4)
     W2 = W1 + random_potential(K, d, rng, amplitude=0.3)
-    p1 = McKVProblem(W=W1, phi=phi, T=T, stepper=stepper)
-    p2 = McKVProblem(W=W2, phi=phi, T=T, stepper=stepper)
-    rho1 = solve_mckv(p1)
+    p1, p2 = model.problem(W1), model.problem(W2)
+    rho1 = linearisation(p1, K).rho
 
-    floor = self_convergence_error(
-        lambda c: solve_mckv(McKVProblem(W=W1, phi=phi, T=T, stepper=c)), stepper)
+    floor = self_convergence_error(lambda c: replace(model, stepper=c).solve(W1), model.stepper)
     _, residual = pseudo_linearised_difference(p1, p2, rho1=rho1)
     tol = max(5.0 * floor, 1e-12)
     records.append(_record("pseudo_linearisation", residual <= tol, residual, tol))
 
-    sigma = gradient_stability_sigma_min(p1, K=K, rho_traj=rho1)
-    uniform = is_uniform(phi)
+    sigma = gradient_stability_sigma_min(p1, K=K)
+    uniform = is_uniform(model.phi)
     if uniform:
         records.append(_record("sigma_min_uniform_zero", sigma <= 1e-12, sigma, 1e-12))
     else:
@@ -160,8 +147,8 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
         ratios = []
         base = random_potential(K, d, rng, amplitude=1.0)
         for eps in (1e-2, 1e-3):
-            pe = McKVProblem(W=W1 + eps * base, phi=phi, T=T, stepper=stepper)
-            ratios.append(forward_lipschitz_probe(p1, pe, beta, rho1=rho1))
+            ratios.append(forward_lipschitz_probe(p1, model.problem(W1 + eps * base), beta,
+                                                  rho1=rho1))
         rel = abs(ratios[0] - ratios[1]) / ratios[1]
         records.append(_record("lipschitz_ratio_stable", rel <= 0.2, rel, 0.2))
     return records
@@ -169,13 +156,9 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
 
 def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed + 303)
-    phi = config.phi()
-    stepper = config.stepper()
-    p = config["problem"]
-    K, d, T = p["K"], p["d"], p["T"]
+    model = config.model()
     records = []
 
-    model = ForwardModel(phi=phi, T=T, K=K, stepper=stepper)
     W0 = config.w0()
     data = generate_data(W0, model, n_obs=20,
                          noise_std=config["inference"]["noise_std"], rng=rng)

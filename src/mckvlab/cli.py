@@ -26,9 +26,8 @@ import numpy as np
 from . import __version__
 from .checks import SUITES, run_suites
 from .config import ConfigError, ExperimentConfig, load_yaml
-from .forward import McKVProblem, is_uniform, solve_mckv, solve_rd
+from .forward import is_uniform, solve_rd
 from .inference import (
-    ForwardModel,
     LikelihoodEvaluator,
     PriorSpec,
     SurrogateSpec,
@@ -161,20 +160,18 @@ def command(report: str, *options: click.Option, mckv_only: bool = False):
 @command("manifest.json")
 def simulate(config, out, warnings):
     """Solve the configured forward problem and write the trajectory."""
-    phi = config.phi()
-    stepper = config.stepper()
-    p = config["problem"]
+    model = config.model()
     fields = {"flags": []}
-    if p["kind"] == "mckv":
+    if config["problem"]["kind"] == "mckv":
         W0 = config.w0()
-        traj = solve_mckv(McKVProblem(W=W0, phi=phi, T=p["T"], stepper=stepper))
+        traj = model.solve(W0)
         if W0.l2_norm() == 0.0:
-            exact = heat_trajectory_exact(phi, traj.T, traj.M)
+            exact = heat_trajectory_exact(model.phi, traj.T, traj.M)
             fields["heat_limit_max_rel_dev"] = rel_l2l2_error(traj, exact)
-        if is_uniform(phi):
+        if is_uniform(model.phi):
             fields["flags"].append("uniform steady state, non-identifiable")
     else:
-        traj = solve_rd(config.reaction(), phi, p["T"], stepper)
+        traj = solve_rd(config.reaction(), model.phi, model.T, model.stepper)
     traj_dir = out / "trajectory"
     traj.save(traj_dir)
     click.echo(f"trajectory written to {traj_dir} (hash {config.content_hash()[:12]})")
@@ -210,17 +207,15 @@ main.add_command(click.Command(
 @command("stability_report.json", mckv_only=True)
 def stability(config, out, warnings):
     """Stability diagnostics: sigma_min, margins, linear identity residual."""
-    phi = config.phi()
-    stepper = config.stepper()
-    p = config["problem"]
+    model = config.model()
     rng = np.random.default_rng(config.seed + 17)
     W1 = config.w0()
-    W2 = W1 + random_potential(p["K"], p["d"], rng, amplitude=0.3)
-    problem = McKVProblem(W=W1, phi=phi, T=p["T"], stepper=stepper)
+    W2 = W1 + random_potential(model.K, model.d, rng, amplitude=0.3)
+    problem = model.problem(W1)
     rep = stability_report(
-        problem, McKVProblem(W=W2, phi=phi, T=p["T"], stepper=stepper),
-        K=p["K"], zeta=config["constants"]["zeta"], beta=config["constants"]["beta"])
-    trend = sigma_min_trend(problem, K=p["K"])
+        problem, model.problem(W2),
+        K=model.K, zeta=config["constants"]["zeta"], beta=config["constants"]["beta"])
+    trend = sigma_min_trend(problem, K=model.K)
     with open(out / "sigma_min_vs_K.csv", "w") as fh:
         fh.write("K,sigma_min\n")
         for k, v in trend.items():
@@ -232,14 +227,13 @@ def stability(config, out, warnings):
             "sigma_min_vs_K": {str(k): v for k, v in trend.items()}}
 
 
-def _chain(config, phi, warnings):
+def _chain(config, model, warnings):
     """Data from the truth W0, the surrogate around W0 and the ULA chain
-    started there.
+    started there, on the configured ``model``.
 
     Returns (W0, data, spec, run, fields) with the chain's report fields.
     """
-    p, sur, sa = config["problem"], config["surrogate"], config["sampler"]
-    model = ForwardModel(phi=phi, T=p["T"], K=p["K"], stepper=config.stepper())
+    sur, sa = config["surrogate"], config["sampler"]
     W0 = config.w0()
     rho0 = model.solve(W0)
     data = generate_data(W0, model, n_obs=config["inference"]["N"],
@@ -275,7 +269,7 @@ def _chain(config, phi, warnings):
 @command("sample_manifest.json", mckv_only=True)
 def sample(config, out, warnings):
     """Run ULA over the surrogate posterior and store the chain."""
-    _, _, _, run, fields = _chain(config, config.phi(), warnings)
+    _, _, _, run, fields = _chain(config, config.model(), warnings)
     run.save(out / "chain.csv")
     click.echo(f"kept {run.n_kept} samples (gamma={fields['gamma']:.3e})")
     return {**fields, "autocorr_time": run.diagnostics.get("autocorr_time")}
@@ -284,10 +278,10 @@ def sample(config, out, warnings):
 @command("recover_report.json", mckv_only=True)
 def recover(config, out, warnings):
     """End-to-end recovery: data, surrogate, ULA, posterior-mean report."""
-    phi = config.phi()
-    if is_uniform(phi):
+    model = config.model()
+    if is_uniform(model.phi):
         warnings.append("uniform steady state, non-identifiable")
-    W0, data, spec, run, fields = _chain(config, phi, warnings)
+    W0, data, spec, run, fields = _chain(config, model, warnings)
     mean = ergodic_average(run)
     err = float(np.linalg.norm(mean - W0.values))
     half = run.n_kept // 2

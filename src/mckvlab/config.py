@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .forward import ReactionSpec, decay_density, uniform_density
-from .inference import ConstantsConfig
+from .inference import ConstantsConfig, ForwardModel
 from .parabolic import StepperConfig
 from .spectral import PotentialVec, SpectralField, count_dim, random_potential
 
@@ -245,6 +245,11 @@ class ExperimentConfig:
             return decay_density(n, d, zeta=spec["zeta"], amplitude=spec["amplitude"])
         except ValueError as exc:
             raise ConfigError(f"problem.phi: {exc}") from exc
+
+    def model(self) -> ForwardModel:
+        """The configured forward model: phi, horizon, truncation and stepper."""
+        p = self.raw["problem"]
+        return ForwardModel(phi=self.phi(), T=p["T"], K=p["K"], stepper=self.stepper())
 
     def w0(self) -> PotentialVec:
         p = self.raw["problem"]

@@ -30,12 +30,14 @@ one direction each and serve as the oracles of the stacked paths.
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used problems, keyed by their
 content, so that the W and W0 of one diagnostics pass are solved once.
-``inference.estimate_c1``, ``inference.expected_neg_hessian``,
-``stability.stability_report``, ``stability.sigma_min_trend`` and
-``stability.gradient_stability_sigma_min`` read it when no trajectory is
-passed in; the likelihood and its gradient, ``inference.generate_data``,
-:func:`jacobian_vjp` and :func:`solve_mckv` never do.  A memoised rho_W
-and its columns are read-only.
+``inference.expected_neg_hessian``, ``stability.stability_report``,
+``stability.sigma_min_trend``, ``stability.gradient_stability_sigma_min``
+and the stability suite of ``checks`` take rho_W from it alone, and
+``inference.estimate_c1`` when no trajectory is passed in; the likelihood
+and its gradient, ``inference.generate_data``, :func:`jacobian_vjp` and
+:func:`solve_mckv` never read it.  A memoised rho_W and its columns are
+read-only.  Every density trajectory a caller hands in passes one check,
+:func:`check_density`, against its problem or model.
 """
 
 from __future__ import annotations
@@ -52,7 +54,6 @@ from .parabolic import (
     StepperConfig,
     Trajectory,
     _as_grad_coeffs,
-    check_stepper,
     integrate,
     solver_states,
     state_index,
@@ -113,6 +114,23 @@ class McKVProblem:
             raise ValueError("initial density must be a real field")
         if self.W.K > self.phi.n // 2 - 1:
             raise ValueError("potential truncation exceeds grid resolution")
+
+
+def check_density(rho: Trajectory, model) -> Trajectory:
+    """``rho`` if it lies on the discretisation of ``model``, else ValueError.
+
+    ``model`` is a :class:`McKVProblem` or an ``inference.ForwardModel``;
+    the trajectory must share its horizon T (to 1e-12), step count M,
+    scheme, grid size n and dimension d.  A trajectory from another
+    problem would give numbers for that problem with no error.
+    """
+    M, scheme, n, d = model.stepper.M, model.stepper.scheme, model.phi.n, model.phi.d
+    if (rho.M, rho.scheme, rho.n, rho.d) != (M, scheme, n, d) or abs(rho.T - model.T) > 1e-12:
+        raise ValueError(
+            f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}, "
+            f"scheme={rho.scheme}) does not match the model (M={M}, T={model.T}, "
+            f"n={n}, d={d}, scheme={scheme})")
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +229,7 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
     the supplied solution trajectory for ``problem``.  Linear in H.
     """
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    op = LWOperator(problem.W, check_density(rho_traj, problem), problem.stepper)
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
     states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
     return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
@@ -243,7 +261,7 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     Solves (d/dt - L_W)v = six-term forcing built from the cached first
     derivatives dH1, dH2 and the base trajectory, with v(0) = 0.
     """
-    op = LWOperator(problem.W, rho_traj, problem.stepper)
+    op = LWOperator(problem.W, check_density(rho_traj, problem), problem.stepper)
     grad_h1 = _as_grad_coeffs(H1, op.grid)
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
     v1 = solver_states(dH1, op.config.scheme)[:, None]
@@ -279,14 +297,13 @@ class Linearisation:
     The one place where the basis derivatives are built: it holds rho_W
     (``rho``), the L_W operator along it (``op``, built on first use) and
     the basis gradients ``gtau`` of :func:`tau_gradient_stack`, so
-    K > n/2 - 1 and a trajectory from another time grid or scheme raise
+    K > n/2 - 1 and a trajectory that fails :func:`check_density` raise
     here.  The D columns are solved on first read, in one stacked solve,
     and kept read-only.
     """
 
     def __init__(self, problem: McKVProblem, rho: Trajectory, K: int | None = None):
-        check_stepper(rho, problem.stepper)
-        self.rho = rho
+        self.rho = check_density(rho, problem)
         self.gtau = tau_gradient_stack(problem.W.K if K is None else K, rho.grid)
         # a copy, so that the operator built later sees the W of rho
         # even if the caller changes W.values in place

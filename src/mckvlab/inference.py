@@ -10,6 +10,11 @@ grid through the adjoint of the observation operator, and one backward
 solve of the transposed linearised scheme; the D derivative columns are
 never built, so the cost of a gradient does not grow with D beyond one
 final contraction.
+
+The likelihood solves its own rho_W at every W, and the expected Hessian
+reads rho_W and rho_{W0} from the memo of ``forward.linearisation``; only
+:func:`generate_data` and :func:`estimate_c1` take a supplied trajectory,
+checked against the model by ``forward.check_density``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import Linearisation, McKVProblem, jacobian_vjp, linearisation, solve_mckv
+from .forward import (Linearisation, McKVProblem, check_density, jacobian_vjp, linearisation,
+                      solve_mckv)
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -297,11 +303,13 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
                   noise_std: float, rng: np.random.Generator,
                   seed: int | None = None,
                   rho0: Trajectory | None = None) -> Dataset:
-    """Random-design regression sample from the forward map at W0."""
+    """Random-design regression sample from the forward map at W0.
+
+    ``rho0``, if given, must be rho_{W0} on the model's discretisation.
+    """
     if noise_std < 0:
         raise ValueError("noise_std must be >= 0")
-    if rho0 is None:
-        rho0 = model.solve(W0)
+    rho0 = model.solve(W0) if rho0 is None else check_density(rho0, model)
     t = rng.uniform(0.0, model.T, size=n_obs)
     x = rng.uniform(0.0, 1.0, size=(n_obs, model.d))
     obs = ObservationOperator(rho0.T, rho0.M, rho0.grid, t, x)
@@ -327,9 +335,8 @@ class LikelihoodEvaluator:
     grad_k = Re<D rho_W[tau_k], B> of :func:`~mckvlab.forward.jacobian_vjp`,
     one backward linear solve whatever D is; memory is O(N n^d + d M n^d),
     independent of D apart from the (D, d, n^d) basis gradients.
-    Observation times outside [0, T] are rejected, and so is a supplied
-    density trajectory on another time or space grid or from another
-    time-stepping scheme.
+    Every call solves its own rho_W.  Observation times outside [0, T]
+    are rejected.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -343,32 +350,23 @@ class LikelihoodEvaluator:
                                             dataset.t, dataset.x)
         self.n_solves = 0
 
-    def _solve(self, problem: McKVProblem) -> Trajectory:
+    def _residuals(self, problem: McKVProblem):
         self.n_solves += 1
-        return solve_mckv(problem)
+        rho = solve_mckv(problem)
+        return self.dataset.y - self._obs(rho.coeffs[None])[0], rho
 
-    def residuals(self, W: PotentialVec, rho: Trajectory | None = None):
-        model = self.model
-        if rho is None:
-            rho = self._solve(model.problem(W))
-        elif (rho.M != model.stepper.M or abs(rho.T - model.T) > 1e-12
-              or rho.n != model.n or rho.d != model.d or rho.scheme != model.stepper.scheme):
-            raise ValueError(
-                f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}, "
-                f"scheme={rho.scheme}) does not match the model (M={model.stepper.M}, "
-                f"T={model.T}, n={model.n}, d={model.d}, scheme={model.stepper.scheme})")
-        fitted = self._obs(rho.coeffs[None])[0]
-        return self.dataset.y - fitted, rho
+    def residuals(self, W: PotentialVec):
+        """(Y_i - rho_W(t_i, X_i), rho_W), from one nonlinear solve."""
+        return self._residuals(self.model.problem(W))
 
-    def loglik(self, W: PotentialVec, rho: Trajectory | None = None) -> float:
-        res, _ = self.residuals(W, rho)
+    def loglik(self, W: PotentialVec) -> float:
+        res, _ = self.residuals(W)
         return -0.5 * float(np.dot(res, res))
 
-    def loglik_and_grad(self, W: PotentialVec,
-                        rho: Trajectory | None = None):
+    def loglik_and_grad(self, W: PotentialVec):
         """Returns (ell_N, grad) with grad_k = sum_i res_i * D rho[tau_k](t_i, X_i)."""
         problem = self.model.problem(W)  # one validation of phi, shared by both solves
-        res, rho = self.residuals(W, self._solve(problem) if rho is None else rho)
+        res, rho = self._residuals(problem)
         grad = jacobian_vjp(problem, rho, self._obs.adjoint(res), K=self.model.K)
         return -0.5 * float(np.dot(res, res)), grad
 
@@ -386,28 +384,23 @@ def grad_log_likelihood(W: PotentialVec, dataset: Dataset,
 # expected curvature
 
 
-def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel,
-                         rho: Trajectory | None = None,
-                         rho0: Trajectory | None = None) -> np.ndarray:
+def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel) -> np.ndarray:
     """Average single-datum curvature E_{W0}[-Hess ell(W)], a D x D matrix.
 
     Equals (1/T) <D rho_W[tau_j], D rho_W[tau_k]> plus the correction
     (1/T) <rho_W - rho_{W0}, D^2 rho_W[tau_j, tau_k]>, both read off one
-    :class:`~mckvlab.forward.Linearisation`.  The Gram part takes one
+    :class:`~mckvlab.forward.Linearisation`, rho_W and rho_{W0} from the
+    memo of :func:`~mckvlab.forward.linearisation`.  The Gram part takes one
     stacked solve of the D columns; the correction is a linear
     functional of the second derivatives, so it takes one backward solve
     (:meth:`~mckvlab.forward.Linearisation.second_derivative_vjp`) and no
     second-derivative solve.  The correction vanishes at W = W0, where
     the result is exactly the Gram matrix.  Exactly symmetric.
     """
-    problem = model.problem(W)
-    lin = linearisation(problem, model.K) if rho is None else Linearisation(problem, rho, model.K)
+    lin = linearisation(model.problem(W), model.K)
     rho = lin.rho
     out = lin.gram()
-
-    if rho0 is None:
-        rho0 = linearisation(model.problem(W0), model.K).rho
-    diff = rho.coeffs - rho0.coeffs
+    diff = rho.coeffs - linearisation(model.problem(W0), model.K).rho.coeffs
     if np.max(np.abs(diff)) > 0:
         weights = trapz_weights(rho.M + 1, rho.dt).reshape((-1,) + (1,) * model.d)
         out += lin.second_derivative_vjp(weights * diff.conj() / model.T)
@@ -630,9 +623,9 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     Maximum over the stored trajectory nodes and grid points of |G|,
     of the Euclidean norm of the gradient vector, and (optionally) of
     the Hessian operator norm, all read off forward-map outputs.  A
-    supplied rho_W builds its own linearisation, which is freed on
-    return; without one, rho_W and its columns come from the memo of
-    :func:`~mckvlab.forward.linearisation`.
+    supplied rho_W must lie on the model's discretisation; it builds its
+    own linearisation, which is freed on return.  Without one, rho_W and
+    its columns come from the memo of :func:`~mckvlab.forward.linearisation`.
     """
     problem = model.problem(W)
     lin = linearisation(problem, model.K) if rho is None else Linearisation(problem, rho, model.K)

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import Linearisation, McKVProblem, linearisation, solve_mckv
+from .forward import McKVProblem, check_density, linearisation, solve_mckv
 from .parabolic import (
     LWOperator,
     Trajectory,
@@ -60,6 +60,11 @@ def _check_shared_setup(p1: McKVProblem, p2: McKVProblem):
         raise ValueError("problems must share the time-stepping scheme")
 
 
+def _density(rho: Trajectory | None, problem: McKVProblem) -> Trajectory:
+    """A supplied rho_W, checked against ``problem``, or a fresh solve."""
+    return solve_mckv(problem) if rho is None else check_density(rho, problem)
+
+
 def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
                                  rho1: Trajectory | None = None,
                                  rho2: Trajectory | None = None):
@@ -73,10 +78,7 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
     stages reproduce it to the scheme's order.
     """
     _check_shared_setup(problem1, problem2)
-    if rho1 is None:
-        rho1 = solve_mckv(problem1)
-    if rho2 is None:
-        rho2 = solve_mckv(problem2)
+    rho1, rho2 = _density(rho1, problem1), _density(rho2, problem2)
     grid, config = problem1.phi.grid, problem1.stepper
 
     staged = rho1.stages is not None and rho2.stages is not None
@@ -137,8 +139,7 @@ def deconvolution_margin(rho_traj: Trajectory, K: int, zeta: float,
     return _margin(rho_traj.coeffs[:m_max + 1], rho_traj.d, K, zeta)
 
 
-def gradient_stability_sigma_min(problem: McKVProblem, K: int | None = None,
-                                 rho_traj: Trajectory | None = None) -> float:
+def gradient_stability_sigma_min(problem: McKVProblem, K: int | None = None) -> float:
     """Smallest singular value of H -> D rho_W[H], (E_K, L2) -> L2(X, lambda).
 
     Computed as the square root of the smallest eigenvalue of the
@@ -146,20 +147,19 @@ def gradient_stability_sigma_min(problem: McKVProblem, K: int | None = None,
     :func:`sigma_min_trend`.
     """
     K = problem.W.K if K is None else K
-    return sigma_min_trend(problem, K, rho_traj)[K]
+    return sigma_min_trend(problem, K)[K]
 
 
-def sigma_min_trend(problem: McKVProblem, K: int,
-                    rho_traj: Trajectory | None = None) -> dict[int, float]:
+def sigma_min_trend(problem: McKVProblem, K: int) -> dict[int, float]:
     """sigma_min over the nested truncations K' = 1..K (for inspection).
 
     The theory predicts a polynomial decay in K; the constants are
     non-constructive, so the trend is logged rather than asserted.
-    Nested values reuse one jacobian: the restricted Gram is a principal
-    submatrix of the full one.
+    Nested values reuse one jacobian, read from the memo of
+    :func:`~mckvlab.forward.linearisation`: the restricted Gram is a
+    principal submatrix of the full one.
     """
-    lin = linearisation(problem, K) if rho_traj is None else Linearisation(problem, rho_traj, K)
-    gram = lin.gram()
+    gram = linearisation(problem, K).gram()
     ksq = mode_ksq(K, problem.W.d)
     out = {}
     for Kp in range(1, K + 1):
@@ -180,10 +180,7 @@ def forward_lipschitz_probe(problem1: McKVProblem, problem2: McKVProblem,
     denom = dW.sobolev_norm(-(beta + 1.0))
     if denom == 0.0:
         raise ValueError("undefined ratio: the two potentials coincide")
-    if rho1 is None:
-        rho1 = solve_mckv(problem1)
-    if rho2 is None:
-        rho2 = solve_mckv(problem2)
+    rho1, rho2 = _density(rho1, problem1), _density(rho2, problem2)
     return l2l2_diff_norm(rho2, rho1) / denom
 
 

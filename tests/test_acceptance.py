@@ -258,7 +258,7 @@ def test_criterion_09_expected_hessian():
     W0 = random_potential(K, 1, rng, amplitude=0.5)
     rho0 = solve_mckv(model.problem(W0))
     Wn = W0 + random_potential(K, 1, rng, amplitude=1.6)
-    analytic = expected_neg_hessian(Wn, W0, model, rho0=rho0)
+    analytic = expected_neg_hessian(Wn, W0, model)
 
     probn = model.problem(Wn)
     rhon = solve_mckv(probn)

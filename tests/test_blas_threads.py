@@ -1,4 +1,5 @@
-"""Chains are bit-reproducible whatever number of threads BLAS runs."""
+"""Chains and stability reports are bit-reproducible whatever number of
+threads BLAS runs."""
 
 import os
 import subprocess
@@ -34,21 +35,52 @@ run = run_ula(drift, W0.values.copy(), s["gamma"], n_steps=40, burn_in=0, seed=1
 print(run.samples.tobytes().hex())
 """
 
+# stability_report at three points of a d=2, K=2 model (n=16, M=48), printed as
+# hex; its forward Lipschitz quotient and pseudo-linearisation residual are
+# L2([0,T];L2) norms of a single trajectory
+REPORTS = """
+import numpy as np
+from mckvlab.forward import decay_density
+from mckvlab.inference import ForwardModel
+from mckvlab.parabolic import StepperConfig
+from mckvlab.spectral import random_potential
+from mckvlab.stability import stability_report
 
-def _chain(threads):
+phi = decay_density(16, 2, zeta=3.8, amplitude=0.3)
+model = ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=48))
+rng = np.random.default_rng(9)
+W0 = random_potential(2, 2, rng, amplitude=0.8, decay=4.0)
+for _ in range(3):
+    W = W0 + random_potential(2, 2, rng, amplitude=0.2)
+    rep = stability_report(model.problem(W), model.problem(W0), K=2, zeta=3.8, beta=6.0)
+    print(np.array([rep.sigma_min, rep.decon_margin, rep.lipschitz_ratio,
+                    rep.pseudo_lin_residual]).tobytes().hex())
+"""
+
+
+def _run(code, threads, *args):
+    """The floats ``code`` prints as hex, run with ``threads`` BLAS threads
+    (None: the default)."""
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARS}
     if threads is not None:
         env.update({k: str(threads) for k in THREAD_VARS})
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    fixture = ROOT / "tests" / "fixtures" / "recovery_tau.json"
-    out = subprocess.run([sys.executable, "-c", CHAIN, str(fixture)], env=env,
+    out = subprocess.run([sys.executable, "-c", code, *args], env=env,
                          capture_output=True, text=True, timeout=300, check=True)
-    return np.frombuffer(bytes.fromhex(out.stdout.strip()), dtype=float)
+    return np.frombuffer(bytes.fromhex(out.stdout.replace("\n", "")), dtype=float)
 
 
 def test_ula_chain_bit_equal_at_one_and_default_blas_threads():
-    pinned, default = _chain(1), _chain(None)
+    fixture = str(ROOT / "tests" / "fixtures" / "recovery_tau.json")
+    pinned, default = _run(CHAIN, 1, fixture), _run(CHAIN, None, fixture)
     assert pinned.size == 40 * 8
     assert np.all(np.isfinite(pinned))
     assert np.array_equal(pinned, default)
+
+
+def test_stability_report_bit_equal_at_one_and_two_blas_threads():
+    one, two = _run(REPORTS, 1), _run(REPORTS, 2)
+    assert one.size == 3 * 4
+    assert np.all(np.isfinite(one)) and np.all(one[2::4] > 0)
+    assert np.array_equal(one, two)

@@ -5,6 +5,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from click.testing import CliRunner
@@ -89,6 +90,14 @@ def test_base_config_and_every_default_are_valid():
         for part in path.split("."):
             node = node[part]
         assert node == key.default
+
+
+def test_model_is_built_from_the_configured_problem_and_solver():
+    cfg = ExperimentConfig(raw=_with({"solver.scheme": "if-euler"}))
+    model = cfg.model()
+    assert (model.T, model.K, model.stepper) == (0.2, 2, cfg.stepper())
+    assert model.stepper.scheme == "if-euler"
+    assert np.array_equal(model.phi.coeffs, cfg.phi().coeffs)
 
 
 @pytest.mark.parametrize("path,value", _cases(_wrong_types), ids=repr)

@@ -12,7 +12,10 @@ from mckvlab.forward import (
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
+    jacobian_vjp,
     linearisation,
+    mckv_first_derivative,
+    mckv_second_derivative,
     solve_mckv,
     uniform_density,
 )
@@ -53,7 +56,13 @@ from mckvlab.parabolic import (
     solver_states,
 )
 from mckvlab.spectral import PotentialVec, random_potential
-from mckvlab.stability import gradient_stability_sigma_min, sigma_min_trend, stability_report
+from mckvlab.stability import (
+    forward_lipschitz_probe,
+    gradient_stability_sigma_min,
+    pseudo_linearised_difference,
+    sigma_min_trend,
+    stability_report,
+)
 
 N_GRID = 32
 T = 0.25
@@ -268,9 +277,8 @@ def test_grad_loglik_linear_in_residuals():
     W0 = random_potential(2, 1, rng, amplitude=0.3)
     data = generate_data(W0, model, 25, 0.1, rng)
     W = W0 + random_potential(2, 1, rng, amplitude=0.1)
-    rho = model.solve(W)
     like = LikelihoodEvaluator(model, data)
-    fitted = data.y - like.residuals(W, rho)[0]
+    fitted = data.y - like.residuals(W)[0]
     scaled = Dataset(y=fitted + 3.0 * (data.y - fitted), t=data.t, x=data.x,
                      noise_std=data.noise_std)
     g1 = grad_log_likelihood(W, data, model)
@@ -292,25 +300,47 @@ def _small_model(d):
     return ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=8))
 
 
-def test_likelihood_rejects_density_on_another_grid():
+# every entry point that takes a density trajectory, called as
+# call(model, W, W2, rho) with rho in the place of rho_W (or of rho_{W2})
+_DENSITY_ENTRY_POINTS = {
+    "Linearisation": lambda m, W, W2, rho: Linearisation(m.problem(W), rho),
+    "jacobian_stack": lambda m, W, W2, rho: jacobian_stack(m.problem(W), rho),
+    "jacobian_vjp": lambda m, W, W2, rho: jacobian_vjp(m.problem(W), rho,
+                                                       np.ones_like(rho.coeffs)),
+    "jacobian_columns": lambda m, W, W2, rho: jacobian_columns(m.problem(W), rho),
+    "estimate_c1": lambda m, W, W2, rho: estimate_c1(m, W, rho=rho),
+    "generate_data": lambda m, W, W2, rho: generate_data(W, m, 10, 0.05,
+                                                         np.random.default_rng(0), rho0=rho),
+    "mckv_first_derivative": lambda m, W, W2, rho: mckv_first_derivative(m.problem(W), W2, rho),
+    "mckv_second_derivative": lambda m, W, W2, rho: mckv_second_derivative(
+        m.problem(W), W, W2, rho, rho, rho),
+    "pseudo_linearised_difference-rho1": lambda m, W, W2, rho: pseudo_linearised_difference(
+        m.problem(W), m.problem(W2), rho1=rho),
+    "pseudo_linearised_difference-rho2": lambda m, W, W2, rho: pseudo_linearised_difference(
+        m.problem(W2), m.problem(W), rho2=rho),
+    "forward_lipschitz_probe-rho1": lambda m, W, W2, rho: forward_lipschitz_probe(
+        m.problem(W), m.problem(W2), 6.0, rho1=rho),
+    "forward_lipschitz_probe-rho2": lambda m, W, W2, rho: forward_lipschitz_probe(
+        m.problem(W2), m.problem(W), 6.0, rho2=rho),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_DENSITY_ENTRY_POINTS))
+def test_density_entry_points_reject_a_trajectory_of_another_model(entry):
+    call = _DENSITY_ENTRY_POINTS[entry]
     model = _small_model(1)
-    W0 = random_potential(2, 1, np.random.default_rng(20), amplitude=0.4)
-    data = generate_data(W0, model, 40, 0.05, np.random.default_rng(21))
-    like = LikelihoodEvaluator(model, data)
-    rho = model.solve(W0)
-    assert like.loglik(W0, rho) == like.loglik(W0)
-    others = [ForwardModel(phi=model.phi, T=model.T, K=2, stepper=StepperConfig(M=M))
-              for M in (2 * model.stepper.M, model.stepper.M // 2)]
-    others.append(ForwardModel(phi=model.phi, T=2 * model.T, K=2, stepper=model.stepper))
-    others.append(ForwardModel(phi=decay_density(32, 1, zeta=1.8, amplitude=0.3),
-                               T=model.T, K=2, stepper=model.stepper))
-    others.append(ForwardModel(phi=model.phi, T=model.T, K=2,
-                               stepper=StepperConfig(M=model.stepper.M, scheme="if-euler")))
+    rng = np.random.default_rng(20)
+    W = random_potential(2, 1, rng, amplitude=0.4)
+    W2 = W + random_potential(2, 1, rng, amplitude=0.2)
+    call(model, W, W2, model.solve(W))
+    # twice and half the steps, twice the horizon, a finer grid, another scheme
+    others = [replace(model, stepper=StepperConfig(M=M)) for M in (16, 4)]
+    others += [replace(model, T=0.12),
+               replace(model, phi=decay_density(32, 1, zeta=1.8, amplitude=0.3)),
+               replace(model, stepper=StepperConfig(M=8, scheme="if-euler"))]
     for other in others:
-        wrong = other.solve(W0)
-        for call in (like.residuals, like.loglik, like.loglik_and_grad):
-            with pytest.raises(ValueError, match="does not match the model"):
-                call(W0, wrong)
+        with pytest.raises(ValueError, match="does not match the model.*scheme"):
+            call(model, W, W2, other.solve(W))
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -365,7 +395,7 @@ def test_data_and_residuals_match_pointwise_eval(d):
     assert np.array_equal(data.t, t) and np.array_equal(data.x, x)
     scale = np.max(np.abs(pointwise))
     assert np.max(np.abs(data.y - (pointwise + noise))) <= 1e-14 * scale
-    res, _ = LikelihoodEvaluator(model, data).residuals(W0, rho)
+    res, _ = LikelihoodEvaluator(model, data).residuals(W0)
     assert np.max(np.abs(res - noise)) <= 1e-14 * scale
 
 
@@ -602,10 +632,9 @@ def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, sch
         memoised = [call() for call in _diagnostics(model, W, W0)]
         assert memoised == fresh
         assert len(shared) == forward.MEMO_SIZE
-    # an explicit trajectory builds its own Linearisation, with the same values
-    rho, rho0 = solve_mckv(model.problem(W)), solve_mckv(model.problem(W0))
-    assert expected_neg_hessian(W, W0, model, rho, rho0).tobytes() == memoised[1]
-    assert sigma_min_trend(model.problem(W), model.K, rho) == memoised[3]
+    # a trajectory passed in builds its own Linearisation, with the same values
+    rho = solve_mckv(model.problem(W))
+    assert estimate_c1(model, W, include_hessian=True, rho=rho) == memoised[0]
 
 
 @pytest.mark.parametrize("scheme", SCHEMES)

@@ -124,7 +124,7 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, sche
     assert np.max(np.abs(corr - ref)) <= 1e-12 * np.max(np.abs(ref))
     assert np.array_equal(corr, corr.T)
 
-    H = expected_neg_hessian(problem.W, W0, model, rho=rho, rho0=rho0)
+    H = expected_neg_hessian(problem.W, W0, model)
     H_ref = gram_matrix(cols, T) + ref
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.array_equal(H, H.T)

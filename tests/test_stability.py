@@ -187,9 +187,8 @@ def test_sigma_min_squared_is_min_gram_eigenvalue():
     rng = np.random.default_rng(6)
     W = random_potential(2, 1, rng, amplitude=0.3)
     prob = _problem(W)
-    rho = solve_mckv(prob)
-    sigma = gradient_stability_sigma_min(prob, rho_traj=rho)
-    G = gram_matrix(jacobian_columns(prob, rho), T)
+    sigma = gradient_stability_sigma_min(prob)
+    G = gram_matrix(jacobian_columns(prob, solve_mckv(prob)), T)
     assert sigma**2 == pytest.approx(np.linalg.eigvalsh(G)[0], abs=1e-10)
 
 
@@ -198,9 +197,8 @@ def test_sigma_min_monotone_in_truncation():
     rng = np.random.default_rng(7)
     W = random_potential(2, 1, rng, amplitude=0.3)
     prob = _problem(W)
-    rho = solve_mckv(prob)
-    s_small = gradient_stability_sigma_min(prob, K=2, rho_traj=rho)
-    s_large = gradient_stability_sigma_min(prob, K=4, rho_traj=rho)
+    s_small = gradient_stability_sigma_min(prob, K=2)
+    s_large = gradient_stability_sigma_min(prob, K=4)
     assert s_large <= s_small + 1e-12
 
 
@@ -264,8 +262,7 @@ def test_stability_report_fields_and_validation():
 def test_sigma_min_is_last_entry_of_trend():
     rng = np.random.default_rng(40)
     prob = _problem(random_potential(3, 1, rng, amplitude=0.4))
-    rho = solve_mckv(prob)
-    assert sigma_min_trend(prob, 3, rho)[3] == gradient_stability_sigma_min(prob, 3, rho)
+    assert sigma_min_trend(prob, 3)[3] == gradient_stability_sigma_min(prob, 3)
 
 
 def test_sigma_min_trend_rejects_K_beyond_the_grid():
