@@ -9,7 +9,6 @@ from .spectral import (
     count_dim,
     divergence,
     grad,
-    l2_inner,
     l2_norm,
     laplacian,
     modes_in_ball,
@@ -59,8 +58,6 @@ from .inference import (
     delta_n,
     expected_neg_hessian,
     generate_data,
-    grad_log_likelihood,
-    log_likelihood,
     posterior_energy,
     sample_prior,
     surrogate_loglik,

@@ -19,11 +19,13 @@ directions.  The basis derivatives are built in one place,
 :class:`Linearisation`: one operator along rho_W, the D basis columns
 from one stacked solve (:func:`jacobian_stack`), their Gram matrix, a
 vector-Jacobian product from one backward solve of the exact transpose
-of the discrete scheme whatever D is (:func:`jacobian_vjp`), D^2 rho_W
+of the discrete scheme whatever D is (:meth:`Linearisation.vjp`), D^2 rho_W
 over the truncated basis with rows j and D-1-j folded into one solve,
 ceil(D/2) solves in all, and the weighted sum of every
 D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from
-one backward solve and no second-derivative solve.
+one backward solve and no second-derivative solve.  Both backward solves
+end in the one pull-back of their weights through the transport forcing,
+``LWOperator.pull_back``.
 :func:`mckv_first_derivative` and :func:`mckv_second_derivative` solve
 one direction each and serve as the oracles of the stacked paths.
 
@@ -34,9 +36,9 @@ content, so that the W and W0 of one diagnostics pass are solved once.
 ``stability.sigma_min_trend``, ``stability.gradient_stability_sigma_min``
 and the stability suite of ``checks`` take rho_W from it alone, and
 ``inference.estimate_c1`` when no trajectory is passed in; the likelihood
-and its gradient, ``inference.generate_data``, :func:`jacobian_vjp` and
-:func:`solve_mckv` never read it.  A memoised rho_W and its columns are
-read-only.  Every density trajectory a caller hands in passes one check,
+and its gradient, ``inference.generate_data`` and :func:`solve_mckv`
+never read it.  A memoised rho_W and its columns are read-only.  Every
+density trajectory a caller hands in passes one check,
 :func:`check_density`, against its problem or model.
 """
 
@@ -58,7 +60,6 @@ from .parabolic import (
     solver_states,
     state_index,
     transport_forcing,
-    transport_forcing_transpose,
     trapz_inner,
 )
 from .spectral import PotentialVec, SpectralField, get_grid, tau_table
@@ -334,15 +335,16 @@ class Linearisation:
         """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
 
         ``g`` (M+1, n, ..., n) weights the nodes of a derivative trajectory.
-        One backward solve of the transposed L_W and one transposed forcing
+        One backward solve of the transposed L_W and one
+        :meth:`~mckvlab.parabolic.LWOperator.pull_back`, summed against rho,
         give a (d, grid) array; D enters only in the final contraction with
         ``gtau``, so time and memory do not grow with D beyond it, and the
         columns are never solved.  Equals the contraction of g with the
         nodes of :attr:`columns`, to rounding.
         """
         op = self.op
-        weights = op.solve_transpose(g.reshape((op.M + 1,) + op.grid.shape))
-        G = transport_forcing_transpose(op.grid, op.rho_states, weights)
+        _, back = op.pull_back(op.solve_transpose(g.reshape((op.M + 1,) + op.grid.shape)))
+        G = np.einsum("s...,sj...->j...", op.rho_states, back)
         return (self.gtau.reshape(self.gtau.shape[0], -1) @ G.ravel()).real
 
     def gram(self) -> np.ndarray:
@@ -403,9 +405,9 @@ class Linearisation:
         D = gtau.shape[0]
         w = op.solve_transpose(g.reshape((op.M + 1,) + grid.shape))
         # Re sum(w * T(r, gradV, s)) = sum over axes i of Re sum(back_i * gradV_i * s),
-        # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w))
-        r = grid.from_padded_transpose(grid.ik * w[:, None])  # (S, d, pad grid)
-        rho_back = grid.to_padded_transpose(op.rho_phys[:, None] * r)  # (S, d, grid)
+        # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w)):
+        # the pull-back gives the inner transform and back for r = rho
+        r, rho_back = op.pull_back(w)  # (S, d, pad grid), (S, d, grid)
         v_phys = grid.to_padded(v)  # (S, D, pad grid)
         S, size = len(w), grid.size
         rho, vf = op.rho_states.reshape(S, size), v.reshape(S, D, size)
@@ -476,12 +478,6 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):
     """The :attr:`Linearisation.columns` at (problem, rho_traj, K)."""
     return Linearisation(problem, rho_traj, K).columns
-
-
-def jacobian_vjp(problem: McKVProblem, rho_traj: Trajectory, g: np.ndarray,
-                 K: int | None = None) -> np.ndarray:
-    """The :meth:`Linearisation.vjp` of g at (problem, rho_traj, K)."""
-    return Linearisation(problem, rho_traj, K).vjp(g)
 
 
 def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):

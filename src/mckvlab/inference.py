@@ -7,12 +7,13 @@ t_i uniform on [0,T] and X_i uniform on the torus; the log-likelihood is
 ell_N(W) = -1/2 sum_i |Y_i - rho_W(t_i, X_i)|^2.  Its gradient costs
 one nonlinear solve, one back-projection of the residuals onto the node
 grid through the adjoint of the observation operator, and one backward
-solve of the transposed linearised scheme; the D derivative columns are
-never built, so the cost of a gradient does not grow with D beyond one
-final contraction.
+solve of the transposed linearised scheme in ``forward.Linearisation.vjp``;
+the D derivative columns are never built, so the cost of a gradient does
+not grow with D beyond one final contraction.
 
-The likelihood solves its own rho_W at every W, and the expected Hessian
-reads rho_W and rho_{W0} from the memo of ``forward.linearisation``; only
+ell_N and its gradient are reached through :class:`LikelihoodEvaluator`
+alone, which solves its own rho_W at every W; the expected Hessian reads
+rho_W and rho_{W0} from the memo of ``forward.linearisation``; only
 :func:`generate_data` and :func:`estimate_c1` take a supplied trajectory,
 checked against the model by ``forward.check_density``.
 """
@@ -26,8 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (Linearisation, McKVProblem, check_density, jacobian_vjp, linearisation,
-                      solve_mckv)
+from .forward import Linearisation, McKVProblem, check_density, linearisation, solve_mckv
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -327,13 +327,14 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
 class LikelihoodEvaluator:
     """ell_N and grad ell_N for a fixed dataset and forward model.
 
-    The observation operator at the data points is built once, or taken
-    from the dataset when :func:`generate_data` built it on the model's
-    (T, M, n, d).  A value
+    The one way into the likelihood.  The observation operator at the
+    data points is built once, or taken from the dataset when
+    :func:`generate_data` built it on the model's (T, M, n, d).  A value
     costs one nonlinear solve; a gradient adds one back-projection
     B = A^T res of the residuals and the vector-Jacobian product
-    grad_k = Re<D rho_W[tau_k], B> of :func:`~mckvlab.forward.jacobian_vjp`,
-    one backward linear solve whatever D is; memory is O(N n^d + d M n^d),
+    grad_k = Re<D rho_W[tau_k], B> of
+    :meth:`~mckvlab.forward.Linearisation.vjp` along that rho_W, one
+    backward linear solve whatever D is; memory is O(N n^d + d M n^d),
     independent of D apart from the (D, d, n^d) basis gradients.
     Every call solves its own rho_W.  Observation times outside [0, T]
     are rejected.
@@ -367,17 +368,8 @@ class LikelihoodEvaluator:
         """Returns (ell_N, grad) with grad_k = sum_i res_i * D rho[tau_k](t_i, X_i)."""
         problem = self.model.problem(W)  # one validation of phi, shared by both solves
         res, rho = self._residuals(problem)
-        grad = jacobian_vjp(problem, rho, self._obs.adjoint(res), K=self.model.K)
+        grad = Linearisation(problem, rho, self.model.K).vjp(self._obs.adjoint(res))
         return -0.5 * float(np.dot(res, res)), grad
-
-
-def log_likelihood(W: PotentialVec, dataset: Dataset, model: ForwardModel) -> float:
-    return LikelihoodEvaluator(model, dataset).loglik(W)
-
-
-def grad_log_likelihood(W: PotentialVec, dataset: Dataset,
-                        model: ForwardModel) -> np.ndarray:
-    return LikelihoodEvaluator(model, dataset).loglik_and_grad(W)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -585,19 +577,15 @@ def surrogate_loglik(W: PotentialVec, spec: SurrogateSpec,
 # posterior energy and drift
 
 
-def posterior_energy(W: PotentialVec, dataset: Dataset, prior: PriorSpec,
-                     model: ForwardModel,
-                     like: LikelihoodEvaluator | None = None) -> float:
-    """H(W) = 1/2 (sum residuals^2 + W^T Sigma^-1 W) = -ell_N + quadratic."""
-    like = like or LikelihoodEvaluator(model, dataset)
+def posterior_energy(W: PotentialVec, prior: PriorSpec, like: LikelihoodEvaluator) -> float:
+    """H(W) = 1/2 (sum residuals^2 + W^T Sigma^-1 W) = -ell_N + quadratic,
+    with ell_N on the data and model of ``like``."""
     quad = 0.5 * float(np.sum(prior.precision_diag() * W.values**2))
     return -like.loglik(W) + quad
 
 
-def posterior_energy_grad(W: PotentialVec, dataset: Dataset, prior: PriorSpec,
-                          model: ForwardModel,
-                          like: LikelihoodEvaluator | None = None) -> np.ndarray:
-    like = like or LikelihoodEvaluator(model, dataset)
+def posterior_energy_grad(W: PotentialVec, prior: PriorSpec,
+                          like: LikelihoodEvaluator) -> np.ndarray:
     _, grad = like.loglik_and_grad(W)
     return -grad + prior.precision_diag() * W.values
 

@@ -383,22 +383,6 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
     return grid.transport_div(rho, list(np.moveaxis(grad_h, 1, 0)), rho)
 
 
-def transport_forcing_transpose(grid: Grid, states: np.ndarray,
-                                weights: np.ndarray) -> np.ndarray:
-    """Transpose of :func:`transport_forcing` in ``grad_h``, summed over states.
-
-    ``weights`` (S, n, ..., n) pairs with the forcing at each state;
-    returns G of shape (d, n, ..., n) with
-    Re sum(weights * transport_forcing(grid, states, grad_h)[:, b])
-    = Re sum(G * grad_h[b]) for every direction b, so the directions
-    enter only through that last contraction.
-    """
-    rho_phys = grid.to_padded(states)[:, None]  # (S, 1, pad grid)
-    r = grid.from_padded_transpose(grid.ik * weights[:, None])
-    back = grid.to_padded_transpose(rho_phys * r)  # (S, d, grid)
-    return np.einsum("s...,sj...->j...", states, back)
-
-
 def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
     """A trajectory's states in the order a solve reads them, time first.
 
@@ -455,7 +439,9 @@ class LWOperator:
     arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
     they return, so an operator kept between solves (as in the memo of
     ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj, stepper) alone; every
-    linearised solve of the mean-field map goes through :meth:`solve`.
+    linearised solve of the mean-field map goes through :meth:`solve`, and
+    every weight on a transport forcing along rho goes back through
+    :meth:`pull_back`, which reads the same padded rho.
     """
 
     def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
@@ -521,6 +507,15 @@ class LWOperator:
         for j in range(1, self.grid.d):
             out += self.grad_w[j] * back[1 + j]
         return out
+
+    def pull_back(self, w: np.ndarray):
+        """(r, back) of state weights w (S, grid) on div(rho (gradV * s)):
+        r = from_padded_transpose(ik * w), (S, d, pad grid), and
+        back = to_padded_transpose(rho_phys * r), (S, d, grid), so that
+        Re sum(w * div(rho (gradV * s))) = Re sum(back * gradV * s) over the
+        states and the d axes, for any stacks gradV and s."""
+        r = self.grid.from_padded_transpose(self.grid.ik * w[:, None])
+        return r, self.grid.to_padded_transpose(self.rho_phys[:, None] * r)
 
     def solve(self, forcing: np.ndarray | None, v0: np.ndarray | None = None,
               keep_stages: bool = True):

@@ -507,11 +507,6 @@ def sobolev_norm(f: SpectralField, s: float) -> float:
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
 
 
-def l2_inner(f: SpectralField, g: SpectralField) -> float:
-    _check_same_grid(f, g)
-    return float(np.real(np.sum(f.coeffs * np.conj(g.coeffs))))
-
-
 def l2_norm(f: SpectralField) -> float:
     return float(np.linalg.norm(f.coeffs.ravel()))
 

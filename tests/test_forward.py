@@ -11,7 +11,6 @@ from mckvlab.forward import (
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
-    jacobian_vjp,
     mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
@@ -518,6 +517,6 @@ def test_basis_maps_reject_K_beyond_the_grid():
     with pytest.raises(ValueError, match="not representable"):
         jacobian_stack(prob, rho, K=5)
     with pytest.raises(ValueError, match="not representable"):
-        jacobian_vjp(prob, rho, g, K=5)
+        Linearisation(prob, rho, K=5).vjp(g)
     with pytest.raises(ValueError, match="not representable"):
         Linearisation(prob, rho, K=5).second_derivative_matrix(lambda nodes: nodes)

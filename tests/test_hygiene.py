@@ -69,3 +69,35 @@ def test_third_party_imports_are_declared(path):
                for name, line in sorted(_third_party_imports(path).items())
                if DISTRIBUTIONS.get(name, name).lower() not in declared]
     assert missing == []
+
+
+def _defined_names(path: Path) -> list[str]:
+    """Module-level functions and classes of ``path`` and the methods of its
+    classes, less dunders and the CLI commands, whose decorators register
+    them by name."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            names.append(node.name)
+            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+        elif isinstance(node, ast.FunctionDef) and not (path.name == "cli.py"
+                                                        and node.decorator_list):
+            names.append(node.name)
+    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+
+
+def _named_words() -> set[str]:
+    """Every word of src/, tests/ and perfbench/ outside a def or class line's
+    own name; the re-exports of the package's __init__ are not uses."""
+    texts = [p.read_text() for top in ("src", "tests", "perfbench")
+             for p in sorted((ROOT / top).rglob("*.py")) if p != SRC / "__init__.py"]
+    return set(re.findall(r"\w+", re.sub(r"\b(?:def|class)\s+\w+", "", "\n".join(texts))))
+
+
+def test_every_library_name_is_used_somewhere():
+    # a word match, since perfbench/tracer.py names its targets in strings
+    words = _named_words()
+    unused = [f"{path.name} {name}" for path in MODULES for name in _defined_names(path)
+              if name not in words]
+    assert unused == []

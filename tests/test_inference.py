@@ -12,7 +12,6 @@ from mckvlab.forward import (
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
-    jacobian_vjp,
     linearisation,
     mckv_first_derivative,
     mckv_second_derivative,
@@ -36,9 +35,7 @@ from mckvlab.inference import (
     gamma_smooth_deriv,
     gamma_tilde,
     generate_data,
-    grad_log_likelihood,
     lambda_min_bound,
-    log_likelihood,
     make_drift,
     mollifier,
     posterior_energy,
@@ -55,7 +52,7 @@ from mckvlab.parabolic import (
     StepperConfig,
     solver_states,
 )
-from mckvlab.spectral import PotentialVec, random_potential
+from mckvlab.spectral import Grid, PotentialVec, random_potential
 from mckvlab.stability import (
     forward_lipschitz_probe,
     gradient_stability_sigma_min,
@@ -250,7 +247,7 @@ def test_loglik_single_unit_residual():
     t0, x0 = 0.1, np.array([0.3])
     y = rho.eval(t0, x0) + 1.0
     data = Dataset(y=[y], t=[t0], x=[[0.3]], noise_std=0.0)
-    assert log_likelihood(W0, data, model) == pytest.approx(-0.5, abs=1e-12)
+    assert LikelihoodEvaluator(model, data).loglik(W0) == pytest.approx(-0.5, abs=1e-12)
 
 
 def test_grad_loglik_fd_per_coordinate():
@@ -281,8 +278,8 @@ def test_grad_loglik_linear_in_residuals():
     fitted = data.y - like.residuals(W)[0]
     scaled = Dataset(y=fitted + 3.0 * (data.y - fitted), t=data.t, x=data.x,
                      noise_std=data.noise_std)
-    g1 = grad_log_likelihood(W, data, model)
-    g3 = grad_log_likelihood(W, scaled, model)
+    g1 = LikelihoodEvaluator(model, data).loglik_and_grad(W)[1]
+    g3 = LikelihoodEvaluator(model, scaled).loglik_and_grad(W)[1]
     np.testing.assert_allclose(g3, 3.0 * g1, atol=1e-12 * max(1, np.abs(g1).max()))
 
 
@@ -305,8 +302,6 @@ def _small_model(d):
 _DENSITY_ENTRY_POINTS = {
     "Linearisation": lambda m, W, W2, rho: Linearisation(m.problem(W), rho),
     "jacobian_stack": lambda m, W, W2, rho: jacobian_stack(m.problem(W), rho),
-    "jacobian_vjp": lambda m, W, W2, rho: jacobian_vjp(m.problem(W), rho,
-                                                       np.ones_like(rho.coeffs)),
     "jacobian_columns": lambda m, W, W2, rho: jacobian_columns(m.problem(W), rho),
     "estimate_c1": lambda m, W, W2, rho: estimate_c1(m, W, rho=rho),
     "generate_data": lambda m, W, W2, rho: generate_data(W, m, 10, 0.05,
@@ -715,6 +710,22 @@ def test_a_gradient_builds_one_problem(monkeypatch):
     assert len(built) == 1 and like.n_solves == 1
 
 
+def test_a_gradient_synthesises_the_density_states_once(monkeypatch):
+    # the operator's padded rho serves the pull-back through the forcing too
+    phi = decay_density(16, 1, zeta=3.0, amplitude=0.3)
+    model = ForwardModel(phi=phi, T=T, K=2, stepper=StepperConfig(M=8))
+    W = random_potential(2, 1, np.random.default_rng(78), amplitude=0.4)
+    like = LikelihoodEvaluator(model, generate_data(W, model, 40, 0.05,
+                                                    np.random.default_rng(79)))
+    states_shape = (2 * 8 + 1,) + phi.grid.shape
+    shapes = []
+    to_padded = Grid.to_padded
+    monkeypatch.setattr(Grid, "to_padded",
+                        lambda self, c: shapes.append(np.shape(c)) or to_padded(self, c))
+    like.loglik_and_grad(W)
+    assert shapes.count(states_shape) == 1
+
+
 # ---------------------------------------------------------------------------
 # surrogate building blocks
 
@@ -869,14 +880,14 @@ def test_posterior_energy_identities():
     # W = 0 with zero residuals: energy is the pure prior quadratic of 0
     data0 = generate_data(zero, model, 10, 0.0, rng)
     like0 = LikelihoodEvaluator(model, data0)
-    assert posterior_energy(zero, data0, prior, model, like0) == pytest.approx(
+    assert posterior_energy(zero, prior, like0) == pytest.approx(
         0.0, abs=1e-18)
 
     # energy difference equals the log posterior-density ratio
     W1 = W0
     W2 = W0 + random_potential(2, 1, rng, amplitude=0.2)
-    h1 = posterior_energy(W1, data, prior, model, like)
-    h2 = posterior_energy(W2, data, prior, model, like)
+    h1 = posterior_energy(W1, prior, like)
+    h2 = posterior_energy(W2, prior, like)
     l1 = like.loglik(W1) - 0.5 * np.sum(prior.precision_diag() * W1.values**2)
     l2 = like.loglik(W2) - 0.5 * np.sum(prior.precision_diag() * W2.values**2)
     assert h2 - h1 == pytest.approx(l1 - l2, rel=1e-12)
@@ -890,14 +901,13 @@ def test_posterior_energy_grad_fd():
     prior = PriorSpec(alpha=1.0, K=2, d=1, n_obs=15)
     like = LikelihoodEvaluator(model, data)
     W = W0 + random_potential(2, 1, rng, amplitude=0.1)
-    g = posterior_energy_grad(W, data, prior, model, like)
+    g = posterior_energy_grad(W, prior, like)
     eps = 1e-4
     for j in range(g.size):
         e = np.zeros_like(g)
         e[j] = eps
-        fd = (posterior_energy(model.vec(W.values + e), data, prior, model, like)
-              - posterior_energy(model.vec(W.values - e), data, prior, model,
-                                 like)) / (2 * eps)
+        fd = (posterior_energy(model.vec(W.values + e), prior, like)
+              - posterior_energy(model.vec(W.values - e), prior, like)) / (2 * eps)
         assert abs(fd - g[j]) <= 1e-3 * max(1.0, abs(g[j]))
 
 

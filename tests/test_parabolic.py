@@ -21,7 +21,6 @@ from mckvlab.parabolic import (
     solver_states,
     state_index,
     transport_forcing,
-    transport_forcing_transpose,
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
@@ -360,7 +359,7 @@ def test_lw_solve_returns_states_in_the_layout_of_its_forcing(d, scheme):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_transport_forcing_transpose_dot_product_identity(d):
+def test_lw_pull_back_is_the_transpose_of_the_transport_forcing(d):
     op = _lw_operator(d, "if-heun")
     grid, states = op.grid, op.rho_states
 
@@ -371,10 +370,10 @@ def test_transport_forcing_transpose_dot_product_identity(d):
         grad_h = _complex(rng, (B, d) + grid.shape)
         weights = _complex(rng, states.shape)
         forcing = transport_forcing(grid, states, grad_h)
-        G = transport_forcing_transpose(grid, states, weights)
-        assert G.shape == (d,) + grid.shape
+        _, back = op.pull_back(weights)
+        assert back.shape == (len(states), d) + grid.shape
         for b in range(B):
-            _assert_transpose_pair(weights, forcing[:, b], G, grad_h[b])
+            _assert_transpose_pair(weights, forcing[:, b], back, states[:, None] * grad_h[b])
 
     check()
 
