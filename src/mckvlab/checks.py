@@ -79,7 +79,7 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
     R = ReactionSpec(R=np.sin, Rprime=np.cos)
     H = ReactionSpec(R=np.cos, Rprime=lambda u: -np.sin(u))
     u = solve_rd(R, phi, T, stepper)
-    iH = rd_linearisation(R, H, u, stepper)
+    iH = rd_linearisation(R, H, u)
     eps = 1e-3
     up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
                                Rprime=lambda v: np.cos(v) - eps * np.sin(v)),

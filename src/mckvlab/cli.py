@@ -260,6 +260,10 @@ def _chain(config, model, warnings):
         raise ConfigError(f"surrogate.lam: {exc}") from exc
     drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
     gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)
+    top = float(np.max(prior.precision_diag()))
+    if sa["gamma"] and gamma * top >= 2.0:
+        warnings.append(f"sampler.gamma={gamma:.3e} is at or above 2/max(prior precision) "
+                        f"= {2.0 / top:.3e}, where the chain diverges")
     run = run_ula(drift, W0.values.copy(), gamma, n_steps=sa["n_steps"],
                   burn_in=sa["burn_in"], thin=sa["thin"], seed=config.seed + 1)
     fields = {"gamma": gamma, "c1_hat": c1, "lambda": spec.lam, "n_kept": run.n_kept}

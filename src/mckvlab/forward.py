@@ -10,24 +10,24 @@ Two nonlinear parabolic problems on the torus:
 * reaction-diffusion:  d/dt u = Lap(u) + R(u), u(0) = phi, with the
   derivative in R solving d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0.
 
-The linear solves read the nonlinear trajectory at the stored node and
-predictor states, so each derivative is the exact derivative of the
-discrete time-stepping map; finite-difference checks of the solver
-therefore see pure O(eps^2) behaviour.  Every mean-field derivative is
-a solve with :class:`~mckvlab.parabolic.LWOperator`, batched over
-directions.  The basis derivatives are built in one place,
-:class:`Linearisation`: one operator along rho_W, the D basis columns
-from one stacked solve (:func:`jacobian_stack`), their Gram matrix, a
-vector-Jacobian product from one backward solve of the exact transpose
-of the discrete scheme whatever D is (:meth:`Linearisation.vjp`), D^2 rho_W
-over the truncated basis with rows j and D-1-j folded into one solve,
-ceil(D/2) solves in all, and the weighted sum of every
-D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from
-one backward solve and no second-derivative solve.  Both backward solves
-end in the one pull-back of their weights through the transport forcing,
-``LWOperator.pull_back``.
-:func:`mckv_first_derivative` and :func:`mckv_second_derivative` solve
-one direction each and serve as the oracles of the stacked paths.
+The linear solves run on the nonlinear trajectory's own steps and scheme,
+``Trajectory.stepper``, and read it at the stored node and predictor
+states, so each derivative is the exact derivative of the discrete
+time-stepping map; finite-difference checks see pure O(eps^2) behaviour.
+Every mean-field derivative is a solve with
+:class:`~mckvlab.parabolic.LWOperator`, batched over directions.  The basis
+derivatives are built in one place, :class:`Linearisation`: one operator
+along rho_W, the D basis columns from one stacked solve
+(:func:`jacobian_stack`), their Gram matrix, a vector-Jacobian product from
+one backward solve of the exact transpose of the discrete scheme whatever D
+is (:meth:`Linearisation.vjp`), D^2 rho_W over the truncated basis with
+rows j and D-1-j folded into one solve, ceil(D/2) solves in all, and the
+weighted sum of every D^2 rho_W[tau_j, tau_k], the correction of the
+expected Hessian, from one backward solve and no second-derivative solve.
+Both backward solves end in the one pull-back of their weights through the
+transport forcing, ``LWOperator.pull_back``.  :func:`mckv_first_derivative`
+and :func:`mckv_second_derivative` solve one direction each and serve as
+the oracles of the stacked paths.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used problems, keyed by their
@@ -62,7 +62,7 @@ from .parabolic import (
     transport_forcing,
     trapz_inner,
 )
-from .spectral import PotentialVec, SpectralField, get_grid, tau_table
+from .spectral import PotentialVec, SpectralField, tau_table
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +230,7 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
     the supplied solution trajectory for ``problem``.  Linear in H.
     """
-    op = LWOperator(problem.W, check_density(rho_traj, problem), problem.stepper)
+    op = LWOperator(problem.W, check_density(rho_traj, problem))
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
     states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
     return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
@@ -259,14 +259,13 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
                            dH1: Trajectory, dH2: Trajectory) -> Trajectory:
     """Second derivative of W -> rho_W; bilinear and symmetric in (H1, H2).
 
-    Solves (d/dt - L_W)v = six-term forcing built from the cached first
-    derivatives dH1, dH2 and the base trajectory, with v(0) = 0.
+    Solves (d/dt - L_W)v = six-term forcing from the first derivatives dH1,
+    dH2 and rho, all three checked by :func:`check_density`, with v(0) = 0.
     """
-    op = LWOperator(problem.W, check_density(rho_traj, problem), problem.stepper)
+    op = LWOperator(problem.W, check_density(rho_traj, problem))
     grad_h1 = _as_grad_coeffs(H1, op.grid)
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
-    v1 = solver_states(dH1, op.config.scheme)[:, None]
-    v2 = solver_states(dH2, op.config.scheme)[:, None]
+    v1, v2 = (solver_states(check_density(dH, problem))[:, None] for dH in (dH1, dH2))
     states = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
     return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
 
@@ -309,12 +308,11 @@ class Linearisation:
         # a copy, so that the operator built later sees the W of rho
         # even if the caller changes W.values in place
         self._W = replace(problem.W, values=problem.W.values.copy())
-        self._stepper = problem.stepper
 
     @functools.cached_property
     def op(self) -> LWOperator:
         """L_W along rho_W; a caller that reads only ``rho`` never builds it."""
-        return LWOperator(self._W, self.rho, self._stepper)
+        return LWOperator(self._W, self.rho)
 
     @functools.cached_property
     def states(self) -> np.ndarray:
@@ -516,18 +514,17 @@ def solve_rd(R: ReactionSpec, phi: SpectralField, T: float,
     return integrate(phi, rhs, T, stepper)
 
 
-def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory,
-                     stepper: StepperConfig) -> Trajectory:
+def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory) -> Trajectory:
     """Derivative of R -> u_R in direction H.
 
-    Solves d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0, with u read from
-    the supplied solution trajectory at matching nodes/stages.  ``H`` is
-    a scalar callable applied pointwise, or a ReactionSpec whose R is
-    used.
+    Solves d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0, on ``u_traj.stepper``,
+    with u read from the supplied solution trajectory at matching
+    nodes/stages.  ``H`` is a scalar callable applied pointwise, or a
+    ReactionSpec whose R is used.
     """
     h_func = H.R if isinstance(H, ReactionSpec) else H
-    grid = get_grid(u_traj.n, u_traj.d)
-    u = solver_states(u_traj, stepper.scheme)
+    grid = u_traj.grid
+    u = solver_states(u_traj)
 
     def rhs(m, stage, i_c):
         u_vals = grid.to_padded(u[state_index(u_traj.M, m, stage)])
@@ -535,4 +532,4 @@ def rd_linearisation(R: ReactionSpec, H, u_traj: Trajectory,
         return grid.from_padded(R.Rprime(u_vals) * i_vals + h_func(u_vals))
 
     i0 = SpectralField.zeros(u_traj.n, u_traj.d)
-    return integrate(i0, rhs, u_traj.T, stepper)
+    return integrate(i0, rhs, u_traj.T, u_traj.stepper)

@@ -13,11 +13,12 @@ of the solver then float on pure O(eps^2) error instead of an O(dt^2)
 consistency floor.
 
 Every solve in the library, nonlinear or linearised, single or stacked,
-runs through the one time loop behind :func:`integrate`.  The linear
-operator L_W with coefficients read along a density trajectory is
-:class:`LWOperator`; :class:`ObservationOperator` evaluates stacked
-trajectories at fixed space-time points, and its adjoint back-projects
-point data onto the nodes.
+runs through the one time loop behind :func:`integrate`.  A solve along
+a trajectory (:class:`LWOperator`, L_W with coefficients read along a
+density, and :func:`solve_linear_lw`) takes no stepper: it runs on
+:attr:`Trajectory.stepper`, the trajectory's own steps and scheme.
+:class:`ObservationOperator` evaluates stacked trajectories at fixed
+space-time points, and its adjoint back-projects point data onto the nodes.
 
 Every stack a solve reads or writes (forcings, backward weights, density
 states and solutions) has one layout, (S, B, n, ..., n) in
@@ -113,6 +114,12 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return get_grid(self.n, self.d)
+
+    @property
+    def stepper(self) -> StepperConfig:
+        """The steps and scheme of every solve along the trajectory; ValueError
+        for a scheme outside :data:`SCHEMES`, such as ``"exact"``."""
+        return StepperConfig(M=self.M, scheme=self.scheme)
 
     def node(self, m: int) -> SpectralField:
         return SpectralField(self.d, self.n, self.coeffs[m].copy())
@@ -383,7 +390,7 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
     return grid.transport_div(rho, list(np.moveaxis(grad_h, 1, 0)), rho)
 
 
-def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
+def solver_states(traj: Trajectory) -> np.ndarray:
     """A trajectory's states in the order a solve reads them, time first.
 
     Nodes 0..M come first.  For Lawson-Heun the predictor of step m
@@ -392,7 +399,7 @@ def solver_states(traj: Trajectory, scheme: str) -> np.ndarray:
     A trajectory from :meth:`Trajectory.from_states` already holds its
     states in this order, and gets a view of that buffer, not a copy.
     """
-    if scheme != "if-heun":
+    if traj.scheme != "if-heun":
         return traj.coeffs
     base, M = traj.coeffs.base, traj.M
     if (traj.stages is not None and base is not None and traj.stages.base is base
@@ -413,15 +420,6 @@ def state_index(M: int, m: int, stage: int) -> int:
     return m if stage == 0 else M + 1 + m
 
 
-def check_stepper(rho_traj: Trajectory, stepper: StepperConfig):
-    """Reject a density trajectory from another time grid or scheme than ``stepper``."""
-    if stepper.M != rho_traj.M:
-        raise ValueError("stepper M must match the density trajectory")
-    if stepper.scheme != rho_traj.scheme:
-        raise ValueError(f"stepper scheme {stepper.scheme!r} must match the density "
-                         f"trajectory's {rho_traj.scheme!r}")
-
-
 class LWOperator:
     """L_W along a fixed density trajectory, for stacks of B fields.
 
@@ -438,19 +436,19 @@ class LWOperator:
     calls into buffers the operator owns; both applications return new
     arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
     they return, so an operator kept between solves (as in the memo of
-    ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj, stepper) alone; every
-    linearised solve of the mean-field map goes through :meth:`solve`, and
-    every weight on a transport forcing along rho goes back through
-    :meth:`pull_back`, which reads the same padded rho.
+    ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj)
+    alone, it solves on ``rho_traj.stepper``; every linearised solve of the
+    mean-field map goes through :meth:`solve`, and every weight on a transport
+    forcing along rho goes back through :meth:`pull_back`, which reads the
+    same padded rho.
     """
 
-    def __init__(self, W, rho_traj: Trajectory, stepper: StepperConfig):
-        check_stepper(rho_traj, stepper)
+    def __init__(self, W, rho_traj: Trajectory):
+        self.config = rho_traj.stepper
         self.grid = grid = rho_traj.grid
-        self.config = stepper
         self.T = rho_traj.T
         self.M = rho_traj.M
-        self.rho_states = solver_states(rho_traj, stepper.scheme)  # (S, grid)
+        self.rho_states = solver_states(rho_traj)  # (S, grid)
 
         self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
         self.grad_w = _as_grad_coeffs(W, grid)
@@ -570,21 +568,23 @@ class LWOperator:
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
-                    u0: SpectralField, config: StepperConfig) -> Trajectory:
+                    u0: SpectralField) -> Trajectory:
     """Solve (d/dt - L_W)u = f, u(0) = u0, along a given density trajectory.
 
-    Linear in (forcing, u0).  The coefficient trajectory and the forcing
-    must share the time grid.  A forcing without stages is read at node
-    m+1 in stage 1 of step m.
+    Linear in (forcing, u0).  Runs on the time grid and scheme of the
+    coefficient trajectory, which the forcing must share.  A forcing without
+    stages is read at node m+1 in stage 1 of step m.
     """
     if rho_traj.n != u0.n or rho_traj.d != u0.d:
         raise ValueError("coefficient trajectory grid mismatch")
     if forcing is not None:
         _check_same_time_grid(forcing, rho_traj)
-    op = LWOperator(W, rho_traj, config)
-    f = None if forcing is None else solver_states(forcing, config.scheme)[:, None]
+        if forcing.scheme != rho_traj.scheme:
+            raise ValueError(f"forcing scheme {forcing.scheme!r} is not {rho_traj.scheme!r}")
+    op = LWOperator(W, rho_traj)
+    f = None if forcing is None else solver_states(forcing)[:, None]
     return Trajectory.from_states(op.solve(f, u0.coeffs[None])[:, 0], rho_traj.T,
-                                  config.M, config.scheme)
+                                  rho_traj.M, rho_traj.scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -70,7 +70,8 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
                                  rho2: Trajectory | None = None):
     """Linear reconstruction of rho_{W2} - rho_{W1} and its residual.
 
-    Solves the linear PDE with averaged coefficient (rho_1 + rho_2)/2,
+    Solves the linear PDE with averaged coefficient (rho_1 + rho_2)/2 at
+    every solver state (:func:`~mckvlab.parabolic.solver_states`),
     transported by W2, and forcing div(rho_1 grad(W2 - W1) * rho_1).
     Returns (v, residual) where the residual is relative to the direct
     difference in L2([0,T];L2).  With stage-carrying trajectories the
@@ -79,16 +80,12 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
     """
     _check_shared_setup(problem1, problem2)
     rho1, rho2 = _density(rho1, problem1), _density(rho2, problem2)
-    grid, config = problem1.phi.grid, problem1.stepper
-
-    staged = rho1.stages is not None and rho2.stages is not None
-    s1, s2 = (solver_states(r, config.scheme) if staged else r.coeffs for r in (rho1, rho2))
-    rho_bar = Trajectory.from_states(0.5 * (s1 + s2), rho1.T, rho1.M, rho1.scheme)
-
+    s1, grid = solver_states(rho1), rho1.grid
+    rho_bar = Trajectory.from_states(0.5 * (s1 + solver_states(rho2)), rho1.T, rho1.M,
+                                     rho1.scheme)
     grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
-    states = LWOperator(problem2.W, rho_bar, config).solve(
-        transport_forcing(grid, solver_states(rho1, config.scheme), grad_dw))
-    v = Trajectory.from_states(states[:, 0], rho1.T, config.M, config.scheme)
+    states = LWOperator(problem2.W, rho_bar).solve(transport_forcing(grid, s1, grad_dw))
+    v = Trajectory.from_states(states[:, 0], rho1.T, rho1.M, rho1.scheme)
 
     diff = Trajectory.from_states(rho2.coeffs - rho1.coeffs, rho1.T, rho1.M, rho1.scheme)
     denom = diff.l2l2_norm()

@@ -354,6 +354,7 @@ def test_diverging_chain_exits_three(tmp_path, command):
     res = runner.invoke(main, [command, "--config", str(p), "--out", str(tmp_path / "out")])
     assert res.exit_code == 3
     assert "drift diverged" in res.output
+    assert "warning: sampler.gamma=1.000e+300 is at or above 2/max(prior precision)" in res.output
 
 
 # ---------------------------------------------------------------------------

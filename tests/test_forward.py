@@ -103,7 +103,7 @@ def test_lw_operator_apply_matches_trilinear(d, n, K):
     W = random_potential(K, d, rng, amplitude=0.5)
     cfg = StepperConfig(M=16)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.05, stepper=cfg))
-    op = LWOperator(W, rho, cfg)
+    op = LWOperator(W, rho)
     vs = [random_potential(n // 2 - 1, d, rng).to_field(n) for _ in range(3)]
     v = np.stack([f.coeffs for f in vs])
     m = 5
@@ -327,7 +327,7 @@ def test_rd_linearisation_fd_oracle():
     R = ReactionSpec(R=np.sin, Rprime=np.cos)
     H = ReactionSpec(R=np.cos, Rprime=lambda u: -np.sin(u))
     u = solve_rd(R, phi, T, CFG)
-    iH = rd_linearisation(R, H, u, CFG)
+    iH = rd_linearisation(R, H, u)
     eps = 1e-3
     up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
                                Rprime=lambda v: np.cos(v) - eps * np.sin(v)),
@@ -337,6 +337,28 @@ def test_rd_linearisation_fd_oracle():
                   phi, T, CFG)
     fd = (up.coeffs - um.coeffs) / (2 * eps)
     assert _rel_traj_err(fd, iH.coeffs) <= 1e-4
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_rd_linearisation_solves_on_the_trajectory_time_grid(scheme):
+    # the exact derivative of the 8-step map that u was solved on, with no
+    # stepper passed: O(eps^2) against central differences of solve_rd
+    phi = _phi()
+    cfg = StepperConfig(M=8, scheme=scheme)
+    u = solve_rd(ReactionSpec(R=np.sin, Rprime=np.cos), phi, T, cfg)
+    iH = rd_linearisation(ReactionSpec(R=np.sin, Rprime=np.cos), np.cos, u)
+    assert (iH.M, iH.scheme, iH.stages is not None) == (8, scheme, scheme == "if-heun")
+    eps = 1e-4
+    up, um = (solve_rd(ReactionSpec(R=lambda v, s=s: np.sin(v) + s * np.cos(v),
+                                    Rprime=lambda v, s=s: np.cos(v) - s * np.sin(v)),
+                       phi, T, cfg) for s in (eps, -eps))
+    assert _rel_traj_err((up.coeffs - um.coeffs) / (2 * eps), iH.coeffs) <= 1e-6
+
+
+def test_rd_linearisation_rejects_an_exact_trajectory():
+    u = heat_trajectory_exact(_phi(), T, 8)
+    with pytest.raises(ValueError, match="scheme"):
+        rd_linearisation(ReactionSpec(R=np.sin, Rprime=np.cos), np.cos, u)
 
 
 def test_reaction_spec_rejects_wrong_derivative():
@@ -473,9 +495,9 @@ def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
 
 def _second_derivative_rows(prob, rho, cols):
     """The row loop that folding replaced: one stacked solve per row j over k >= j."""
-    op = LWOperator(prob.W, rho, prob.stepper)
+    op = LWOperator(prob.W, rho)
     gtau = tau_gradient_stack(prob.W.K, op.grid)
-    v = np.stack([solver_states(c, prob.stepper.scheme) for c in cols], axis=1)
+    v = np.stack([solver_states(c) for c in cols], axis=1)
     D = len(cols)
     out = np.zeros((D, D, rho.M + 1) + op.grid.shape, dtype=complex)
     for j in range(D):
@@ -502,8 +524,6 @@ def test_linear_operators_reject_density_from_another_scheme():
     heun, euler = (McKVProblem(W=W, phi=phi, T=0.1, stepper=StepperConfig(M=8, scheme=s))
                    for s in SCHEMES)
     rho_euler = solve_mckv(euler)
-    with pytest.raises(ValueError, match="scheme"):
-        LWOperator(W, rho_euler, heun.stepper)
     with pytest.raises(ValueError, match="scheme"):
         Linearisation(heun, rho_euler)
 

@@ -309,6 +309,8 @@ _DENSITY_ENTRY_POINTS = {
     "mckv_first_derivative": lambda m, W, W2, rho: mckv_first_derivative(m.problem(W), W2, rho),
     "mckv_second_derivative": lambda m, W, W2, rho: mckv_second_derivative(
         m.problem(W), W, W2, rho, rho, rho),
+    "mckv_second_derivative-dH": lambda m, W, W2, rho: mckv_second_derivative(
+        m.problem(W), W, W2, m.solve(W), m.solve(W), rho),
     "pseudo_linearised_difference-rho1": lambda m, W, W2, rho: pseudo_linearised_difference(
         m.problem(W), m.problem(W2), rho1=rho),
     "pseudo_linearised_difference-rho2": lambda m, W, W2, rho: pseudo_linearised_difference(
@@ -637,7 +639,7 @@ def test_memo_entries_are_read_only(fresh_memo, scheme):
     model = _curvature_model(1, scheme)
     lin = linearisation(model.problem(random_potential(2, 1, np.random.default_rng(71))))
     nodes, stages = lin.columns
-    arrays = [lin.rho.coeffs, solver_states(lin.rho, scheme), lin.states, nodes]
+    arrays = [lin.rho.coeffs, solver_states(lin.rho), lin.states, nodes]
     arrays += [a for a in (lin.rho.stages, stages) if a is not None]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):

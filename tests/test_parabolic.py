@@ -110,7 +110,7 @@ def test_linear_lw_heat_limit():
     cfg = StepperConfig(M=64)
     rho = solve_heat(phi, T, cfg)
     W0 = PotentialVec.zeros(2, 1)
-    traj = solve_linear_lw(W0, rho, None, phi, cfg)
+    traj = solve_linear_lw(W0, rho, None, phi)
     exact = heat_trajectory_exact(phi, T, 64)
     assert rel_l2l2_error(traj, exact) < 1e-10
 
@@ -124,7 +124,7 @@ def test_linear_lw_zero_data_is_zero():
     zero = SpectralField.zeros(N_GRID, 1)
     forcing = Trajectory(T=T, d=1, n=N_GRID,
                          coeffs=np.zeros((33, N_GRID), dtype=complex))
-    traj = solve_linear_lw(W, rho, forcing, zero, cfg)
+    traj = solve_linear_lw(W, rho, forcing, zero)
     assert np.max(np.abs(traj.coeffs)) == 0.0
 
 
@@ -145,9 +145,9 @@ def test_linear_lw_superposition():
 
     f1, f2 = random_forcing(), random_forcing()
     both = Trajectory(T=T, d=1, n=N_GRID, coeffs=f1.coeffs + f2.coeffs)
-    u1 = solve_linear_lw(W, rho, f1, zero, cfg)
-    u2 = solve_linear_lw(W, rho, f2, zero, cfg)
-    u12 = solve_linear_lw(W, rho, both, zero, cfg)
+    u1 = solve_linear_lw(W, rho, f1, zero)
+    u2 = solve_linear_lw(W, rho, f2, zero)
+    u12 = solve_linear_lw(W, rho, both, zero)
     err = np.max(np.abs(u12.coeffs - u1.coeffs - u2.coeffs))
     assert err < 1e-10 * max(1.0, np.max(np.abs(u12.coeffs)))
 
@@ -159,7 +159,48 @@ def test_time_grid_mismatch_rejected():
     forcing = Trajectory(T=T, d=1, n=N_GRID,
                          coeffs=np.zeros((17, N_GRID), dtype=complex))
     with pytest.raises(ValueError):
-        solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi, cfg)
+        solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi)
+
+
+def test_solve_linear_lw_rejects_a_forcing_on_another_scheme():
+    phi = _phi()
+    rho = solve_heat(phi, T, StepperConfig(M=8))
+    forcing = Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros((9, N_GRID), dtype=complex),
+                         scheme="if-euler")
+    with pytest.raises(ValueError, match="scheme"):
+        solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_linearised_solves_run_on_the_density_time_grid(scheme):
+    # with no stepper passed, the solve is the exact derivative of the 8-step map
+    # that rho_W was solved on: O(eps^2) against central differences of solve_mckv
+    phi = _phi()
+    cfg = StepperConfig(M=8, scheme=scheme)
+    rng = np.random.default_rng(96)
+    W, H = (random_potential(2, 1, rng, amplitude=0.4) for _ in range(2))
+    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
+    op = LWOperator(W, rho)
+    assert op.config == rho.stepper == cfg
+    grad_h = phi.grid.deriv(H.coeff_grid(N_GRID), 0)[None, None]
+    f = transport_forcing(phi.grid, solver_states(rho), grad_h)
+    assert len(op.solve(f)) == len(f) == (17 if scheme == "if-heun" else 9)
+    v = solve_linear_lw(W, rho, Trajectory.from_states(f[:, 0], T, 8, scheme),
+                        SpectralField.zeros(N_GRID, 1))
+    assert (v.M, v.scheme) == (8, scheme)
+    eps = 1e-5
+    rp, rm = (solve_mckv(McKVProblem(W=W + s * H, phi=phi, T=T, stepper=cfg))
+              for s in (eps, -eps))
+    fd = (rp.coeffs - rm.coeffs) / (2 * eps)
+    assert np.max(np.abs(v.coeffs - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+def test_lw_operator_rejects_an_exact_trajectory():
+    rho = heat_trajectory_exact(_phi(), T, 8)
+    with pytest.raises(ValueError, match="scheme"):
+        rho.stepper
+    with pytest.raises(ValueError, match="scheme"):
+        LWOperator(PotentialVec.zeros(2, 1), rho)
 
 
 def test_trajectory_eval_at_node_matches_heat_kernel():
@@ -288,7 +329,7 @@ def _lw_operator(d, scheme):
     cfg = StepperConfig(M=_LW_M, scheme=scheme)
     W = random_potential(2, d, np.random.default_rng(70 + d), amplitude=0.4)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=_LW_T, stepper=cfg))
-    return LWOperator(W, rho, cfg)
+    return LWOperator(W, rho)
 
 
 def _complex(rng, shape):
@@ -420,18 +461,18 @@ def test_solver_states_of_a_solve_is_a_view_of_its_buffer(d):
     phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
     W = random_potential(2, d, np.random.default_rng(90 + d), amplitude=0.4)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=8)))
-    states = solver_states(rho, "if-heun")
+    states = solver_states(rho)
     assert np.shares_memory(states, rho.coeffs) and np.shares_memory(states, rho.stages)
     # a hand-built trajectory holds nodes and predictors apart: they are concatenated
     apart = Trajectory(T=rho.T, d=d, n=n, coeffs=rho.coeffs.copy(), stages=rho.stages.copy())
-    copied = solver_states(apart, "if-heun")
+    copied = solver_states(apart)
     assert not np.shares_memory(copied, apart.coeffs)
     assert copied.tobytes() == states.tobytes()
     # as do nodes and predictors of one buffer in another order
     swapped = np.concatenate([states[rho.M + 1:], states[:rho.M + 1]])
     odd = Trajectory(T=rho.T, d=d, n=n, coeffs=swapped[rho.M:], stages=swapped[:rho.M])
-    assert solver_states(odd, "if-heun").tobytes() == states.tobytes()
-    assert not np.shares_memory(solver_states(odd, "if-heun"), swapped)
+    assert solver_states(odd).tobytes() == states.tobytes()
+    assert not np.shares_memory(solver_states(odd), swapped)
 
 
 def test_without_stages_copies_the_nodes_alone():
