@@ -77,9 +77,8 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
 
     # reaction-diffusion linearisation
     R = ReactionSpec(R=np.sin, Rprime=np.cos)
-    H = ReactionSpec(R=np.cos, Rprime=lambda u: -np.sin(u))
     u = solve_rd(R, phi, T, stepper)
-    iH = rd_linearisation(R, H, u)
+    iH = rd_linearisation(R, np.cos, u)
     eps = 1e-3
     up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
                                Rprime=lambda v: np.cos(v) - eps * np.sin(v)),

@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .forward import ReactionSpec, decay_density, uniform_density
-from .inference import ConstantsConfig, ForwardModel
+from .inference import ConstantsConfig, ForwardModel, delta_n, lambda_min_bound
 from .parabolic import StepperConfig
 from .spectral import PotentialVec, SpectralField, count_dim, random_potential
 
@@ -39,8 +39,8 @@ class Key:
     ``type`` is int, float, str, list (a list of numbers) or the tuple of
     the allowed values.  ``range`` is a lower bound such as ``">= 1"`` or
     ``"> 0"``; ``null`` admits None, ``even`` asks for an even integer.
-    An int key takes integers only (never a bool), a float key any real
-    number, stored as a float.
+    An int key takes integers only (never a bool), a float key any finite
+    real number, stored as a float, and a list key finite numbers.
     """
 
     default: object
@@ -139,6 +139,8 @@ def _typed(key: Key, value, name: str):
         raise ConfigError(f"{name} must be {noun}{' or null' if key.null else ''}, "
                           f"got {value!r}{hint}")
     value = [float(v) for v in value] if key.type is list else key.type(value)
+    if key.type in (float, list) and not np.all(np.isfinite(value)):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
     if key.range is not None:
         op, bound = key.range.split()
         if not _BOUNDS[op](value, float(bound)):
@@ -284,8 +286,6 @@ class ExperimentConfig:
 
     def derived(self) -> dict:
         """Derived quantities recomputed for manifests and reports."""
-        from .inference import delta_n, lambda_min_bound
-
         p, sur = self.raw["problem"], self.raw["surrogate"]
         D = count_dim(p["K"], p["d"])
         N = self.raw["inference"]["N"]

@@ -36,22 +36,15 @@ from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 # rates and the constants system
 
 
-def delta_n(alpha: float, d: int, n_obs: int, beta: float | None = None,
-            zeta: float | None = None):
-    """Nonparametric rate N^(-(alpha+1)/(2(alpha+1)+d)).
-
-    With ``beta`` and ``zeta`` supplied, also returns the inverse-problem
-    exponent eta = (beta-2)/beta - 3 zeta / (2(alpha+1)).
-    """
+def delta_n(alpha: float, d: int, n_obs: int) -> float:
+    """Nonparametric rate N^(-(alpha+1)/(2(alpha+1)+d))."""
     if n_obs < 1:
         raise ValueError("sample size must be >= 1")
-    delta = float(n_obs) ** (-(alpha + 1.0) / (2.0 * (alpha + 1.0) + d))
-    if beta is None or zeta is None:
-        return delta
-    return delta, eta_exponent(alpha, beta, zeta)
+    return float(n_obs) ** (-(alpha + 1.0) / (2.0 * (alpha + 1.0) + d))
 
 
 def eta_exponent(alpha: float, beta: float, zeta: float) -> float:
+    """Inverse-problem exponent eta = (beta-2)/beta - 3 zeta / (2(alpha+1))."""
     return (beta - 2.0) / beta - 3.0 * zeta / (2.0 * (alpha + 1.0))
 
 
@@ -116,8 +109,9 @@ def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
     checks["w_window"] = w_lo < w < w_hi
     values["w_window"] = (w_lo, w_hi)
 
-    delta, eta = delta_n(alpha, d, n_obs, beta, zeta) if n_obs is not None else (None, None)
+    delta = None
     if n_obs is not None:
+        delta, eta = delta_n(alpha, d, n_obs), eta_exponent(alpha, beta, zeta)
         values["delta_N"] = delta
         values["eta"] = eta
         values["N_delta2"] = n_obs * delta**2
@@ -171,7 +165,7 @@ class PriorSpec:
         self.delta = delta_n(self.alpha, self.d, self.n_obs)
         scale = 1.0 / (np.sqrt(self.n_obs) * self.delta)
         self.diag = scale * (1.0 + mode_ksq(self.K, self.d)) ** (-(self.alpha + 1.0) / 2.0)
-        if np.any(self.diag <= 0):
+        if not np.all(self.diag > 0):
             raise ValueError("prior scales must be strictly positive")
 
     @property
@@ -307,7 +301,7 @@ def generate_data(W0: PotentialVec, model: ForwardModel, n_obs: int,
 
     ``rho0``, if given, must be rho_{W0} on the model's discretisation.
     """
-    if noise_std < 0:
+    if not noise_std >= 0:
         raise ValueError("noise_std must be >= 0")
     rho0 = model.solve(W0) if rho0 is None else check_density(rho0, model)
     t = rng.uniform(0.0, model.T, size=n_obs)
@@ -525,9 +519,9 @@ class SurrogateSpec:
     lam_floor: float = 0.0
 
     def __post_init__(self):
-        if self.r <= 0:
+        if not self.r > 0:
             raise ValueError("ball radius must be positive")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("convexifier weight must be positive")
         if self.lam_floor > 0 and self.lam < self.lam_floor * (1 - 1e-12):
             raise ValueError(

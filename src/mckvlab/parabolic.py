@@ -367,14 +367,19 @@ def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
 # the linear operator L_W with time-dependent nonlocal coefficients
 
 
-def _as_grad_coeffs(W, grid: Grid) -> list[np.ndarray]:
-    """Gradient coefficient arrays of a potential given as vec or field."""
-    if isinstance(W, PotentialVec):
-        c = W.coeff_grid(grid.n)
-    elif isinstance(W, SpectralField):
-        c = W.coeffs
-    else:
-        c = np.asarray(W, dtype=complex)
+def _as_grad_coeffs(W: PotentialVec | SpectralField, grid: Grid) -> list[np.ndarray]:
+    """Gradient coefficient arrays of a potential on ``grid``.
+
+    The one gate of every potential W, direction H and transport potential
+    V: a PotentialVec of another d, or a field of another (n, d), raises
+    ValueError instead of broadcasting against the grid.
+    """
+    field = isinstance(W, SpectralField)
+    if W.d != grid.d or field and W.n != grid.n:
+        shape = f"n={W.n}, d={W.d}" if field else f"d={W.d}"
+        raise ValueError(f"potential ({shape}) does not match the grid "
+                         f"(n={grid.n}, d={grid.d})")
+    c = W.coeffs if field else W.coeff_grid(grid.n)
     return [grid.deriv(c, j) for j in range(grid.d)]
 
 
@@ -448,10 +453,9 @@ class LWOperator:
         self.grid = grid = rho_traj.grid
         self.T = rho_traj.T
         self.M = rho_traj.M
-        self.rho_states = solver_states(rho_traj)  # (S, grid)
-
-        self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
         self.grad_w = _as_grad_coeffs(W, grid)
+        self.rho_states = solver_states(rho_traj)  # (S, grid)
+        self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
         self._ik = grid.ik[:, None]  # (d, 1, grid)
         conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
         self.conv1_phys = grid.to_padded(conv1)  # (S, d, pad grid)

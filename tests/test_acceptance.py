@@ -181,7 +181,7 @@ def test_criterion_06_reaction_diffusion():
     H = ReactionSpec(R=np.cos, Rprime=lambda u: -np.sin(u))
     floor = self_convergence_error(lambda c: solve_rd(R, phi, T, c), CFG)
     u = solve_rd(R, phi, T, CFG)
-    iH = rd_linearisation(R, H, u)
+    iH = rd_linearisation(R, H.R, u)
     eps = 1e-3
     up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
                                Rprime=lambda v: np.cos(v) - eps * np.sin(v)),

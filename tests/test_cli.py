@@ -415,6 +415,21 @@ def test_bad_phi_exits_one(tmp_path, command):
     assert len(_errors(res)) == 1 and _errors(res)[0].startswith("error: problem.phi")
 
 
+@pytest.mark.parametrize("key, overrides", [
+    ("inference.alpha", {"inference.alpha": np.nan}),
+    ("problem.phi.zeta", {"problem.phi.zeta": np.nan}),
+    ("surrogate.c_hat", {"surrogate.c_hat": np.nan}),
+    ("problem.W0.values", {"problem.W0.type": "coeffs",
+                           "problem.W0.values": [0.1, np.nan, 0.0, 0.0]}),
+])
+def test_a_non_finite_config_value_exits_one(tmp_path, key, overrides):
+    # YAML writes and reads these as .nan; past the config, a NaN ends in a
+    # traceback, a blow-up at step 1 or, through max(), a silent exit 0
+    res = _invoke("sample", _write(tmp_path, overrides), tmp_path / "out")
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1 and _errors(res)[0].startswith(f"error: {key} must be finite")
+
+
 @pytest.mark.parametrize("command", COMMANDS)
 def test_out_naming_an_existing_file_exits_one(tmp_path, command):
     taken = tmp_path / "taken"

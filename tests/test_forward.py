@@ -28,6 +28,7 @@ from mckvlab.parabolic import (
     integrate,
     l2l2_inner,
     rel_l2l2_error,
+    solve_linear_lw,
     solver_states,
 )
 from mckvlab.spectral import (
@@ -113,6 +114,37 @@ def test_lw_operator_apply_matches_trilinear(d, n, K):
         for b, vb in enumerate(vs):
             ref = (trilinear_t(vb, W, r) + trilinear_t(r, W, vb)).coeffs
             assert np.max(np.abs(got[b] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _grid_mismatch_calls():
+    # a d=2 problem on n=8, with a d=1 potential and an n=12 field beside it
+    rng = np.random.default_rng(31)
+    phi = decay_density(8, 2, zeta=4.0, amplitude=0.1)
+    cfg = StepperConfig(M=4)
+    prob = McKVProblem(W=random_potential(1, 2, rng, amplitude=0.3), phi=phi, T=0.05,
+                       stepper=cfg)
+    rho = solve_mckv(prob)
+    H1 = random_potential(2, 1, rng)
+    F12 = random_potential(1, 2, rng).to_field(12)
+    return {
+        "LWOperator": lambda: LWOperator(H1, rho),
+        "solve_linear_lw": lambda: solve_linear_lw(H1, rho, None, phi),
+        "trilinear_t": lambda: trilinear_t(phi, H1, phi),
+        "solve_mckv_field": lambda: solve_mckv_field(H1.to_field(8), phi, 0.05, cfg),
+        "mckv_first_derivative": lambda: mckv_first_derivative(prob, H1, rho),
+        "mckv_second_derivative": lambda: mckv_second_derivative(prob, H1, prob.W, rho,
+                                                                 rho, rho),
+        "trilinear_t-n": lambda: trilinear_t(phi, F12, phi),
+        "solve_mckv_field-n": lambda: solve_mckv_field(F12, phi, 0.05, cfg),
+    }
+
+
+@pytest.mark.parametrize("call", list(_grid_mismatch_calls()))
+def test_a_potential_off_the_grid_raises(call):
+    # every W, H and V passes one gate: a d=1 potential or direction on a d=2
+    # grid, or a field of another n, would broadcast into finite numbers
+    with pytest.raises(ValueError, match="does not match the grid"):
+        _grid_mismatch_calls()[call]()
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +359,7 @@ def test_rd_linearisation_fd_oracle():
     R = ReactionSpec(R=np.sin, Rprime=np.cos)
     H = ReactionSpec(R=np.cos, Rprime=lambda u: -np.sin(u))
     u = solve_rd(R, phi, T, CFG)
-    iH = rd_linearisation(R, H, u)
+    iH = rd_linearisation(R, H.R, u)
     eps = 1e-3
     up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
                                Rprime=lambda v: np.cos(v) - eps * np.sin(v)),
@@ -364,14 +396,6 @@ def test_rd_linearisation_rejects_an_exact_trajectory():
 def test_reaction_spec_rejects_wrong_derivative():
     with pytest.raises(ValueError):
         ReactionSpec(R=np.sin, Rprime=np.sin)
-
-
-def test_rd_domain_excursion_detected():
-    phi = _phi()
-    R = ReactionSpec(R=lambda u: u, Rprime=lambda u: np.ones_like(u),
-                     domain=(-0.1, 0.1), probe=np.linspace(-0.05, 0.05, 5))
-    with pytest.raises(ValueError):
-        solve_rd(R, phi, T, CFG)
 
 
 # ---------------------------------------------------------------------------

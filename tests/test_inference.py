@@ -8,6 +8,8 @@ import pytest
 from mckvlab import forward, inference
 from mckvlab.forward import (
     Linearisation,
+    McKVProblem,
+    ReactionSpec,
     decay_density,
     gram_matrix,
     jacobian_columns,
@@ -84,7 +86,7 @@ def test_delta_n_examples():
 
 
 def test_delta_n_returns_eta_when_asked():
-    delta, eta = delta_n(78.0, 1, 1024, beta=6.0, zeta=6.55)
+    delta, eta = delta_n(78.0, 1, 1024), eta_exponent(78.0, 6.0, 6.55)
     assert delta == pytest.approx(1024.0 ** (-79.0 / 159.0))
     assert eta == pytest.approx((6.0 - 2.0) / 6.0 - 3 * 6.55 / (2 * 79.0))
     assert eta > 0
@@ -128,6 +130,41 @@ def test_validate_constants_dimension_and_bias_checks():
     assert "cutoff_c" in rep.values
     strict = validate_constants(cfg, n_obs=10**6, K=1, c_pr=1.0)
     assert strict.checks["dim_bound"] is False
+
+
+def _phi_with_nan(index):
+    phi = decay_density(N_GRID, 1, zeta=3.0, amplitude=0.3)
+    phi.coeffs[index] = np.nan
+    return phi
+
+
+_NAN_INPUTS = {  # name: (the call, the message of its check)
+    "decay_density-zeta": (lambda: decay_density(N_GRID, 1, zeta=np.nan), "positive"),
+    "decay_density-amplitude": (lambda: decay_density(N_GRID, 1, zeta=3.0, amplitude=np.nan),
+                                "positive"),
+    "SurrogateSpec-r": (lambda: SurrogateSpec(r=np.nan, W_init=PotentialVec.zeros(2, 1),
+                                              lam=1.0), "radius"),
+    "SurrogateSpec-lam": (lambda: SurrogateSpec(r=1.0, W_init=PotentialVec.zeros(2, 1),
+                                                lam=np.nan), "weight"),
+    "PriorSpec-alpha": (lambda: PriorSpec(alpha=np.nan, K=2, d=1, n_obs=100), "scales"),
+    "generate_data-noise_std": (lambda: generate_data(PotentialVec.zeros(2, 1), _model(), 10,
+                                                      np.nan, np.random.default_rng(0)),
+                                "noise_std"),
+    "McKVProblem-mass": (lambda: McKVProblem(W=PotentialVec.zeros(2, 1), phi=_phi_with_nan(0),
+                                             T=T, stepper=CFG), "unit mass"),
+    "McKVProblem-real": (lambda: McKVProblem(W=PotentialVec.zeros(2, 1), phi=_phi_with_nan(3),
+                                             T=T, stepper=CFG), "real field"),
+    "ReactionSpec": (lambda: ReactionSpec(R=lambda u: np.nan * u, Rprime=lambda u: np.nan * u),
+                     "finite differences"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NAN_INPUTS))
+def test_a_nan_input_fails_its_check(case):
+    # NaN fails every comparison, so each check must be written to fail on it
+    call, message = _NAN_INPUTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
