@@ -123,10 +123,9 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
     W1 = random_potential(K, d, rng, amplitude=0.4)
     W2 = W1 + random_potential(K, d, rng, amplitude=0.3)
     p1, p2 = model.problem(W1), model.problem(W2)
-    rho1 = linearisation(p1, K).rho
 
     floor = self_convergence_error(lambda c: replace(model, stepper=c).solve(W1), model.stepper)
-    _, residual = pseudo_linearised_difference(p1, p2, rho1=rho1)
+    _, residual = pseudo_linearised_difference(p1, p2)
     tol = max(5.0 * floor, 1e-12)
     records.append(_record("pseudo_linearisation", residual <= tol, residual, tol))
 
@@ -137,7 +136,7 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
     else:
         records.append(_record("sigma_min_positive", sigma > 0, sigma, 0.0))
 
-    margin = deconvolution_margin(rho1, K, zeta)
+    margin = deconvolution_margin(linearisation(p1, K).rho, K, zeta)
     records.append(_record("decon_margin_zero" if uniform else "decon_margin",
                            (margin <= 1e-14) if uniform else margin >= 0.0,
                            margin, 0.0))
@@ -146,8 +145,7 @@ def suite_stability(config: ExperimentConfig) -> list[dict]:
         ratios = []
         base = random_potential(K, d, rng, amplitude=1.0)
         for eps in (1e-2, 1e-3):
-            ratios.append(forward_lipschitz_probe(p1, model.problem(W1 + eps * base), beta,
-                                                  rho1=rho1))
+            ratios.append(forward_lipschitz_probe(p1, model.problem(W1 + eps * base), beta))
         rel = abs(ratios[0] - ratios[1]) / ratios[1]
         records.append(_record("lipschitz_ratio_stable", rel <= 0.2, rel, 0.2))
     return records
@@ -163,10 +161,10 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
                          noise_std=config["inference"]["noise_std"], rng=rng)
     like = LikelihoodEvaluator(model, data)
     r = config.surrogate_radius(model.dim)
-    spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
-                               c_hat=config["surrogate"]["c_hat"],
-                               c1_hat=config["surrogate"]["c1_hat"] or 1.0,
-                               lam=config["surrogate"]["lam"])
+    sur = config["surrogate"]
+    spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs, c_hat=sur["c_hat"],
+                               c1_hat=1.0 if sur["c1_hat"] is None else sur["c1_hat"],
+                               lam=sur["lam"])
 
     knot = gamma_tilde(5 * r / 8, r)
     far = gamma_tilde(9 * r / 8, r)

@@ -32,8 +32,8 @@ the oracles of the stacked paths.
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used problems, keyed by their
 content, so that the W and W0 of one diagnostics pass are solved once.
-``inference.expected_neg_hessian``, ``stability.stability_report``,
-``stability.sigma_min_trend``, ``stability.gradient_stability_sigma_min``
+``inference.expected_neg_hessian``, every probe of ``stability`` (the
+pseudo-linearised difference, the Lipschitz probe, sigma_min and its trend)
 and the stability suite of ``checks`` take rho_W from it alone, and
 ``inference.estimate_c1`` when no trajectory is passed in; the likelihood
 and its gradient, ``inference.generate_data`` and :func:`solve_mckv`

@@ -497,8 +497,12 @@ def lambda_min_bound(n_obs: int, r: float, c_hat: float, c1_hat: float) -> float
 
     max(N log N / r^2, c_hat N (c1_hat + 1)(1 + r^-2)); c_hat stands in
     for a non-constructive constant and c1_hat for the local regularity
-    bound, both supplied through configuration.
+    bound, both supplied through configuration.  r, c_hat and c1_hat must
+    be finite: ``max`` would drop a NaN.
     """
+    for name, value in (("r", r), ("c_hat", c_hat), ("c1_hat", c1_hat)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     a = n_obs * np.log(max(n_obs, 2)) / r**2
     b = c_hat * n_obs * (c1_hat + 1.0) * (1.0 + r**-2)
     return float(max(a, b))
@@ -521,8 +525,8 @@ class SurrogateSpec:
     def __post_init__(self):
         if not self.r > 0:
             raise ValueError("ball radius must be positive")
-        if not self.lam > 0:
-            raise ValueError("convexifier weight must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("convexifier weight must be positive and finite")
         if self.lam_floor > 0 and self.lam < self.lam_floor * (1 - 1e-12):
             raise ValueError(
                 f"lam {self.lam:.3e} below the admissible floor {self.lam_floor:.3e}")

@@ -133,10 +133,6 @@ class Trajectory:
         return cls(T=T, d=states.ndim - 1, n=states.shape[1], coeffs=states[:M + 1],
                    scheme=scheme, stages=stages)
 
-    def without_stages(self) -> "Trajectory":
-        """The nodes alone, copied, so no predictor memory stays alive."""
-        return replace(self, coeffs=self.coeffs.copy(), stages=None)
-
     # -- point evaluation ----------------------------------------------------
 
     def eval(self, t: float, x) -> float:

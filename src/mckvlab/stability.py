@@ -10,6 +10,10 @@ Four probes, reported together as a :class:`StabilityReport`:
   (the quantity whose K-dependence the gradient-stability bound
   controls; constants are not asserted, only logged);
 * a forward Lipschitz quotient ||rho_2 - rho_1|| / ||W_2 - W_1||_{H^-(beta+1)}.
+
+The probes take rho_W from the memo of :func:`~mckvlab.forward.linearisation`
+(the margin through :func:`stability_report`), so the probes of one pair of
+problems at their own K share two solves.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .forward import McKVProblem, check_density, linearisation, solve_mckv
+from .forward import McKVProblem, linearisation
 from .parabolic import (
     LWOperator,
     Trajectory,
@@ -60,26 +64,19 @@ def _check_shared_setup(p1: McKVProblem, p2: McKVProblem):
         raise ValueError("problems must share the time-stepping scheme")
 
 
-def _density(rho: Trajectory | None, problem: McKVProblem) -> Trajectory:
-    """A supplied rho_W, checked against ``problem``, or a fresh solve."""
-    return solve_mckv(problem) if rho is None else check_density(rho, problem)
-
-
-def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem,
-                                 rho1: Trajectory | None = None,
-                                 rho2: Trajectory | None = None):
+def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem):
     """Linear reconstruction of rho_{W2} - rho_{W1} and its residual.
 
     Solves the linear PDE with averaged coefficient (rho_1 + rho_2)/2 at
     every solver state (:func:`~mckvlab.parabolic.solver_states`),
     transported by W2, and forcing div(rho_1 grad(W2 - W1) * rho_1).
     Returns (v, residual) where the residual is relative to the direct
-    difference in L2([0,T];L2).  With stage-carrying trajectories the
-    identity holds exactly for the discrete scheme; trajectories without
-    stages reproduce it to the scheme's order.
+    difference in L2([0,T];L2); the identity holds exactly for the
+    discrete scheme.  rho_1 and rho_2 are read from the memo of
+    :func:`~mckvlab.forward.linearisation`.
     """
     _check_shared_setup(problem1, problem2)
-    rho1, rho2 = _density(rho1, problem1), _density(rho2, problem2)
+    rho1, rho2 = linearisation(problem1).rho, linearisation(problem2).rho
     s1, grid = solver_states(rho1), rho1.grid
     rho_bar = Trajectory.from_states(0.5 * (s1 + solver_states(rho2)), rho1.T, rho1.M,
                                      rho1.scheme)
@@ -168,31 +165,29 @@ def sigma_min_trend(problem: McKVProblem, K: int) -> dict[int, float]:
 
 
 def forward_lipschitz_probe(problem1: McKVProblem, problem2: McKVProblem,
-                            beta: float,
-                            rho1: Trajectory | None = None,
-                            rho2: Trajectory | None = None) -> float:
-    """||rho_2 - rho_1||_{L2L2} / ||W_2 - W_1||_{H^-(beta+1)}."""
+                            beta: float) -> float:
+    """||rho_2 - rho_1||_{L2L2} / ||W_2 - W_1||_{H^-(beta+1)}, with rho_1 and
+    rho_2 read from the memo of :func:`~mckvlab.forward.linearisation`."""
     _check_shared_setup(problem1, problem2)
     dW = problem2.W - problem1.W
     denom = dW.sobolev_norm(-(beta + 1.0))
     if denom == 0.0:
         raise ValueError("undefined ratio: the two potentials coincide")
-    rho1, rho2 = _density(rho1, problem1), _density(rho2, problem2)
+    rho1, rho2 = linearisation(problem1).rho, linearisation(problem2).rho
     return l2l2_diff_norm(rho2, rho1) / denom
 
 
 def stability_report(problem1: McKVProblem, problem2: McKVProblem,
                      K: int, zeta: float, beta: float) -> StabilityReport:
     """Run all four probes on a pair of problems sharing phi and the grid."""
-    rho1 = linearisation(problem1, K).rho
-    rho2 = linearisation(problem2, K).rho
-    _, residual = pseudo_linearised_difference(problem1, problem2, rho1, rho2)
-    sigma = gradient_stability_sigma_min(problem1, K=K)
-    margin = deconvolution_margin(rho1, K, zeta)
+    _, residual = pseudo_linearised_difference(problem1, problem2)
+    margin = deconvolution_margin(linearisation(problem1).rho, K, zeta)
     dW = problem2.W - problem1.W
     if dW.l2_norm() > 0:
-        ratio = forward_lipschitz_probe(problem1, problem2, beta, rho1, rho2)
+        ratio = forward_lipschitz_probe(problem1, problem2, beta)
     else:
         ratio = 0.0
+    # last: at a K other than W.K its memo entry evicts a rho the others read
+    sigma = gradient_stability_sigma_min(problem1, K=K)
     return StabilityReport(sigma_min=sigma, decon_margin=margin,
                            lipschitz_ratio=ratio, pseudo_lin_residual=residual)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from mckvlab import cli, forward, sampler
 from mckvlab.cli import main
 from mckvlab.config import ConfigError, ExperimentConfig
-from mckvlab.inference import ForwardModel, estimate_c1
+from mckvlab.inference import ForwardModel, SurrogateSpec, estimate_c1
 from mckvlab.parabolic import LWOperator
 
 BASE = {
@@ -204,6 +204,25 @@ def test_verify_stability_uniform_reports_zero_sigma(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     names = {rec["name"]: rec for rec in report["suites"]["stability"]}
     assert names["sigma_min_uniform_zero"]["measured"] <= 1e-12
+
+
+def test_verify_surrogate_builds_the_configured_c1_hat(tmp_path, monkeypatch):
+    # a configured c1_hat of 0.0 is checked as the sample command builds it
+    import mckvlab.checks as checks
+
+    built = []
+
+    def capture(cls, **kwargs):
+        built.append(kwargs["c1_hat"])
+        raise RuntimeError("captured")
+
+    monkeypatch.setattr(SurrogateSpec, "build", classmethod(capture))
+    config = ExperimentConfig.from_file(_write(tmp_path, {"surrogate.c1_hat": 0.0}))
+    for run in (lambda: checks.suite_surrogate(config),
+                lambda: cli._chain(config, config.model(), [])):
+        with pytest.raises(RuntimeError, match="captured"):
+            run()
+    assert built == [0.0, 0.0]
 
 
 def test_verify_failure_exits_two(tmp_path, monkeypatch):

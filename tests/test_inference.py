@@ -348,14 +348,6 @@ _DENSITY_ENTRY_POINTS = {
         m.problem(W), W, W2, rho, rho, rho),
     "mckv_second_derivative-dH": lambda m, W, W2, rho: mckv_second_derivative(
         m.problem(W), W, W2, m.solve(W), m.solve(W), rho),
-    "pseudo_linearised_difference-rho1": lambda m, W, W2, rho: pseudo_linearised_difference(
-        m.problem(W), m.problem(W2), rho1=rho),
-    "pseudo_linearised_difference-rho2": lambda m, W, W2, rho: pseudo_linearised_difference(
-        m.problem(W2), m.problem(W), rho2=rho),
-    "forward_lipschitz_probe-rho1": lambda m, W, W2, rho: forward_lipschitz_probe(
-        m.problem(W), m.problem(W2), 6.0, rho1=rho),
-    "forward_lipschitz_probe-rho2": lambda m, W, W2, rho: forward_lipschitz_probe(
-        m.problem(W2), m.problem(W), 6.0, rho2=rho),
 }
 
 
@@ -718,6 +710,23 @@ def test_memo_solves_again_after_W_changes_in_place(monkeypatch, fresh_memo):
     assert lin.gram().tobytes() == ref.gram().tobytes()
 
 
+@pytest.mark.parametrize("scheme", SCHEMES)
+def test_the_probes_of_a_pair_share_its_two_solves(monkeypatch, fresh_memo, scheme):
+    # every stability probe reads rho_1 and rho_2 from the memo
+    model = _curvature_model(1, scheme)
+    rng = np.random.default_rng(80)
+    W1 = random_potential(2, 1, rng, amplitude=0.4)
+    p1, p2 = model.problem(W1), model.problem(W1 + random_potential(2, 1, rng, amplitude=0.3))
+    solves = []
+    solve = forward.solve_mckv_field  # behind solve_mckv, wherever it is looked up
+    monkeypatch.setattr(forward, "solve_mckv_field",
+                        lambda *args: solves.append(1) or solve(*args))
+    pseudo_linearised_difference(p1, p2)
+    forward_lipschitz_probe(p1, p2, 6.0)
+    stability_report(p1, p2, K=model.K, zeta=3.0, beta=6.0)
+    assert len(solves) == 2
+
+
 def test_loglik_and_grad_neither_reads_nor_fills_the_memo(monkeypatch, fresh_memo):
     model = _curvature_model(1, "if-heun")
     W = random_potential(2, 1, np.random.default_rng(74), amplitude=0.4)
@@ -827,6 +836,25 @@ def test_lambda_floor_enforced():
         SurrogateSpec(r=1.0, W_init=W, lam=floor / 2, lam_floor=floor)
     spec = SurrogateSpec.build(r=1.0, W_init=W, n_obs=100)
     assert spec.lam >= floor
+
+
+_NON_FINITE_CONSTANTS = {  # name: (the call, the message of its check)
+    "r-nan": (lambda: lambda_min_bound(100, np.nan, 1.0, 2.0), "^r must be finite"),
+    "c_hat-nan": (lambda: lambda_min_bound(100, 1.0, np.nan, 2.0), "^c_hat must be finite"),
+    "c1_hat-nan": (lambda: lambda_min_bound(100, 1.0, 1.0, np.nan), "^c1_hat must be finite"),
+    "c_hat-inf": (lambda: SurrogateSpec.build(r=1.0, W_init=PotentialVec.zeros(2, 1), n_obs=100,
+                                              c_hat=np.inf), "^c_hat must be finite"),
+    "lam-inf": (lambda: SurrogateSpec(r=1.0, W_init=PotentialVec.zeros(2, 1), lam=np.inf),
+                "weight must be positive and finite"),
+}
+
+
+@pytest.mark.parametrize("case", list(_NON_FINITE_CONSTANTS))
+def test_a_non_finite_surrogate_constant_fails_its_check(case):
+    # max(a, nan) is a, so the floor would drop a NaN constant without a word
+    call, message = _NON_FINITE_CONSTANTS[case]
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_surrogate_equals_likelihood_on_half_ball():

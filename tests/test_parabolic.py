@@ -475,16 +475,6 @@ def test_solver_states_of_a_solve_is_a_view_of_its_buffer(d):
     assert not np.shares_memory(solver_states(odd), swapped)
 
 
-def test_without_stages_copies_the_nodes_alone():
-    phi = decay_density(8, 2, zeta=3.8, amplitude=0.3)
-    W = random_potential(2, 2, np.random.default_rng(92), amplitude=0.4)
-    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=8)))
-    bare = rho.without_stages()
-    assert bare.stages is None and np.array_equal(bare.coeffs, rho.coeffs)
-    assert not np.shares_memory(bare.coeffs, rho.stages)
-    assert bare.coeffs.base is None  # no (2M+1, ...) buffer kept alive behind it
-
-
 def _apply_oracle(op, m, stage, v):
     # LWOperator.apply on the one-shot padded transforms of Grid
     grid = op.grid
