@@ -76,8 +76,7 @@ SCHEMA = {
     },
     "solver": {
         "n": Key(64, int, ">= 4", even=True),           # grid points per axis
-        "M": Key(256, int, ">= 1"),                     # time steps
-        "scheme": Key("if-heun", ("if-heun", "if-euler")),
+        "M": Key(256, int, ">= 1"),                     # Lawson-Heun time steps
     },
     "constants": {                                      # exponent system for the validator
         "alpha": Key(2.0, float),
@@ -235,7 +234,7 @@ class ExperimentConfig:
 
     def stepper(self) -> StepperConfig:
         s = self.raw["solver"]
-        return StepperConfig(M=s["M"], scheme=s["scheme"])
+        return StepperConfig(M=s["M"])
 
     def phi(self) -> SpectralField:
         p = self.raw["problem"]

@@ -10,10 +10,11 @@ Two nonlinear parabolic problems on the torus:
 * reaction-diffusion:  d/dt u = Lap(u) + R(u), u(0) = phi, with the
   derivative in R solving d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0.
 
-The linear solves run on the nonlinear trajectory's own steps and scheme,
+The linear solves run on the nonlinear trajectory's own steps,
 ``Trajectory.stepper``, and read it at the stored node and predictor
 states, so each derivative is the exact derivative of the discrete
-time-stepping map; finite-difference checks see pure O(eps^2) behaviour.
+Lawson-Heun map; finite-difference checks see pure O(eps^2) behaviour.
+A trajectory without predictor stages carries no linear solve.
 Every mean-field derivative is a solve with
 :class:`~mckvlab.parabolic.LWOperator`, batched over directions.  The basis
 derivatives are built in one place, :class:`Linearisation`: one operator
@@ -30,8 +31,9 @@ and :func:`mckv_second_derivative` solve one direction each and serve as
 the oracles of the stacked paths.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
-:data:`MEMO_SIZE` = 2 most recently used problems, keyed by their
-content, so that the W and W0 of one diagnostics pass are solved once.
+:data:`MEMO_SIZE` = 2 most recently used (problem, K), keyed by their
+content, so that the W and W0 of one diagnostics pass are solved once;
+an entry at a new K takes rho_W from an entry of the same problem.
 ``inference.expected_neg_hessian``, every probe of ``stability`` (the
 pseudo-linearised difference, the Lipschitz probe, sigma_min and its trend)
 and the stability suite of ``checks`` take rho_W from it alone, and
@@ -116,15 +118,14 @@ def check_density(rho: Trajectory, model) -> Trajectory:
 
     ``model`` is a :class:`McKVProblem` or an ``inference.ForwardModel``;
     the trajectory must share its horizon T (to 1e-12), step count M,
-    scheme, grid size n and dimension d.  A trajectory from another
-    problem would give numbers for that problem with no error.
+    grid size n and dimension d.  A trajectory from another problem would
+    give numbers for that problem with no error.
     """
-    M, scheme, n, d = model.stepper.M, model.stepper.scheme, model.phi.n, model.phi.d
-    if (rho.M, rho.scheme, rho.n, rho.d) != (M, scheme, n, d) or abs(rho.T - model.T) > 1e-12:
+    M, n, d = model.stepper.M, model.phi.n, model.phi.d
+    if (rho.M, rho.n, rho.d) != (M, n, d) or abs(rho.T - model.T) > 1e-12:
         raise ValueError(
-            f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}, "
-            f"scheme={rho.scheme}) does not match the model (M={M}, T={model.T}, "
-            f"n={n}, d={d}, scheme={scheme})")
+            f"density trajectory (M={rho.M}, T={rho.T}, n={rho.n}, d={rho.d}) "
+            f"does not match the model (M={M}, T={model.T}, n={n}, d={d})")
     return rho
 
 
@@ -227,7 +228,7 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     op = LWOperator(problem.W, check_density(rho_traj, problem))
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
     states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
-    return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
+    return Trajectory.from_states(states[:, 0], op.T, op.M)
 
 
 def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
@@ -261,7 +262,7 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
     v1, v2 = (solver_states(check_density(dH, problem))[:, None] for dH in (dH1, dH2))
     states = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
-    return Trajectory.from_states(states[:, 0], op.T, op.M, op.config.scheme)
+    return Trajectory.from_states(states[:, 0], op.T, op.M)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +318,10 @@ class Linearisation:
 
     @property
     def columns(self):
-        """(nodes, stages) of the columns, shapes (D, M+1, grid) and (D, M, grid),
-        stages None for Lawson-Euler; views of :attr:`states`."""
+        """(nodes, stages) of the columns, shapes (D, M+1, grid) and (D, M, grid);
+        views of :attr:`states`."""
         M, states = self.op.M, self.states
-        stages = np.moveaxis(states[M + 1:], 0, 1) if len(states) > M + 1 else None
-        return np.moveaxis(states[:M + 1], 0, 1), stages
+        return np.moveaxis(states[:M + 1], 0, 1), np.moveaxis(states[M + 1:], 0, 1)
 
     def vjp(self, g: np.ndarray) -> np.ndarray:
         """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
@@ -422,30 +422,33 @@ MEMO_SIZE = 2
 _memo: OrderedDict[tuple, Linearisation] = OrderedDict()
 
 
-def _memo_key(problem: McKVProblem, K: int) -> tuple:
-    W, phi, stepper = problem.W, problem.phi, problem.stepper
+def _problem_key(problem: McKVProblem) -> tuple:
+    W, phi = problem.W, problem.phi
     return (W.K, W.d, W.values.tobytes(), phi.n, phi.d, phi.coeffs.tobytes(),
-            problem.T, stepper.M, stepper.scheme, K)
+            problem.T, problem.stepper.M)
 
 
 def linearisation(problem: McKVProblem, K: int | None = None) -> Linearisation:
     """The :class:`Linearisation` at (problem, K) with rho_W from :func:`solve_mckv`,
     kept for the :data:`MEMO_SIZE` most recently used keys.
 
-    The key is the content of the problem (W, phi, T, M, scheme) and K, so
-    a W changed in place is solved again.  An entry's rho_W and columns
-    are read-only, since every caller shares them.  The likelihood does
-    not read the memo: each ULA step is at a new W.
+    The key is the content of the problem (W, phi, T, M) and K, so a W
+    changed in place is solved again.  rho_W does not depend on K: a new K
+    takes it from an entry of the same problem if there is one.  An
+    entry's rho_W and columns are read-only, since every caller shares
+    them.  The likelihood does not read the memo: each ULA step is at a
+    new W.
     """
     K = problem.W.K if K is None else K
-    key = _memo_key(problem, K)
+    key = _problem_key(problem), K
     lin = _memo.get(key)
     if lin is not None:
         _memo.move_to_end(key)
         return lin
-    rho = solve_mckv(problem)
-    for a in (rho.coeffs.base, rho.coeffs, rho.stages):
-        if a is not None:
+    rho = next((e.rho for (p, _), e in _memo.items() if p == key[0]), None)
+    if rho is None:
+        rho = solve_mckv(problem)
+        for a in (rho.coeffs.base, rho.coeffs, rho.stages):
             a.flags.writeable = False
     lin = _memo[key] = Linearisation(problem, rho, K)
     while len(_memo) > MEMO_SIZE:
@@ -463,8 +466,7 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
     if rho_traj is None:
         rho_traj = solve_mckv(problem)
     nodes, stages = jacobian_stack(problem, rho_traj, K=K)
-    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n,
-                                 problem.stepper.scheme)
+    return stack_to_trajectories(nodes, stages, rho_traj.T, rho_traj.d, rho_traj.n)
 
 
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):
@@ -472,12 +474,9 @@ def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = N
     return Linearisation(problem, rho_traj, K).columns
 
 
-def stack_to_trajectories(nodes, stages, T, d, n, scheme="if-heun"):
-    out = []
-    for b in range(nodes.shape[0]):
-        st = stages[b] if stages is not None else None
-        out.append(Trajectory(T=T, d=d, n=n, coeffs=nodes[b], scheme=scheme, stages=st))
-    return out
+def stack_to_trajectories(nodes, stages, T, d, n):
+    """The B trajectories of stacked nodes (B, M+1, grid) and stages (B, M, grid)."""
+    return [Trajectory(T=T, d=d, n=n, coeffs=c, stages=s) for c, s in zip(nodes, stages)]
 
 
 def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray:

@@ -1,29 +1,28 @@
 """Integrating-factor time steppers for d/dt u = Lap(u) + F(t, u) on the torus.
 
 The heat part is handled exactly through the semigroup multiplier
-exp(-4 pi^2 |k|^2 dt); the remaining term F is advanced by an explicit
-rule, either Lawson-Euler ("if-euler", first order) or Lawson-Heun
-("if-heun", second order, the default).
+exp(-4 pi^2 |k|^2 dt); the remaining term F is advanced by the one
+discrete map of the library, the second-order Lawson-Heun step.
 
-The Heun scheme evaluates F twice per step: once at the stored node and
-once at the predictor state.  Trajectories record these predictor
-("stage") states so that linearised solves can differentiate the
-discrete scheme exactly; derivative checks against finite differences
-of the solver then float on pure O(eps^2) error instead of an O(dt^2)
-consistency floor.
+The step evaluates F twice: once at the stored node and once at the
+predictor state.  Trajectories record these predictor ("stage") states so
+that linearised solves can differentiate the discrete scheme exactly;
+derivative checks against finite differences of the solver then float on
+pure O(eps^2) error instead of an O(dt^2) consistency floor.  A solve
+along a trajectory without them raises ValueError in :func:`solver_states`.
 
 Every solve in the library, nonlinear or linearised, single or stacked,
 runs through the one time loop behind :func:`integrate`.  A solve along
 a trajectory (:class:`LWOperator`, L_W with coefficients read along a
 density, and :func:`solve_linear_lw`) takes no stepper: it runs on
-:attr:`Trajectory.stepper`, the trajectory's own steps and scheme.
+:attr:`Trajectory.stepper`, the trajectory's own steps.
 :class:`ObservationOperator` evaluates stacked trajectories at fixed
 space-time points, and its adjoint back-projects point data onto the nodes.
 
 Every stack a solve reads or writes (forcings, backward weights, density
 states and solutions) has one layout, (S, B, n, ..., n) in
 :func:`solver_states` order: nodes 0..M, then the Heun predictors, so
-S = 2M+1 for Lawson-Heun and M+1 for Lawson-Euler.
+S = 2M+1.
 
 At the sizes of the library a stage is paid in numpy calls rather than
 flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
@@ -46,7 +45,6 @@ from scipy import sparse
 from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, get_grid, load_field,
                        save_field)
 
-SCHEMES = ("if-heun", "if-euler")
 BLOWUP_LIMIT = 1e12
 
 
@@ -62,19 +60,16 @@ class NumericalBlowUp(RuntimeError):
 class StepperConfig:
     """Time-stepping parameters.
 
-    M is the number of steps over the horizon and ``scheme`` one of
-    :data:`SCHEMES`; a step whose largest coefficient modulus is not
-    finite or exceeds :data:`BLOWUP_LIMIT` raises :class:`NumericalBlowUp`.
+    M is the number of Lawson-Heun steps over the horizon; a step whose
+    largest coefficient modulus is not finite or exceeds
+    :data:`BLOWUP_LIMIT` raises :class:`NumericalBlowUp`.
     """
 
     M: int = 256
-    scheme: str = "if-heun"
 
     def __post_init__(self):
         if self.M < 1:
             raise ValueError("step count M must be >= 1")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {SCHEMES}")
 
 
 @dataclass
@@ -83,14 +78,14 @@ class Trajectory:
 
     ``coeffs`` has shape (M+1, n, ..., n); node 0 is the initial
     condition.  ``stages`` (shape (M, n, ..., n), optional) holds the
-    Heun predictor states used inside each step.
+    Heun predictor states used inside each step; only a trajectory that
+    has them can carry a solve (:func:`solver_states`).
     """
 
     T: float
     d: int
     n: int
     coeffs: np.ndarray
-    scheme: str = "if-heun"
     stages: np.ndarray | None = None
 
     def __post_init__(self):
@@ -117,21 +112,19 @@ class Trajectory:
 
     @property
     def stepper(self) -> StepperConfig:
-        """The steps and scheme of every solve along the trajectory; ValueError
-        for a scheme outside :data:`SCHEMES`, such as ``"exact"``."""
-        return StepperConfig(M=self.M, scheme=self.scheme)
+        """The steps of every solve along the trajectory."""
+        return StepperConfig(M=self.M)
 
     def node(self, m: int) -> SpectralField:
         return SpectralField(self.d, self.n, self.coeffs[m].copy())
 
     @classmethod
-    def from_states(cls, states: np.ndarray, T: float, M: int,
-                    scheme: str) -> "Trajectory":
+    def from_states(cls, states: np.ndarray, T: float, M: int) -> "Trajectory":
         """The trajectory of ``states`` (S, n, ..., n) in :func:`solver_states`
         order, as views: nodes 0..M, and the predictors if S > M+1."""
         stages = states[M + 1:] if len(states) > M + 1 else None
         return cls(T=T, d=states.ndim - 1, n=states.shape[1], coeffs=states[:M + 1],
-                   scheme=scheme, stages=stages)
+                   stages=stages)
 
     # -- point evaluation ----------------------------------------------------
 
@@ -163,7 +156,6 @@ class Trajectory:
         manifest = {
             "T": self.T,
             "M": self.M,
-            "scheme": self.scheme,
             "grid": {"d": self.d, "n": self.n},
         }
         (directory / "manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -174,6 +166,8 @@ class Trajectory:
 
     @classmethod
     def load(cls, directory) -> "Trajectory":
+        """The nodes :meth:`save` wrote, without predictor stages; any other
+        manifest key, such as the ``"scheme"`` of older artifacts, is ignored."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
         d = int(manifest["grid"]["d"])
@@ -183,8 +177,7 @@ class Trajectory:
         coeffs = np.zeros((M + 1,) + (n,) * d, dtype=complex)
         for m in range(M + 1):
             coeffs[m] = load_field(directory / f"node_{m:0{width}d}.csv").coeffs
-        return cls(T=float(manifest["T"]), d=d, n=n, coeffs=coeffs,
-                   scheme=manifest.get("scheme", "if-heun"))
+        return cls(T=float(manifest["T"]), d=d, n=n, coeffs=coeffs)
 
 
 def trapz_weights(nodes: int, dt: float) -> np.ndarray:
@@ -295,7 +288,7 @@ class ObservationOperator:
 
 
 def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajectory:
-    """Integrate d/dt u = Lap(u) + F with the configured scheme.
+    """Integrate d/dt u = Lap(u) + F with M Lawson-Heun steps.
 
     ``rhs(m, stage, u)`` returns the coefficients of F given the step
     index m, the stage flag (0: node at t_m, 1: Heun predictor at
@@ -303,7 +296,7 @@ def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajec
     inputs; raises :class:`NumericalBlowUp` on divergence.
     """
     states = _integrate_arrays(u0.coeffs, rhs, T, config, u0.grid)
-    return Trajectory.from_states(states, T, config.M, config.scheme)
+    return Trajectory.from_states(states, T, config.M)
 
 
 def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
@@ -311,28 +304,23 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
     """The time loop; ``u0`` may carry leading stack axes.
 
     Returns the states in :func:`solver_states` order, time first; only the
-    M+1 nodes for Lawson-Euler or when ``keep_stages`` is False.
+    M+1 nodes when ``keep_stages`` is False.
     """
     M = config.M
     dt = T / M
     E = grid.heat_multiplier(dt)
-    heun = config.scheme == "if-heun"
-    keep = heun and keep_stages
 
-    states = np.zeros((2 * M + 1 if keep else M + 1,) + u0.shape, dtype=complex)
+    states = np.zeros((2 * M + 1 if keep_stages else M + 1,) + u0.shape, dtype=complex)
     states[0] = u0
 
     u = u0.astype(complex)
     for m in range(M):
         k1 = rhs(m, 0, u)
-        if heun:
-            ustar = E * (u + dt * k1)
-            if keep:
-                states[state_index(M, m, 1)] = ustar
-            k2 = rhs(m, 1, ustar)
-            u = E * u + (0.5 * dt) * (E * k1 + k2)
-        else:
-            u = E * (u + dt * k1)
+        ustar = E * (u + dt * k1)
+        if keep_stages:
+            states[state_index(M, m, 1)] = ustar
+        k2 = rhs(m, 1, ustar)
+        u = E * u + (0.5 * dt) * (E * k1 + k2)
         _check_growth(u, m + 1)
         states[m + 1] = u
     return states
@@ -352,11 +340,12 @@ def solve_heat(u0: SpectralField, T: float, config: StepperConfig) -> Trajectory
 
 
 def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
-    """Analytic heat evolution sampled on the node grid (oracle helper)."""
+    """Analytic heat evolution sampled on the node grid (oracle helper); it
+    has no predictor stages, so no solve runs along it."""
     g = u0.grid
     ts = np.linspace(0.0, T, M + 1)
     coeffs = np.array([u0.coeffs * np.exp(g.lap_mult * t) for t in ts])
-    return Trajectory(T=T, d=u0.d, n=u0.n, coeffs=coeffs, scheme="exact")
+    return Trajectory(T=T, d=u0.d, n=u0.n, coeffs=coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -394,21 +383,23 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
 def solver_states(traj: Trajectory) -> np.ndarray:
     """A trajectory's states in the order a solve reads them, time first.
 
-    Nodes 0..M come first.  For Lawson-Heun the predictor of step m
-    follows at :func:`state_index` M+1+m; a trajectory without stored
-    stages supplies node m+1 there, which keeps the scheme second order.
-    A trajectory from :meth:`Trajectory.from_states` already holds its
-    states in this order, and gets a view of that buffer, not a copy.
+    Nodes 0..M come first, then the predictor of step m at
+    :func:`state_index` M+1+m.  A trajectory without stored predictors (one
+    from :meth:`Trajectory.load` or :func:`heat_trajectory_exact`, or built
+    from nodes alone) raises ValueError: no solve along it is the derivative
+    of the discrete map.  A trajectory from :meth:`Trajectory.from_states`
+    already holds its states in this order, and gets a view of that buffer,
+    not a copy.
     """
-    if traj.scheme != "if-heun":
-        return traj.coeffs
+    if traj.stages is None:
+        raise ValueError(f"trajectory has no predictor stages: the Lawson-Heun scheme "
+                         f"reads one at each of its {traj.M} steps")
     base, M = traj.coeffs.base, traj.M
-    if (traj.stages is not None and base is not None and traj.stages.base is base
+    if (base is not None and traj.stages.base is base
             and _layout(base[:M + 1]) == _layout(traj.coeffs)
             and _layout(base[M + 1:]) == _layout(traj.stages)):
         return base[:]
-    predictors = traj.coeffs[1:] if traj.stages is None else traj.stages
-    return np.concatenate([traj.coeffs, predictors], axis=0)
+    return np.concatenate([traj.coeffs, traj.stages], axis=0)
 
 
 def _layout(a: np.ndarray) -> tuple:
@@ -542,24 +533,19 @@ class LWOperator:
         the forcing at every solver state, so that for any forcing f
         (S, 1, grid) Re sum(g * solve(f)[:M + 1, 0]) = Re sum(w * f[:, 0]).
         The recurrence runs the steps of the time loop backwards, with its
-        blow-up guard; a Heun step is transposed through both stages.
+        blow-up guard; each step is transposed through both stages.
         """
         M, grid = self.M, self.grid
         dt = self.T / M
         E = grid.heat_multiplier(dt)
-        heun = self.config.scheme == "if-heun"
         w = np.zeros((len(self.rho_states),) + g.shape[1:], dtype=complex)
         lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
         for m in range(M - 1, -1, -1):
-            if heun:
-                kappa2 = (0.5 * dt) * lam
-                mu = self.apply_transpose(m, 1, kappa2)  # weight of the predictor
-                kappa1 = E * ((0.5 * dt) * lam + dt * mu)
-                w[state_index(M, m, 1)] = kappa2[0]
-                lam = E * (lam + mu)
-            else:
-                kappa1 = dt * (E * lam)
-                lam = E * lam
+            kappa2 = (0.5 * dt) * lam
+            mu = self.apply_transpose(m, 1, kappa2)  # weight of the predictor
+            kappa1 = E * ((0.5 * dt) * lam + dt * mu)
+            w[state_index(M, m, 1)] = kappa2[0]
+            lam = E * (lam + mu)
             w[state_index(M, m, 0)] = kappa1[0]
             lam += self.apply_transpose(m, 0, kappa1) + g[m]
             _check_growth(lam, m)
@@ -571,20 +557,17 @@ def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
                     u0: SpectralField) -> Trajectory:
     """Solve (d/dt - L_W)u = f, u(0) = u0, along a given density trajectory.
 
-    Linear in (forcing, u0).  Runs on the time grid and scheme of the
-    coefficient trajectory, which the forcing must share.  A forcing without
-    stages is read at node m+1 in stage 1 of step m.
+    Linear in (forcing, u0).  Runs on the time grid of the coefficient
+    trajectory, which the forcing must share; both are read at their
+    predictor stages, so both must have them.
     """
     if rho_traj.n != u0.n or rho_traj.d != u0.d:
         raise ValueError("coefficient trajectory grid mismatch")
     if forcing is not None:
         _check_same_time_grid(forcing, rho_traj)
-        if forcing.scheme != rho_traj.scheme:
-            raise ValueError(f"forcing scheme {forcing.scheme!r} is not {rho_traj.scheme!r}")
-    op = LWOperator(W, rho_traj)
     f = None if forcing is None else solver_states(forcing)[:, None]
-    return Trajectory.from_states(op.solve(f, u0.coeffs[None])[:, 0], rho_traj.T,
-                                  rho_traj.M, rho_traj.scheme)
+    op = LWOperator(W, rho_traj)
+    return Trajectory.from_states(op.solve(f, u0.coeffs[None])[:, 0], rho_traj.T, rho_traj.M)
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +584,5 @@ def self_convergence_error(solve, config: StepperConfig) -> float:
     """
     coarse = solve(config)
     fine = solve(replace(config, M=2 * config.M))
-    restricted = Trajectory(T=fine.T, d=fine.d, n=fine.n,
-                            coeffs=fine.coeffs[::2], scheme=fine.scheme)
+    restricted = Trajectory(T=fine.T, d=fine.d, n=fine.n, coeffs=fine.coeffs[::2])
     return rel_l2l2_error(coarse, restricted)

@@ -13,7 +13,7 @@ Four probes, reported together as a :class:`StabilityReport`:
 
 The probes take rho_W from the memo of :func:`~mckvlab.forward.linearisation`
 (the margin through :func:`stability_report`), so the probes of one pair of
-problems at their own K share two solves.
+problems share two solves at any K.
 """
 
 from __future__ import annotations
@@ -60,8 +60,6 @@ def _check_shared_setup(p1: McKVProblem, p2: McKVProblem):
         raise ValueError("problems must share the initial density")
     if abs(p1.T - p2.T) > 1e-12 or p1.stepper.M != p2.stepper.M:
         raise ValueError("problems must share the time grid")
-    if p1.stepper.scheme != p2.stepper.scheme:
-        raise ValueError("problems must share the time-stepping scheme")
 
 
 def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem):
@@ -78,13 +76,12 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem):
     _check_shared_setup(problem1, problem2)
     rho1, rho2 = linearisation(problem1).rho, linearisation(problem2).rho
     s1, grid = solver_states(rho1), rho1.grid
-    rho_bar = Trajectory.from_states(0.5 * (s1 + solver_states(rho2)), rho1.T, rho1.M,
-                                     rho1.scheme)
+    rho_bar = Trajectory.from_states(0.5 * (s1 + solver_states(rho2)), rho1.T, rho1.M)
     grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
     states = LWOperator(problem2.W, rho_bar).solve(transport_forcing(grid, s1, grad_dw))
-    v = Trajectory.from_states(states[:, 0], rho1.T, rho1.M, rho1.scheme)
+    v = Trajectory.from_states(states[:, 0], rho1.T, rho1.M)
 
-    diff = Trajectory.from_states(rho2.coeffs - rho1.coeffs, rho1.T, rho1.M, rho1.scheme)
+    diff = Trajectory.from_states(rho2.coeffs - rho1.coeffs, rho1.T, rho1.M)
     denom = diff.l2l2_norm()
     num = l2l2_diff_norm(v, diff)
     residual = 0.0 if denom < 1e-300 else num / denom
@@ -187,7 +184,6 @@ def stability_report(problem1: McKVProblem, problem2: McKVProblem,
         ratio = forward_lipschitz_probe(problem1, problem2, beta)
     else:
         ratio = 0.0
-    # last: at a K other than W.K its memo entry evicts a rho the others read
     sigma = gradient_stability_sigma_min(problem1, K=K)
     return StabilityReport(sigma_min=sigma, decon_margin=margin,
                            lipschitz_ratio=ratio, pseudo_lin_residual=residual)

@@ -52,7 +52,7 @@ def test_config_defaults_and_hash_stable(tmp_path):
     c1 = ExperimentConfig.from_file(p)
     c2 = ExperimentConfig.from_file(p)
     assert c1.content_hash() == c2.content_hash()
-    assert c1["solver"]["scheme"] == "if-heun"
+    assert set(c1["solver"]) == {"n", "M"}
     derived = c1.derived()
     assert derived["D"] == 4
     assert derived["delta_N"] == pytest.approx(30 ** (-3.0 / 7.0))
@@ -192,6 +192,26 @@ def test_verify_gradients_suite_passes(tmp_path):
     report = json.loads((out / "verify_report.json").read_text())
     assert report["suites"]["all_passed"] is True
     assert all(rec["passed"] for rec in report["suites"]["gradients"])
+
+
+def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
+    # rho_W and D rho_W[H] of a draw serve the central differences at every eps
+    import mckvlab.checks as checks
+
+    config = ExperimentConfig.from_file(_write(tmp_path))
+    nonlinear, linear = [], []
+    solve, lw_solve = forward.solve_mckv_field, LWOperator.solve
+    monkeypatch.setattr(forward, "solve_mckv_field",
+                        lambda *args: nonlinear.append(1) or solve(*args))
+    monkeypatch.setattr(LWOperator, "solve",
+                        lambda self, *args, **kw: linear.append(1) or lw_solve(self, *args, **kw))
+    records = checks.suite_gradients(config)
+    assert all(rec["passed"] for rec in records)
+    D = config.model().dim
+    # the floor's two solves; per draw rho_W and two shifted solves at each of two
+    # eps; the data, one gradient and 2 D likelihoods of its finite differences
+    assert len(nonlinear) == 2 + 3 * (1 + 2 * 2) + 1 + 1 + 2 * D
+    assert len(linear) == 3
 
 
 def test_verify_stability_uniform_reports_zero_sigma(tmp_path):

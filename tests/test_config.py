@@ -93,10 +93,10 @@ def test_base_config_and_every_default_are_valid():
 
 
 def test_model_is_built_from_the_configured_problem_and_solver():
-    cfg = ExperimentConfig(raw=_with({"solver.scheme": "if-euler"}))
+    cfg = ExperimentConfig(raw=_with({"solver.M": 24}))
     model = cfg.model()
     assert (model.T, model.K, model.stepper) == (0.2, 2, cfg.stepper())
-    assert model.stepper.scheme == "if-euler"
+    assert model.stepper.M == 24
     assert np.array_equal(model.phi.coeffs, cfg.phi().coeffs)
 
 
@@ -203,6 +203,16 @@ def test_seed_and_mode_overrides_reach_the_manifest(tmp_path):
     assert manifest["config"]["seed"] == 99 and manifest["config"]["mode"] == "strict"
     expected = ExperimentConfig(raw=_with({"seed": 99, "mode": "strict"}))
     assert manifest["config_hash"] == expected.content_hash()
+
+
+def test_a_config_that_sets_solver_scheme_exits_one(tmp_path):
+    # Lawson-Heun is the one time-stepping scheme, so no key selects it
+    res = _invoke(tmp_path, _with({"solver.scheme": "if-heun"}))
+    assert res.exit_code == 1
+    errors = [line for line in res.output.splitlines() if line.startswith("error:")]
+    assert errors == ["error: unknown keys in 'solver': ['scheme']"]
+    assert "Traceback" not in res.output
+    assert res.exception is None or isinstance(res.exception, SystemExit)
 
 
 def test_non_mapping_config_file_exits_one(tmp_path):

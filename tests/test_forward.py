@@ -22,8 +22,8 @@ from mckvlab.forward import (
     uniform_density,
 )
 from mckvlab.parabolic import (
-    SCHEMES,
     StepperConfig,
+    Trajectory,
     heat_trajectory_exact,
     integrate,
     l2l2_inner,
@@ -151,13 +151,14 @@ def test_a_potential_off_the_grid_raises(call):
 # nonlinear forward solves
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+# a "scheme" parameter only labels the case: Lawson-Heun is the one scheme
+@pytest.mark.parametrize("scheme", ["if-heun"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_solve_mckv_equals_the_loop_on_the_one_shot_transport_kernel(d, scheme):
     n = 32 if d == 1 else 16
     phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
     W = random_potential(3, d, np.random.default_rng(30 + d), amplitude=0.6)
-    cfg = StepperConfig(M=24, scheme=scheme)
+    cfg = StepperConfig(M=24)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     grid = phi.grid
     grad_w = [grid.deriv(W.coeff_grid(n), j) for j in range(d)]
@@ -371,15 +372,15 @@ def test_rd_linearisation_fd_oracle():
     assert _rel_traj_err(fd, iH.coeffs) <= 1e-4
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_rd_linearisation_solves_on_the_trajectory_time_grid(scheme):
     # the exact derivative of the 8-step map that u was solved on, with no
     # stepper passed: O(eps^2) against central differences of solve_rd
     phi = _phi()
-    cfg = StepperConfig(M=8, scheme=scheme)
+    cfg = StepperConfig(M=8)
     u = solve_rd(ReactionSpec(R=np.sin, Rprime=np.cos), phi, T, cfg)
     iH = rd_linearisation(ReactionSpec(R=np.sin, Rprime=np.cos), np.cos, u)
-    assert (iH.M, iH.scheme, iH.stages is not None) == (8, scheme, scheme == "if-heun")
+    assert (iH.M, iH.stages is not None) == (8, True)
     eps = 1e-4
     up, um = (solve_rd(ReactionSpec(R=lambda v, s=s: np.sin(v) + s * np.cos(v),
                                     Rprime=lambda v, s=s: np.cos(v) - s * np.sin(v)),
@@ -391,6 +392,37 @@ def test_rd_linearisation_rejects_an_exact_trajectory():
     u = heat_trajectory_exact(_phi(), T, 8)
     with pytest.raises(ValueError, match="scheme"):
         rd_linearisation(ReactionSpec(R=np.sin, Rprime=np.cos), np.cos, u)
+
+
+@pytest.mark.parametrize("kind", ["loaded", "exact", "hand-built"])
+def test_a_trajectory_without_predictor_stages_carries_no_solve(kind, tmp_path):
+    # a solve along nodes alone would differentiate another map than the discrete one
+    phi = _phi()
+    W = random_potential(2, 1, np.random.default_rng(81), amplitude=0.4)
+    prob = McKVProblem(W=W, phi=phi, T=T, stepper=StepperConfig(M=8))
+    rho = solve_mckv(prob)
+    if kind == "loaded":
+        rho.save(tmp_path / "rho")
+        bare = Trajectory.load(tmp_path / "rho")
+    elif kind == "exact":
+        bare = heat_trajectory_exact(phi, T, 8)
+    else:
+        bare = Trajectory(T=T, d=1, n=N_GRID, coeffs=rho.coeffs.copy())
+    assert bare.stages is None
+    v = mckv_first_derivative(prob, W, rho)
+    reaction = ReactionSpec(R=np.sin, Rprime=np.cos)
+    calls = {
+        "LWOperator": lambda: LWOperator(W, bare),
+        "solve_linear_lw forcing": lambda: solve_linear_lw(W, rho, bare,
+                                                           SpectralField.zeros(N_GRID, 1)),
+        "mckv_second_derivative dH1": lambda: mckv_second_derivative(prob, W, W, rho, bare, v),
+        "mckv_second_derivative dH2": lambda: mckv_second_derivative(prob, W, W, rho, v, bare),
+        "rd_linearisation": lambda: rd_linearisation(reaction, np.cos, bare),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match="no predictor stages"):
+            call()
+            pytest.fail(f"{name} accepted a trajectory without predictor stages")
 
 
 def test_reaction_spec_rejects_wrong_derivative():
@@ -493,20 +525,20 @@ def test_gram_matrix_matches_pairwise_inner_products(d, n, K, zeta, amplitude):
     assert np.max(np.abs(G - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
-def _curvature_problem(d, scheme, seed):
+def _curvature_problem(d, seed):
     """A random W on a small grid per dimension, with its rho_W and D columns."""
     n, K, zeta, amplitude = {1: (N_GRID, 2, 3.0, 0.3), 2: (8, 2, 4.0, 0.1)}[d]
     W = random_potential(K, d, np.random.default_rng(seed), amplitude=0.5)
     prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=zeta, amplitude=amplitude), T=0.1,
-                       stepper=StepperConfig(M=16, scheme=scheme))
+                       stepper=StepperConfig(M=16))
     rho = solve_mckv(prob)
     return prob, rho, jacobian_columns(prob, rho)
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
-    prob, rho, cols = _curvature_problem(d, scheme, 32)
+    prob, rho, cols = _curvature_problem(d, 32)
     W = prob.W
     D2 = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
@@ -534,22 +566,12 @@ def _second_derivative_rows(prob, rho, cols):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
     # D = 4 (d=1) pairs rows (0, 3), (1, 2); D = 12 (d=2) pairs six rows
-    prob, rho, cols = _curvature_problem(d, scheme, 33)
+    prob, rho, cols = _curvature_problem(d, 33)
     folded = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
-
-
-def test_linear_operators_reject_density_from_another_scheme():
-    phi = decay_density(16, 1, zeta=3.0, amplitude=0.3)
-    W = random_potential(2, 1, np.random.default_rng(80), amplitude=0.4)
-    heun, euler = (McKVProblem(W=W, phi=phi, T=0.1, stepper=StepperConfig(M=8, scheme=s))
-                   for s in SCHEMES)
-    rho_euler = solve_mckv(euler)
-    with pytest.raises(ValueError, match="scheme"):
-        Linearisation(heun, rho_euler)
 
 
 def test_basis_maps_reject_K_beyond_the_grid():

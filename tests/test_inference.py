@@ -48,7 +48,6 @@ from mckvlab.inference import (
     validate_constants,
 )
 from mckvlab.parabolic import (
-    SCHEMES,
     LWOperator,
     ObservationOperator,
     StepperConfig,
@@ -359,13 +358,12 @@ def test_density_entry_points_reject_a_trajectory_of_another_model(entry):
     W = random_potential(2, 1, rng, amplitude=0.4)
     W2 = W + random_potential(2, 1, rng, amplitude=0.2)
     call(model, W, W2, model.solve(W))
-    # twice and half the steps, twice the horizon, a finer grid, another scheme
+    # twice and half the steps, twice the horizon, a finer grid
     others = [replace(model, stepper=StepperConfig(M=M)) for M in (16, 4)]
     others += [replace(model, T=0.12),
-               replace(model, phi=decay_density(32, 1, zeta=1.8, amplitude=0.3)),
-               replace(model, stepper=StepperConfig(M=8, scheme="if-euler"))]
+               replace(model, phi=decay_density(32, 1, zeta=1.8, amplitude=0.3))]
     for other in others:
-        with pytest.raises(ValueError, match="does not match the model.*scheme"):
+        with pytest.raises(ValueError, match="does not match the model"):
             call(model, W, W2, other.solve(W))
 
 
@@ -384,24 +382,6 @@ def test_grad_loglik_equals_observed_jacobian_columns(d):
     expected = obs(nodes) @ res
     value, grad = like.loglik_and_grad(W)
     assert value == -0.5 * float(res @ res)
-    assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
-
-
-@pytest.mark.parametrize("d", [1, 2])
-def test_grad_loglik_equals_observed_jacobian_columns_lawson_euler(d):
-    # the backward solve transposes the Lawson-Euler step as exactly as Heun's
-    rng = np.random.default_rng(35 + d)
-    model = replace(_small_model(d), stepper=StepperConfig(M=8, scheme="if-euler"))
-    W0 = random_potential(2, d, rng, amplitude=0.4)
-    data = generate_data(W0, model, 60, 0.05, rng)
-    like = LikelihoodEvaluator(model, data)
-    W = W0 + random_potential(2, d, rng, amplitude=0.1)
-    res, rho = like.residuals(W)
-    assert rho.stages is None
-    nodes, _ = jacobian_stack(model.problem(W), rho, K=model.K)
-    obs = ObservationOperator(model.T, model.stepper.M, model.phi.grid, data.t, data.x)
-    expected = obs(nodes) @ res
-    _, grad = like.loglik_and_grad(W)
     assert np.max(np.abs(grad - expected)) <= 1e-13 * np.max(np.abs(expected))
 
 
@@ -514,16 +494,17 @@ def test_estimate_c1_bounds_density_and_hessian_only_raises_it():
     assert estimate_c1(model, W, include_hessian=True) >= without
 
 
-def _curvature_model(d, scheme):
+def _curvature_model(d):
     n = {1: 16, 2: 8}[d]
     phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
-    return ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=8, scheme=scheme))
+    return ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=8))
 
 
+# a "scheme" parameter only labels the case: Lawson-Heun is the one scheme
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_hessian_frobenius_summed_by_rows_matches_the_full_array(d, scheme):
-    model = _curvature_model(d, scheme)
+    model = _curvature_model(d)
     W = random_potential(2, d, np.random.default_rng(40 + d), amplitude=0.5)
     problem = model.problem(W)
     lin = Linearisation(problem, solve_mckv(problem))
@@ -572,9 +553,9 @@ def test_curvature_quantities_build_one_operator_per_W(monkeypatch, fresh_memo):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
-    model = _curvature_model(d, scheme)
+    model = _curvature_model(d)
     rng = np.random.default_rng(50 + d)
     problem = model.problem(random_potential(2, d, rng, amplitude=0.5))
     rho = solve_mckv(problem)
@@ -588,19 +569,19 @@ def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_linearisation_holds_its_columns_once(d, scheme):
-    model = _curvature_model(d, scheme)
+    model = _curvature_model(d)
     problem = model.problem(random_potential(2, d, np.random.default_rng(60 + d)))
     rho = solve_mckv(problem)
     lin = Linearisation(problem, rho)
     lin.vjp(np.ones_like(rho.coeffs))
     assert "states" not in vars(lin)  # the backward solve needs no columns
-    S = 2 * rho.M + 1 if scheme == "if-heun" else rho.M + 1
+    S = 2 * rho.M + 1
     assert lin.states.shape == (S, model.dim) + lin.op.grid.shape
     nodes, stages = lin.columns
     assert np.shares_memory(nodes, lin.states)
-    assert stages is None if scheme == "if-euler" else np.shares_memory(stages, lin.states)
+    assert np.shares_memory(stages, lin.states)
 
 
 # ---------------------------------------------------------------------------
@@ -642,9 +623,9 @@ def _diagnostics(model, W, W0, zeta=1.8):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, scheme):
-    model = _curvature_model(d, scheme)
+    model = _curvature_model(d)
     rng = np.random.default_rng(70 + d)
     W0 = random_potential(2, d, rng, amplitude=0.5)
     shared = OrderedDict()
@@ -663,9 +644,9 @@ def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, sch
     assert estimate_c1(model, W, include_hessian=True, rho=rho) == memoised[0]
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_memo_entries_are_read_only(fresh_memo, scheme):
-    model = _curvature_model(1, scheme)
+    model = _curvature_model(1)
     lin = linearisation(model.problem(random_potential(2, 1, np.random.default_rng(71))))
     nodes, stages = lin.columns
     arrays = [lin.rho.coeffs, solver_states(lin.rho), lin.states, nodes]
@@ -677,7 +658,7 @@ def test_memo_entries_are_read_only(fresh_memo, scheme):
 
 
 def test_memo_keeps_the_two_most_recent_problems(monkeypatch, fresh_memo):
-    model = _curvature_model(1, "if-heun")
+    model = _curvature_model(1)
     rng = np.random.default_rng(72)
     problems = [model.problem(random_potential(2, 1, rng, amplitude=0.4)) for _ in range(3)]
     calls = _count_solves(monkeypatch)
@@ -689,13 +670,13 @@ def test_memo_keeps_the_two_most_recent_problems(monkeypatch, fresh_memo):
     # least recently used entry, the third
     assert linearisation(problems[0]) is not lins[0] and len(calls) == 4
     assert linearisation(problems[1]) is lins[1] and len(fresh_memo) == 2
-    # another K is another entry
-    linearisation(problems[1], K=1)
-    assert len(calls) == 5 and len(fresh_memo) == 2
+    # another K is another entry, on the rho_W of the first: no solve
+    assert linearisation(problems[1], K=1).rho is lins[1].rho
+    assert len(calls) == 4 and len(fresh_memo) == 2
 
 
 def test_memo_solves_again_after_W_changes_in_place(monkeypatch, fresh_memo):
-    model = _curvature_model(1, "if-heun")
+    model = _curvature_model(1)
     W = random_potential(2, 1, np.random.default_rng(73), amplitude=0.4)
     W_before = PotentialVec(W.K, W.d, W.values.copy())
     problem = model.problem(W)
@@ -710,25 +691,28 @@ def test_memo_solves_again_after_W_changes_in_place(monkeypatch, fresh_memo):
     assert lin.gram().tobytes() == ref.gram().tobytes()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_the_probes_of_a_pair_share_its_two_solves(monkeypatch, fresh_memo, scheme):
-    # every stability probe reads rho_1 and rho_2 from the memo
-    model = _curvature_model(1, scheme)
+    # every stability probe reads rho_1 and rho_2 from the memo, at W.K and at
+    # a K < W.K, whose entry takes rho_1 from the entry at W.K
+    model = _curvature_model(1)
     rng = np.random.default_rng(80)
     W1 = random_potential(2, 1, rng, amplitude=0.4)
     p1, p2 = model.problem(W1), model.problem(W1 + random_potential(2, 1, rng, amplitude=0.3))
-    solves = []
     solve = forward.solve_mckv_field  # behind solve_mckv, wherever it is looked up
-    monkeypatch.setattr(forward, "solve_mckv_field",
-                        lambda *args: solves.append(1) or solve(*args))
-    pseudo_linearised_difference(p1, p2)
-    forward_lipschitz_probe(p1, p2, 6.0)
-    stability_report(p1, p2, K=model.K, zeta=3.0, beta=6.0)
-    assert len(solves) == 2
+    for K in (model.K, model.K - 1):
+        fresh_memo.clear()
+        solves = []
+        monkeypatch.setattr(forward, "solve_mckv_field",
+                            lambda *args: solves.append(1) or solve(*args))
+        pseudo_linearised_difference(p1, p2)
+        forward_lipschitz_probe(p1, p2, 6.0)
+        stability_report(p1, p2, K=K, zeta=3.0, beta=6.0)
+        assert len(solves) == 2, K
 
 
 def test_loglik_and_grad_neither_reads_nor_fills_the_memo(monkeypatch, fresh_memo):
-    model = _curvature_model(1, "if-heun")
+    model = _curvature_model(1)
     W = random_potential(2, 1, np.random.default_rng(74), amplitude=0.4)
     data = generate_data(W, model, 40, 0.05, np.random.default_rng(75))
     assert not fresh_memo

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckvlab.parabolic import (
-    SCHEMES,
     LWOperator,
     NumericalBlowUp,
     ObservationOperator,
@@ -35,10 +34,9 @@ def _phi():
 
 def test_zero_forcing_reproduces_heat_semigroup():
     phi = _phi()
-    for scheme in ("if-heun", "if-euler"):
-        traj = solve_heat(phi, T, StepperConfig(M=64, scheme=scheme))
-        exact = heat_trajectory_exact(phi, T, 64)
-        assert rel_l2l2_error(traj, exact) < 1e-10
+    traj = solve_heat(phi, T, StepperConfig(M=64))
+    exact = heat_trajectory_exact(phi, T, 64)
+    assert rel_l2l2_error(traj, exact) < 1e-10
 
 
 def test_constant_forcing_linear_growth_exact():
@@ -47,11 +45,9 @@ def test_constant_forcing_linear_growth_exact():
     c_field = np.zeros(n, dtype=complex)
     c_field[0] = 0.7
     u0 = SpectralField.zeros(n, 1)
-    for scheme in ("if-heun", "if-euler"):
-        traj = integrate(u0, lambda m, s, u: c_field, T,
-                         StepperConfig(M=32, scheme=scheme))
-        ts = np.linspace(0, T, 33)
-        np.testing.assert_allclose(traj.zero_mode(), 0.7 * ts, atol=1e-14)
+    traj = integrate(u0, lambda m, s, u: c_field, T, StepperConfig(M=32))
+    ts = np.linspace(0, T, 33)
+    np.testing.assert_allclose(traj.zero_mode(), 0.7 * ts, atol=1e-14)
 
 
 def test_zero_mode_conservation_divergence_forcing():
@@ -72,11 +68,8 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
-@pytest.mark.parametrize("scheme,expected_ratio,window", [
-    ("if-euler", 2.0, (1.5, 2.9)),
-    ("if-heun", 4.0, (3.0, 5.2)),
-])
-def test_self_convergence_order(scheme, expected_ratio, window):
+def test_self_convergence_order():
+    expected_ratio, window = 4.0, (3.0, 5.2)
     rng = np.random.default_rng(2)
     phi = _phi()
     W = random_potential(3, 1, rng, amplitude=0.6)
@@ -84,8 +77,8 @@ def test_self_convergence_order(scheme, expected_ratio, window):
     def solve(config):
         return solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=config))
 
-    e1 = self_convergence_error(solve, StepperConfig(M=32, scheme=scheme))
-    e2 = self_convergence_error(solve, StepperConfig(M=64, scheme=scheme))
+    e1 = self_convergence_error(solve, StepperConfig(M=32))
+    e2 = self_convergence_error(solve, StepperConfig(M=64))
     ratio = e1 / e2
     assert window[0] < ratio < window[1], (ratio, expected_ratio)
 
@@ -123,7 +116,8 @@ def test_linear_lw_zero_data_is_zero():
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     zero = SpectralField.zeros(N_GRID, 1)
     forcing = Trajectory(T=T, d=1, n=N_GRID,
-                         coeffs=np.zeros((33, N_GRID), dtype=complex))
+                         coeffs=np.zeros((33, N_GRID), dtype=complex),
+                         stages=np.zeros((32, N_GRID), dtype=complex))
     traj = solve_linear_lw(W, rho, forcing, zero)
     assert np.max(np.abs(traj.coeffs)) == 0.0
 
@@ -136,15 +130,16 @@ def test_linear_lw_superposition():
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     zero = SpectralField.zeros(N_GRID, 1)
 
-    def random_forcing():
-        c = np.zeros((33, N_GRID), dtype=complex)
-        for m in range(33):
+    def random_states():
+        # nodes 0..32, then the predictors of the 32 steps
+        c = np.zeros((65, N_GRID), dtype=complex)
+        for m in range(65):
             f = random_potential(4, 1, rng, amplitude=1.0).to_field(N_GRID)
             c[m] = f.coeffs
-        return Trajectory(T=T, d=1, n=N_GRID, coeffs=c)
+        return c
 
-    f1, f2 = random_forcing(), random_forcing()
-    both = Trajectory(T=T, d=1, n=N_GRID, coeffs=f1.coeffs + f2.coeffs)
+    c1, c2 = random_states(), random_states()
+    f1, f2, both = (Trajectory.from_states(c, T, 32) for c in (c1, c2, c1 + c2))
     u1 = solve_linear_lw(W, rho, f1, zero)
     u2 = solve_linear_lw(W, rho, f2, zero)
     u12 = solve_linear_lw(W, rho, both, zero)
@@ -162,21 +157,13 @@ def test_time_grid_mismatch_rejected():
         solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi)
 
 
-def test_solve_linear_lw_rejects_a_forcing_on_another_scheme():
-    phi = _phi()
-    rho = solve_heat(phi, T, StepperConfig(M=8))
-    forcing = Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros((9, N_GRID), dtype=complex),
-                         scheme="if-euler")
-    with pytest.raises(ValueError, match="scheme"):
-        solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi)
-
-
-@pytest.mark.parametrize("scheme", SCHEMES)
+# a "scheme" parameter only labels the case: Lawson-Heun is the one scheme
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_linearised_solves_run_on_the_density_time_grid(scheme):
     # with no stepper passed, the solve is the exact derivative of the 8-step map
     # that rho_W was solved on: O(eps^2) against central differences of solve_mckv
     phi = _phi()
-    cfg = StepperConfig(M=8, scheme=scheme)
+    cfg = StepperConfig(M=8)
     rng = np.random.default_rng(96)
     W, H = (random_potential(2, 1, rng, amplitude=0.4) for _ in range(2))
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
@@ -184,10 +171,10 @@ def test_linearised_solves_run_on_the_density_time_grid(scheme):
     assert op.config == rho.stepper == cfg
     grad_h = phi.grid.deriv(H.coeff_grid(N_GRID), 0)[None, None]
     f = transport_forcing(phi.grid, solver_states(rho), grad_h)
-    assert len(op.solve(f)) == len(f) == (17 if scheme == "if-heun" else 9)
-    v = solve_linear_lw(W, rho, Trajectory.from_states(f[:, 0], T, 8, scheme),
+    assert len(op.solve(f)) == len(f) == 17
+    v = solve_linear_lw(W, rho, Trajectory.from_states(f[:, 0], T, 8),
                         SpectralField.zeros(N_GRID, 1))
-    assert (v.M, v.scheme) == (8, scheme)
+    assert v.M == 8
     eps = 1e-5
     rp, rm = (solve_mckv(McKVProblem(W=W + s * H, phi=phi, T=T, stepper=cfg))
               for s in (eps, -eps))
@@ -197,9 +184,7 @@ def test_linearised_solves_run_on_the_density_time_grid(scheme):
 
 def test_lw_operator_rejects_an_exact_trajectory():
     rho = heat_trajectory_exact(_phi(), T, 8)
-    with pytest.raises(ValueError, match="scheme"):
-        rho.stepper
-    with pytest.raises(ValueError, match="scheme"):
+    with pytest.raises(ValueError, match="predictor stages"):
         LWOperator(PotentialVec.zeros(2, 1), rho)
 
 
@@ -324,9 +309,9 @@ _LW_M = 6
 _LW_N = {1: 16, 2: 8}
 
 
-def _lw_operator(d, scheme):
+def _lw_operator(d):
     phi = decay_density(_LW_N[d], d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
-    cfg = StepperConfig(M=_LW_M, scheme=scheme)
+    cfg = StepperConfig(M=_LW_M)
     W = random_potential(2, d, np.random.default_rng(70 + d), amplitude=0.4)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=_LW_T, stepper=cfg))
     return LWOperator(W, rho)
@@ -348,14 +333,13 @@ def _assert_transpose_pair(y, jh, jty, h):
 _DOT_SETTINGS = settings(derandomize=True, max_examples=25, deadline=None)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lw_apply_transpose_dot_product_identity(d, scheme):
-    op = _lw_operator(d, scheme)
-    stages = (0, 1) if scheme == "if-heun" else (0,)
+    op = _lw_operator(d)
 
     @_DOT_SETTINGS
-    @given(m=st.integers(0, _LW_M - 1), stage=st.sampled_from(stages),
+    @given(m=st.integers(0, _LW_M - 1), stage=st.sampled_from((0, 1)),
            B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def check(m, stage, B, seed):
         rng = np.random.default_rng(seed)
@@ -368,11 +352,11 @@ def test_lw_apply_transpose_dot_product_identity(d, scheme):
     check()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lw_solve_transpose_dot_product_identity(d, scheme):
     # the whole map from forcing at every solver state to the nodes
-    op = _lw_operator(d, scheme)
+    op = _lw_operator(d)
     n_states = len(op.rho_states)
 
     @_DOT_SETTINGS
@@ -389,10 +373,10 @@ def test_lw_solve_transpose_dot_product_identity(d, scheme):
     check()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lw_solve_returns_states_in_the_layout_of_its_forcing(d, scheme):
-    op = _lw_operator(d, scheme)
+    op = _lw_operator(d)
     f = _complex(np.random.default_rng(90 + d), (len(op.rho_states), 2) + op.grid.shape)
     states = op.solve(f)
     assert states.shape == f.shape
@@ -401,7 +385,7 @@ def test_lw_solve_returns_states_in_the_layout_of_its_forcing(d, scheme):
 
 @pytest.mark.parametrize("d", [1, 2])
 def test_lw_pull_back_is_the_transpose_of_the_transport_forcing(d):
-    op = _lw_operator(d, "if-heun")
+    op = _lw_operator(d)
     grid, states = op.grid, op.rho_states
 
     @_DOT_SETTINGS
@@ -419,9 +403,9 @@ def test_lw_pull_back_is_the_transpose_of_the_transport_forcing(d):
     check()
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_lw_solve_transpose_blowup_guard(scheme):
-    op = _lw_operator(1, scheme)
+    op = _lw_operator(1)
     g = np.zeros((_LW_M + 1,) + op.grid.shape, dtype=complex)
     g[_LW_M, 1] = 1e13
     with pytest.raises(NumericalBlowUp):
@@ -501,16 +485,15 @@ def _apply_transpose_oracle(op, m, stage, y):
 
 
 @pytest.mark.parametrize("B", [1, 3])
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 @pytest.mark.parametrize("d", [1, 2])
 def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B):
-    op = _lw_operator(d, scheme)
+    op = _lw_operator(d)
     rng = np.random.default_rng(120 + 10 * d + B)
-    stages = (0, 1) if scheme == "if-heun" else (0,)
     kernels = [(op.apply, _apply_oracle), (op.apply_transpose, _apply_transpose_oracle)]
     for kernel, oracle in kernels:
         for m in (0, _LW_M - 1):
-            for stage in stages:
+            for stage in (0, 1):
                 first = _complex(rng, (B,) + op.grid.shape)
                 out = kernel(m, stage, first)
                 kept = out.copy()
@@ -521,10 +504,10 @@ def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B)
                 assert np.array_equal(out, kept)
 
 
-@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("scheme", ["if-heun"])
 def test_lw_solves_drop_their_plans(scheme):
     # an operator kept between solves (the memo of forward.linearisation) holds no buffers
-    op = _lw_operator(2, scheme)
+    op = _lw_operator(2)
     rng = np.random.default_rng(130)
     op.apply(0, 0, _complex(rng, (2,) + op.grid.shape))
     assert op._plans

@@ -1,7 +1,7 @@
 """Property tests of the mean-field forward map and its derivatives.
 
-Random potentials W, H, random initial densities phi, both schemes and
-d in {1, 2} at small sizes.  They add to the fixed-seed oracles of
+Random potentials W, H, random initial densities phi and d in {1, 2} at
+small sizes.  They add to the fixed-seed oracles of
 test_forward.py and test_acceptance.py and replace none of them.
 """
 
@@ -21,7 +21,6 @@ from mckvlab.forward import (
 )
 from mckvlab.inference import ForwardModel, expected_neg_hessian
 from mckvlab.parabolic import (
-    SCHEMES,
     StepperConfig,
     Trajectory,
     solver_states,
@@ -35,11 +34,10 @@ SIZES = {1: (16, 3), 2: (8, 2)}
 T, M = 0.1, 8
 
 _SETTINGS = settings(derandomize=True, max_examples=50, deadline=None)
-_CASES = dict(d=st.sampled_from(sorted(SIZES)), scheme=st.sampled_from(SCHEMES),
-              seed=st.integers(0, 2**32 - 1))
+_CASES = dict(d=st.sampled_from(sorted(SIZES)), seed=st.integers(0, 2**32 - 1))
 
 
-def _problem(d, scheme, seed):
+def _problem(d, seed):
     """A random W, a random positive phi of unit mass, and the rng for more draws."""
     n, K = SIZES[d]
     rng = np.random.default_rng(seed)
@@ -48,7 +46,7 @@ def _problem(d, scheme, seed):
     scale = rng.uniform(0.05, 0.9) / np.max(np.abs(bump.values()))
     phi = SpectralField.constant(1.0, n, d)
     phi.coeffs += scale * bump.coeffs
-    return McKVProblem(W=W, phi=phi, T=T, stepper=StepperConfig(M=M, scheme=scheme)), rng
+    return McKVProblem(W=W, phi=phi, T=T, stepper=StepperConfig(M=M)), rng
 
 
 def _rel(a, b):
@@ -57,8 +55,8 @@ def _rel(a, b):
 
 @_SETTINGS
 @given(**_CASES)
-def test_solve_keeps_real_field_invariants_and_unit_mass(d, scheme, seed):
-    problem, _ = _problem(d, scheme, seed)
+def test_solve_keeps_real_field_invariants_and_unit_mass(d, seed):
+    problem, _ = _problem(d, seed)
     rho = solve_mckv(problem)
     nyq = problem.phi.n // 2
     for m in range(rho.M + 1):
@@ -71,8 +69,8 @@ def test_solve_keeps_real_field_invariants_and_unit_mass(d, scheme, seed):
 
 @_SETTINGS
 @given(shift=st.floats(-10.0, 10.0), **_CASES)
-def test_constant_added_to_W_leaves_the_trajectory_unchanged(d, scheme, seed, shift):
-    problem, _ = _problem(d, scheme, seed)
+def test_constant_added_to_W_leaves_the_trajectory_unchanged(d, seed, shift):
+    problem, _ = _problem(d, seed)
     W = problem.W.to_field(problem.phi.n)
     shifted = W.copy()
     shifted.coeffs[(0,) * d] += shift
@@ -83,8 +81,8 @@ def test_constant_added_to_W_leaves_the_trajectory_unchanged(d, scheme, seed, sh
 
 @_SETTINGS
 @given(a=st.floats(-2.0, 2.0), b=st.floats(-2.0, 2.0), **_CASES)
-def test_first_derivative_is_linear_in_H(d, scheme, seed, a, b):
-    problem, rng = _problem(d, scheme, seed)
+def test_first_derivative_is_linear_in_H(d, seed, a, b):
+    problem, rng = _problem(d, seed)
     rho = solve_mckv(problem)
     H1, H2 = (random_potential(problem.W.K, d, rng) for _ in range(2))
     lhs = mckv_first_derivative(problem, a * H1 + b * H2, rho)
@@ -95,8 +93,8 @@ def test_first_derivative_is_linear_in_H(d, scheme, seed, a, b):
 
 @_SETTINGS
 @given(**_CASES)
-def test_second_derivative_is_symmetric(d, scheme, seed):
-    problem, rng = _problem(d, scheme, seed)
+def test_second_derivative_is_symmetric(d, seed):
+    problem, rng = _problem(d, seed)
     rho = solve_mckv(problem)
     H1, H2 = (random_potential(problem.W.K, d, rng) for _ in range(2))
     v1 = mckv_first_derivative(problem, H1, rho)
@@ -108,8 +106,8 @@ def test_second_derivative_is_symmetric(d, scheme, seed):
 
 @_SETTINGS
 @given(**_CASES)
-def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, scheme, seed):
-    problem, rng = _problem(d, scheme, seed)
+def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, seed):
+    problem, rng = _problem(d, seed)
     W0 = random_potential(problem.W.K, d, rng, amplitude=rng.uniform(0.1, 1.0))
     model = ForwardModel(phi=problem.phi, T=T, K=problem.W.K, stepper=problem.stepper)
     rho, rho0 = solve_mckv(problem), model.solve(W0)
@@ -132,16 +130,13 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, sche
 
 @_SETTINGS
 @given(**_CASES, steps=st.integers(1, 6))
-def test_trajectory_from_states_is_a_view_of_the_solver_states(d, scheme, seed, steps):
+def test_trajectory_from_states_is_a_view_of_the_solver_states(d, seed, steps):
     n = SIZES[d][0]
-    S = 2 * steps + 1 if scheme == "if-heun" else steps + 1
+    S = 2 * steps + 1
     rng = np.random.default_rng(seed)
     shape = (S,) + (n,) * d
     states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    traj = Trajectory.from_states(states, T, steps, scheme)
+    traj = Trajectory.from_states(states, T, steps)
     assert np.array_equal(solver_states(traj), states)
     assert np.shares_memory(traj.coeffs, states)
-    if scheme == "if-heun":
-        assert np.shares_memory(traj.stages, states)
-    else:
-        assert traj.stages is None
+    assert np.shares_memory(traj.stages, states)

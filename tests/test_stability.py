@@ -65,20 +65,6 @@ def test_pseudo_linearisation_residual_small_generic():
         assert residual < 1e-12
 
 
-def test_probes_reject_problems_on_different_schemes():
-    # a residual read across two schemes compares two different discrete maps
-    rng = np.random.default_rng(4)
-    phi = decay_density(16, 1, zeta=3.0, amplitude=0.3)
-    W1 = random_potential(2, 1, rng, amplitude=0.4)
-    W2 = random_potential(2, 1, rng, amplitude=0.4)
-    p1 = _problem(W1, phi, StepperConfig(M=16, scheme="if-heun"))
-    p2 = _problem(W2, phi, StepperConfig(M=16, scheme="if-euler"))
-    with pytest.raises(ValueError, match="time-stepping scheme"):
-        pseudo_linearised_difference(p1, p2)
-    with pytest.raises(ValueError, match="time-stepping scheme"):
-        forward_lipschitz_probe(p1, p2, beta=6.0)
-
-
 # ---------------------------------------------------------------------------
 # deconvolution margin
 
