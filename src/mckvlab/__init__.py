@@ -5,17 +5,9 @@ from .spectral import (
     PotentialVec,
     SpectralField,
     basis_tau,
-    convolve,
     count_dim,
-    divergence,
-    grad,
-    l2_norm,
-    laplacian,
     modes_in_ball,
-    multiply,
-    project_to_ek,
     random_potential,
-    sobolev_norm,
 )
 from .parabolic import (
     NumericalBlowUp,
@@ -37,7 +29,6 @@ from .forward import (
     rd_linearisation,
     solve_mckv,
     solve_rd,
-    trilinear_t,
     uniform_density,
 )
 from .stability import (
@@ -59,7 +50,6 @@ from .inference import (
     expected_neg_hessian,
     generate_data,
     posterior_energy,
-    sample_prior,
     surrogate_loglik,
     validate_constants,
 )

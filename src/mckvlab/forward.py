@@ -166,22 +166,6 @@ def decay_density(n: int, d: int, zeta: float, amplitude: float = 0.25) -> Spect
 
 
 # ---------------------------------------------------------------------------
-# the trilinear transport operator
-
-
-def trilinear_t(r: SpectralField, V, s: SpectralField) -> SpectralField:
-    """div(r gradV * s): trilinear in (r, V, s).
-
-    V may be a PotentialVec or a SpectralField; only its gradient
-    enters, so constant shifts of V are annihilated exactly.
-    """
-    spectral._check_same_grid(r, s)
-    grid = r.grid
-    grad_v = _as_grad_coeffs(V, grid)
-    return SpectralField(r.d, r.n, grid.transport_div(r.coeffs, grad_v, s.coeffs))
-
-
-# ---------------------------------------------------------------------------
 # mean-field forward map
 
 

@@ -70,16 +70,6 @@ class ConstantsReport:
     values: dict
     mode: str
 
-    @property
-    def core_ok(self) -> bool:
-        keys = ("beta_even_ge", "alpha_window", "zeta_window", "w_window")
-        return all(self.checks[k] for k in keys)
-
-    @property
-    def ok(self) -> bool:
-        evaluated = [v for v in self.checks.values() if v is not None]
-        return all(evaluated)
-
 
 def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
                        K: int | None = None, c_pr: float = 1.0,
@@ -177,11 +167,6 @@ class PriorSpec:
 
     def precision_diag(self) -> np.ndarray:
         return self.diag**-2
-
-
-def sample_prior(spec: PriorSpec, rng: np.random.Generator) -> PotentialVec:
-    g = rng.standard_normal(spec.dim)
-    return PotentialVec(spec.K, spec.d, spec.diag * g)
 
 
 # ---------------------------------------------------------------------------
@@ -575,17 +560,13 @@ def surrogate_loglik(W: PotentialVec, spec: SurrogateSpec,
 # posterior energy and drift
 
 
-def posterior_energy(W: PotentialVec, prior: PriorSpec, like: LikelihoodEvaluator) -> float:
-    """H(W) = 1/2 (sum residuals^2 + W^T Sigma^-1 W) = -ell_N + quadratic,
-    with ell_N on the data and model of ``like``."""
-    quad = 0.5 * float(np.sum(prior.precision_diag() * W.values**2))
-    return -like.loglik(W) + quad
-
-
-def posterior_energy_grad(W: PotentialVec, prior: PriorSpec,
-                          like: LikelihoodEvaluator) -> np.ndarray:
-    _, grad = like.loglik_and_grad(W)
-    return -grad + prior.precision_diag() * W.values
+def posterior_energy(W: PotentialVec, prior: PriorSpec, like: LikelihoodEvaluator):
+    """(H(W), grad H(W)) with H(W) = 1/2 (sum residuals^2 + W^T Sigma^-1 W)
+    = -ell_N + quadratic, both from one ``like.loglik_and_grad``, with ell_N
+    on the data and model of ``like``."""
+    ell, grad = like.loglik_and_grad(W)
+    prec = prior.precision_diag()
+    return -ell + 0.5 * float(np.sum(prec * W.values**2)), -grad + prec * W.values
 
 
 def make_drift(spec: SurrogateSpec, prior: PriorSpec,

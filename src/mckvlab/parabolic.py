@@ -115,9 +115,6 @@ class Trajectory:
         """The steps of every solve along the trajectory."""
         return StepperConfig(M=self.M)
 
-    def node(self, m: int) -> SpectralField:
-        return SpectralField(self.d, self.n, self.coeffs[m].copy())
-
     @classmethod
     def from_states(cls, states: np.ndarray, T: float, M: int) -> "Trajectory":
         """The trajectory of ``states`` (S, n, ..., n) in :func:`solver_states`
@@ -331,12 +328,6 @@ def _check_growth(u: np.ndarray, step: int):
     mx = np.abs(u).max()
     if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
         raise NumericalBlowUp(step)
-
-
-def solve_heat(u0: SpectralField, T: float, config: StepperConfig) -> Trajectory:
-    """Pure heat flow (F = 0); nodes carry the exact semigroup."""
-    zero = np.zeros_like(u0.coeffs)
-    return integrate(u0, lambda m, s, u: zero, T, config)
 
 
 def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:

@@ -22,6 +22,10 @@ Conventions used throughout the package:
   read them.
 * Products of two fields are formed pseudospectrally on a grid padded
   by the 3/2 rule, which is alias-free for quadratic nonlinearities.
+* Calculus runs on coefficient arrays, through the derivative
+  multipliers and the transport kernel of :class:`Grid`; a
+  :class:`SpectralField` carries a field's coefficients with its grid and
+  has no arithmetic of its own.
 """
 
 from __future__ import annotations
@@ -175,9 +179,6 @@ class Grid:
 
     def deriv(self, coeffs: np.ndarray, axis: int) -> np.ndarray:
         return coeffs * self.ik[axis]
-
-    def lap(self, coeffs: np.ndarray) -> np.ndarray:
-        return coeffs * self.lap_mult
 
     def transport_div(self, r_c, grad_v_c, s_c) -> np.ndarray:
         """Array kernel for div(r * (grad V convolved with s)).
@@ -388,24 +389,11 @@ class SpectralField:
         f.coeffs[(0,) * d] = value
         return f
 
-    @classmethod
-    def from_values(cls, values: np.ndarray) -> "SpectralField":
-        values = np.asarray(values, dtype=float)
-        d = values.ndim
-        n = values.shape[0]
-        if values.shape != (n,) * d:
-            raise ValueError("value grid must be a d-cube")
-        g = get_grid(n, d)
-        return cls(d, n, g.from_values(values))
-
     # -- basics --------------------------------------------------------------
 
     @property
     def grid(self) -> Grid:
         return get_grid(self.n, self.d)
-
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.d, self.n, self.coeffs.copy())
 
     def values(self) -> np.ndarray:
         return self.grid.to_values(self.coeffs)
@@ -437,79 +425,6 @@ class SpectralField:
         if leak.size:
             defect = max(defect, float(leak.max()))
         return defect
-
-    # -- arithmetic -----------------------------------------------------------
-
-    def _like(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.d, self.n, coeffs)
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return self._like(self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        _check_same_grid(self, other)
-        return self._like(self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return self._like(self.coeffs * float(scalar))
-
-    __rmul__ = __mul__
-
-
-def _check_same_grid(f: SpectralField, g: SpectralField):
-    if f.n != g.n or f.d != g.d:
-        raise ValueError(f"grid mismatch: ({f.n},{f.d}) vs ({g.n},{g.d})")
-
-
-# ---------------------------------------------------------------------------
-# calculus operators
-
-
-def convolve(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Torus convolution; coefficients multiply, (f*g)^_k = f_k g_k."""
-    _check_same_grid(f, g)
-    return SpectralField(f.d, f.n, f.coeffs * g.coeffs)
-
-
-def multiply(f: SpectralField, g: SpectralField) -> SpectralField:
-    """Pointwise product, dealiased by the 3/2 rule."""
-    _check_same_grid(f, g)
-    return SpectralField(f.d, f.n, f.grid.dealiased_product(f.coeffs, g.coeffs))
-
-
-def grad(f: SpectralField) -> list[SpectralField]:
-    g = f.grid
-    return [SpectralField(f.d, f.n, g.deriv(f.coeffs, j)) for j in range(f.d)]
-
-
-def divergence(fields: list[SpectralField]) -> SpectralField:
-    if not fields:
-        raise ValueError("empty vector field")
-    d = fields[0].d
-    if len(fields) != d:
-        raise ValueError("vector field must have d components")
-    g = fields[0].grid
-    out = np.zeros_like(fields[0].coeffs)
-    for j, comp in enumerate(fields):
-        _check_same_grid(fields[0], comp)
-        out = out + g.deriv(comp.coeffs, j)
-    return SpectralField(d, fields[0].n, out)
-
-
-def laplacian(f: SpectralField) -> SpectralField:
-    return SpectralField(f.d, f.n, f.grid.lap(f.coeffs))
-
-
-def sobolev_norm(f: SpectralField, s: float) -> float:
-    """Norm with Fourier weight (1+|k|^2)^s; s=0 is the L2 norm."""
-    w = (1.0 + f.grid.ksq) ** s
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2)))
-
-
-def l2_norm(f: SpectralField) -> float:
-    return float(np.linalg.norm(f.coeffs.ravel()))
-
 
 # ---------------------------------------------------------------------------
 # the mean-zero trigonometric space E_K
@@ -573,9 +488,6 @@ class PotentialVec:
         """Complex coefficient array of the represented function (a new array)."""
         return np.tensordot(self.values, tau_table(self.K, self.d, n), axes=1)
 
-    def to_field(self, n: int) -> SpectralField:
-        return SpectralField(self.d, n, self.coeff_grid(n))
-
     def __add__(self, other: "PotentialVec") -> "PotentialVec":
         self._check_compatible(other)
         return PotentialVec(self.K, self.d, self.values + other.values)
@@ -594,41 +506,12 @@ class PotentialVec:
             raise ValueError("potential truncation/dimension mismatch")
 
 
-def project_to_ek(f: SpectralField, K: int) -> PotentialVec:
-    """Coordinates <f, tau_k> for 0 < |k| <= K; the mean is discarded."""
-    vals = np.sum(tau_table(K, f.d, f.n).conj() * f.coeffs, axis=f.grid.axes).real
-    return PotentialVec(K, f.d, vals)
-
-
-def embed_potential(v: PotentialVec, K_new: int) -> PotentialVec:
-    """Embed into the nested basis of a larger ball K_new >= K."""
-    if K_new < v.K:
-        raise ValueError("target truncation must be >= source truncation")
-    out = PotentialVec.zeros(K_new, v.d)
-    out.values[mode_ksq(K_new, v.d) <= v.K**2] = v.values
-    return out
-
-
 def random_potential(K: int, d: int, rng: np.random.Generator,
                      amplitude: float = 1.0, decay: float = 0.0) -> PotentialVec:
     """Random element of E_K with coordinates ~ amplitude * (1+|k|^2)^(-decay/2)."""
     v = PotentialVec.zeros(K, d)
     v.values[:] = amplitude * (1.0 + mode_ksq(K, d)) ** (-decay / 2.0) * rng.standard_normal(v.dim)
     return v
-
-
-def w2inf_norm(v: PotentialVec, n: int = 64) -> float:
-    """Grid surrogate for the W^{2,inf} norm: sup|W| + sup|dW| + sup|d^2W|."""
-    f = v.to_field(n)
-    g = f.grid
-    total = float(np.max(np.abs(f.values())))
-    gr = [g.deriv(f.coeffs, j) for j in range(v.d)]
-    total += max(float(np.max(np.abs(g.to_values(c)))) for c in gr)
-    second = []
-    for j in range(v.d):
-        for l in range(v.d):
-            second.append(float(np.max(np.abs(g.to_values(g.deriv(gr[j], l))))))
-    return total + max(second)
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,22 @@ def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
     assert len(linear) == 3
 
 
+def test_the_stability_suite_solves_each_potential_once(tmp_path, monkeypatch):
+    # the floor's rho_{W1} at M is the one the probes read from the memo
+    import mckvlab.checks as checks
+
+    config = ExperimentConfig.from_file(_write(tmp_path))
+    monkeypatch.setattr(forward, "_memo", OrderedDict())
+    solves = []
+    solve = forward.solve_mckv_field
+    monkeypatch.setattr(forward, "solve_mckv_field",
+                        lambda *args: solves.append(1) or solve(*args))
+    records = checks.suite_stability(config)
+    assert all(rec["passed"] for rec in records)
+    # W1 at M and at 2M, W2, and the two Lipschitz perturbations of W1
+    assert len(solves) == 5
+
+
 def test_verify_stability_uniform_reports_zero_sigma(tmp_path):
     runner = CliRunner()
     p = _write(tmp_path, {"problem.phi.type": "uniform"})

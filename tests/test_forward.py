@@ -18,7 +18,6 @@ from mckvlab.forward import (
     solve_mckv_field,
     solve_rd,
     tau_gradient_stack,
-    trilinear_t,
     uniform_density,
 )
 from mckvlab.parabolic import (
@@ -31,12 +30,8 @@ from mckvlab.parabolic import (
     solve_linear_lw,
     solver_states,
 )
-from mckvlab.spectral import (
-    PotentialVec,
-    SpectralField,
-    multiply,
-    random_potential,
-)
+from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
+from oracles import to_field
 
 N_GRID = 32
 T = 0.25
@@ -53,51 +48,57 @@ def _rel_traj_err(a_coeffs, b_coeffs):
 
 
 # ---------------------------------------------------------------------------
-# trilinear operator
+# the trilinear transport operator div(r gradV * s) of Grid.transport_div
+
+
+def _transport(r, V, s):
+    """div(r gradV * s) of coefficient arrays r and s and a potential V."""
+    grid = get_grid(r.shape[-1], V.d)
+    return grid.transport_div(r, [grid.deriv(V.coeff_grid(grid.n), j) for j in range(V.d)], s)
 
 
 def test_trilinear_zero_potential():
     rng = np.random.default_rng(0)
-    r = _phi()
-    s = random_potential(3, 1, rng).to_field(N_GRID)
-    out = trilinear_t(r, PotentialVec.zeros(2, 1), s)
-    assert np.max(np.abs(out.coeffs)) == 0.0
+    r = _phi().coeffs
+    s = random_potential(3, 1, rng).coeff_grid(N_GRID)
+    out = _transport(r, PotentialVec.zeros(2, 1), s)
+    assert np.max(np.abs(out)) == 0.0
 
 
 def test_trilinear_constant_second_factor():
     # s = 1: gradV * 1 has only the zero mode of gradV, which vanishes
     rng = np.random.default_rng(1)
-    r = _phi()
+    r = _phi().coeffs
     V = random_potential(3, 1, rng)
     one = SpectralField.constant(1.0, N_GRID, 1)
-    out = trilinear_t(r, V, one)
-    assert np.max(np.abs(out.coeffs)) < 1e-15
+    out = _transport(r, V, one.coeffs)
+    assert np.max(np.abs(out)) < 1e-15
 
 
 def test_trilinear_constant_first_factor_is_laplacian_of_convolution():
     rng = np.random.default_rng(2)
     V = random_potential(3, 1, rng)
-    s = random_potential(4, 1, rng).to_field(N_GRID)
+    s = random_potential(4, 1, rng).coeff_grid(N_GRID)
     one = SpectralField.constant(1.0, N_GRID, 1)
-    out = trilinear_t(one, V, s)
-    expected = -4 * np.pi**2 * one.grid.ksq * V.to_field(N_GRID).coeffs * s.coeffs
-    np.testing.assert_allclose(out.coeffs, expected, atol=1e-12)
+    out = _transport(one.coeffs, V, s)
+    expected = -4 * np.pi**2 * one.grid.ksq * V.coeff_grid(N_GRID) * s
+    np.testing.assert_allclose(out, expected, atol=1e-12)
 
 
 def test_trilinear_is_trilinear():
     rng = np.random.default_rng(3)
-    r1 = random_potential(3, 1, rng).to_field(N_GRID)
-    r2 = random_potential(3, 1, rng).to_field(N_GRID)
+    r1 = random_potential(3, 1, rng).coeff_grid(N_GRID)
+    r2 = random_potential(3, 1, rng).coeff_grid(N_GRID)
     V = random_potential(3, 1, rng)
-    s = random_potential(3, 1, rng).to_field(N_GRID)
-    lhs = trilinear_t(r1 + 2.0 * r2, V, s)
-    rhs = trilinear_t(r1, V, s) + 2.0 * trilinear_t(r2, V, s)
-    np.testing.assert_allclose(lhs.coeffs, rhs.coeffs, atol=1e-12)
+    s = random_potential(3, 1, rng).coeff_grid(N_GRID)
+    lhs = _transport(r1 + 2.0 * r2, V, s)
+    rhs = _transport(r1, V, s) + 2.0 * _transport(r2, V, s)
+    np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 @pytest.mark.parametrize("d, n, K", [(1, N_GRID, 2), (2, 12, 1)])
 def test_lw_operator_apply_matches_trilinear(d, n, K):
-    # the batched L_W - Lap against its definition through trilinear_t,
+    # the batched L_W - Lap against its definition through the transport operator,
     # at a node state (stage 0) and at a Heun predictor state (stage 1)
     rng = np.random.default_rng(20)
     phi = _phi() if d == 1 else decay_density(n, 2, zeta=4.0, amplitude=0.1)
@@ -105,14 +106,12 @@ def test_lw_operator_apply_matches_trilinear(d, n, K):
     cfg = StepperConfig(M=16)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.05, stepper=cfg))
     op = LWOperator(W, rho)
-    vs = [random_potential(n // 2 - 1, d, rng).to_field(n) for _ in range(3)]
-    v = np.stack([f.coeffs for f in vs])
+    v = np.stack([random_potential(n // 2 - 1, d, rng).coeff_grid(n) for _ in range(3)])
     m = 5
-    for stage, state in ((0, rho.coeffs[m]), (1, rho.stages[m])):
-        r = SpectralField(d, n, state)
+    for stage, r in ((0, rho.coeffs[m]), (1, rho.stages[m])):
         got = op.apply(m, stage, v)
-        for b, vb in enumerate(vs):
-            ref = (trilinear_t(vb, W, r) + trilinear_t(r, W, vb)).coeffs
+        for b, vb in enumerate(v):
+            ref = _transport(vb, W, r) + _transport(r, W, vb)
             assert np.max(np.abs(got[b] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
@@ -125,16 +124,14 @@ def _grid_mismatch_calls():
                        stepper=cfg)
     rho = solve_mckv(prob)
     H1 = random_potential(2, 1, rng)
-    F12 = random_potential(1, 2, rng).to_field(12)
+    F12 = to_field(random_potential(1, 2, rng), 12)
     return {
         "LWOperator": lambda: LWOperator(H1, rho),
         "solve_linear_lw": lambda: solve_linear_lw(H1, rho, None, phi),
-        "trilinear_t": lambda: trilinear_t(phi, H1, phi),
-        "solve_mckv_field": lambda: solve_mckv_field(H1.to_field(8), phi, 0.05, cfg),
+        "solve_mckv_field": lambda: solve_mckv_field(to_field(H1, 8), phi, 0.05, cfg),
         "mckv_first_derivative": lambda: mckv_first_derivative(prob, H1, rho),
         "mckv_second_derivative": lambda: mckv_second_derivative(prob, H1, prob.W, rho,
                                                                  rho, rho),
-        "trilinear_t-n": lambda: trilinear_t(phi, F12, phi),
         "solve_mckv_field-n": lambda: solve_mckv_field(F12, phi, 0.05, cfg),
     }
 
@@ -205,8 +202,8 @@ def test_constant_shift_invariance_of_potential():
     rng = np.random.default_rng(6)
     phi = _phi()
     W = random_potential(3, 1, rng, amplitude=0.5)
-    W_field = W.to_field(N_GRID)
-    shifted = W_field.copy()
+    W_field = to_field(W, N_GRID)
+    shifted = to_field(W, N_GRID)
     shifted.coeffs[0] += 3.7
     a = solve_mckv_field(W_field, phi, T, CFG)
     b = solve_mckv_field(shifted, phi, T, CFG)
@@ -505,7 +502,7 @@ def test_dimension_check_3d_smoke():
     cfg = StepperConfig(M=8)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.02, stepper=cfg))
     np.testing.assert_allclose(rho.zero_mode(), 1.0, atol=1e-13)
-    assert rho.node(cfg.M).conj_symmetry_defect() < 1e-12
+    assert SpectralField(3, 8, rho.coeffs[cfg.M]).conj_symmetry_defect() < 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,8 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "mckvlab"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TESTS = sorted((ROOT / "tests").glob("*.py"))
+PERFBENCH = sorted((ROOT / "perfbench").rglob("*.py"))
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -28,7 +30,7 @@ def _unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TESTS, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
 
@@ -101,3 +103,47 @@ def test_every_library_name_is_used_somewhere():
     unused = [f"{path.name} {name}" for path in MODULES for name in _defined_names(path)
               if name not in words]
     assert unused == []
+
+
+# The library names that library code and perfbench/ never reference, each
+# with the library path that the tests check against it.
+TEST_ONLY = {
+    "dealiased_product": "Grid.transport_div, one axis term at a time",
+    "second_derivative_matrix": "Linearisation.second_derivative_vjp",
+    "eval_batch": "ObservationOperator, on one trajectory",
+    "zero_mode": "the mass conservation of solve_mckv",
+    "load": "Trajectory.save and Dataset.save, whose artifacts it reads back",
+    "from_file": "load_yaml and ExperimentConfig, the config reader of the CLI",
+    "posterior_energy": "LikelihoodEvaluator.loglik_and_grad plus the prior; "
+                        "the energy of the MAP warm start (ROADMAP item 3)",
+}
+
+
+def _references(paths) -> set[str]:
+    """The names, attributes and string constants of ``paths``, docstrings
+    left out; a def or class statement does not reference its own name."""
+    found = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                      and ast.get_docstring(node, clean=False) is not None}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and id(node) not in docstrings):
+                found.add(node.value)  # perfbench/tracer.py looks its targets up by name
+    return found
+
+
+def test_no_library_name_is_reached_from_the_tests_alone():
+    refs = _references(MODULES + PERFBENCH)
+    defined = [(path.name, name) for path in MODULES for name in _defined_names(path)]
+    assert [f"{module} {name}" for module, name in defined
+            if name not in refs and name not in TEST_ONLY] == []
+    # an entry whose name is gone, or now has a library caller, goes too
+    names = {name for _, name in defined}
+    assert sorted(name for name in TEST_ONLY if name not in names or name in refs) == []

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from mckvlab.sampler import (
-    ChainRun,
     ChainState,
     DriftBlowUp,
     default_step_size,

@@ -3,7 +3,7 @@ import pytest
 
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv, uniform_density
 from mckvlab.parabolic import StepperConfig
-from mckvlab.spectral import PotentialVec, modes_in_ball, random_potential, w2inf_norm
+from mckvlab.spectral import PotentialVec, modes_in_ball, random_potential
 from mckvlab.stability import (
     StabilityReport,
     deconvolution_margin,
@@ -14,6 +14,7 @@ from mckvlab.stability import (
     sigma_min_trend,
     stability_report,
 )
+from oracles import w2inf_norm
 
 N_GRID = 32
 T = 0.25
