@@ -22,13 +22,17 @@ along rho_W, the D basis columns from one stacked solve
 (:func:`jacobian_stack`), their Gram matrix, a vector-Jacobian product from
 one backward solve of the exact transpose of the discrete scheme whatever D
 is (:meth:`Linearisation.vjp`), D^2 rho_W over the truncated basis with
-rows j and D-1-j folded into one solve, ceil(D/2) solves in all, and the
+rows j and D-1-j folded into one solve, ceil(D/2) solves in all, each row
+forced by :func:`_second_derivative_row_forcing` from the padded columns
+that :func:`_padded_columns` synthesises once for all rows, and the
 weighted sum of every D^2 rho_W[tau_j, tau_k], the correction of the
 expected Hessian, from one backward solve and no second-derivative solve.
 Both backward solves end in the one pull-back of their weights through the
 transport forcing, ``LWOperator.pull_back``.  :func:`mckv_first_derivative`
 and :func:`mckv_second_derivative` solve one direction each and serve as
-the oracles of the stacked paths.
+the oracles of the stacked paths; the second is forced by the six-term
+expansion :func:`_second_derivative_forcing`, which the grouped row forcing
+equals to rounding.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used (problem, K), keyed by their
@@ -58,6 +62,7 @@ from .parabolic import (
     StepperConfig,
     Trajectory,
     _as_grad_coeffs,
+    _divergence,
     integrate,
     solver_states,
     state_index,
@@ -197,7 +202,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
             np.multiply(gw, u, out=syn.x[1 + j])
         phys = syn.run()
         np.multiply(phys[:1], phys[1:], out=ana.x)
-        return (grid.ik * ana.run()).sum(axis=0)
+        return _divergence(grid.ik, ana.run())
 
     return integrate(phi, rhs, T, stepper)
 
@@ -230,6 +235,46 @@ def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.n
     forcing += grid.transport_div(rho, grad_h2, v1)
     forcing += grid.transport_div(v1, op.grad_w, v2)
     forcing += grid.transport_div(v2, op.grad_w, v1)
+    return forcing
+
+
+def _padded_columns(op: LWOperator, gtau: np.ndarray, v: np.ndarray):
+    """The padded fields that the forcing of every second-derivative row reads.
+
+    For basis gradients ``gtau`` (D, d, grid) and first derivatives ``v``
+    (S, D, grid) in solver-state order, returns P(v_k), shape (S, D, pad grid),
+    and per axis j P(X_{k,j}) with X_{k,j} = d_j tau_k * rho + d_j W * v_k,
+    where P is the padded synthesis.
+    """
+    grid, rho = op.grid, op.rho_states[:, None]
+    return grid.to_padded(v), [grid.to_padded(gtau[:, j] * rho + op.grad_w[j] * v)
+                               for j in range(grid.d)]
+
+
+def _second_derivative_row_forcing(op: LWOperator, gtau: np.ndarray, v: np.ndarray,
+                                  padded, r: int) -> np.ndarray:
+    """Forcing of row r, D^2 rho_W[tau_r, tau_k] for k >= r, shape (S, D-r, grid).
+
+    ``padded`` is :func:`_padded_columns` of (op, gtau, v).  Grouped by their
+    padded factors, the six terms of :func:`_second_derivative_forcing` are,
+    per axis j and with A the padded analysis,
+    ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})],
+    one synthesis and one analysis of D-r columns per axis; equal to the
+    six-term expansion to rounding.
+    """
+    grid, (v_phys, x_phys) = op.grid, padded
+    forcing = None
+    for j in range(grid.d):
+        q = grid.to_padded(gtau[r, j] * v[:, r:] + gtau[r:, j] * v[:, r:r + 1])
+        q *= op.rho_phys[:, None]
+        q += v_phys[:, r:] * x_phys[j][:, r:r + 1]
+        q += v_phys[:, r:r + 1] * x_phys[j][:, r:]
+        term = grid.from_padded(q)
+        term *= grid.ik[j]
+        if forcing is None:
+            forcing = term
+        else:
+            forcing += term
     return forcing
 
 
@@ -332,17 +377,19 @@ class Linearisation:
 
         Rows j and D-1-j share one stacked solve of D+1 columns, so D rows
         take ceil(D/2) solves; a column's bits do not depend on the stack
-        around it, so each row equals a solve per row bit for bit.
+        around it, so each row equals a solve per row bit for bit.  The
+        forcing of a row is :func:`_second_derivative_row_forcing`, from the
+        padded columns :func:`_padded_columns` synthesises once per call.
         """
         op, gtau, v = self.op, self.gtau, self.states
         D = gtau.shape[0]
+        padded = _padded_columns(op, gtau, v)
         for j in range((D + 1) // 2):
             rows = sorted({j, D - 1 - j})
             # unnamed, so the forcing is freed once solved
             nodes = op.solve(np.concatenate([
-                _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
-                                           v[:, r:r + 1], v[:, r:])
-                for r in rows], axis=1), keep_stages=False)
+                _second_derivative_row_forcing(op, gtau, v, padded, r) for r in rows], axis=1),
+                keep_stages=False)
             yield from zip(rows, np.split(np.moveaxis(nodes, 0, 1), [D - rows[0]]))
 
     def second_derivative_matrix(self, reduce) -> np.ndarray:

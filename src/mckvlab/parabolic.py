@@ -30,7 +30,12 @@ flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
 padded transforms through plans of a fixed stack shape
 (:class:`~mckvlab.spectral.PaddedPlan`), built once per solve or per
 operator, bit for bit equal to the one-shot transforms of
-:class:`~mckvlab.spectral.Grid`.
+:class:`~mckvlab.spectral.Grid`.  For the same reason the time loop writes
+each predictor and node straight into the state stack, and the backward
+recurrence each weight into its state, with ``out=`` operations in the
+order of the unfused step, and the kernels sum their d axis terms
+ik_j * a_j one axis at a time (:func:`_divergence`); the bits are those of
+the step written with temporaries.
 """
 
 from __future__ import annotations
@@ -301,7 +306,10 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
     """The time loop; ``u0`` may carry leading stack axes.
 
     Returns the states in :func:`solver_states` order, time first; only the
-    M+1 nodes when ``keep_stages`` is False.
+    M+1 nodes when ``keep_stages`` is False.  The predictor and the node of
+    a step are written in place into their states, in the operation order
+    of E * (u + dt * k1) and E * u + (0.5 * dt) * (E * k1 + k2); ``rhs``
+    reads a state it must not change.
     """
     M = config.M
     dt = T / M
@@ -309,18 +317,34 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
 
     states = np.zeros((2 * M + 1 if keep_stages else M + 1,) + u0.shape, dtype=complex)
     states[0] = u0
+    ustar = None if keep_stages else np.empty_like(states[0])
+    incr = np.empty_like(states[0])  # (0.5 * dt) * (E * k1 + k2)
 
-    u = u0.astype(complex)
     for m in range(M):
+        u = states[m]
         k1 = rhs(m, 0, u)
-        ustar = E * (u + dt * k1)
         if keep_stages:
-            states[state_index(M, m, 1)] = ustar
+            ustar = states[state_index(M, m, 1)]
+        np.multiply(dt, k1, out=ustar)
+        np.add(u, ustar, out=ustar)
+        np.multiply(E, ustar, out=ustar)
         k2 = rhs(m, 1, ustar)
-        u = E * u + (0.5 * dt) * (E * k1 + k2)
+        np.multiply(E, k1, out=incr)
+        np.add(incr, k2, out=incr)
+        np.multiply(0.5 * dt, incr, out=incr)
+        u = np.multiply(E, u, out=states[m + 1])
+        np.add(u, incr, out=u)
         _check_growth(u, m + 1)
-        states[m + 1] = u
     return states
+
+
+def _divergence(ik: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """sum_j ik_j * a_j of per-axis coefficients a (d, ..., n, ..., n), summed one
+    axis at a time in the order of the sum over axis 0; a new array."""
+    out = ik[0] * a[0]
+    for j in range(1, len(ik)):
+        out += ik[j] * a[j]
+    return out
 
 
 def _check_growth(u: np.ndarray, step: int):
@@ -465,7 +489,7 @@ class LWOperator:
         phys = syn.run()  # (1+d, B, pad grid)
         q = np.multiply(phys[:1], self.conv1_phys[s][:, None], out=ana.x)
         q += self.rho_phys[s] * phys[1:]
-        return (self._ik * ana.run()).sum(axis=0)
+        return _divergence(self.grid.ik, ana.run())
 
     def apply_transpose(self, m: int, stage: int, y: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` under the pairing Re sum(a * c); a new array.
@@ -480,7 +504,9 @@ class LWOperator:
         np.multiply(self._ik, y, out=ana_t.x)
         r = ana_t.run()  # (d, B, pad grid)
         w = syn_t.x
-        (self.conv1_phys[s][:, None] * r).sum(axis=0, out=w[0])
+        np.multiply(self.conv1_phys[s][0], r[0], out=w[0])
+        for j in range(1, self.grid.d):
+            w[0] += self.conv1_phys[s][j] * r[j]
         np.multiply(self.rho_phys[s], r, out=w[1:])
         back = syn_t.run()  # (1+d, B, grid)
         out = back[0] + self.grad_w[0] * back[1]
@@ -511,7 +537,9 @@ class LWOperator:
 
         def rhs(m, stage, v):
             lv = self.apply(m, stage, v)
-            return lv if forcing is None else lv + forcing[state_index(self.M, m, stage)]
+            if forcing is not None:
+                lv += forcing[state_index(self.M, m, stage)]
+            return lv
 
         states = _integrate_arrays(v0, rhs, self.T, self.config, self.grid, keep_stages)
         self._plans.clear()
@@ -532,13 +560,19 @@ class LWOperator:
         w = np.zeros((len(self.rho_states),) + g.shape[1:], dtype=complex)
         lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
         for m in range(M - 1, -1, -1):
-            kappa2 = (0.5 * dt) * lam
+            # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
+            # into their states of w as (1, grid) views
+            s2, s1 = state_index(M, m, 1), state_index(M, m, 0)
+            kappa2 = np.multiply(0.5 * dt, lam, out=w[s2:s2 + 1])
             mu = self.apply_transpose(m, 1, kappa2)  # weight of the predictor
-            kappa1 = E * ((0.5 * dt) * lam + dt * mu)
-            w[state_index(M, m, 1)] = kappa2[0]
-            lam = E * (lam + mu)
-            w[state_index(M, m, 0)] = kappa1[0]
-            lam += self.apply_transpose(m, 0, kappa1) + g[m]
+            kappa1 = np.multiply(dt, mu, out=w[s1:s1 + 1])
+            np.add(kappa2, kappa1, out=kappa1)
+            np.multiply(E, kappa1, out=kappa1)
+            np.add(lam, mu, out=lam)
+            np.multiply(E, lam, out=lam)
+            back = self.apply_transpose(m, 0, kappa1)
+            back += g[m]
+            lam += back
             _check_growth(lam, m)
         self._plans.clear()
         return w

@@ -57,6 +57,25 @@ for _ in range(3):
                     rep.pseudo_lin_residual]).tobytes().hex())
 """
 
+# the Frobenius field of the Hessian (every node) and the last node of every
+# second derivative D^2 rho_W[tau_j, tau_k], at d=1 (n=32, K=4) and d=2
+# (n=16, K=2), M=48, printed as hex
+CURVATURE = """
+import numpy as np
+from mckvlab.forward import Linearisation, McKVProblem, decay_density, solve_mckv
+from mckvlab.inference import _hessian_frobenius
+from mckvlab.parabolic import StepperConfig
+from mckvlab.spectral import random_potential
+
+for d, n, K, zeta, amplitude in [(1, 32, 4, 1.8, 0.48), (2, 16, 2, 3.8, 0.3)]:
+    W = random_potential(K, d, np.random.default_rng(100), amplitude=0.8, decay=4.0)
+    problem = McKVProblem(W=W, phi=decay_density(n, d, zeta=zeta, amplitude=amplitude),
+                          T=0.06, stepper=StepperConfig(M=48))
+    lin = Linearisation(problem, solve_mckv(problem))
+    print(_hessian_frobenius(lin).tobytes().hex())
+    print(lin.second_derivative_matrix(lambda nodes: nodes[:, -1]).tobytes().hex())
+"""
+
 
 def _run(code, threads, *args):
     """The floats ``code`` prints as hex, run with ``threads`` BLAS threads
@@ -83,4 +102,12 @@ def test_stability_report_bit_equal_at_one_and_two_blas_threads():
     one, two = _run(REPORTS, 1), _run(REPORTS, 2)
     assert one.size == 3 * 4
     assert np.all(np.isfinite(one)) and np.all(one[2::4] > 0)
+    assert np.array_equal(one, two)
+
+
+def test_second_derivatives_bit_equal_at_one_and_two_blas_threads():
+    one, two = _run(CURVATURE, 1), _run(CURVATURE, 2)
+    # d=1: (49, 32) field and (8, 8, 32) complex nodes; d=2: (49, 16, 16) and (12, 12, 16, 16)
+    assert one.size == 49 * 32 + 8 * 8 * 32 * 2 + 49 * 256 + 12 * 12 * 256 * 2
+    assert np.all(np.isfinite(one))
     assert np.array_equal(one, two)

@@ -6,7 +6,9 @@ from mckvlab.forward import (
     LWOperator,
     McKVProblem,
     ReactionSpec,
+    _padded_columns,
     _second_derivative_forcing,
+    _second_derivative_row_forcing,
     decay_density,
     gram_matrix,
     jacobian_columns,
@@ -552,10 +554,10 @@ def _second_derivative_rows(prob, rho, cols):
     gtau = tau_gradient_stack(prob.W.K, op.grid)
     v = np.stack([solver_states(c) for c in cols], axis=1)
     D = len(cols)
+    padded = _padded_columns(op, gtau, v)
     out = np.zeros((D, D, rho.M + 1) + op.grid.shape, dtype=complex)
     for j in range(D):
-        forcing = _second_derivative_forcing(op, list(gtau[j]), list(np.moveaxis(gtau[j:], 1, 0)),
-                                             v[:, j:j + 1], v[:, j:])
+        forcing = _second_derivative_row_forcing(op, gtau, v, padded, j)
         nodes = np.moveaxis(op.solve(forcing, keep_stages=False), 0, 1)
         out[j, j:] = nodes
         out[j:, j] = nodes
@@ -569,6 +571,24 @@ def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme)
     prob, rho, cols = _curvature_problem(d, 33)
     folded = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
     assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
+
+
+@pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 2), (3, 8, 1)])
+def test_row_forcing_matches_the_six_term_forcing(d, n, K):
+    # D = 6, 12, 6: the first, a middle and the last row
+    W = random_potential(K, d, np.random.default_rng(34), amplitude=0.5)
+    prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=3.0, amplitude=0.2), T=0.1,
+                       stepper=StepperConfig(M=8))
+    lin = Linearisation(prob, solve_mckv(prob))
+    op, gtau, v = lin.op, lin.gtau, lin.states
+    padded = _padded_columns(op, gtau, v)
+    D = len(gtau)
+    for r in (0, D // 2, D - 1):
+        ref = _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
+                                         v[:, r:r + 1], v[:, r:])
+        row = _second_derivative_row_forcing(op, gtau, v, padded, r)
+        assert row.shape == ref.shape
+        assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_basis_maps_reject_K_beyond_the_grid():
