@@ -163,7 +163,7 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     data = generate_data(W0, model, n_obs=20,
                          noise_std=config["inference"]["noise_std"], rng=rng)
     like = LikelihoodEvaluator(model, data)
-    r = config.surrogate_radius(model.dim)
+    r = config.usable_surrogate_radius([])  # cli.verify reports its warning
     sur = config["surrogate"]
     spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs, c_hat=sur["c_hat"],
                                c1_hat=1.0 if sur["c1_hat"] is None else sur["c1_hat"],

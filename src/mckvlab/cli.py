@@ -185,6 +185,8 @@ def simulate(config, out, warnings):
 def verify(config, out, warnings, suites):
     """Run verification suites; nonzero exit when any property fails."""
     names = sorted(SUITES) if "all" in suites else list(suites)
+    if "surrogate" in names:
+        config.usable_surrogate_radius(warnings)  # the radius the suite checks
     report = run_suites(config, names)
     for name in names:
         for rec in report[name]:
@@ -241,13 +243,7 @@ def _chain(config, model, warnings):
                          rng=np.random.default_rng(config.seed), seed=config.seed, rho0=rho0)
     prior = PriorSpec(alpha=config.prior_alpha(), K=model.K, d=model.d,
                       n_obs=data.n_obs)
-    r = config.surrogate_radius(model.dim)
-    if r < 1e-12:
-        warnings.append(
-            f"surrogate radius r={r:.3e} is astronomically small; "
-            "strict-mode scaling D^-w is impractical at this dimension; "
-            "proceeding with the experimental-mode radius")
-        r = sur["r"]
+    r = config.usable_surrogate_radius(warnings)
     c1 = sur["c1_hat"]
     if c1 is None:
         # on the data's rho_{W0}, not through the memo of forward.linearisation:

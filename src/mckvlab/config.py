@@ -307,3 +307,16 @@ class ExperimentConfig:
         if self.mode == "strict":
             return r * float(D) ** -self.raw["constants"]["w"]
         return r
+
+    def usable_surrogate_radius(self, warnings: list[str]) -> float:
+        """:meth:`surrogate_radius` at the configured D, or the experimental-mode r,
+        with a warning in ``warnings``, if strict-mode scaling takes it below 1e-12."""
+        p = self.raw["problem"]
+        r = self.surrogate_radius(count_dim(p["K"], p["d"]))
+        if r < 1e-12:
+            warnings.append(
+                f"surrogate radius r={r:.3e} is astronomically small; "
+                "strict-mode scaling D^-w is impractical at this dimension; "
+                "proceeding with the experimental-mode radius")
+            r = self.raw["surrogate"]["r"]
+        return r

@@ -10,9 +10,9 @@ Two nonlinear parabolic problems on the torus:
 * reaction-diffusion:  d/dt u = Lap(u) + R(u), u(0) = phi, with the
   derivative in R solving d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0.
 
-The linear solves run on the nonlinear trajectory's own steps,
-``Trajectory.stepper``, and read it at the stored node and predictor
-states, so each derivative is the exact derivative of the discrete
+The linear solves run on the nonlinear trajectory's own M steps and read
+it at the stored node and predictor states, ``Trajectory.states``, so
+each derivative is the exact derivative of the discrete
 Lawson-Heun map; finite-difference checks see pure O(eps^2) behaviour.
 A trajectory without predictor stages carries no linear solve.
 Every mean-field derivative is a solve with
@@ -217,7 +217,7 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     op = LWOperator(problem.W, check_density(rho_traj, problem))
     grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
     states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
-    return Trajectory.from_states(states[:, 0], op.T, op.M)
+    return Trajectory(op.T, op.M, states[:, 0])
 
 
 def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
@@ -291,7 +291,7 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
     grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
     v1, v2 = (solver_states(check_density(dH, problem))[:, None] for dH in (dH1, dH2))
     states = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
-    return Trajectory.from_states(states[:, 0], op.T, op.M)
+    return Trajectory(op.T, op.M, states[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def linearisation(problem: McKVProblem, K: int | None = None) -> Linearisation:
     rho = next((e.rho for (p, _), e in _memo.items() if p == key[0]), None)
     if rho is None:
         rho = solve_mckv(problem)
-        for a in (rho.coeffs.base, rho.coeffs, rho.stages):
+        for a in (rho.states, rho.coeffs, rho.stages):
             a.flags.writeable = False
     lin = _memo[key] = Linearisation(problem, rho, K)
     while len(_memo) > MEMO_SIZE:
@@ -506,8 +506,10 @@ def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = N
 
 
 def stack_to_trajectories(nodes, stages, T, d, n):
-    """The B trajectories of stacked nodes (B, M+1, grid) and stages (B, M, grid)."""
-    return [Trajectory(T=T, d=d, n=n, coeffs=c, stages=s) for c, s in zip(nodes, stages)]
+    """The B trajectories, on copies, of stacked nodes (B, M+1, grid) and stages
+    (B, M, grid); ``d`` and ``n`` go unused (the signature ``perfbench/`` calls)."""
+    M = stages.shape[1]
+    return [Trajectory(T, M, s) for s in np.concatenate([nodes, stages], axis=1)]
 
 
 def gram_matrix(columns: list[Trajectory], T: float | None = None) -> np.ndarray:
@@ -537,8 +539,8 @@ def solve_rd(R: ReactionSpec, phi: SpectralField, T: float,
 def rd_linearisation(R: ReactionSpec, H: callable, u_traj: Trajectory) -> Trajectory:
     """Derivative of R -> u_R in direction H, a callable applied pointwise.
 
-    Solves d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0, on ``u_traj.stepper``,
-    with u read from the supplied solution trajectory at matching
+    Solves d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0, on the M steps of
+    ``u_traj``, with u read from the supplied solution trajectory at matching
     nodes/stages.
     """
     grid = u_traj.grid
@@ -550,4 +552,4 @@ def rd_linearisation(R: ReactionSpec, H: callable, u_traj: Trajectory) -> Trajec
         return grid.from_padded(R.Rprime(u_vals) * i_vals + H(u_vals))
 
     i0 = SpectralField.zeros(u_traj.n, u_traj.d)
-    return integrate(i0, rhs, u_traj.T, u_traj.stepper)
+    return integrate(i0, rhs, u_traj.T, StepperConfig(u_traj.M))

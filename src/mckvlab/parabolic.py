@@ -14,15 +14,16 @@ along a trajectory without them raises ValueError in :func:`solver_states`.
 Every solve in the library, nonlinear or linearised, single or stacked,
 runs through the one time loop behind :func:`integrate`.  A solve along
 a trajectory (:class:`LWOperator`, L_W with coefficients read along a
-density, and :func:`solve_linear_lw`) takes no stepper: it runs on
-:attr:`Trajectory.stepper`, the trajectory's own steps.
-:class:`ObservationOperator` evaluates stacked trajectories at fixed
-space-time points, and its adjoint back-projects point data onto the nodes.
+density, and :func:`solve_linear_lw`) takes no stepper: it runs on the
+trajectory's own M steps.  :class:`ObservationOperator` evaluates stacked
+trajectories at fixed space-time points, and its adjoint back-projects
+point data onto the nodes.
 
 Every stack a solve reads or writes (forcings, backward weights, density
 states and solutions) has one layout, (S, B, n, ..., n) in
 :func:`solver_states` order: nodes 0..M, then the Heun predictors, so
-S = 2M+1.
+S = 2M+1.  A :class:`Trajectory` is one such stack without the B axis,
+``Trajectory.states``, and a solve reads that array itself.
 
 At the sizes of the library a stage is paid in numpy calls rather than
 flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
@@ -41,7 +42,7 @@ the step written with temporaries.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,33 +80,38 @@ class StepperConfig:
 
 @dataclass
 class Trajectory:
-    """Time-indexed field on a uniform grid over [0, T].
+    """Time-indexed field on a uniform grid over [0, T], held as its state stack.
 
-    ``coeffs`` has shape (M+1, n, ..., n); node 0 is the initial
-    condition.  ``stages`` (shape (M, n, ..., n), optional) holds the
-    Heun predictor states used inside each step; only a trajectory that
-    has them can carry a solve (:func:`solver_states`).
+    ``states`` has shape (S, n, ..., n) in :func:`state_index` order: the
+    M+1 nodes, node 0 the initial condition, then, when S = 2M+1, the Heun
+    predictor of each step.  ``coeffs`` (the nodes) and ``stages`` (the
+    predictors, None when S = M+1) are views of it; only a trajectory that
+    has stages can carry a solve (:func:`solver_states`).
     """
 
     T: float
-    d: int
-    n: int
-    coeffs: np.ndarray
-    stages: np.ndarray | None = None
+    M: int
+    states: np.ndarray
+    coeffs: np.ndarray = field(init=False, repr=False)
+    stages: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        space = (self.n,) * self.d
-        shape = np.shape(self.coeffs)
-        if len(shape) != self.d + 1 or shape[0] < 2 or shape[1:] != space:
-            raise ValueError(f"coeffs of shape {shape} do not match (M+1,) + {space} "
-                             "with M >= 1")
-        if self.stages is not None and np.shape(self.stages) != (shape[0] - 1,) + space:
-            raise ValueError(f"stages of shape {np.shape(self.stages)} do not match "
-                             f"(M,) + {space} with M = {shape[0] - 1}")
+        shape = np.shape(self.states)
+        space = shape[1:]
+        if (self.M < 1 or shape[:1] not in ((self.M + 1,), (2 * self.M + 1,))
+                or len(space) not in (1, 2, 3) or len(set(space)) != 1):
+            raise ValueError(f"states of shape {shape} do not match (M+1,) or (2M+1,) "
+                             f"+ (n,) * d with M = {self.M} >= 1 and d in (1, 2, 3)")
+        self.coeffs = self.states[:self.M + 1]
+        self.stages = self.states[self.M + 1:] if shape[0] > self.M + 1 else None
 
     @property
-    def M(self) -> int:
-        return self.coeffs.shape[0] - 1
+    def d(self) -> int:
+        return self.states.ndim - 1
+
+    @property
+    def n(self) -> int:
+        return self.states.shape[1]
 
     @property
     def dt(self) -> float:
@@ -114,19 +120,6 @@ class Trajectory:
     @property
     def grid(self) -> Grid:
         return get_grid(self.n, self.d)
-
-    @property
-    def stepper(self) -> StepperConfig:
-        """The steps of every solve along the trajectory."""
-        return StepperConfig(M=self.M)
-
-    @classmethod
-    def from_states(cls, states: np.ndarray, T: float, M: int) -> "Trajectory":
-        """The trajectory of ``states`` (S, n, ..., n) in :func:`solver_states`
-        order, as views: nodes 0..M, and the predictors if S > M+1."""
-        stages = states[M + 1:] if len(states) > M + 1 else None
-        return cls(T=T, d=states.ndim - 1, n=states.shape[1], coeffs=states[:M + 1],
-                   stages=stages)
 
     # -- point evaluation ----------------------------------------------------
 
@@ -172,14 +165,10 @@ class Trajectory:
         manifest key, such as the ``"scheme"`` of older artifacts, is ignored."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
-        d = int(manifest["grid"]["d"])
-        n = int(manifest["grid"]["n"])
         M = int(manifest["M"])
         width = len(str(M))
-        coeffs = np.zeros((M + 1,) + (n,) * d, dtype=complex)
-        for m in range(M + 1):
-            coeffs[m] = load_field(directory / f"node_{m:0{width}d}.csv").coeffs
-        return cls(T=float(manifest["T"]), d=d, n=n, coeffs=coeffs)
+        return cls(float(manifest["T"]), M, np.array([
+            load_field(directory / f"node_{m:0{width}d}.csv").coeffs for m in range(M + 1)]))
 
 
 def trapz_weights(nodes: int, dt: float) -> np.ndarray:
@@ -297,12 +286,11 @@ def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajec
     t_{m+1}) and the coefficient array u.  Deterministic for fixed
     inputs; raises :class:`NumericalBlowUp` on divergence.
     """
-    states = _integrate_arrays(u0.coeffs, rhs, T, config, u0.grid)
-    return Trajectory.from_states(states, T, config.M)
+    return Trajectory(T, config.M, _integrate_arrays(u0.coeffs, rhs, T, config.M, u0.grid))
 
 
-def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
-                      grid: Grid, keep_stages: bool = True):
+def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
+                      keep_stages: bool = True):
     """The time loop; ``u0`` may carry leading stack axes.
 
     Returns the states in :func:`solver_states` order, time first; only the
@@ -311,7 +299,6 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, config: StepperConfig,
     of E * (u + dt * k1) and E * u + (0.5 * dt) * (E * k1 + k2); ``rhs``
     reads a state it must not change.
     """
-    M = config.M
     dt = T / M
     E = grid.heat_multiplier(dt)
 
@@ -357,10 +344,8 @@ def _check_growth(u: np.ndarray, step: int):
 def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
     """Analytic heat evolution sampled on the node grid (oracle helper); it
     has no predictor stages, so no solve runs along it."""
-    g = u0.grid
     ts = np.linspace(0.0, T, M + 1)
-    coeffs = np.array([u0.coeffs * np.exp(g.lap_mult * t) for t in ts])
-    return Trajectory(T=T, d=u0.d, n=u0.n, coeffs=coeffs)
+    return Trajectory(T, M, np.array([u0.coeffs * np.exp(u0.grid.lap_mult * t) for t in ts]))
 
 
 # ---------------------------------------------------------------------------
@@ -396,30 +381,18 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
 
 
 def solver_states(traj: Trajectory) -> np.ndarray:
-    """A trajectory's states in the order a solve reads them, time first.
+    """A trajectory's states in the order a solve reads them: ``traj.states``.
 
     Nodes 0..M come first, then the predictor of step m at
     :func:`state_index` M+1+m.  A trajectory without stored predictors (one
     from :meth:`Trajectory.load` or :func:`heat_trajectory_exact`, or built
     from nodes alone) raises ValueError: no solve along it is the derivative
-    of the discrete map.  A trajectory from :meth:`Trajectory.from_states`
-    already holds its states in this order, and gets a view of that buffer,
-    not a copy.
+    of the discrete map.
     """
     if traj.stages is None:
         raise ValueError(f"trajectory has no predictor stages: the Lawson-Heun scheme "
                          f"reads one at each of its {traj.M} steps")
-    base, M = traj.coeffs.base, traj.M
-    if (base is not None and traj.stages.base is base
-            and _layout(base[:M + 1]) == _layout(traj.coeffs)
-            and _layout(base[M + 1:]) == _layout(traj.stages)):
-        return base[:]
-    return np.concatenate([traj.coeffs, traj.stages], axis=0)
-
-
-def _layout(a: np.ndarray) -> tuple:
-    """Where a view starts, and its shape and strides: equal for equal views."""
-    return a.__array_interface__["data"][0], a.shape, a.strides
+    return traj.states
 
 
 def state_index(M: int, m: int, stage: int) -> int:
@@ -444,14 +417,14 @@ class LWOperator:
     arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
     they return, so an operator kept between solves (as in the memo of
     ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj)
-    alone, it solves on ``rho_traj.stepper``; every linearised solve of the
+    alone, it solves on the M steps of ``rho_traj`` and reads rho from
+    ``rho_traj.states``, not a copy; every linearised solve of the
     mean-field map goes through :meth:`solve`, and every weight on a transport
     forcing along rho goes back through :meth:`pull_back`, which reads the
     same padded rho.
     """
 
     def __init__(self, W, rho_traj: Trajectory):
-        self.config = rho_traj.stepper
         self.grid = grid = rho_traj.grid
         self.T = rho_traj.T
         self.M = rho_traj.M
@@ -541,7 +514,7 @@ class LWOperator:
                 lv += forcing[state_index(self.M, m, stage)]
             return lv
 
-        states = _integrate_arrays(v0, rhs, self.T, self.config, self.grid, keep_stages)
+        states = _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
         self._plans.clear()
         return states
 
@@ -592,7 +565,7 @@ def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,
         _check_same_time_grid(forcing, rho_traj)
     f = None if forcing is None else solver_states(forcing)[:, None]
     op = LWOperator(W, rho_traj)
-    return Trajectory.from_states(op.solve(f, u0.coeffs[None])[:, 0], rho_traj.T, rho_traj.M)
+    return Trajectory(rho_traj.T, rho_traj.M, op.solve(f, u0.coeffs[None])[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -609,5 +582,4 @@ def self_convergence_error(solve, config: StepperConfig) -> float:
     """
     coarse = solve(config)
     fine = solve(replace(config, M=2 * config.M))
-    restricted = Trajectory(T=fine.T, d=fine.d, n=fine.n, coeffs=fine.coeffs[::2])
-    return rel_l2l2_error(coarse, restricted)
+    return rel_l2l2_error(coarse, Trajectory(fine.T, config.M, fine.coeffs[::2]))

@@ -76,12 +76,12 @@ def pseudo_linearised_difference(problem1: McKVProblem, problem2: McKVProblem):
     _check_shared_setup(problem1, problem2)
     rho1, rho2 = linearisation(problem1).rho, linearisation(problem2).rho
     s1, grid = solver_states(rho1), rho1.grid
-    rho_bar = Trajectory.from_states(0.5 * (s1 + solver_states(rho2)), rho1.T, rho1.M)
+    rho_bar = Trajectory(rho1.T, rho1.M, 0.5 * (s1 + solver_states(rho2)))
     grad_dw = np.stack(_as_grad_coeffs(problem2.W - problem1.W, grid))[None]
     states = LWOperator(problem2.W, rho_bar).solve(transport_forcing(grid, s1, grad_dw))
-    v = Trajectory.from_states(states[:, 0], rho1.T, rho1.M)
+    v = Trajectory(rho1.T, rho1.M, states[:, 0])
 
-    diff = Trajectory.from_states(rho2.coeffs - rho1.coeffs, rho1.T, rho1.M)
+    diff = Trajectory(rho1.T, rho1.M, rho2.coeffs - rho1.coeffs)
     denom = diff.l2l2_norm()
     num = l2l2_diff_norm(v, diff)
     residual = 0.0 if denom < 1e-300 else num / denom

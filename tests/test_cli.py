@@ -261,6 +261,20 @@ def test_verify_surrogate_builds_the_configured_c1_hat(tmp_path, monkeypatch):
     assert built == [0.0, 0.0]
 
 
+def test_verify_strict_surrogate_suite_falls_back_to_the_experimental_radius(tmp_path):
+    # strict scaling gives r = 4^-20 here, below what a finite-difference step resolves
+    runner = CliRunner()
+    p = _write(tmp_path)
+    out = tmp_path / "vstrict"
+    res = runner.invoke(main, ["verify", "--config", str(p), "--out", str(out),
+                               "--suite", "surrogate", "--mode", "strict"])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "verify_report.json").read_text())
+    assert report["suites"]["all_passed"] is True
+    assert report["derived"]["surrogate_r"] < 1e-12
+    assert [w for w in report["warnings"] if "astronomically small" in w] != []
+
+
 def test_verify_failure_exits_two(tmp_path, monkeypatch):
     import mckvlab.checks as checks
 

@@ -406,7 +406,7 @@ def test_a_trajectory_without_predictor_stages_carries_no_solve(kind, tmp_path):
     elif kind == "exact":
         bare = heat_trajectory_exact(phi, T, 8)
     else:
-        bare = Trajectory(T=T, d=1, n=N_GRID, coeffs=rho.coeffs.copy())
+        bare = Trajectory(T, 8, rho.coeffs.copy())
     assert bare.stages is None
     v = mckv_first_derivative(prob, W, rho)
     reaction = ReactionSpec(R=np.sin, Rprime=np.cos)

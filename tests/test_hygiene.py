@@ -73,20 +73,20 @@ def test_third_party_imports_are_declared(path):
     assert missing == []
 
 
-def _defined_names(path: Path) -> list[str]:
+def _defined_names(path: Path) -> list[tuple[str, bool]]:
     """Module-level functions and classes of ``path`` and the methods of its
-    classes, less dunders and the CLI commands, whose decorators register
-    them by name."""
+    classes, each with whether it is a method, less dunders and the CLI
+    commands, whose decorators register them by name."""
     tree = ast.parse(path.read_text(), filename=str(path))
     names = []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            names.append(node.name)
-            names += [f.name for f in node.body if isinstance(f, ast.FunctionDef)]
+            names.append((node.name, False))
+            names += [(f.name, True) for f in node.body if isinstance(f, ast.FunctionDef)]
         elif isinstance(node, ast.FunctionDef) and not (path.name == "cli.py"
                                                         and node.decorator_list):
-            names.append(node.name)
-    return [n for n in names if not (n.startswith("__") and n.endswith("__"))]
+            names.append((node.name, False))
+    return [(n, m) for n, m in names if not (n.startswith("__") and n.endswith("__"))]
 
 
 def _named_words() -> set[str]:
@@ -100,7 +100,7 @@ def _named_words() -> set[str]:
 def test_every_library_name_is_used_somewhere():
     # a word match, since perfbench/tracer.py names its targets in strings
     words = _named_words()
-    unused = [f"{path.name} {name}" for path in MODULES for name in _defined_names(path)
+    unused = [f"{path.name} {name}" for path in MODULES for name, _ in _defined_names(path)
               if name not in words]
     assert unused == []
 
@@ -119,10 +119,10 @@ TEST_ONLY = {
 }
 
 
-def _references(paths) -> set[str]:
-    """The names, attributes and string constants of ``paths``, docstrings
+def _references(paths) -> tuple[set[str], set[str]]:
+    """(names, attributes and string constants) of ``paths``, docstrings
     left out; a def or class statement does not reference its own name."""
-    found = set()
+    names, reached = set(), set()
     for path in paths:
         tree = ast.parse(path.read_text(), filename=str(path))
         docstrings = {id(node.body[0].value) for node in ast.walk(tree)
@@ -130,20 +130,40 @@ def _references(paths) -> set[str]:
                       and ast.get_docstring(node, clean=False) is not None}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                found.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
+                reached.add(node.attr)
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
                   and id(node) not in docstrings):
-                found.add(node.value)  # perfbench/tracer.py looks its targets up by name
-    return found
+                reached.add(node.value)  # perfbench/tracer.py looks its targets up by name
+    return names, reached
+
+
+def _unreferenced(defined, paths) -> list[str]:
+    """The (name, is a method) pairs of ``defined`` that ``paths`` never
+    reference: a method only through an attribute or a string, since a bare
+    name of its spelling, such as a local ``ok``, is another binding."""
+    names, reached = _references(paths)
+    return [name for name, method in defined
+            if name not in reached and (method or name not in names)]
 
 
 def test_no_library_name_is_reached_from_the_tests_alone():
-    refs = _references(MODULES + PERFBENCH)
-    defined = [(path.name, name) for path in MODULES for name in _defined_names(path)]
-    assert [f"{module} {name}" for module, name in defined
-            if name not in refs and name not in TEST_ONLY] == []
+    defined = [pair for path in MODULES for pair in _defined_names(path)]
+    unreferenced = _unreferenced(defined, MODULES + PERFBENCH)
+    assert [name for name in unreferenced if name not in TEST_ONLY] == []
     # an entry whose name is gone, or now has a library caller, goes too
-    names = {name for _, name in defined}
-    assert sorted(name for name in TEST_ONLY if name not in names or name in refs) == []
+    names = {name for name, _ in defined}
+    assert sorted(name for name in TEST_ONLY
+                  if name not in names or name not in unreferenced) == []
+
+
+def test_a_bare_name_does_not_reference_a_method(tmp_path):
+    library, caller = tmp_path / "library.py", tmp_path / "caller.py"
+    library.write_text("class Report:\n    def ok(self):\n        return True\n")
+    caller.write_text("ok = Report()\nprint(ok)\n")
+    defined = _defined_names(library)
+    assert defined == [("Report", False), ("ok", True)]
+    assert _unreferenced(defined, [caller]) == ["ok"]
+    caller.write_text("print(Report().ok())\n")
+    assert _unreferenced(defined, [caller]) == []

@@ -120,9 +120,7 @@ def test_linear_lw_zero_data_is_zero():
     W = random_potential(2, 1, rng, amplitude=0.5)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     zero = SpectralField.zeros(N_GRID, 1)
-    forcing = Trajectory(T=T, d=1, n=N_GRID,
-                         coeffs=np.zeros((33, N_GRID), dtype=complex),
-                         stages=np.zeros((32, N_GRID), dtype=complex))
+    forcing = Trajectory(T, 32, np.zeros((65, N_GRID), dtype=complex))
     traj = solve_linear_lw(W, rho, forcing, zero)
     assert np.max(np.abs(traj.coeffs)) == 0.0
 
@@ -143,7 +141,7 @@ def test_linear_lw_superposition():
         return c
 
     c1, c2 = random_states(), random_states()
-    f1, f2, both = (Trajectory.from_states(c, T, 32) for c in (c1, c2, c1 + c2))
+    f1, f2, both = (Trajectory(T, 32, c) for c in (c1, c2, c1 + c2))
     u1 = solve_linear_lw(W, rho, f1, zero)
     u2 = solve_linear_lw(W, rho, f2, zero)
     u12 = solve_linear_lw(W, rho, both, zero)
@@ -155,8 +153,7 @@ def test_time_grid_mismatch_rejected():
     phi = _phi()
     cfg = StepperConfig(M=32)
     rho = solve_heat(phi, T, cfg)
-    forcing = Trajectory(T=T, d=1, n=N_GRID,
-                         coeffs=np.zeros((17, N_GRID), dtype=complex))
+    forcing = Trajectory(T, 16, np.zeros((17, N_GRID), dtype=complex))
     with pytest.raises(ValueError):
         solve_linear_lw(PotentialVec.zeros(2, 1), rho, forcing, phi)
 
@@ -172,12 +169,11 @@ def test_linearised_solves_run_on_the_density_time_grid(scheme):
     W, H = (random_potential(2, 1, rng, amplitude=0.4) for _ in range(2))
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     op = LWOperator(W, rho)
-    assert op.config == rho.stepper == cfg
+    assert op.M == rho.M == cfg.M
     grad_h = phi.grid.deriv(H.coeff_grid(N_GRID), 0)[None, None]
     f = transport_forcing(phi.grid, solver_states(rho), grad_h)
     assert len(op.solve(f)) == len(f) == 17
-    v = solve_linear_lw(W, rho, Trajectory.from_states(f[:, 0], T, 8),
-                        SpectralField.zeros(N_GRID, 1))
+    v = solve_linear_lw(W, rho, Trajectory(T, 8, f[:, 0]), SpectralField.zeros(N_GRID, 1))
     assert v.M == 8
     eps = 1e-5
     rp, rm = (solve_mckv(McKVProblem(W=W + s * H, phi=phi, T=T, stepper=cfg))
@@ -420,47 +416,43 @@ def test_lw_solve_transpose_blowup_guard(scheme):
     assert excinfo.value.step == _LW_M - 1
 
 
-@pytest.mark.parametrize("coeffs_shape, stages_shape", [
-    ((N_GRID,), None),                  # no time axis
-    ((1, N_GRID), None),                # M = 0
-    ((9, N_GRID, N_GRID), None),        # d = 2 data declared d = 1
-    ((9, N_GRID // 2), None),           # another n
-    ((9, N_GRID), (9, N_GRID)),         # M + 1 stages
-    ((9, N_GRID), (8, N_GRID // 2)),    # stages on another grid
+@pytest.mark.parametrize("states_shape, M", [
+    ((N_GRID,), 8),                     # no time axis
+    ((1, N_GRID), 0),                   # M = 0
+    ((10, N_GRID), 8),                  # S between M+1 and 2M+1
+    ((18, N_GRID), 8),                  # S = 2M+2
+    ((9, N_GRID, N_GRID // 2), 8),      # unequal spatial axes
+    ((9, 4, 4, 4, 4), 8),               # d = 4
 ])
-def test_trajectory_rejects_arrays_of_the_wrong_shape(coeffs_shape, stages_shape):
-    stages = None if stages_shape is None else np.zeros(stages_shape, dtype=complex)
+def test_trajectory_rejects_arrays_of_the_wrong_shape(states_shape, M):
     with pytest.raises(ValueError) as err:
-        Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros(coeffs_shape, dtype=complex),
-                   stages=stages)
-    bad = coeffs_shape if stages_shape is None else stages_shape
-    assert str(bad) in str(err.value) and str((N_GRID,)) in str(err.value)
+        Trajectory(T, M, np.zeros(states_shape, dtype=complex))
+    assert str(states_shape) in str(err.value) and f"M = {M}" in str(err.value)
 
 
 def test_trajectory_accepts_matching_stages():
-    traj = Trajectory(T=T, d=1, n=N_GRID, coeffs=np.zeros((9, N_GRID), dtype=complex),
-                      stages=np.zeros((8, N_GRID), dtype=complex))
+    traj = Trajectory(T, 8, np.zeros((17, N_GRID), dtype=complex))
     assert traj.M == 8
+    assert (traj.coeffs.shape, traj.stages.shape) == ((9, N_GRID), (8, N_GRID))
+    assert Trajectory(T, 8, np.zeros((9, N_GRID), dtype=complex)).stages is None
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_solver_states_of_a_solve_is_a_view_of_its_buffer(d):
-    n = {1: 16, 2: 8}[d]
-    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
-    W = random_potential(2, d, np.random.default_rng(90 + d), amplitude=0.4)
-    rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=8)))
-    states = solver_states(rho)
-    assert np.shares_memory(states, rho.coeffs) and np.shares_memory(states, rho.stages)
-    # a hand-built trajectory holds nodes and predictors apart: they are concatenated
-    apart = Trajectory(T=rho.T, d=d, n=n, coeffs=rho.coeffs.copy(), stages=rho.stages.copy())
-    copied = solver_states(apart)
-    assert not np.shares_memory(copied, apart.coeffs)
-    assert copied.tobytes() == states.tobytes()
-    # as do nodes and predictors of one buffer in another order
-    swapped = np.concatenate([states[rho.M + 1:], states[:rho.M + 1]])
-    odd = Trajectory(T=rho.T, d=d, n=n, coeffs=swapped[rho.M:], stages=swapped[:rho.M])
-    assert solver_states(odd).tobytes() == states.tobytes()
-    assert not np.shares_memory(solver_states(odd), swapped)
+    n = {1: 16, 2: 8, 3: 8}[d]
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.05 if d == 3 else 0.3)
+
+    @settings(derandomize=True, max_examples=4, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), steps=st.integers(1, 6))
+    def check(seed, steps):
+        W = random_potential(2, d, np.random.default_rng(seed), amplitude=0.4)
+        rho = solve_mckv(McKVProblem(W=W, phi=phi, T=0.06, stepper=StepperConfig(M=steps)))
+        assert solver_states(rho) is rho.states
+        assert rho.states.shape == (2 * steps + 1,) + (n,) * d
+        assert np.shares_memory(rho.states, rho.coeffs)
+        assert np.shares_memory(rho.states, rho.stages)
+
+    check()
 
 
 def _apply_oracle(op, m, stage, v):

@@ -22,8 +22,6 @@ from mckvlab.forward import (
 from mckvlab.inference import ForwardModel, expected_neg_hessian
 from mckvlab.parabolic import (
     StepperConfig,
-    Trajectory,
-    solver_states,
     trapz_inner,
     trapz_weights,
 )
@@ -127,17 +125,3 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, seed
     H_ref = gram_matrix(cols, T) + ref
     assert np.max(np.abs(H - H_ref)) <= 1e-12 * np.max(np.abs(H_ref))
     assert np.array_equal(H, H.T)
-
-
-@_SETTINGS
-@given(**_CASES, steps=st.integers(1, 6))
-def test_trajectory_from_states_is_a_view_of_the_solver_states(d, seed, steps):
-    n = SIZES[d][0]
-    S = 2 * steps + 1
-    rng = np.random.default_rng(seed)
-    shape = (S,) + (n,) * d
-    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    traj = Trajectory.from_states(states, T, steps)
-    assert np.array_equal(solver_states(traj), states)
-    assert np.shares_memory(traj.coeffs, states)
-    assert np.shares_memory(traj.stages, states)
