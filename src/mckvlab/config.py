@@ -284,12 +284,14 @@ class ExperimentConfig:
         return a if a is not None else self.raw["constants"]["alpha"]
 
     def derived(self) -> dict:
-        """Derived quantities recomputed for manifests and reports."""
+        """Derived quantities recomputed for manifests and reports; the radius
+        and lambda floor are those the surrogate is built at,
+        :meth:`usable_surrogate_radius` (whose warning the command reports)."""
         p, sur = self.raw["problem"], self.raw["surrogate"]
         D = count_dim(p["K"], p["d"])
         N = self.raw["inference"]["N"]
         delta = delta_n(self.prior_alpha(), p["d"], N)
-        r = self.surrogate_radius(D)
+        r = self.usable_surrogate_radius([])
         out = {
             "D": D,
             "delta_N": delta,

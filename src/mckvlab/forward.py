@@ -21,18 +21,18 @@ derivatives are built in one place, :class:`Linearisation`: one operator
 along rho_W, the D basis columns from one stacked solve
 (:func:`jacobian_stack`), their Gram matrix, a vector-Jacobian product from
 one backward solve of the exact transpose of the discrete scheme whatever D
-is (:meth:`Linearisation.vjp`), D^2 rho_W over the truncated basis with
-rows j and D-1-j folded into one solve, ceil(D/2) solves in all, each row
-forced by :func:`_second_derivative_row_forcing` from the padded columns
-that :func:`_padded_columns` synthesises once for all rows, and the
-weighted sum of every D^2 rho_W[tau_j, tau_k], the correction of the
-expected Hessian, from one backward solve and no second-derivative solve.
-Both backward solves end in the one pull-back of their weights through the
-transport forcing, ``LWOperator.pull_back``.  :func:`mckv_first_derivative`
-and :func:`mckv_second_derivative` solve one direction each and serve as
-the oracles of the stacked paths; the second is forced by the six-term
-expansion :func:`_second_derivative_forcing`, which the grouped row forcing
-equals to rounding.
+is (:meth:`Linearisation.vjp`), D^2 rho_W over all D(D+1)/2 basis pairs
+from one stacked solve, forced one solver state at a time by
+:class:`_PairForcing`, so that neither the forcing of every state nor its
+padded columns are held, and the weighted sum of every
+D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from one
+backward solve and no second-derivative solve.  Both backward solves end in
+the one pull-back of their weights through the transport forcing,
+``LWOperator.pull_back``.  :func:`mckv_first_derivative` and
+:func:`mckv_second_derivative` solve one direction each and serve as the
+oracles of the stacked paths; the second is forced by the six-term
+expansion :func:`_second_derivative_forcing`, which the grouped pair
+forcing equals to rounding.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used (problem, K), keyed by their
@@ -238,44 +238,60 @@ def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.n
     return forcing
 
 
-def _padded_columns(op: LWOperator, gtau: np.ndarray, v: np.ndarray):
-    """The padded fields that the forcing of every second-derivative row reads.
+class _PairForcing:
+    """Forcing of D^2 rho_W[tau_r, tau_k] for every pair k >= r, built state by state.
 
     For basis gradients ``gtau`` (D, d, grid) and first derivatives ``v``
-    (S, D, grid) in solver-state order, returns P(v_k), shape (S, D, pad grid),
-    and per axis j P(X_{k,j}) with X_{k,j} = d_j tau_k * rho + d_j W * v_k,
-    where P is the padded synthesis.
+    (S, D, grid) in solver-state order, ``forcing[s]`` is the (B, grid)
+    forcing at state s of the B = D(D+1)/2 pairs in ``np.triu_indices(D)``
+    order, a new array; ``shape`` is (S, B, grid), and no array of that
+    shape is built.  Grouped by their padded factors, the six terms of
+    :func:`_second_derivative_forcing` are, per axis j, with P the padded
+    synthesis, A the analysis and X_{k,j} = d_j tau_k * rho + d_j W * v_k,
+    ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})].
+    At each state one plan synthesises v_s and its X (stack (1+d, D)), and
+    per axis one synthesises the pair sums and one analyses the products
+    (stack (B,)); the object builds its plans once.  A padded line's bits
+    do not depend on its stack, so the forcing equals the six-term expansion
+    to rounding and is the same whatever pairs share the stack.
     """
-    grid, rho = op.grid, op.rho_states[:, None]
-    return grid.to_padded(v), [grid.to_padded(gtau[:, j] * rho + op.grad_w[j] * v)
-                               for j in range(grid.d)]
 
+    def __init__(self, op: LWOperator, gtau: np.ndarray, v: np.ndarray):
+        grid = op.grid
+        D, d = gtau.shape[:2]
+        self.op, self.v = op, v
+        self.rows, self.cols = np.triu_indices(D)
+        B = len(self.rows)
+        self.shape = (len(v), B) + grid.shape
+        self._gtau = np.moveaxis(gtau, 1, 0)  # (d, D, grid)
+        self._grad_w = np.stack(op.grad_w)[:, None]  # (d, 1, grid)
+        # d_j tau_r and d_j tau_k of every pair (r, k), (d, B, grid)
+        self._g_r, self._g_k = self._gtau[:, self.rows], self._gtau[:, self.cols]
+        self._syn = grid.plan("to_padded", (1 + d, D))
+        self._pair_syn = grid.plan("to_padded", (B,))
+        self._ana = grid.plan("from_padded", (B,))
 
-def _second_derivative_row_forcing(op: LWOperator, gtau: np.ndarray, v: np.ndarray,
-                                  padded, r: int) -> np.ndarray:
-    """Forcing of row r, D^2 rho_W[tau_r, tau_k] for k >= r, shape (S, D-r, grid).
-
-    ``padded`` is :func:`_padded_columns` of (op, gtau, v).  Grouped by their
-    padded factors, the six terms of :func:`_second_derivative_forcing` are,
-    per axis j and with A the padded analysis,
-    ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})],
-    one synthesis and one analysis of D-r columns per axis; equal to the
-    six-term expansion to rounding.
-    """
-    grid, (v_phys, x_phys) = op.grid, padded
-    forcing = None
-    for j in range(grid.d):
-        q = grid.to_padded(gtau[r, j] * v[:, r:] + gtau[r:, j] * v[:, r:r + 1])
-        q *= op.rho_phys[:, None]
-        q += v_phys[:, r:] * x_phys[j][:, r:r + 1]
-        q += v_phys[:, r:r + 1] * x_phys[j][:, r:]
-        term = grid.from_padded(q)
-        term *= grid.ik[j]
-        if forcing is None:
-            forcing = term
-        else:
-            forcing += term
-    return forcing
+    def __getitem__(self, s: int) -> np.ndarray:
+        op, v, rows, cols = self.op, self.v[s], self.rows, self.cols
+        x = self._syn.x
+        x[0] = v
+        np.multiply(self._gtau, op.rho_states[s], out=x[1:])
+        x[1:] += self._grad_w * v
+        phys = self._syn.run()  # P(v_k) and P(X_{k,j}), (1+d, D, pad grid)
+        v_r, v_k, p_r, p_k = v[rows], v[cols], phys[0][rows], phys[0][cols]
+        q, a = self._pair_syn.x, self._ana.x
+        for j, ik in enumerate(op.grid.ik):
+            np.multiply(self._g_r[j], v_k, out=q)
+            q += self._g_k[j] * v_r
+            np.multiply(self._pair_syn.run(), op.rho_phys[s], out=a)
+            a += p_k * phys[1 + j][rows]
+            a += p_r * phys[1 + j][cols]
+            term = ik * self._ana.run()
+            if j == 0:
+                forcing = term
+            else:
+                forcing += term
+        return forcing
 
 
 def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
@@ -373,24 +389,22 @@ class Linearisation:
         return _gram(self.columns[0], self.op.T / self.op.M, self.op.T)
 
     def second_derivative_rows(self):
-        """Yield (j, nodes (D-j, M+1, grid) of D^2 rho_W[tau_j, tau_k], k >= j).
+        """Yield (r, nodes (D-r, M+1, grid) of D^2 rho_W[tau_r, tau_k], k >= r).
 
-        Rows j and D-1-j share one stacked solve of D+1 columns, so D rows
-        take ceil(D/2) solves; a column's bits do not depend on the stack
-        around it, so each row equals a solve per row bit for bit.  The
-        forcing of a row is :func:`_second_derivative_row_forcing`, from the
-        padded columns :func:`_padded_columns` synthesises once per call.
+        All D(D+1)/2 pairs are one stacked solve, forced state by state by
+        :class:`_PairForcing`, and each row is a view of its nodes; a
+        column's bits do not depend on the stack around it, so each row
+        equals a solve of that row alone bit for bit.  The rows come in the
+        order 0, D-1, 1, D-2, ..., in which ``inference._hessian_frobenius``
+        sums them.
         """
-        op, gtau, v = self.op, self.gtau, self.states
+        op, gtau = self.op, self.gtau
         D = gtau.shape[0]
-        padded = _padded_columns(op, gtau, v)
+        nodes = np.moveaxis(op.solve(_PairForcing(op, gtau, self.states), keep_stages=False), 0, 1)
+        start = np.concatenate([[0], np.cumsum(np.arange(D, 0, -1))])  # row r's first pair
         for j in range((D + 1) // 2):
-            rows = sorted({j, D - 1 - j})
-            # unnamed, so the forcing is freed once solved
-            nodes = op.solve(np.concatenate([
-                _second_derivative_row_forcing(op, gtau, v, padded, r) for r in rows], axis=1),
-                keep_stages=False)
-            yield from zip(rows, np.split(np.moveaxis(nodes, 0, 1), [D - rows[0]]))
+            for r in sorted({j, D - 1 - j}):
+                yield r, nodes[start[r]:start[r + 1]]
 
     def second_derivative_matrix(self, reduce) -> np.ndarray:
         """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.

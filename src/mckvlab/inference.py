@@ -611,6 +611,7 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
 
 def _hessian_frobenius(lin: Linearisation) -> np.ndarray:
     """sqrt(sum over (j, k) of D^2 rho_W[tau_j, tau_k]^2) in grid values, (M+1, grid),
-    summed row by row (diagonal once, k > j twice): no (D, D, M+1, grid) array."""
+    summed row by row (diagonal once, k > j twice): the D(D+1)/2 pair nodes of
+    ``Linearisation.second_derivative_rows`` are held once, no (D, D, M+1, grid) array."""
     sq = (lin.op.grid.to_values(block) ** 2 for _, block in lin.second_derivative_rows())
     return np.sqrt(sum(s[0] + 2.0 * np.sum(s[1:], axis=0) for s in sq))

@@ -500,8 +500,10 @@ class LWOperator:
               keep_stages: bool = True):
         """Solve (d/dt - L_W)v = g for B fields at once.
 
-        ``forcing`` holds g at every solver state, shape (S, B, grid), or
-        is None for g = 0; ``v0`` (B, grid) defaults to zero.  Returns the
+        ``forcing`` gives g at solver state s as ``forcing[s]``, shape
+        (B, grid), and has a ``shape`` of (S, B, grid): an array, or an
+        object that builds each state's forcing when the loop reads it.
+        None is g = 0.  ``v0`` (B, grid) defaults to zero.  Returns the
         states of v in the same layout, (S, B, grid), or its M+1 nodes when
         ``keep_stages`` is False.
         """

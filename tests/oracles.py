@@ -28,3 +28,42 @@ def w2inf_norm(v: PotentialVec, n: int = 64) -> float:
         for l in range(v.d):
             second.append(float(np.max(np.abs(g.to_values(g.deriv(gr[j], l))))))
     return total + max(second)
+
+
+def padded_columns(op, gtau: np.ndarray, v: np.ndarray):
+    """The padded fields that the forcing of every second-derivative row reads.
+
+    For basis gradients ``gtau`` (D, d, grid) and first derivatives ``v``
+    (S, D, grid) in solver-state order, returns P(v_k), shape (S, D, pad grid),
+    and per axis j P(X_{k,j}) with X_{k,j} = d_j tau_k * rho + d_j W * v_k,
+    where P is the padded synthesis.
+    """
+    grid, rho = op.grid, op.rho_states[:, None]
+    return grid.to_padded(v), [grid.to_padded(gtau[:, j] * rho + op.grad_w[j] * v)
+                               for j in range(grid.d)]
+
+
+def second_derivative_row_forcing(op, gtau: np.ndarray, v: np.ndarray, padded,
+                                  r: int) -> np.ndarray:
+    """Forcing of row r, D^2 rho_W[tau_r, tau_k] for k >= r, at every state at
+    once, shape (S, D-r, grid): the oracle of ``forward._PairForcing``.
+
+    ``padded`` is :func:`padded_columns` of (op, gtau, v).  Per axis j and
+    with A the padded analysis,
+    ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})],
+    one synthesis and one analysis of D-r columns per axis.
+    """
+    grid, (v_phys, x_phys) = op.grid, padded
+    forcing = None
+    for j in range(grid.d):
+        q = grid.to_padded(gtau[r, j] * v[:, r:] + gtau[r:, j] * v[:, r:r + 1])
+        q *= op.rho_phys[:, None]
+        q += v_phys[:, r:] * x_phys[j][:, r:r + 1]
+        q += v_phys[:, r:r + 1] * x_phys[j][:, r:]
+        term = grid.from_padded(q)
+        term *= grid.ik[j]
+        if forcing is None:
+            forcing = term
+        else:
+            forcing += term
+    return forcing

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from mckvlab import cli, forward, sampler
 from mckvlab.cli import main
 from mckvlab.config import ConfigError, ExperimentConfig
-from mckvlab.inference import ForwardModel, SurrogateSpec, estimate_c1
+from mckvlab.inference import ForwardModel, SurrogateSpec, estimate_c1, lambda_min_bound
 from mckvlab.parabolic import LWOperator
 
 BASE = {
@@ -271,7 +271,11 @@ def test_verify_strict_surrogate_suite_falls_back_to_the_experimental_radius(tmp
     assert res.exit_code == 0, res.output
     report = json.loads((out / "verify_report.json").read_text())
     assert report["suites"]["all_passed"] is True
-    assert report["derived"]["surrogate_r"] < 1e-12
+    # the header reports the radius the surrogate is built at, and its lambda floor
+    assert report["derived"]["surrogate_r"] == 1.0
+    assert report["derived"]["lambda_floor"] == lambda_min_bound(
+        report["config"]["inference"]["N"], 1.0, report["config"]["surrogate"]["c_hat"],
+        report["config"]["surrogate"]["c1_hat"])
     assert [w for w in report["warnings"] if "astronomically small" in w] != []
 
 

@@ -6,9 +6,8 @@ from mckvlab.forward import (
     LWOperator,
     McKVProblem,
     ReactionSpec,
-    _padded_columns,
+    _PairForcing,
     _second_derivative_forcing,
-    _second_derivative_row_forcing,
     decay_density,
     gram_matrix,
     jacobian_columns,
@@ -33,7 +32,7 @@ from mckvlab.parabolic import (
     solver_states,
 )
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
-from oracles import to_field
+from oracles import padded_columns, second_derivative_row_forcing, to_field
 
 N_GRID = 32
 T = 0.25
@@ -526,7 +525,8 @@ def test_gram_matrix_matches_pairwise_inner_products(d, n, K, zeta, amplitude):
 
 def _curvature_problem(d, seed):
     """A random W on a small grid per dimension, with its rho_W and D columns."""
-    n, K, zeta, amplitude = {1: (N_GRID, 2, 3.0, 0.3), 2: (8, 2, 4.0, 0.1)}[d]
+    n, K, zeta, amplitude = {1: (N_GRID, 2, 3.0, 0.3), 2: (8, 2, 4.0, 0.1),
+                             3: (8, 1, 4.0, 0.1)}[d]
     W = random_potential(K, d, np.random.default_rng(seed), amplitude=0.5)
     prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=zeta, amplitude=amplitude), T=0.1,
                        stepper=StepperConfig(M=16))
@@ -549,28 +549,47 @@ def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
 
 
 def _second_derivative_rows(prob, rho, cols):
-    """The row loop that folding replaced: one stacked solve per row j over k >= j."""
+    """The row loop that the stacked solve replaced: one solve per row j over
+    k >= j, forced by the oracle row forcing at every state at once."""
     op = LWOperator(prob.W, rho)
     gtau = tau_gradient_stack(prob.W.K, op.grid)
     v = np.stack([solver_states(c) for c in cols], axis=1)
     D = len(cols)
-    padded = _padded_columns(op, gtau, v)
+    padded = padded_columns(op, gtau, v)
     out = np.zeros((D, D, rho.M + 1) + op.grid.shape, dtype=complex)
     for j in range(D):
-        forcing = _second_derivative_row_forcing(op, gtau, v, padded, j)
+        forcing = second_derivative_row_forcing(op, gtau, v, padded, j)
         nodes = np.moveaxis(op.solve(forcing, keep_stages=False), 0, 1)
         out[j, j:] = nodes
         out[j:, j] = nodes
     return out
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("scheme", ["if-heun"])
-def test_folded_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
-    # D = 4 (d=1) pairs rows (0, 3), (1, 2); D = 12 (d=2) pairs six rows
+def test_stacked_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
+    # D = 4, 12 and 6 rows: all D(D+1)/2 pairs in one solve
     prob, rho, cols = _curvature_problem(d, 33)
-    folded = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
-    assert np.array_equal(folded, _second_derivative_rows(prob, rho, cols))
+    stacked = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
+    assert np.array_equal(stacked, _second_derivative_rows(prob, rho, cols))
+
+
+@pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 2), (3, 8, 1)])
+def test_pair_forcing_equals_the_row_forcing_bit_for_bit(d, n, K):
+    # the states of node 0, node M and the last predictor
+    W = random_potential(K, d, np.random.default_rng(35), amplitude=0.5)
+    prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=3.0, amplitude=0.2), T=0.1,
+                       stepper=StepperConfig(M=8))
+    lin = Linearisation(prob, solve_mckv(prob))
+    op, gtau, v = lin.op, lin.gtau, lin.states
+    padded = padded_columns(op, gtau, v)
+    D, S = len(gtau), len(v)
+    ref = np.concatenate([second_derivative_row_forcing(op, gtau, v, padded, r)
+                          for r in range(D)], axis=1)
+    forcing = _PairForcing(op, gtau, v)
+    assert forcing.shape == ref.shape == (S, D * (D + 1) // 2) + op.grid.shape
+    for s in (0, op.M, S - 1):
+        assert np.array_equal(forcing[s], ref[s])
 
 
 @pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 2), (3, 8, 1)])
@@ -581,12 +600,12 @@ def test_row_forcing_matches_the_six_term_forcing(d, n, K):
                        stepper=StepperConfig(M=8))
     lin = Linearisation(prob, solve_mckv(prob))
     op, gtau, v = lin.op, lin.gtau, lin.states
-    padded = _padded_columns(op, gtau, v)
+    padded = padded_columns(op, gtau, v)
     D = len(gtau)
     for r in (0, D // 2, D - 1):
         ref = _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
                                          v[:, r:r + 1], v[:, r:])
-        row = _second_derivative_row_forcing(op, gtau, v, padded, r)
+        row = second_derivative_row_forcing(op, gtau, v, padded, r)
         assert row.shape == ref.shape
         assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -517,7 +517,6 @@ def test_curvature_quantities_build_one_operator_per_W(monkeypatch, fresh_memo):
     model = _model()
     W0 = random_potential(2, 1, rng, amplitude=0.3)
     W = W0 + random_potential(2, 1, rng, amplitude=0.4)
-    D = model.dim
     counts = _count_operator_work(monkeypatch)
 
     # one operator at W and one column solve serve all three calls;
@@ -526,8 +525,8 @@ def test_curvature_quantities_build_one_operator_per_W(monkeypatch, fresh_memo):
     assert counts == {"built": 1, "solve": 1, "solve_transpose": 1}
     counts.update(dict.fromkeys(counts, 0))
     estimate_c1(model, W, include_hessian=True)
-    # only the ceil(D/2) folded second-derivative rows
-    assert counts == {"built": 0, "solve": (D + 1) // 2, "solve_transpose": 0}
+    # only the second-derivative rows, all D(D+1)/2 pairs in one solve
+    assert counts == {"built": 0, "solve": 1, "solve_transpose": 0}
     counts.update(dict.fromkeys(counts, 0))
     sigma_min_trend(model.problem(W), K=model.K)
     assert counts == {"built": 0, "solve": 0, "solve_transpose": 0}
