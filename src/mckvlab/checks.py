@@ -20,7 +20,6 @@ from .forward import is_uniform, linearisation, mckv_first_derivative
 from .inference import (
     LikelihoodEvaluator,
     PriorSpec,
-    SurrogateSpec,
     gamma_smooth,
     gamma_tilde,
     generate_data,
@@ -44,19 +43,6 @@ def _record(name, passed, measured, tolerance, **extra):
     return rec
 
 
-def _fd_errors(problem_of, base_problem, H, epsilons):
-    """Relative errors of central differences of rho at each eps against
-    D rho_W[H], which is solved once with its rho_W."""
-    v = mckv_first_derivative(base_problem, H, solve_mckv(base_problem)).coeffs
-    den = np.sqrt(np.sum(np.abs(v) ** 2))
-    errs = []
-    for eps in epsilons:
-        rp, rm = (solve_mckv(problem_of(s)) for s in (eps, -eps))
-        fd = (rp.coeffs - rm.coeffs) / (2 * eps)
-        errs.append(np.sqrt(np.sum(np.abs(fd - v) ** 2)) / den)
-    return errs
-
-
 def suite_gradients(config: ExperimentConfig) -> list[dict]:
     rng = np.random.default_rng(config.seed + 101)
     model = config.model()
@@ -66,10 +52,23 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
     W_floor = random_potential(K, d, np.random.default_rng(config.seed), 0.5)
     floor = self_convergence_error(lambda c: replace(model, stepper=c).solve(W_floor), stepper)
 
+    uniform = is_uniform(phi)
     for i in range(3):
         W = random_potential(K, d, rng, amplitude=0.5)
         H = random_potential(K, d, rng, amplitude=0.5)
-        errs = _fd_errors(lambda e: model.problem(W + e * H), model.problem(W), H, (1e-2, 1e-3))
+        # D rho_W[H] against central differences of rho
+        v = mckv_first_derivative(model.problem(W), H, solve_mckv(model.problem(W))).coeffs
+        fds = []
+        for eps in (1e-2, 1e-3):
+            rp, rm = (solve_mckv(model.problem(W + s * H)) for s in (eps, -eps))
+            fds.append((rp.coeffs - rm.coeffs) / (2 * eps))
+        if uniform:  # rho_W = phi for every W: both vanish, a relative error is 0/0
+            worst = max(float(np.max(np.abs(a))) for a in (v, *fds))
+            records.append(_record(f"mckv_first_fd_uniform_zero_{i}", worst <= 1e-12,
+                                   worst, 1e-12))
+            continue
+        den = np.sqrt(np.sum(np.abs(v) ** 2))
+        errs = [np.sqrt(np.sum(np.abs(fd - v) ** 2)) / den for fd in fds]
         tol = 1e-4 + 10.0 * floor
         records.append(_record(f"mckv_first_fd_{i}", errs[1] <= tol, errs[1], tol))
         slope = np.log10(errs[0] / errs[1])
@@ -163,11 +162,10 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     data = generate_data(W0, model, n_obs=20,
                          noise_std=config["inference"]["noise_std"], rng=rng)
     like = LikelihoodEvaluator(model, data)
-    r = config.usable_surrogate_radius([])  # cli.verify reports its warning
-    sur = config["surrogate"]
-    spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs, c_hat=sur["c_hat"],
-                               c1_hat=1.0 if sur["c1_hat"] is None else sur["c1_hat"],
-                               lam=sur["lam"])
+    c1 = config["surrogate"]["c1_hat"]
+    # cli.verify reports the radius warning
+    spec = config.surrogate(W0, data.n_obs, 1.0 if c1 is None else c1, [])
+    r = spec.r
 
     knot = gamma_tilde(5 * r / 8, r)
     far = gamma_tilde(9 * r / 8, r)

@@ -30,7 +30,6 @@ from .forward import is_uniform, solve_rd
 from .inference import (
     LikelihoodEvaluator,
     PriorSpec,
-    SurrogateSpec,
     estimate_c1,
     generate_data,
     make_drift,
@@ -243,17 +242,12 @@ def _chain(config, model, warnings):
                          rng=np.random.default_rng(config.seed), seed=config.seed, rho0=rho0)
     prior = PriorSpec(alpha=config.prior_alpha(), K=model.K, d=model.d,
                       n_obs=data.n_obs)
-    r = config.usable_surrogate_radius(warnings)
     c1 = sur["c1_hat"]
     if c1 is None:
         # on the data's rho_{W0}, not through the memo of forward.linearisation:
         # its linearisation and columns are freed before the chain starts
         c1 = estimate_c1(model, W0, include_hessian=model.dim <= 16, rho=rho0)
-    try:
-        spec = SurrogateSpec.build(r=r, W_init=W0, n_obs=data.n_obs,
-                                   c_hat=sur["c_hat"], c1_hat=c1, lam=sur["lam"])
-    except ValueError as exc:  # lam below the floor, known only once c1 is
-        raise ConfigError(f"surrogate.lam: {exc}") from exc
+    spec = config.surrogate(W0, data.n_obs, c1, warnings)
     drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
     gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)
     top = float(np.max(prior.precision_diag()))

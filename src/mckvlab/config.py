@@ -23,7 +23,7 @@ import numpy as np
 import yaml
 
 from .forward import ReactionSpec, decay_density, uniform_density
-from .inference import ConstantsConfig, ForwardModel, delta_n, lambda_min_bound
+from .inference import ConstantsConfig, ForwardModel, SurrogateSpec, delta_n, lambda_min_bound
 from .parabolic import StepperConfig
 from .spectral import PotentialVec, SpectralField, count_dim, random_potential
 
@@ -322,3 +322,15 @@ class ExperimentConfig:
                 "proceeding with the experimental-mode radius")
             r = self.raw["surrogate"]["r"]
         return r
+
+    def surrogate(self, W_init: PotentialVec, n_obs: int, c1_hat: float,
+                  warnings: list[str]) -> SurrogateSpec:
+        """The configured surrogate around ``W_init`` at :meth:`usable_surrogate_radius`;
+        a lam below the floor, known only once c1_hat is, raises ConfigError."""
+        sur = self.raw["surrogate"]
+        r = self.usable_surrogate_radius(warnings)
+        try:
+            return SurrogateSpec.build(r=r, W_init=W_init, n_obs=n_obs, c_hat=sur["c_hat"],
+                                       c1_hat=c1_hat, lam=sur["lam"])
+        except ValueError as exc:
+            raise ConfigError(f"surrogate.lam: {exc}") from exc

@@ -17,14 +17,14 @@ Lawson-Heun map; finite-difference checks see pure O(eps^2) behaviour.
 A trajectory without predictor stages carries no linear solve.
 Every mean-field derivative is a solve with
 :class:`~mckvlab.parabolic.LWOperator`, batched over directions.  The basis
-derivatives are built in one place, :class:`Linearisation`: one operator
-along rho_W, the D basis columns from one stacked solve
-(:func:`jacobian_stack`), their Gram matrix, a vector-Jacobian product from
-one backward solve of the exact transpose of the discrete scheme whatever D
-is (:meth:`Linearisation.vjp`), D^2 rho_W over all D(D+1)/2 basis pairs
-from one stacked solve, forced one solver state at a time by
-:class:`_PairForcing`, so that neither the forcing of every state nor its
-padded columns are held, and the weighted sum of every
+derivatives are built in one place, :class:`Linearisation`, which hands
+out each stacked solve as one array: one operator along rho_W, the nodes
+of the D basis columns (``columns``), their Gram matrix, a vector-Jacobian
+product from one backward solve of the exact transpose of the discrete
+scheme whatever D is (``vjp``), the nodes of D^2 rho_W over all D(D+1)/2
+basis pairs from one solve (``second_derivatives()``), forced one solver
+state at a time by :class:`_PairForcing`, so that neither the forcing of
+every state nor its padded columns are held, and the weighted sum of every
 D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from one
 backward solve and no second-derivative solve.  Both backward solves end in
 the one pull-back of their weights through the transport forcing,
@@ -339,7 +339,7 @@ class Linearisation:
     the basis gradients ``gtau`` of :func:`tau_gradient_stack`, so
     K > n/2 - 1 and a trajectory that fails :func:`check_density` raise
     here.  The D columns are solved on first read, in one stacked solve,
-    and kept read-only.
+    and kept read-only; :meth:`second_derivatives` keeps nothing.
     """
 
     def __init__(self, problem: McKVProblem, rho: Trajectory, K: int | None = None):
@@ -362,11 +362,9 @@ class Linearisation:
         return spectral._read_only(op.solve(transport_forcing(op.grid, op.rho_states, self.gtau)))
 
     @property
-    def columns(self):
-        """(nodes, stages) of the columns, shapes (D, M+1, grid) and (D, M, grid);
-        views of :attr:`states`."""
-        M, states = self.op.M, self.states
-        return np.moveaxis(states[:M + 1], 0, 1), np.moveaxis(states[M + 1:], 0, 1)
+    def columns(self) -> np.ndarray:
+        """The nodes of the columns, shape (D, M+1, grid); a view of :attr:`states`."""
+        return np.moveaxis(self.states[:self.op.M + 1], 0, 1)
 
     def vjp(self, g: np.ndarray) -> np.ndarray:
         """Re sum(g * D rho_W[tau_k]) for every basis mode k, shape (D,).
@@ -386,43 +384,17 @@ class Linearisation:
 
     def gram(self) -> np.ndarray:
         """Gram matrix (1/T) <col_j, col_k> of the columns; symmetric PSD."""
-        return _gram(self.columns[0], self.op.T / self.op.M, self.op.T)
+        return _gram(self.columns, self.op.T / self.op.M, self.op.T)
 
-    def second_derivative_rows(self):
-        """Yield (r, nodes (D-r, M+1, grid) of D^2 rho_W[tau_r, tau_k], k >= r).
-
-        All D(D+1)/2 pairs are one stacked solve, forced state by state by
-        :class:`_PairForcing`, and each row is a view of its nodes; a
-        column's bits do not depend on the stack around it, so each row
-        equals a solve of that row alone bit for bit.  The rows come in the
-        order 0, D-1, 1, D-2, ..., in which ``inference._hessian_frobenius``
-        sums them.
+    def second_derivatives(self) -> np.ndarray:
+        """The nodes of D^2 rho_W[tau_r, tau_k] of all B = D(D+1)/2 pairs r <= k,
+        (B, M+1, grid) in ``np.triu_indices(D)`` order, from one stacked solve
+        forced state by state by :class:`_PairForcing`.  A column's bits do not
+        depend on its stack, so row r equals a solve of that row alone bit for bit.
         """
-        op, gtau = self.op, self.gtau
-        D = gtau.shape[0]
-        nodes = np.moveaxis(op.solve(_PairForcing(op, gtau, self.states), keep_stages=False), 0, 1)
-        start = np.concatenate([[0], np.cumsum(np.arange(D, 0, -1))])  # row r's first pair
-        for j in range((D + 1) // 2):
-            for r in sorted({j, D - 1 - j}):
-                yield r, nodes[start[r]:start[r + 1]]
-
-    def second_derivative_matrix(self, reduce) -> np.ndarray:
-        """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
-
-        ``reduce`` maps the (B, M+1, grid) nodes of a stack of second
-        derivatives to an array with leading axis B.  Each row fills both
-        (j, k) and (k, j), so the (D, D, ...) result is symmetric by
-        construction.
-        """
-        D = self.gtau.shape[0]
-        out = None
-        for r, block in self.second_derivative_rows():
-            row = reduce(block)
-            if out is None:
-                out = np.zeros((D, D) + row.shape[1:], dtype=row.dtype)
-            out[r, r:] = row
-            out[r:, r] = row
-        return out
+        op = self.op
+        forcing = _PairForcing(op, self.gtau, self.states)
+        return np.moveaxis(op.solve(forcing, keep_stages=False), 0, 1)
 
     def second_derivative_vjp(self, g: np.ndarray) -> np.ndarray:
         """Re sum(g * D^2 rho_W[tau_j, tau_k]) for every pair of basis modes, (D, D).
@@ -435,7 +407,7 @@ class Linearisation:
         + T(v_j, gradW, v_k); pairing w with A through the transposed padded
         transforms gives B_jk with no second-derivative solve, and B + B^T is
         exactly symmetric.  Equals the contraction of g with the nodes of
-        :meth:`second_derivative_matrix`, to rounding.
+        :meth:`second_derivatives`, scattered to (j, k) and (k, j), to rounding.
         """
         op, gtau, v = self.op, self.gtau, self.states
         grid = op.grid
@@ -515,8 +487,10 @@ def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
 
 
 def jacobian_stack(problem: McKVProblem, rho_traj: Trajectory, K: int | None = None):
-    """The :attr:`Linearisation.columns` at (problem, rho_traj, K)."""
-    return Linearisation(problem, rho_traj, K).columns
+    """(nodes, stages) of the columns at (problem, rho_traj, K), shapes (D, M+1, grid)
+    and (D, M, grid): views of :attr:`Linearisation.states`."""
+    lin = Linearisation(problem, rho_traj, K)
+    return lin.columns, np.moveaxis(lin.states[rho_traj.M + 1:], 0, 1)
 
 
 def stack_to_trajectories(nodes, stages, T, d, n):

@@ -599,7 +599,7 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
     grid = model.phi.grid
     best = float(np.max(np.abs(grid.to_values(lin.rho.coeffs))))
 
-    col_vals = grid.to_values(lin.columns[0])  # (D, M+1, grid)
+    col_vals = grid.to_values(lin.columns)  # (D, M+1, grid)
     grad_norm = np.sqrt(np.sum(col_vals**2, axis=0))
     best = max(best, float(np.max(grad_norm)))
 
@@ -611,7 +611,9 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
 
 def _hessian_frobenius(lin: Linearisation) -> np.ndarray:
     """sqrt(sum over (j, k) of D^2 rho_W[tau_j, tau_k]^2) in grid values, (M+1, grid),
-    summed row by row (diagonal once, k > j twice): the D(D+1)/2 pair nodes of
-    ``Linearisation.second_derivative_rows`` are held once, no (D, D, M+1, grid) array."""
-    sq = (lin.op.grid.to_values(block) ** 2 for _, block in lin.second_derivative_rows())
+    summed row by row (diagonal once, k > j twice): the pair nodes of
+    ``Linearisation.second_derivatives`` are held once, one row in grid values."""
+    D = len(lin.gtau)
+    rows = np.split(lin.second_derivatives(), np.cumsum(np.arange(D, 1, -1)))  # (r, k >= r)
+    sq = (lin.op.grid.to_values(block) ** 2 for block in rows)
     return np.sqrt(sum(s[0] + 2.0 * np.sum(s[1:], axis=0) for s in sq))

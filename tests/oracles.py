@@ -67,3 +67,20 @@ def second_derivative_row_forcing(op, gtau: np.ndarray, v: np.ndarray, padded,
         else:
             forcing += term
     return forcing
+
+
+def second_derivative_matrix(lin, reduce) -> np.ndarray:
+    """reduce(D^2 rho_W[tau_j, tau_k]) for every pair (j, k) of basis modes.
+
+    ``reduce`` maps the (B, M+1, grid) pair nodes of ``lin.second_derivatives()``
+    to an array with leading axis B; each pair fills both (j, k) and (k, j)
+    through ``np.triu_indices``, so the (D, D, ...) result is symmetric by
+    construction.
+    """
+    pairs = reduce(lin.second_derivatives())
+    D = len(lin.gtau)
+    rows, cols = np.triu_indices(D)
+    out = np.zeros((D, D) + pairs.shape[1:], dtype=pairs.dtype)
+    out[rows, cols] = pairs
+    out[cols, rows] = pairs
+    return out

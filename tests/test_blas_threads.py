@@ -73,7 +73,13 @@ for d, n, K, zeta, amplitude in [(1, 32, 4, 1.8, 0.48), (2, 16, 2, 3.8, 0.3)]:
                           T=0.06, stepper=StepperConfig(M=48))
     lin = Linearisation(problem, solve_mckv(problem))
     print(_hessian_frobenius(lin).tobytes().hex())
-    print(lin.second_derivative_matrix(lambda nodes: nodes[:, -1]).tobytes().hex())
+    last = lin.second_derivatives()[:, -1]  # pairs r <= k in np.triu_indices order
+    D = len(lin.gtau)
+    rows, cols = np.triu_indices(D)
+    nodes = np.zeros((D, D) + last.shape[1:], dtype=last.dtype)
+    nodes[rows, cols] = last
+    nodes[cols, rows] = last
+    print(nodes.tobytes().hex())
 """
 
 

@@ -528,6 +528,32 @@ def test_verify_keeps_handling_rd(tmp_path):
     assert res.exit_code == 0, res.output
 
 
+def test_verify_surrogate_lam_below_the_floor_exits_one(tmp_path):
+    # the suite builds the surrogate as the sample command does; its floor is 120 here
+    res = _invoke("verify", _write(tmp_path, {"surrogate.lam": 1.0e-3}), tmp_path / "out")
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1 and _errors(res)[0].startswith("error: surrogate.lam:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_verify_gradients_uniform_reports_zero_derivatives(tmp_path):
+    # rho_W = phi for every W: D rho_W[H] and its quotients are 0, with no 0/0
+    out = tmp_path / "out"
+    res = CliRunner().invoke(main, ["verify", "--config",
+                                    str(_write(tmp_path, {"problem.phi.type": "uniform"})),
+                                    "--out", str(out), "--suite", "gradients"])
+    assert res.exit_code == 0, res.output
+    report = json.loads((out / "verify_report.json").read_text(),
+                        parse_constant=_reject_constant)
+    records = {rec["name"]: rec for rec in report["suites"]["gradients"]}
+    zero = [f"mckv_first_fd_uniform_zero_{i}" for i in range(3)]
+    assert [name for name in records if name.startswith("mckv_")] == zero
+    assert all(records[name]["measured"] <= 1e-12 for name in zero)
+
+
 def test_sample_echoes_its_warnings(tmp_path):
     p = _write(tmp_path, {
         "mode": "strict",

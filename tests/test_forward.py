@@ -32,7 +32,12 @@ from mckvlab.parabolic import (
     solver_states,
 )
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
-from oracles import padded_columns, second_derivative_row_forcing, to_field
+from oracles import (
+    padded_columns,
+    second_derivative_matrix,
+    second_derivative_row_forcing,
+    to_field,
+)
 
 N_GRID = 32
 T = 0.25
@@ -465,6 +470,7 @@ def test_jacobian_stack_matches_columns():
     nodes, stages = jacobian_stack(prob, rho)
     for i, col in enumerate(cols):
         assert np.max(np.abs(nodes[i] - col.coeffs)) < 1e-14
+        assert np.max(np.abs(stages[i] - col.stages)) < 1e-14
 
 
 def test_gram_matrix_symmetric_psd():
@@ -539,7 +545,7 @@ def _curvature_problem(d, seed):
 def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
     prob, rho, cols = _curvature_problem(d, 32)
     W = prob.W
-    D2 = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
+    D2 = second_derivative_matrix(Linearisation(prob, rho), lambda nodes: nodes)
     basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
     for j in range(W.dim):
         for k in range(W.dim):
@@ -570,7 +576,7 @@ def _second_derivative_rows(prob, rho, cols):
 def test_stacked_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme):
     # D = 4, 12 and 6 rows: all D(D+1)/2 pairs in one solve
     prob, rho, cols = _curvature_problem(d, 33)
-    stacked = Linearisation(prob, rho).second_derivative_matrix(lambda nodes: nodes)
+    stacked = second_derivative_matrix(Linearisation(prob, rho), lambda nodes: nodes)
     assert np.array_equal(stacked, _second_derivative_rows(prob, rho, cols))
 
 
@@ -621,4 +627,4 @@ def test_basis_maps_reject_K_beyond_the_grid():
     with pytest.raises(ValueError, match="not representable"):
         Linearisation(prob, rho, K=5).vjp(g)
     with pytest.raises(ValueError, match="not representable"):
-        Linearisation(prob, rho, K=5).second_derivative_matrix(lambda nodes: nodes)
+        Linearisation(prob, rho, K=5).second_derivatives()

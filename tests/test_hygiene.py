@@ -73,43 +73,102 @@ def test_third_party_imports_are_declared(path):
     assert missing == []
 
 
-def _defined_names(path: Path) -> list[tuple[str, bool]]:
-    """Module-level functions and classes of ``path`` and the methods of its
-    classes, each with whether it is a method, less dunders and the CLI
-    commands, whose decorators register them by name."""
+def _references(nodes, docstrings: set[int]) -> tuple[set[str], set[str]]:
+    """(names, attributes and string constants) in ``nodes``, less the
+    constants whose ids are in ``docstrings``; a def or class statement does
+    not reference its own name."""
+    names, attrs = set(), set()
+    for node in (sub for n in nodes for sub in ast.walk(n)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            attrs.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            attrs.add(node.value)  # perfbench/tracer.py looks its targets up by name
+    return names, attrs
+
+
+def _parse(path: Path) -> tuple[ast.Module, set[int]]:
+    """The tree of ``path`` and the ids of its docstrings."""
     tree = ast.parse(path.read_text(), filename=str(path))
-    names = []
+    return tree, {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and ast.get_docstring(node, clean=False) is not None}
+
+
+def _scopes(path: Path):
+    """(root, definitions) of a library module, as references.
+
+    ``root`` is the code that runs whatever else is called: the
+    module-level statements and the CLI commands, whose decorators register
+    them by name.  Each definition is (name, is a method, what it references
+    once reached): a module-level function, a class with its decorators,
+    bases, class-level statements and dunder methods, or any other method.
+    The methods of a class with a base go with the class, since the base's
+    code may call them by name, as click's ``Group`` calls ``cli._Group.invoke``.
+    """
+    tree, docstrings = _parse(path)
+    root, definitions = [], []
     for node in tree.body:
         if isinstance(node, ast.ClassDef):
-            names.append((node.name, False))
-            names += [(f.name, True) for f in node.body if isinstance(f, ast.FunctionDef)]
+            methods = [] if node.bases else [
+                f for f in node.body if isinstance(f, ast.FunctionDef)
+                and not (f.name.startswith("__") and f.name.endswith("__"))]
+            own = node.decorator_list + node.bases + node.keywords
+            own += [stmt for stmt in node.body if stmt not in methods]
+            definitions.append((node.name, False, _references(own, docstrings)))
+            definitions += [(f.name, True, _references([f], docstrings)) for f in methods]
         elif isinstance(node, ast.FunctionDef) and not (path.name == "cli.py"
                                                         and node.decorator_list):
-            names.append((node.name, False))
-    return [(n, m) for n, m in names if not (n.startswith("__") and n.endswith("__"))]
+            definitions.append((node.name, False, _references([node], docstrings)))
+        else:
+            root.append(node)
+    return _references(root, docstrings), definitions
 
 
-def _named_words() -> set[str]:
-    """Every word of src/, tests/ and perfbench/ outside a def or class line's
-    own name; the re-exports of the package's __init__ are not uses."""
-    texts = [p.read_text() for top in ("src", "tests", "perfbench")
-             for p in sorted((ROOT / top).rglob("*.py")) if p != SRC / "__init__.py"]
-    return set(re.findall(r"\w+", re.sub(r"\b(?:def|class)\s+\w+", "", "\n".join(texts))))
+def _unreached(library, roots) -> list[str]:
+    """The names defined in the ``library`` modules that no reached code
+    references, in definition order.
+
+    The roots are the module-level code and CLI commands of ``library`` and
+    all of ``roots``.  A definition is reached when reached code references
+    it, a method only through an attribute or a string, since a bare name of
+    its spelling, such as a local ``ok``, is another binding; then what it
+    references is reached code too.
+    """
+    names, attrs = set(), set()
+    unreached = []
+    for path in library:
+        (root_names, root_attrs), definitions = _scopes(path)
+        names |= root_names
+        attrs |= root_attrs
+        unreached += definitions
+    for path in roots:
+        tree, docstrings = _parse(path)
+        root_names, root_attrs = _references([tree], docstrings)
+        names |= root_names
+        attrs |= root_attrs
+    while True:
+        hit = [name in attrs or (not method and name in names)
+               for name, method, _ in unreached]
+        if not any(hit):
+            return [name for name, _, _ in unreached]
+        for (_, _, (used_names, used_attrs)), h in zip(unreached, hit):
+            if h:
+                names |= used_names
+                attrs |= used_attrs
+        unreached = [d for d, h in zip(unreached, hit) if not h]
 
 
-def test_every_library_name_is_used_somewhere():
-    # a word match, since perfbench/tracer.py names its targets in strings
-    words = _named_words()
-    unused = [f"{path.name} {name}" for path in MODULES for name, _ in _defined_names(path)
-              if name not in words]
-    assert unused == []
-
-
-# The library names that library code and perfbench/ never reference, each
-# with the library path that the tests check against it.
+# The library names that library code and perfbench/ never reach, each with
+# the library path that the tests check against it.
 TEST_ONLY = {
     "dealiased_product": "Grid.transport_div, one axis term at a time",
-    "second_derivative_matrix": "Linearisation.second_derivative_vjp",
+    "eval": "ObservationOperator and tau_table, at one point of a field, "
+            "a potential or a trajectory",
+    "basis_tau": "tau_table, one basis mode at a time",
+    "load_field": "save_field, whose files it reads back (Trajectory.load reads through it)",
     "eval_batch": "ObservationOperator, on one trajectory",
     "zero_mode": "the mass conservation of solve_mckv",
     "load": "Trajectory.save and Dataset.save, whose artifacts it reads back",
@@ -119,51 +178,31 @@ TEST_ONLY = {
 }
 
 
-def _references(paths) -> tuple[set[str], set[str]]:
-    """(names, attributes and string constants) of ``paths``, docstrings
-    left out; a def or class statement does not reference its own name."""
-    names, reached = set(), set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                      if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                      and ast.get_docstring(node, clean=False) is not None}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                names.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                reached.add(node.attr)
-            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                  and id(node) not in docstrings):
-                reached.add(node.value)  # perfbench/tracer.py looks its targets up by name
-    return names, reached
-
-
-def _unreferenced(defined, paths) -> list[str]:
-    """The (name, is a method) pairs of ``defined`` that ``paths`` never
-    reference: a method only through an attribute or a string, since a bare
-    name of its spelling, such as a local ``ok``, is another binding."""
-    names, reached = _references(paths)
-    return [name for name, method in defined
-            if name not in reached and (method or name not in names)]
-
-
 def test_no_library_name_is_reached_from_the_tests_alone():
-    defined = [pair for path in MODULES for pair in _defined_names(path)]
-    unreferenced = _unreferenced(defined, MODULES + PERFBENCH)
-    assert [name for name in unreferenced if name not in TEST_ONLY] == []
-    # an entry whose name is gone, or now has a library caller, goes too
-    names = {name for name, _ in defined}
+    unreached = _unreached(MODULES, PERFBENCH)
+    assert [name for name in unreached if name not in TEST_ONLY] == []
+    # an entry that library code now reaches, or that no test names, goes too
+    tests = [_parse(p) for p in TESTS if p.name != Path(__file__).name]
+    names, attrs = _references([tree for tree, _ in tests], set().union(*(d for _, d in tests)))
     assert sorted(name for name in TEST_ONLY
-                  if name not in names or name not in unreferenced) == []
+                  if name not in unreached or name not in names | attrs) == []
 
 
 def test_a_bare_name_does_not_reference_a_method(tmp_path):
     library, caller = tmp_path / "library.py", tmp_path / "caller.py"
     library.write_text("class Report:\n    def ok(self):\n        return True\n")
     caller.write_text("ok = Report()\nprint(ok)\n")
-    defined = _defined_names(library)
-    assert defined == [("Report", False), ("ok", True)]
-    assert _unreferenced(defined, [caller]) == ["ok"]
+    assert _unreached([library], [caller]) == ["ok"]
     caller.write_text("print(Report().ok())\n")
-    assert _unreferenced(defined, [caller]) == []
+    assert _unreached([library], [caller]) == []
+
+
+def test_a_method_called_only_from_an_unreached_method_is_unreached(tmp_path):
+    # a word or attribute scan finds .norm( and passes; Path.eval is never called
+    library, caller = tmp_path / "library.py", tmp_path / "caller.py"
+    library.write_text("class Field:\n    def norm(self):\n        return 0.0\n\n\n"
+                       "class Path:\n    def eval(self):\n        return Field().norm()\n")
+    caller.write_text("print(Path())\n")
+    assert _unreached([library], [caller]) == ["Field", "norm", "eval"]
+    caller.write_text("print(Path().eval())\n")
+    assert _unreached([library], [caller]) == []

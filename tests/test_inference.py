@@ -59,7 +59,7 @@ from mckvlab.stability import (
     sigma_min_trend,
     stability_report,
 )
-from oracles import core_ok
+from oracles import core_ok, second_derivative_matrix
 
 N_GRID = 32
 T = 0.25
@@ -489,7 +489,7 @@ def test_hessian_frobenius_summed_by_rows_matches_the_full_array(d, scheme):
     W = random_potential(2, d, np.random.default_rng(40 + d), amplitude=0.5)
     problem = model.problem(W)
     lin = Linearisation(problem, solve_mckv(problem))
-    ref = np.sqrt(np.sum(lin.second_derivative_matrix(model.phi.grid.to_values) ** 2,
+    ref = np.sqrt(np.sum(second_derivative_matrix(lin, model.phi.grid.to_values) ** 2,
                          axis=(0, 1)))
     field = _hessian_frobenius(lin)
     assert field.shape == ref.shape
@@ -543,7 +543,7 @@ def test_linearisation_vjp_equals_the_contraction_with_its_columns(d, scheme):
     lin = Linearisation(problem, rho)
     vjp = lin.vjp(g)
     assert "states" not in vars(lin)  # the backward solve needs no columns
-    nodes = lin.columns[0]
+    nodes = lin.columns
     ref = np.sum(g[None] * nodes, axis=tuple(range(1, nodes.ndim))).real
     assert np.max(np.abs(vjp - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -559,9 +559,8 @@ def test_linearisation_holds_its_columns_once(d, scheme):
     assert "states" not in vars(lin)  # the backward solve needs no columns
     S = 2 * rho.M + 1
     assert lin.states.shape == (S, model.dim) + lin.op.grid.shape
-    nodes, stages = lin.columns
-    assert np.shares_memory(nodes, lin.states)
-    assert np.shares_memory(stages, lin.states)
+    assert isinstance(lin.columns, np.ndarray)
+    assert np.shares_memory(lin.columns, lin.states)
 
 
 # ---------------------------------------------------------------------------
@@ -628,9 +627,8 @@ def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, sch
 def test_memo_entries_are_read_only(fresh_memo, scheme):
     model = _curvature_model(1)
     lin = linearisation(model.problem(random_potential(2, 1, np.random.default_rng(71))))
-    nodes, stages = lin.columns
-    arrays = [lin.rho.coeffs, solver_states(lin.rho), lin.states, nodes]
-    arrays += [a for a in (lin.rho.stages, stages) if a is not None]
+    arrays = [lin.rho.coeffs, solver_states(lin.rho), lin.states, lin.columns]
+    arrays += [a for a in (lin.rho.stages,) if a is not None]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 0.0

@@ -26,7 +26,7 @@ from mckvlab.parabolic import (
     trapz_weights,
 )
 from mckvlab.spectral import SpectralField, random_potential
-from oracles import to_field
+from oracles import second_derivative_matrix, to_field
 
 # (n, K) per dimension: K <= n/2 - 1 so every mode of E_K is resolved
 SIZES = {1: (16, 3), 2: (8, 2)}
@@ -114,7 +114,8 @@ def test_expected_hessian_from_one_backward_solve_matches_the_row_solves(d, seed
     diff = rho.coeffs - rho0.coeffs
 
     # the reduction the backward solve replaced: every D^2 rho_W[tau_j, tau_k] solved
-    ref = Linearisation(problem, rho).second_derivative_matrix(
+    ref = second_derivative_matrix(
+        Linearisation(problem, rho),
         lambda nodes: trapz_inner(nodes, diff[None], rho.dt)[:, 0] / T)
     g = trapz_weights(M + 1, rho.dt).reshape((-1,) + (1,) * d) * diff.conj() / T
     corr = Linearisation(problem, rho).second_derivative_vjp(g)
