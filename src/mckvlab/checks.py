@@ -16,7 +16,7 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .forward import ReactionSpec, solve_mckv, solve_rd, rd_linearisation
-from .forward import is_uniform, linearisation, mckv_first_derivative
+from .forward import is_uniform, linearisation
 from .inference import (
     LikelihoodEvaluator,
     PriorSpec,
@@ -53,27 +53,34 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
     floor = self_convergence_error(lambda c: replace(model, stepper=c).solve(W_floor), stepper)
 
     uniform = is_uniform(phi)
+    tol = 1e-4 + 10.0 * floor
     for i in range(3):
         W = random_potential(K, d, rng, amplitude=0.5)
         H = random_potential(K, d, rng, amplitude=0.5)
-        # D rho_W[H] against central differences of rho
-        v = mckv_first_derivative(model.problem(W), H, solve_mckv(model.problem(W))).coeffs
-        fds = []
+        # D rho_W[H] and H^T D^2 rho_W H from the basis solves the pipeline runs,
+        # against central first and second differences of rho
+        lin, h = linearisation(model.problem(W)), H.values
+        rows, cols = np.triu_indices(len(h))
+        pair = np.where(rows == cols, 1.0, 2.0) * h[rows] * h[cols]
+        derivs = {"first": np.tensordot(h, lin.columns, axes=1),
+                  "second": np.tensordot(pair, lin.second_derivatives(), axes=1)}
+        fds = {"first": [], "second": []}
         for eps in (1e-2, 1e-3):
-            rp, rm = (solve_mckv(model.problem(W + s * H)) for s in (eps, -eps))
-            fds.append((rp.coeffs - rm.coeffs) / (2 * eps))
-        if uniform:  # rho_W = phi for every W: both vanish, a relative error is 0/0
-            worst = max(float(np.max(np.abs(a))) for a in (v, *fds))
-            records.append(_record(f"mckv_first_fd_uniform_zero_{i}", worst <= 1e-12,
-                                   worst, 1e-12))
-            continue
-        den = np.sqrt(np.sum(np.abs(v) ** 2))
-        errs = [np.sqrt(np.sum(np.abs(fd - v) ** 2)) / den for fd in fds]
-        tol = 1e-4 + 10.0 * floor
-        records.append(_record(f"mckv_first_fd_{i}", errs[1] <= tol, errs[1], tol))
-        slope = np.log10(errs[0] / errs[1])
-        records.append(_record(f"mckv_fd_slope_{i}", abs(slope - 2.0) <= 0.3,
-                               slope, 0.3))
+            rp, rm = (solve_mckv(model.problem(W + s * H)).coeffs for s in (eps, -eps))
+            fds["first"].append((rp - rm) / (2 * eps))
+            fds["second"].append((rp - 2 * lin.rho.coeffs + rm) / eps**2)
+        for order, v in derivs.items():
+            if uniform:  # rho_W = phi for every W: all vanish, a relative error is 0/0
+                worst = max(float(np.max(np.abs(a))) for a in (v, *fds[order]))
+                records.append(_record(f"mckv_{order}_fd_uniform_zero_{i}", worst <= 1e-12,
+                                       worst, 1e-12))
+                continue
+            den = np.sqrt(np.sum(np.abs(v) ** 2))
+            errs = [np.sqrt(np.sum(np.abs(fd - v) ** 2)) / den for fd in fds[order]]
+            records.append(_record(f"mckv_{order}_fd_{i}", errs[1] <= tol, errs[1], tol))
+            slope = np.log10(errs[0] / errs[1])
+            name = "mckv_fd_slope" if order == "first" else "mckv_second_fd_slope"
+            records.append(_record(f"{name}_{i}", abs(slope - 2.0) <= 0.3, slope, 0.3))
 
     # reaction-diffusion linearisation
     R = ReactionSpec(R=np.sin, Rprime=np.cos)

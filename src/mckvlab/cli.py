@@ -247,6 +247,9 @@ def _chain(config, model, warnings):
         # on the data's rho_{W0}, not through the memo of forward.linearisation:
         # its linearisation and columns are freed before the chain starts
         c1 = estimate_c1(model, W0, include_hessian=model.dim <= 16, rho=rho0)
+        if model.dim > 16:
+            warnings.append(f"c1_hat estimated without the Hessian term "
+                            f"(D = {model.dim} > 16)")
     spec = config.surrogate(W0, data.n_obs, c1, warnings)
     drift = make_drift(spec, prior, LikelihoodEvaluator(model, data))
     gamma = sa["gamma"] or default_step_size(prior.precision_diag(), spec.lam)

@@ -65,7 +65,6 @@ from .parabolic import (
     _divergence,
     integrate,
     solver_states,
-    state_index,
     transport_forcing,
     trapz_inner,
 )
@@ -196,7 +195,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     # padded synthesis of u and its d convolutions, one analysis of the d products
     syn, ana = grid.plan("to_padded", (1 + grid.d,)), grid.plan("from_padded", (grid.d,))
 
-    def rhs(m, stage, u):
+    def rhs(s, u):
         syn.x[0] = u
         for j, gw in enumerate(grad_w):
             np.multiply(gw, u, out=syn.x[1 + j])
@@ -517,7 +516,7 @@ def solve_rd(R: ReactionSpec, phi: SpectralField, T: float,
     """Solve d/dt u = Lap(u) + R(u), u(0) = phi (d <= 3)."""
     grid = phi.grid
 
-    def rhs(m, stage, u):
+    def rhs(s, u):
         # R applied pointwise on the 3/2-padded grid
         return grid.from_padded(R.R(grid.to_padded(u)))
 
@@ -528,14 +527,14 @@ def rd_linearisation(R: ReactionSpec, H: callable, u_traj: Trajectory) -> Trajec
     """Derivative of R -> u_R in direction H, a callable applied pointwise.
 
     Solves d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0, on the M steps of
-    ``u_traj``, with u read from the supplied solution trajectory at matching
-    nodes/stages.
+    ``u_traj``, with u read from the supplied solution trajectory at the
+    solver state of each evaluation.
     """
     grid = u_traj.grid
     u = solver_states(u_traj)
 
-    def rhs(m, stage, i_c):
-        u_vals = grid.to_padded(u[state_index(u_traj.M, m, stage)])
+    def rhs(s, i_c):
+        u_vals = grid.to_padded(u[s])
         i_vals = grid.to_padded(i_c)
         return grid.from_padded(R.Rprime(u_vals) * i_vals + H(u_vals))
 

@@ -20,10 +20,10 @@ trajectories at fixed space-time points, and its adjoint back-projects
 point data onto the nodes.
 
 Every stack a solve reads or writes (forcings, backward weights, density
-states and solutions) has one layout, (S, B, n, ..., n) in
-:func:`solver_states` order: nodes 0..M, then the Heun predictors, so
-S = 2M+1.  A :class:`Trajectory` is one such stack without the B axis,
-``Trajectory.states``, and a solve reads that array itself.
+states and solutions) has one layout, (S, B, n, ..., n), indexed by the
+solver state s the time loop hands each right-hand side: node m at s = m,
+the Heun predictor of step m at s = M+1+m (S = 2M+1).  A :class:`Trajectory`
+is one such stack without the B axis, and a solve reads it in place.
 
 At the sizes of the library a stage is paid in numpy calls rather than
 flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
@@ -82,9 +82,9 @@ class StepperConfig:
 class Trajectory:
     """Time-indexed field on a uniform grid over [0, T], held as its state stack.
 
-    ``states`` has shape (S, n, ..., n) in :func:`state_index` order: the
+    ``states`` has shape (S, n, ..., n) in :func:`solver_states` order: the
     M+1 nodes, node 0 the initial condition, then, when S = 2M+1, the Heun
-    predictor of each step.  ``coeffs`` (the nodes) and ``stages`` (the
+    predictor of step m at M+1+m.  ``coeffs`` (the nodes) and ``stages`` (the
     predictors, None when S = M+1) are views of it; only a trajectory that
     has stages can carry a solve (:func:`solver_states`).
     """
@@ -281,10 +281,10 @@ class ObservationOperator:
 def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajectory:
     """Integrate d/dt u = Lap(u) + F with M Lawson-Heun steps.
 
-    ``rhs(m, stage, u)`` returns the coefficients of F given the step
-    index m, the stage flag (0: node at t_m, 1: Heun predictor at
-    t_{m+1}) and the coefficient array u.  Deterministic for fixed
-    inputs; raises :class:`NumericalBlowUp` on divergence.
+    ``rhs(s, u)`` returns the coefficients of F at solver state s (node m
+    at s = m, the Heun predictor of step m at s = M+1+m) given its
+    coefficient array u.  Deterministic for fixed inputs; raises
+    :class:`NumericalBlowUp` on divergence.
     """
     return Trajectory(T, config.M, _integrate_arrays(u0.coeffs, rhs, T, config.M, u0.grid))
 
@@ -296,8 +296,8 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     Returns the states in :func:`solver_states` order, time first; only the
     M+1 nodes when ``keep_stages`` is False.  The predictor and the node of
     a step are written in place into their states, in the operation order
-    of E * (u + dt * k1) and E * u + (0.5 * dt) * (E * k1 + k2); ``rhs``
-    reads a state it must not change.
+    of E * (u + dt * k1) and E * u + (0.5 * dt) * (E * k1 + k2); ``rhs(s, u)``
+    reads the state u at index s, kept or not, and must not change it.
     """
     dt = T / M
     E = grid.heat_multiplier(dt)
@@ -309,13 +309,13 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
 
     for m in range(M):
         u = states[m]
-        k1 = rhs(m, 0, u)
+        k1 = rhs(m, u)
         if keep_stages:
-            ustar = states[state_index(M, m, 1)]
+            ustar = states[M + 1 + m]
         np.multiply(dt, k1, out=ustar)
         np.add(u, ustar, out=ustar)
         np.multiply(E, ustar, out=ustar)
-        k2 = rhs(m, 1, ustar)
+        k2 = rhs(M + 1 + m, ustar)
         np.multiply(E, k1, out=incr)
         np.add(incr, k2, out=incr)
         np.multiply(0.5 * dt, incr, out=incr)
@@ -383,11 +383,10 @@ def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.
 def solver_states(traj: Trajectory) -> np.ndarray:
     """A trajectory's states in the order a solve reads them: ``traj.states``.
 
-    Nodes 0..M come first, then the predictor of step m at
-    :func:`state_index` M+1+m.  A trajectory without stored predictors (one
-    from :meth:`Trajectory.load` or :func:`heat_trajectory_exact`, or built
-    from nodes alone) raises ValueError: no solve along it is the derivative
-    of the discrete map.
+    Nodes 0..M come first, then the predictor of step m at M+1+m.  A
+    trajectory without stored predictors (one from :meth:`Trajectory.load`
+    or :func:`heat_trajectory_exact`, or built from nodes alone) raises
+    ValueError: no solve along it is the derivative of the discrete map.
     """
     if traj.stages is None:
         raise ValueError(f"trajectory has no predictor stages: the Lawson-Heun scheme "
@@ -395,25 +394,19 @@ def solver_states(traj: Trajectory) -> np.ndarray:
     return traj.states
 
 
-def state_index(M: int, m: int, stage: int) -> int:
-    """Position in :func:`solver_states` of stage 0 (node m) or 1 of step m."""
-    return m if stage == 0 else M + 1 + m
-
-
 class LWOperator:
     """L_W along a fixed density trajectory, for stacks of B fields.
 
     L_W v = Lap(v) + div(v gradW * rho) + div(rho gradW * v), with rho
-    read at the node or predictor state matching each stage, so that
-    solves of (d/dt - L_W)v = g differentiate the discrete scheme
-    exactly.  The values of rho and of the convolutions gradW_j * rho
-    on the padded grid are precomputed at every state; an application
-    then costs one padded synthesis of v with its convolutions and one
-    padded analysis, and its transpose one transposed analysis and one
-    transposed synthesis.  Each of these runs a
-    :class:`~mckvlab.spectral.PaddedPlan` that the operator builds on
-    first use for each stack size B, so a stage is a fixed set of BLAS
-    calls into buffers the operator owns; both applications return new
+    read at the solver state s of each application, so that solves of
+    (d/dt - L_W)v = g differentiate the discrete scheme exactly.  The
+    values of rho and of the convolutions gradW_j * rho on the padded grid
+    are precomputed at every state; an application then costs one padded
+    synthesis of v with its convolutions and one padded analysis, and its
+    transpose one transposed analysis and one transposed synthesis.  Each
+    of these runs a :class:`~mckvlab.spectral.PaddedPlan` that the operator
+    builds on first use for each stack size B, so a state is a fixed set of
+    BLAS calls into buffers the operator owns; both applications return new
     arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
     they return, so an operator kept between solves (as in the memo of
     ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj)
@@ -451,9 +444,8 @@ class LWOperator:
             self._plans[B, transpose] = plans
         return plans
 
-    def apply(self, m: int, stage: int, v: np.ndarray) -> np.ndarray:
-        """L_W v - Lap v for a stacked v of shape (B, grid); a new array."""
-        s = state_index(self.M, m, stage)
+    def apply(self, s: int, v: np.ndarray) -> np.ndarray:
+        """L_W v - Lap v at state s for a stacked v (B, grid); a new array."""
         syn, ana = self._plans_for(len(v), transpose=False)
         # one padded synthesis for v and all gradW_j * v convolutions
         syn.x[0] = v
@@ -464,15 +456,14 @@ class LWOperator:
         q += self.rho_phys[s] * phys[1:]
         return _divergence(self.grid.ik, ana.run())
 
-    def apply_transpose(self, m: int, stage: int, y: np.ndarray) -> np.ndarray:
+    def apply_transpose(self, s: int, y: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` under the pairing Re sum(a * c); a new array.
 
         For stacks y and v of shape (B, grid),
-        Re sum(y * apply(m, stage, v)) = Re sum(apply_transpose(m, stage, y) * v).
+        Re sum(y * apply(s, v)) = Re sum(apply_transpose(s, y) * v).
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
         share one transposed padded analysis and one transposed synthesis.
         """
-        s = state_index(self.M, m, stage)
         ana_t, syn_t = self._plans_for(len(y), transpose=True)
         np.multiply(self._ik, y, out=ana_t.x)
         r = ana_t.run()  # (d, B, pad grid)
@@ -510,10 +501,10 @@ class LWOperator:
         if v0 is None:
             v0 = np.zeros(forcing.shape[1:], dtype=complex)
 
-        def rhs(m, stage, v):
-            lv = self.apply(m, stage, v)
+        def rhs(s, v):
+            lv = self.apply(s, v)
             if forcing is not None:
-                lv += forcing[state_index(self.M, m, stage)]
+                lv += forcing[s]
             return lv
 
         states = _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
@@ -536,16 +527,16 @@ class LWOperator:
         lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
         for m in range(M - 1, -1, -1):
             # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
-            # into their states of w as (1, grid) views
-            s2, s1 = state_index(M, m, 1), state_index(M, m, 0)
-            kappa2 = np.multiply(0.5 * dt, lam, out=w[s2:s2 + 1])
-            mu = self.apply_transpose(m, 1, kappa2)  # weight of the predictor
-            kappa1 = np.multiply(dt, mu, out=w[s1:s1 + 1])
+            # into their states of w (predictor M+1+m, node m) as (1, grid) views
+            s = M + 1 + m
+            kappa2 = np.multiply(0.5 * dt, lam, out=w[s:s + 1])
+            mu = self.apply_transpose(s, kappa2)  # weight of the predictor
+            kappa1 = np.multiply(dt, mu, out=w[m:m + 1])
             np.add(kappa2, kappa1, out=kappa1)
             np.multiply(E, kappa1, out=kappa1)
             np.add(lam, mu, out=lam)
             np.multiply(E, lam, out=lam)
-            back = self.apply_transpose(m, 0, kappa1)
+            back = self.apply_transpose(m, kappa1)
             back += g[m]
             lam += back
             _check_growth(lam, m)

@@ -84,3 +84,34 @@ def second_derivative_matrix(lin, reduce) -> np.ndarray:
     out[rows, cols] = pairs
     out[cols, rows] = pairs
     return out
+
+
+def particle_modes(W: PotentialVec, phi: SpectralField, T: float, N: int, steps: int,
+                   seed: int) -> np.ndarray:
+    """Empirical Fourier modes mean(e^{-2 pi i k X_T}), k = 1..K, of N particles
+    of dX = -(grad W * mu)(X) dt + sqrt(2) dB on the unit circle (d = 1).
+
+    The mean-field PDE d/dt rho = Lap(rho) + div(rho gradW * rho) is the law of
+    X in the limit N -> oo.  X_0 is drawn from phi by rejection against the
+    bound sum |phi_hat_k|; Euler-Maruyama takes ``steps`` steps with the drift
+    -sum_k 2 pi i k W_hat_k mu_hat_k e^{2 pi i k x} of the empirical modes mu_hat
+    of the K modes of W.  One ``seed`` fixes the initial particles and the
+    Brownian increments whatever W is, so W and -W run on common random numbers.
+    """
+    rng = np.random.default_rng(seed)
+    freq = phi.grid.kvec[0]
+    x = np.empty(0)
+    while x.size < N:
+        y = rng.random(2 * N)
+        f = (np.exp(2j * np.pi * np.outer(y, freq)) @ phi.coeffs).real
+        x = np.concatenate([x, y[rng.random(2 * N) * np.sum(np.abs(phi.coeffs)) < f]])
+    x = x[:N]
+    k = np.arange(1, W.K + 1)
+    grad_w = 2j * np.pi * k * W.coeff_grid(2 * W.K + 2)[k]
+    dt = T / steps
+    for _ in range(steps):
+        e = np.exp(2j * np.pi * np.outer(x, k))  # (N, K)
+        # the modes -k are the conjugates of the modes k
+        drift = -2.0 * (e @ (grad_w * e.conj().mean(axis=0))).real
+        x = (x + dt * drift + np.sqrt(2.0 * dt) * rng.standard_normal(N)) % 1.0
+    return np.exp(-2j * np.pi * np.outer(x, k)).mean(axis=0)

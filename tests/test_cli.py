@@ -199,6 +199,7 @@ def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
     import mckvlab.checks as checks
 
     config = ExperimentConfig.from_file(_write(tmp_path))
+    monkeypatch.setattr(forward, "_memo", OrderedDict())
     nonlinear, linear = [], []
     solve, lw_solve = forward.solve_mckv_field, LWOperator.solve
     monkeypatch.setattr(forward, "solve_mckv_field",
@@ -211,7 +212,8 @@ def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
     # the floor's two solves; per draw rho_W and two shifted solves at each of two
     # eps; the data, one gradient and 2 D likelihoods of its finite differences
     assert len(nonlinear) == 2 + 3 * (1 + 2 * 2) + 1 + 1 + 2 * D
-    assert len(linear) == 3
+    # per draw the basis columns and the basis pairs of D^2 rho_W
+    assert len(linear) == 3 * 2
 
 
 def test_the_stability_suite_solves_each_potential_once(tmp_path, monkeypatch):
@@ -540,7 +542,8 @@ def _reject_constant(name):
 
 
 def test_verify_gradients_uniform_reports_zero_derivatives(tmp_path):
-    # rho_W = phi for every W: D rho_W[H] and its quotients are 0, with no 0/0
+    # rho_W = phi for every W: D rho_W[H], H^T D^2 rho_W H and their quotients are 0,
+    # with no 0/0
     out = tmp_path / "out"
     res = CliRunner().invoke(main, ["verify", "--config",
                                     str(_write(tmp_path, {"problem.phi.type": "uniform"})),
@@ -549,9 +552,23 @@ def test_verify_gradients_uniform_reports_zero_derivatives(tmp_path):
     report = json.loads((out / "verify_report.json").read_text(),
                         parse_constant=_reject_constant)
     records = {rec["name"]: rec for rec in report["suites"]["gradients"]}
-    zero = [f"mckv_first_fd_uniform_zero_{i}" for i in range(3)]
+    zero = [f"mckv_{order}_fd_uniform_zero_{i}" for i in range(3)
+            for order in ("first", "second")]
     assert [name for name in records if name.startswith("mckv_")] == zero
     assert all(records[name]["measured"] <= 1e-12 for name in zero)
+
+
+@pytest.mark.parametrize("K", [4, 9])
+def test_sample_warns_when_c1_hat_leaves_out_the_hessian_term(tmp_path, K):
+    # c1_hat takes the D^2 G term only up to D = 16; at d = 1, D = 2K
+    p = _write(tmp_path, {"problem.K": K, "surrogate.c1_hat": None,
+                          "sampler": {"gamma": 1.0e-4, "n_steps": 20, "burn_in": 5}})
+    res = _invoke("sample", p, tmp_path / "out")
+    assert res.exit_code == 0, res.output
+    report = json.loads((tmp_path / "out" / "sample_manifest.json").read_text())
+    expected = ["c1_hat estimated without the Hessian term (D = 18 > 16)"] if K == 9 else []
+    assert [w for w in report["warnings"] if w.startswith("c1_hat")] == expected
+    assert ("warning: c1_hat estimated without" in res.output) == (K == 9)
 
 
 def test_sample_echoes_its_warnings(tmp_path):

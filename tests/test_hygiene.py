@@ -168,6 +168,7 @@ TEST_ONLY = {
     "eval": "ObservationOperator and tau_table, at one point of a field, "
             "a potential or a trajectory",
     "basis_tau": "tau_table, one basis mode at a time",
+    "mckv_first_derivative": "Linearisation.columns, one direction at a time",
     "load_field": "save_field, whose files it reads back (Trajectory.load reads through it)",
     "eval_batch": "ObservationOperator, on one trajectory",
     "zero_mode": "the mass conservation of solve_mckv",

@@ -9,6 +9,7 @@ from mckvlab.parabolic import (
     ObservationOperator,
     StepperConfig,
     Trajectory,
+    _integrate_arrays,
     heat_trajectory_exact,
     integrate,
     l2l2_diff_norm,
@@ -17,7 +18,6 @@ from mckvlab.parabolic import (
     self_convergence_error,
     solve_linear_lw,
     solver_states,
-    state_index,
     transport_forcing,
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
@@ -34,7 +34,7 @@ def _phi():
 def solve_heat(u0: SpectralField, T: float, config: StepperConfig) -> Trajectory:
     """Pure heat flow (F = 0); nodes carry the exact semigroup."""
     zero = np.zeros_like(u0.coeffs)
-    return integrate(u0, lambda m, s, u: zero, T, config)
+    return integrate(u0, lambda s, u: zero, T, config)
 
 
 def test_zero_forcing_reproduces_heat_semigroup():
@@ -50,9 +50,24 @@ def test_constant_forcing_linear_growth_exact():
     c_field = np.zeros(n, dtype=complex)
     c_field[0] = 0.7
     u0 = SpectralField.zeros(n, 1)
-    traj = integrate(u0, lambda m, s, u: c_field, T, StepperConfig(M=32))
+    traj = integrate(u0, lambda s, u: c_field, T, StepperConfig(M=32))
     ts = np.linspace(0, T, 33)
     np.testing.assert_allclose(traj.zero_mode(), 0.7 * ts, atol=1e-14)
+
+
+@pytest.mark.parametrize("keep_stages", [True, False])
+def test_the_time_loop_hands_its_rhs_the_solver_state(keep_stages):
+    # node m at s = m and the Heun predictor of step m at s = M+1+m, kept or not
+    seen = []
+
+    def rhs(s, u):
+        seen.append(s)
+        return np.zeros_like(u)
+
+    phi = _phi()
+    states = _integrate_arrays(phi.coeffs, rhs, T, 3, phi.grid, keep_stages)
+    assert seen == [0, 4, 1, 5, 2, 6]
+    assert len(states) == (7 if keep_stages else 4)
 
 
 def test_zero_mode_conservation_divergence_forcing():
@@ -98,7 +113,7 @@ def test_blowup_detection_reports_step():
     grid = phi.grid
     grad_w = [grid.deriv(big.coeff_grid(N_GRID), 0)]
     with pytest.raises(NumericalBlowUp) as oracle:
-        integrate(phi, lambda m, s, u: grid.transport_div(u, grad_w, u), T, cfg)
+        integrate(phi, lambda s, u: grid.transport_div(u, grad_w, u), T, cfg)
     assert excinfo.value.step == oracle.value.step
 
 
@@ -339,15 +354,14 @@ def test_lw_apply_transpose_dot_product_identity(d, scheme):
     op = _lw_operator(d)
 
     @_DOT_SETTINGS
-    @given(m=st.integers(0, _LW_M - 1), stage=st.sampled_from((0, 1)),
-           B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
-    def check(m, stage, B, seed):
+    @given(s=st.integers(0, 2 * _LW_M), B=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def check(s, B, seed):
         rng = np.random.default_rng(seed)
         h = _complex(rng, (B,) + op.grid.shape)
         y = _complex(rng, (B,) + op.grid.shape)
-        jty = op.apply_transpose(m, stage, y)
+        jty = op.apply_transpose(s, y)
         assert jty.shape == h.shape
-        _assert_transpose_pair(y, op.apply(m, stage, h), jty, h)
+        _assert_transpose_pair(y, op.apply(s, h), jty, h)
 
     check()
 
@@ -455,10 +469,9 @@ def test_solver_states_of_a_solve_is_a_view_of_its_buffer(d):
     check()
 
 
-def _apply_oracle(op, m, stage, v):
+def _apply_oracle(op, s, v):
     # LWOperator.apply on the one-shot padded transforms of Grid
     grid = op.grid
-    s = state_index(op.M, m, stage)
     comb = np.concatenate([v[None]] + [(gw * v)[None] for gw in op.grad_w], axis=0)
     phys = grid.to_padded(comb)  # (1+d, B, pad)
     v_phys, c2_phys = phys[0], phys[1:]
@@ -466,10 +479,9 @@ def _apply_oracle(op, m, stage, v):
     return np.sum(grid.ik[:, None] * grid.from_padded(q), axis=0)
 
 
-def _apply_transpose_oracle(op, m, stage, y):
+def _apply_transpose_oracle(op, s, y):
     # LWOperator.apply_transpose on the one-shot padded transforms of Grid
     grid = op.grid
-    s = state_index(op.M, m, stage)
     r = grid.from_padded_transpose(grid.ik[:, None] * y)  # (d, B, pad grid)
     v_phys = np.sum(op.conv1_phys[s][:, None] * r, axis=0, keepdims=True)
     w = np.concatenate([v_phys, op.rho_phys[s] * r], axis=0)
@@ -488,16 +500,16 @@ def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B)
     rng = np.random.default_rng(120 + 10 * d + B)
     kernels = [(op.apply, _apply_oracle), (op.apply_transpose, _apply_transpose_oracle)]
     for kernel, oracle in kernels:
-        for m in (0, _LW_M - 1):
-            for stage in (0, 1):
-                first = _complex(rng, (B,) + op.grid.shape)
-                out = kernel(m, stage, first)
-                kept = out.copy()
-                assert np.array_equal(out, oracle(op, m, stage, first))
-                # a second call on new input is right and leaves the first result alone
-                second = _complex(rng, (B,) + op.grid.shape)
-                assert np.array_equal(kernel(m, stage, second), oracle(op, m, stage, second))
-                assert np.array_equal(out, kept)
+        # nodes 0 and M-1 and the predictors of steps 0 and M-1
+        for s in (0, _LW_M + 1, _LW_M - 1, 2 * _LW_M):
+            first = _complex(rng, (B,) + op.grid.shape)
+            out = kernel(s, first)
+            kept = out.copy()
+            assert np.array_equal(out, oracle(op, s, first))
+            # a second call on new input is right and leaves the first result alone
+            second = _complex(rng, (B,) + op.grid.shape)
+            assert np.array_equal(kernel(s, second), oracle(op, s, second))
+            assert np.array_equal(out, kept)
 
 
 @pytest.mark.parametrize("scheme", ["if-heun"])
@@ -505,7 +517,7 @@ def test_lw_solves_drop_their_plans(scheme):
     # an operator kept between solves (the memo of forward.linearisation) holds no buffers
     op = _lw_operator(2)
     rng = np.random.default_rng(130)
-    op.apply(0, 0, _complex(rng, (2,) + op.grid.shape))
+    op.apply(0, _complex(rng, (2,) + op.grid.shape))
     assert op._plans
     op.solve(_complex(rng, (len(op.rho_states), 3) + op.grid.shape))
     assert not op._plans
