@@ -24,7 +24,6 @@ from .forward import (
     decay_density,
     gram_matrix,
     jacobian_columns,
-    mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
     solve_mckv,

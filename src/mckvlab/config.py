@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -79,15 +80,15 @@ SCHEMA = {
         "M": Key(256, int, ">= 1"),                     # Lawson-Heun time steps
     },
     "constants": {                                      # exponent system for the validator
-        "alpha": Key(2.0, float),
-        "beta": Key(6.0, float),
+        "alpha": Key(2.0, float, "> -1"),
+        "beta": Key(6.0, float, "> 0"),
         "zeta": Key(3.0, float),
         "w": Key(20.0, float),
     },
     "inference": {
         "N": Key(200, int, ">= 1"),                     # sample size
         "noise_std": Key(0.05, float, ">= 0"),
-        "alpha": Key(None, float, null=True),           # prior smoothness; null: constants.alpha
+        "alpha": Key(None, float, "> -1", null=True),   # prior smoothness; null: constants.alpha
     },
     "surrogate": {
         "r": Key(1.0, float, "> 0"),                    # ball radius (strict mode: r_tilde, scaled D^-w)
@@ -147,6 +148,14 @@ def _typed(key: Key, value, name: str):
     if key.even and value % 2:
         raise ConfigError(f"{name} must be even, got {value!r}")
     return value
+
+
+def _square_and_inverse_finite(r: float) -> bool:
+    """Whether r^2 and r^-2 are finite floats, for r > 0."""
+    try:
+        return math.isfinite(r**2) and math.isfinite(r**-2)
+    except OverflowError:
+        return False
 
 
 def _merge(schema: dict, user, block: str = "") -> dict:
@@ -211,6 +220,19 @@ class ExperimentConfig:
         burn_in = sa["n_steps"] // 5 if sa["burn_in"] is None else sa["burn_in"]
         if sa["thin"] > sa["n_steps"] - burn_in:
             raise ConfigError("sampler.thin must be <= n_steps - burn_in, or no iterate is kept")
+        # the lambda floor reads r^2 and r^-2 of the radius the surrogate is built at
+        r = self.raw["surrogate"]["r"]
+        if not _square_and_inverse_finite(r):
+            raise ConfigError(f"surrogate.r must have a finite square and inverse square, "
+                              f"got {r!r}")
+        try:
+            r = self.usable_surrogate_radius([])
+        except OverflowError:
+            r = math.inf
+        if not _square_and_inverse_finite(r):
+            raise ConfigError(f"constants.w must keep the strict-mode surrogate radius "
+                              f"surrogate.r * D^-w = {r:.3e} at a finite square and "
+                              "inverse square")
 
     # -- accessors ----------------------------------------------------------
 

@@ -5,8 +5,7 @@ Two nonlinear parabolic problems on the torus:
 * mean-field transport:  d/dt rho = Lap(rho) + div(rho gradW * rho),
   rho(0) = phi, with a mean-zero interaction potential W; solved by
   :func:`solve_mckv`.  Its first and second derivatives in W solve
-  linear PDEs driven by the same operator L_W and are produced by
-  :func:`mckv_first_derivative` / :func:`mckv_second_derivative`.
+  linear PDEs driven by the same operator L_W.
 * reaction-diffusion:  d/dt u = Lap(u) + R(u), u(0) = phi, with the
   derivative in R solving d/dt i = Lap(i) + R'(u) i + H(u), i(0) = 0.
 
@@ -28,11 +27,8 @@ every state nor its padded columns are held, and the weighted sum of every
 D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from one
 backward solve and no second-derivative solve.  Both backward solves end in
 the one pull-back of their weights through the transport forcing,
-``LWOperator.pull_back``.  :func:`mckv_first_derivative` and
-:func:`mckv_second_derivative` solve one direction each and serve as the
-oracles of the stacked paths; the second is forced by the six-term
-expansion :func:`_second_derivative_forcing`, which the grouped pair
-forcing equals to rounding.
+``LWOperator.pull_back``.  :func:`mckv_second_derivative`, for one pair of
+directions, is the same :class:`_PairForcing` solve on two columns.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used (problem, K), keyed by their
@@ -206,47 +202,20 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     return integrate(phi, rhs, T, stepper)
 
 
-def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
-                          rho_traj: Trajectory) -> Trajectory:
-    """Derivative of W -> rho_W in direction H, as a linear PDE solve.
-
-    Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
-    the supplied solution trajectory for ``problem``.  Linear in H.
-    """
-    op = LWOperator(problem.W, check_density(rho_traj, problem))
-    grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
-    states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
-    return Trajectory(op.T, op.M, states[:, 0])
-
-
-def _second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
-    """Forcing of D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b.
-
-    ``grad_h1`` holds d arrays (grid) and ``grad_h2`` d arrays (B, grid);
-    ``v1`` (S, 1, grid) and ``v2`` (S, B, grid) are the first derivatives
-    in solver-state order.  Returns the six-term expansion of the
-    quadratic transport term at every state, shape (S, B, grid).
-    """
-    grid, rho = op.grid, op.rho_states[:, None]
-    forcing = grid.transport_div(v2, grad_h1, rho)
-    forcing += grid.transport_div(rho, grad_h1, v2)
-    forcing += grid.transport_div(v1, grad_h2, rho)
-    forcing += grid.transport_div(rho, grad_h2, v1)
-    forcing += grid.transport_div(v1, op.grad_w, v2)
-    forcing += grid.transport_div(v2, op.grad_w, v1)
-    return forcing
-
-
 class _PairForcing:
-    """Forcing of D^2 rho_W[tau_r, tau_k] for every pair k >= r, built state by state.
+    """Forcing of D^2 rho_W[tau_r, tau_k] for every pair k >= r, built state by state;
+    the one second-derivative forcing.
 
-    For basis gradients ``gtau`` (D, d, grid) and first derivatives ``v``
-    (S, D, grid) in solver-state order, ``forcing[s]`` is the (B, grid)
-    forcing at state s of the B = D(D+1)/2 pairs in ``np.triu_indices(D)``
-    order, a new array; ``shape`` is (S, B, grid), and no array of that
-    shape is built.  Grouped by their padded factors, the six terms of
-    :func:`_second_derivative_forcing` are, per axis j, with P the padded
-    synthesis, A the analysis and X_{k,j} = d_j tau_k * rho + d_j W * v_k,
+    For the gradients ``gtau`` (D, d, grid) of D directions tau_k (the basis,
+    or any others) and their first derivatives ``v`` (S, D, grid) in
+    solver-state order, ``forcing[s]`` is the (B, grid) forcing at state s of
+    the B = D(D+1)/2 pairs in ``np.triu_indices(D)`` order, a new array;
+    ``shape`` is (S, B, grid), and no array of that shape is built.  With
+    T(a, g, b) = div(a (g * b)), the forcing of the pair (r, k) expands into
+    six terms, A(r, k) + A(k, r) with A(r, k) = T(v_k, grad tau_r, rho)
+    + T(rho, grad tau_r, v_k) + T(v_r, grad W, v_k).  Grouped by their padded
+    factors they are, per axis j, with P the padded synthesis, A the analysis
+    and X_{k,j} = d_j tau_k * rho + d_j W * v_k,
     ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})].
     At each state one plan synthesises v_s and its X (stack (1+d, D)), and
     per axis one synthesises the pair sums and one analyses the products
@@ -298,15 +267,17 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
                            dH1: Trajectory, dH2: Trajectory) -> Trajectory:
     """Second derivative of W -> rho_W; bilinear and symmetric in (H1, H2).
 
-    Solves (d/dt - L_W)v = six-term forcing from the first derivatives dH1,
-    dH2 and rho, all three checked by :func:`check_density`, with v(0) = 0.
+    The (H1, H2) pair of one :class:`_PairForcing` solve over the two
+    directions, whose first derivatives are dH1 and dH2; rho and both first
+    derivatives pass :func:`check_density`.  On basis directions tau_j,
+    tau_k (j <= k) with their columns it equals that pair's nodes of
+    :meth:`Linearisation.second_derivatives` bit for bit.
     """
     op = LWOperator(problem.W, check_density(rho_traj, problem))
-    grad_h1 = _as_grad_coeffs(H1, op.grid)
-    grad_h2 = [g[None] for g in _as_grad_coeffs(H2, op.grid)]
-    v1, v2 = (solver_states(check_density(dH, problem))[:, None] for dH in (dH1, dH2))
-    states = op.solve(_second_derivative_forcing(op, grad_h1, grad_h2, v1, v2))
-    return Trajectory(op.T, op.M, states[:, 0])
+    gh = np.stack([_as_grad_coeffs(H, op.grid) for H in (H1, H2)])
+    v = np.stack([solver_states(check_density(dH, problem)) for dH in (dH1, dH2)], axis=1)
+    # the pairs (0, 0), (0, 1), (1, 1) of np.triu_indices(2)
+    return Trajectory(op.T, op.M, op.solve(_PairForcing(op, gh, v))[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -474,11 +445,8 @@ def linearisation(problem: McKVProblem, K: int | None = None) -> Linearisation:
 
 def jacobian_columns(problem: McKVProblem, rho_traj: Trajectory | None = None,
                      K: int | None = None) -> list[Trajectory]:
-    """All derivative trajectories D rho_W[tau_k], one per basis mode.
-
-    The columns of :func:`jacobian_stack`; column k equals
-    ``mckv_first_derivative`` applied to the k-th basis vector.
-    """
+    """All derivative trajectories D rho_W[tau_k], one per basis mode: the
+    columns of :func:`jacobian_stack`, on copies."""
     if rho_traj is None:
         rho_traj = solve_mckv(problem)
     nodes, stages = jacobian_stack(problem, rho_traj, K=K)

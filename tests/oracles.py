@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from mckvlab.forward import McKVProblem, check_density
+from mckvlab.parabolic import LWOperator, Trajectory, _as_grad_coeffs, transport_forcing
 from mckvlab.spectral import PotentialVec, SpectralField
 
 
@@ -28,6 +30,39 @@ def w2inf_norm(v: PotentialVec, n: int = 64) -> float:
         for l in range(v.d):
             second.append(float(np.max(np.abs(g.to_values(g.deriv(gr[j], l))))))
     return total + max(second)
+
+
+def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
+                          rho_traj: Trajectory) -> Trajectory:
+    """Derivative of W -> rho_W in direction H, as a linear PDE solve: the
+    oracle of ``Linearisation.columns``, one direction at a time.
+
+    Solves (d/dt - L_W)v = div(rho gradH * rho), v(0) = 0, where rho is
+    the supplied solution trajectory for ``problem``.  Linear in H.
+    """
+    op = LWOperator(problem.W, check_density(rho_traj, problem))
+    grad_h = np.stack(_as_grad_coeffs(H, problem.phi.grid))[None]
+    states = op.solve(transport_forcing(op.grid, op.rho_states, grad_h))
+    return Trajectory(op.T, op.M, states[:, 0])
+
+
+def second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
+    """Forcing of D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b:
+    the six-term reference of ``forward._PairForcing``.
+
+    ``grad_h1`` holds d arrays (grid) and ``grad_h2`` d arrays (B, grid);
+    ``v1`` (S, 1, grid) and ``v2`` (S, B, grid) are the first derivatives
+    in solver-state order.  Returns the six-term expansion of the
+    quadratic transport term at every state, shape (S, B, grid).
+    """
+    grid, rho = op.grid, op.rho_states[:, None]
+    forcing = grid.transport_div(v2, grad_h1, rho)
+    forcing += grid.transport_div(rho, grad_h1, v2)
+    forcing += grid.transport_div(v1, grad_h2, rho)
+    forcing += grid.transport_div(rho, grad_h2, v1)
+    forcing += grid.transport_div(v1, op.grad_w, v2)
+    forcing += grid.transport_div(v2, op.grad_w, v1)
+    return forcing
 
 
 def padded_columns(op, gtau: np.ndarray, v: np.ndarray):

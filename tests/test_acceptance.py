@@ -18,7 +18,6 @@ from mckvlab.forward import (
     ReactionSpec,
     decay_density,
     jacobian_columns,
-    mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
     solve_mckv,
@@ -53,7 +52,7 @@ from mckvlab.sampler import (
 )
 from mckvlab.spectral import PotentialVec, modes_in_ball, random_potential
 from mckvlab.stability import pseudo_linearised_difference
-from oracles import core_ok, w2inf_norm
+from oracles import core_ok, mckv_first_derivative, w2inf_norm
 
 N_GRID = 64
 T = 0.5

@@ -506,6 +506,26 @@ def test_a_non_finite_config_value_exits_one(tmp_path, key, overrides):
 
 
 @pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("key, overrides", [
+    ("constants.beta", {"constants.beta": 0.0}),
+    ("constants.alpha", {"constants.alpha": -1.0}),
+    ("constants.alpha", {"constants.alpha": -1.5}),
+    ("inference.alpha", {"inference.alpha": -1.5}),
+    ("surrogate.r", {"surrogate.r": 1.0e-200}),
+    ("surrogate.r", {"surrogate.r": 1.0e200}),
+    ("constants.w", {"constants.w": -400.0, "mode": "strict"}),
+])
+def test_a_config_whose_constants_break_a_formula_exits_one(tmp_path, command, key, overrides):
+    # past the config, each ends in a ZeroDivisionError or an OverflowError of
+    # delta_n, eta_exponent or the lambda floor, some after the body ran
+    out = tmp_path / "out"
+    res = _invoke(command, _write(tmp_path, overrides), out)
+    assert res.exit_code == 1, res.output
+    assert len(_errors(res)) == 1 and _errors(res)[0].startswith(f"error: {key} ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
 def test_out_naming_an_existing_file_exits_one(tmp_path, command):
     taken = tmp_path / "taken"
     taken.write_text("")

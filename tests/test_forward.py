@@ -7,12 +7,10 @@ from mckvlab.forward import (
     McKVProblem,
     ReactionSpec,
     _PairForcing,
-    _second_derivative_forcing,
     decay_density,
     gram_matrix,
     jacobian_columns,
     jacobian_stack,
-    mckv_first_derivative,
     mckv_second_derivative,
     rd_linearisation,
     solve_mckv,
@@ -24,6 +22,7 @@ from mckvlab.forward import (
 from mckvlab.parabolic import (
     StepperConfig,
     Trajectory,
+    _as_grad_coeffs,
     heat_trajectory_exact,
     integrate,
     l2l2_inner,
@@ -33,8 +32,10 @@ from mckvlab.parabolic import (
 )
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
 from oracles import (
+    mckv_first_derivative,
     padded_columns,
     particle_modes,
+    second_derivative_forcing,
     second_derivative_matrix,
     second_derivative_row_forcing,
     to_field,
@@ -563,12 +564,29 @@ def test_second_derivative_matrix_matches_pairwise_solves(d, scheme):
     prob, rho, cols = _curvature_problem(d, 32)
     W = prob.W
     D2 = second_derivative_matrix(Linearisation(prob, rho), lambda nodes: nodes)
+    # the reference: one solve per pair, forced by the six-term expansion
+    op = LWOperator(W, rho)
     basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
+    grads = [_as_grad_coeffs(H, op.grid) for H in basis]
+    v = np.stack([solver_states(c) for c in cols], axis=1)
     for j in range(W.dim):
         for k in range(W.dim):
-            ref = mckv_second_derivative(prob, basis[j], basis[k], rho,
-                                         cols[j], cols[k]).coeffs
+            forcing = second_derivative_forcing(op, grads[j], [g[None] for g in grads[k]],
+                                                v[:, j:j + 1], v[:, k:k + 1])
+            ref = op.solve(forcing, keep_stages=False)[:, 0]
             assert np.max(np.abs(D2[j, k] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_single_pair_second_derivative_is_its_pair_of_the_stacked_solve(d):
+    # D = 4, 12 and 6: every pair j <= k, one mckv_second_derivative call each
+    prob, rho, cols = _curvature_problem(d, 36)
+    W = prob.W
+    basis = [PotentialVec.from_mode_dict(W.K, W.d, {m: 1.0}) for m in W.modes]
+    pairs = Linearisation(prob, rho).second_derivatives()
+    for b, (j, k) in enumerate(zip(*np.triu_indices(W.dim))):
+        got = mckv_second_derivative(prob, basis[j], basis[k], rho, cols[j], cols[k])
+        assert np.array_equal(got.coeffs, pairs[b])
 
 
 def _second_derivative_rows(prob, rho, cols):
@@ -626,8 +644,8 @@ def test_row_forcing_matches_the_six_term_forcing(d, n, K):
     padded = padded_columns(op, gtau, v)
     D = len(gtau)
     for r in (0, D // 2, D - 1):
-        ref = _second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
-                                         v[:, r:r + 1], v[:, r:])
+        ref = second_derivative_forcing(op, list(gtau[r]), list(np.moveaxis(gtau[r:], 1, 0)),
+                                        v[:, r:r + 1], v[:, r:])
         row = second_derivative_row_forcing(op, gtau, v, padded, r)
         assert row.shape == ref.shape
         assert np.max(np.abs(row - ref)) <= 1e-13 * np.max(np.abs(ref))

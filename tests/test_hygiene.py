@@ -168,7 +168,6 @@ TEST_ONLY = {
     "eval": "ObservationOperator and tau_table, at one point of a field, "
             "a potential or a trajectory",
     "basis_tau": "tau_table, one basis mode at a time",
-    "mckv_first_derivative": "Linearisation.columns, one direction at a time",
     "load_field": "save_field, whose files it reads back (Trajectory.load reads through it)",
     "eval_batch": "ObservationOperator, on one trajectory",
     "zero_mode": "the mass conservation of solve_mckv",
@@ -177,6 +176,33 @@ TEST_ONLY = {
     "posterior_energy": "LikelihoodEvaluator.loglik_and_grad plus the prior; "
                         "the energy of the MAP warm start (ROADMAP item 3)",
 }
+
+
+# The library names that library code never reaches and perfbench/ does, each
+# with what perfbench/ runs it for.  Most go once the curvature-1d check moves
+# to Linearisation (ROADMAP item 2).
+PERFBENCH_ONLY = {
+    "expected_neg_hessian": "the curvature-1d pass, away from W0; no CLI command calls it",
+    "second_derivative_vjp": "expected_neg_hessian, the one caller",
+    "from_mode_dict": "the basis directions of the curvature-1d check",
+    "from_values": "the spectral.transform span of the tracer",
+    "modes": "the basis modes of the curvature-1d check",
+    "modes_in_ball": "PotentialVec.modes",
+    "gram_matrix": "the curvature-1d check 'Gram columns vs stack'",
+    "jacobian_columns": "the per-column Gram of the curvature-1d check",
+    "jacobian_stack": "the stacked Gram of the curvature-1d check",
+    "stack_to_trajectories": "the stacked Gram of the curvature-1d check",
+    "mckv_second_derivative": "the curvature-1d check 'second derivative symmetric'",
+    "solve_linear_lw": "the parabolic.solve_linear_lw span of the tracer",
+}
+
+
+def test_the_perfbench_only_names_are_listed():
+    # both ways: an unlisted name perfbench/ alone reaches, and a listed name
+    # that library code now reaches or perfbench/ no longer does, fail alike
+    with_perfbench = _unreached(MODULES, PERFBENCH)
+    only = {name for name in _unreached(MODULES, []) if name not in with_perfbench}
+    assert sorted(only) == sorted(PERFBENCH_ONLY)
 
 
 def test_no_library_name_is_reached_from_the_tests_alone():

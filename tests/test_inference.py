@@ -15,7 +15,6 @@ from mckvlab.forward import (
     jacobian_columns,
     jacobian_stack,
     linearisation,
-    mckv_first_derivative,
     mckv_second_derivative,
     solve_mckv,
     uniform_density,
@@ -59,7 +58,7 @@ from mckvlab.stability import (
     sigma_min_trend,
     stability_report,
 )
-from oracles import core_ok, second_derivative_matrix
+from oracles import core_ok, mckv_first_derivative, second_derivative_matrix
 
 N_GRID = 32
 T = 0.25

@@ -14,7 +14,6 @@ from mckvlab.forward import (
     McKVProblem,
     gram_matrix,
     jacobian_columns,
-    mckv_first_derivative,
     mckv_second_derivative,
     solve_mckv,
     solve_mckv_field,
@@ -26,7 +25,7 @@ from mckvlab.parabolic import (
     trapz_weights,
 )
 from mckvlab.spectral import SpectralField, random_potential
-from oracles import second_derivative_matrix, to_field
+from oracles import mckv_first_derivative, second_derivative_matrix, to_field
 
 # (n, K) per dimension: K <= n/2 - 1 so every mode of E_K is resolved
 SIZES = {1: (16, 3), 2: (8, 2)}

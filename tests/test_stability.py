@@ -14,7 +14,7 @@ from mckvlab.stability import (
     sigma_min_trend,
     stability_report,
 )
-from oracles import w2inf_norm
+from oracles import mckv_first_derivative, w2inf_norm
 
 N_GRID = 32
 T = 0.25
@@ -191,8 +191,6 @@ def test_lipschitz_probe_zero_at_uniform_state():
 
 
 def test_lipschitz_probe_converges_to_derivative_quotient():
-    from mckvlab.forward import mckv_first_derivative
-
     rng = np.random.default_rng(10)
     beta = 4.0
     W = random_potential(2, 1, rng, amplitude=0.4)
