@@ -93,8 +93,8 @@ SCHEMA = {
     "surrogate": {
         "r": Key(1.0, float, "> 0"),                    # ball radius (strict mode: r_tilde, scaled D^-w)
         "lam": Key(None, float, "> 0", null=True),      # convexifier weight; null: admissible floor
-        "c_hat": Key(1.0, float),                       # stand-in for the non-constructive constant
-        "c1_hat": Key(2.0, float, null=True),           # local regularity bound; null: probe estimate
+        "c_hat": Key(1.0, float, "> 0"),                # stand-in for the non-constructive constant
+        "c1_hat": Key(2.0, float, ">= 0", null=True),   # local regularity bound; null: probe estimate
     },
     "sampler": {
         "gamma": Key(None, float, "> 0", null=True),    # step size; null: stability heuristic

@@ -314,9 +314,11 @@ class LikelihoodEvaluator:
     grad_k = Re<D rho_W[tau_k], B> of
     :meth:`~mckvlab.forward.Linearisation.vjp` along that rho_W, one
     backward linear solve whatever D is; memory is O(N n^d + d M n^d),
-    independent of D apart from the (D, d, n^d) basis gradients.
-    Every call solves its own rho_W.  Observation times outside [0, T]
-    are rejected.
+    independent of D apart from the (D, d, n^d) basis gradients: the
+    operator holds the phases of fewer than 1.5N rows, and a call adds
+    O(N + M n^d) beside the solves.
+    Every call solves its own rho_W.  Observation times outside [0, T],
+    and non-finite times or points, are rejected.
     """
 
     def __init__(self, model: ForwardModel, dataset: Dataset):
@@ -483,11 +485,16 @@ def lambda_min_bound(n_obs: int, r: float, c_hat: float, c1_hat: float) -> float
     max(N log N / r^2, c_hat N (c1_hat + 1)(1 + r^-2)); c_hat stands in
     for a non-constructive constant and c1_hat for the local regularity
     bound, both supplied through configuration.  r, c_hat and c1_hat must
-    be finite: ``max`` would drop a NaN.
+    be finite, c_hat > 0 and c1_hat >= 0: ``max`` would drop a NaN, or a
+    negative second term, without a word.
     """
     for name, value in (("r", r), ("c_hat", c_hat), ("c1_hat", c1_hat)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if not c_hat > 0:
+        raise ValueError(f"c_hat must be > 0, got {c_hat}")
+    if not c1_hat >= 0:
+        raise ValueError(f"c1_hat must be >= 0, got {c1_hat}")
     a = n_obs * np.log(max(n_obs, 2)) / r**2
     b = c_hat * n_obs * (c1_hat + 1.0) * (1.0 + r**-2)
     return float(max(a, b))

@@ -17,7 +17,8 @@ a trajectory (:class:`LWOperator`, L_W with coefficients read along a
 density, and :func:`solve_linear_lw`) takes no stepper: it runs on the
 trajectory's own M steps.  :class:`ObservationOperator` evaluates stacked
 trajectories at fixed space-time points, and its adjoint back-projects
-point data onto the nodes.
+point data onto the nodes; it groups the points by time bracket, so each
+is one batched real matrix product against phases built once.
 
 Every stack a solve reads or writes (forcings, backward weights, density
 states and solutions) has one layout, (S, B, n, ..., n), indexed by the
@@ -232,14 +233,21 @@ def _time_bracket(t, T: float, M: int):
 class ObservationOperator:
     """Evaluation of stacked trajectories at N fixed points (t_i, x_i).
 
-    One sparse (N, M+1) matrix interpolates linearly in time between the
-    nodes of trajectories over [0, T] (row i holds 1-w_i at node m_i and
-    w_i at m_i+1), and the phases e^{2 pi i k . x_i} on ``grid``
-    synthesise exactly in space; both are built once.  Times outside
-    [0, T] are rejected.  :meth:`adjoint` is the transpose, so a
-    gradient sum_i y_i dv(t_i, x_i) over a stack of derivatives costs
-    one back-projection of y instead of an evaluation of every column.
-    ``key`` is (T, M, n, d), the trajectories the operator applies to.
+    A point at time t_i = (m_i + w_i) T/M reads the nodes m_i and m_i+1 of
+    trajectories over [0, T] with weights 1-w_i and w_i, and synthesises
+    them exactly in space with the phases e^{2 pi i k . x_i} on ``grid``.
+    The points are sorted stably by their bracket m_i and cut into C chunks
+    of at most P = ceil(N / 2M) points of one bracket each, so the chunks
+    hold at most N + M(P-1) < 1.5N rows, the unused ones zero.  Built
+    once: the phases as one real (C, P, 2 n^d) array of interleaved
+    (Re, Im) parts, the weights (2, C, P), each chunk's node pair (C, 2)
+    and each point's row.  A forward map is then one batched real matrix
+    product of the node pairs with the phases, and :meth:`adjoint` one
+    batched product of the weighted data with the phases; the stack axis
+    of the forward map is a batch axis, so a trajectory's values do not
+    depend on its stack.  Times outside [0, T] and non-finite points are
+    rejected.  ``key`` is (T, M, n, d), the trajectories the operator
+    applies to.
     """
 
     def __init__(self, T: float, M: int, grid: Grid, t, x):
@@ -247,22 +255,53 @@ class ObservationOperator:
         t = np.asarray(t, dtype=float)
         n_pts = len(t)
         x = np.asarray(x, dtype=float).reshape(n_pts, grid.d)
+        bad = ~(np.isfinite(t) & np.isfinite(x).all(axis=1))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"observation point {i} is not finite: "
+                             f"t = {t[i]}, x = {x[i].tolist()}")
         m, w = _time_bracket(t, T, M)
-        self.interp = sparse.csr_matrix(
-            (np.column_stack([1.0 - w, w]).ravel(), np.column_stack([m, m + 1]).ravel(),
-             np.arange(0, 2 * n_pts + 1, 2)), shape=(n_pts, M + 1))
-        phase = np.ones((n_pts, grid.size), dtype=complex)
+
+        # chunk c holds rows c*P .. c*P+P-1 of the points of bracket m_c
+        P = max(1, -(-n_pts // (2 * M)))
+        counts = np.bincount(m, minlength=M)
+        chunks = -(-counts // P)
+        order = np.argsort(m, kind="stable")
+        # a point's row less its place in the sorted order, per bracket
+        shift = (np.cumsum(chunks) - chunks) * P - (np.cumsum(counts) - counts)
+        self._row = np.empty(n_pts, dtype=int)
+        self._row[order] = np.arange(n_pts) + shift[m[order]]
+        rows = int(chunks.sum()) * P
+        m_c = np.repeat(np.arange(M), chunks)
+        self._pairs = np.column_stack([m_c, m_c + 1])
+        weights = np.zeros((2, rows))
+        weights[:, self._row] = 1.0 - w, w
+        self._w = weights.reshape(2, -1, P)
+
+        # per-axis phases on the rows (zero on the unused ones), multiplied out
         for j in range(grid.d):
-            phase *= np.exp(2j * np.pi * np.outer(x[:, j], grid.kvec[j].ravel()))
-        self.phase = phase
+            e = 2j * np.pi * np.outer(x[:, j], grid.axis_modes)
+            axis = np.zeros((rows, grid.n), dtype=complex)
+            axis[self._row] = np.exp(e, out=e)
+            phase = axis if j == 0 else (phase[:, :, None] * axis[:, None]).reshape(rows, -1)
+        self._phases = phase.view(float).reshape(-1, P, 2 * grid.size)
+
+        # the (M+1, 2C) sum of each chunk's two weighted rows into its nodes
+        C2 = 2 * len(m_c)
+        self._to_nodes = sparse.csr_matrix(
+            (np.ones(C2), (self._pairs.ravel(), np.arange(C2))), shape=(M + 1, C2))
 
     def __call__(self, stacked: np.ndarray) -> np.ndarray:
-        """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N)."""
+        """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N).
+
+        Re(c phase) is the real product of the conjugated coefficients,
+        read as (Re, Im) pairs, with the interleaved phases.
+        """
         B, nodes = stacked.shape[:2]
-        size = self.phase.shape[1]
-        cols = np.moveaxis(stacked.reshape(B, nodes, size), 0, 1).reshape(nodes, B * size)
-        c = (self.interp @ cols).reshape(-1, B, size)
-        return np.einsum("nbk,nk->bn", c, self.phase).real
+        real = np.conjugate(stacked.reshape(B, nodes, -1)).view(float)
+        r = real[:, self._pairs] @ self._phases.transpose(0, 2, 1)  # (B, C, 2, P)
+        values = r[:, :, 0] * self._w[0] + r[:, :, 1] * self._w[1]
+        return values.reshape(B, -1)[:, self._row]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Back-projection of point data y (N,) to the nodes, shape (M+1, n^d).
@@ -271,7 +310,11 @@ class ObservationOperator:
         Re sum(adjoint(y) * c) = y . self(c[None])[0] for every
         trajectory c of shape (M+1, n, ..., n).
         """
-        return self.interp.T @ (y[:, None] * self.phase)
+        _, C, P = self._w.shape
+        data = np.zeros(C * P)
+        data[self._row] = y
+        back = (data.reshape(C, P) * self._w).transpose(1, 0, 2) @ self._phases  # (C, 2, 2 n^d)
+        return (self._to_nodes @ back.reshape(2 * C, -1)).view(complex)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Helpers that more than one test module shares."""
 
 import numpy as np
+from scipy import sparse
 
 from mckvlab.forward import McKVProblem, check_density
-from mckvlab.parabolic import LWOperator, Trajectory, _as_grad_coeffs, transport_forcing
-from mckvlab.spectral import PotentialVec, SpectralField
+from mckvlab.parabolic import (LWOperator, Trajectory, _as_grad_coeffs, _time_bracket,
+                               transport_forcing)
+from mckvlab.spectral import Grid, PotentialVec, SpectralField
 
 
 def core_ok(report) -> bool:
@@ -30,6 +32,42 @@ def w2inf_norm(v: PotentialVec, n: int = 64) -> float:
         for l in range(v.d):
             second.append(float(np.max(np.abs(g.to_values(g.deriv(gr[j], l))))))
     return total + max(second)
+
+
+class DenseObservationOperator:
+    """The dense reference of ``parabolic.ObservationOperator``, point by point.
+
+    One sparse (N, M+1) matrix interpolates linearly in time between the
+    nodes (row i holds 1-w_i at node m_i and w_i at m_i+1), and the complex
+    (N, n^d) phases e^{2 pi i k . x_i} synthesise exactly in space; the
+    forward map is that matrix times the nodes, contracted with the phases,
+    and the adjoint its transpose.
+    """
+
+    def __init__(self, T: float, M: int, grid: Grid, t, x):
+        t = np.asarray(t, dtype=float)
+        n_pts = len(t)
+        x = np.asarray(x, dtype=float).reshape(n_pts, grid.d)
+        m, w = _time_bracket(t, T, M)
+        self.interp = sparse.csr_matrix(
+            (np.column_stack([1.0 - w, w]).ravel(), np.column_stack([m, m + 1]).ravel(),
+             np.arange(0, 2 * n_pts + 1, 2)), shape=(n_pts, M + 1))
+        phase = np.ones((n_pts, grid.size), dtype=complex)
+        for j in range(grid.d):
+            phase *= np.exp(2j * np.pi * np.outer(x[:, j], grid.kvec[j].ravel()))
+        self.phase = phase
+
+    def __call__(self, stacked: np.ndarray) -> np.ndarray:
+        """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N)."""
+        B, nodes = stacked.shape[:2]
+        size = self.phase.shape[1]
+        cols = np.moveaxis(stacked.reshape(B, nodes, size), 0, 1).reshape(nodes, B * size)
+        c = (self.interp @ cols).reshape(-1, B, size)
+        return np.einsum("nbk,nk->bn", c, self.phase).real
+
+    def adjoint(self, y: np.ndarray) -> np.ndarray:
+        """Back-projection of point data y (N,) to the nodes, shape (M+1, n^d)."""
+        return self.interp.T @ (y[:, None] * self.phase)
 
 
 def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,

@@ -514,10 +514,14 @@ def test_a_non_finite_config_value_exits_one(tmp_path, key, overrides):
     ("surrogate.r", {"surrogate.r": 1.0e-200}),
     ("surrogate.r", {"surrogate.r": 1.0e200}),
     ("constants.w", {"constants.w": -400.0, "mode": "strict"}),
+    ("surrogate.c_hat", {"surrogate.c_hat": -1.0}),
+    ("surrogate.c1_hat", {"surrogate.c1_hat": -5.0}),
 ])
 def test_a_config_whose_constants_break_a_formula_exits_one(tmp_path, command, key, overrides):
     # past the config, each ends in a ZeroDivisionError or an OverflowError of
-    # delta_n, eta_exponent or the lambda floor, some after the body ran
+    # delta_n, eta_exponent or the lambda floor, some after the body ran; a
+    # negative c_hat or c1_hat silently lowers the floor, which max() keeps at
+    # N log N / r^2
     out = tmp_path / "out"
     res = _invoke(command, _write(tmp_path, overrides), out)
     assert res.exit_code == 1, res.output

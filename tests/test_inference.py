@@ -241,6 +241,19 @@ def test_loaded_dataset_equals_the_generated_one(tmp_path):
     assert data != "data"
 
 
+def test_a_loaded_dataset_with_a_nan_time_is_rejected_by_the_likelihood(tmp_path):
+    model = _small_model(1)
+    W0 = random_potential(2, 1, np.random.default_rng(27), amplitude=0.4)
+    data = generate_data(W0, model, 10, 0.05, np.random.default_rng(28))
+    data.save(tmp_path / "data.csv")
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    row = lines[4].split(",")  # the point of index 3, below the header
+    lines[4] = ",".join([row[0], "nan"] + row[2:])
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^observation point 3 is not finite"):
+        LikelihoodEvaluator(model, Dataset.load(tmp_path / "data.csv"))
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 
@@ -807,6 +820,9 @@ _NON_FINITE_CONSTANTS = {  # name: (the call, the message of its check)
                                               c_hat=np.inf), "^c_hat must be finite"),
     "lam-inf": (lambda: SurrogateSpec(r=1.0, W_init=PotentialVec.zeros(2, 1), lam=np.inf),
                 "weight must be positive and finite"),
+    # max() would drop the negative c_hat N (c1_hat + 1)(1 + r^-2) term as well
+    "c_hat-negative": (lambda: lambda_min_bound(100, 1.0, -1.0, 2.0), "^c_hat must be > 0"),
+    "c1_hat-negative": (lambda: lambda_min_bound(100, 1.0, 1.0, -5.0), "^c1_hat must be >= 0"),
 }
 
 

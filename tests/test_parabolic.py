@@ -22,6 +22,7 @@ from mckvlab.parabolic import (
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
+from oracles import DenseObservationOperator
 
 N_GRID = 32
 T = 0.25
@@ -269,7 +270,7 @@ def test_trajectory_serialization_round_trip(tmp_path):
 _OBS_T = 0.3
 _OBS_M = 6
 # grid sizes per dimension: small enough to keep many examples fast
-_OBS_N = {1: 16, 2: 8}
+_OBS_N = {1: 16, 2: 8, 3: 4}
 
 
 def _obs_points(d):
@@ -285,7 +286,7 @@ def _random_stack(rng, B, d):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_observation_adjoint_dot_product_identity(d):
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(points=_obs_points(d), seed=st.integers(0, 2**32 - 1))
@@ -305,7 +306,7 @@ def test_observation_adjoint_dot_product_identity(d):
     check()
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_observation_stacked_call_equals_single_calls(d):
     rng = np.random.default_rng(40 + d)
     t = np.concatenate([[0.0, _OBS_T], rng.uniform(0.0, _OBS_T, 9)])
@@ -314,6 +315,50 @@ def test_observation_stacked_call_equals_single_calls(d):
     c = _random_stack(rng, 3, d)
     single = np.stack([op(c[b:b + 1])[0] for b in range(3)])
     assert np.array_equal(op(c), single)
+
+
+# time designs of N points: (name, N, times); the degenerate ones put every
+# point in one bracket, on a node or at an end, or leave brackets empty, and
+# three points in each bracket is one past a chunk of P = ceil(N / 2M) = 2
+_OBS_DESIGNS = [
+    ("random", 40, lambda rng, N: rng.uniform(0.0, _OBS_T, N)),
+    ("one past a chunk", 3 * _OBS_M,
+     lambda rng, N: np.repeat((np.arange(_OBS_M) + 0.5) * _OBS_T / _OBS_M, 3)),
+    ("one time", 30, lambda rng, N: np.full(N, 0.37 * _OBS_T)),
+    ("all at 0", 30, lambda rng, N: np.zeros(N)),
+    ("all at T", 30, lambda rng, N: np.full(N, _OBS_T)),
+    ("all at a node", 30, lambda rng, N: np.full(N, 2 * _OBS_T / _OBS_M)),
+    ("N = 1", 1, lambda rng, N: rng.uniform(0.0, _OBS_T, N)),
+    ("N < M", _OBS_M - 2, lambda rng, N: rng.uniform(0.0, _OBS_T, N)),
+]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("design", [name for name, _, _ in _OBS_DESIGNS])
+def test_observation_equals_the_dense_operator(d, design):
+    # the bracket chunks sum in another order than the dense interpolation
+    # matrix times the (N, n^d) phases, so the two agree to rounding; a
+    # bracket pads at most P - 1 < N / 2M rows, so the chunks hold < 1.5N
+    _, N, times = next(entry for entry in _OBS_DESIGNS if entry[0] == design)
+    rng = np.random.default_rng(60 + d)
+    t, x = times(rng, N), rng.uniform(0.0, 1.0, (N, d))
+    grid = get_grid(_OBS_N[d], d)
+    op = ObservationOperator(_OBS_T, _OBS_M, grid, t, x)
+    dense = DenseObservationOperator(_OBS_T, _OBS_M, grid, t, x)
+    assert op._phases.shape[0] * op._phases.shape[1] < 1.5 * N
+    c, y = _random_stack(rng, 3, d), rng.standard_normal(N)
+    for got, ref in ((op(c), dense(c)), (op.adjoint(y), dense.adjoint(y))):
+        assert got.shape == ref.shape
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("bad", ["t", "x"])
+def test_observation_rejects_a_non_finite_point(bad):
+    # a NaN time passes every bound check of the bracket; a NaN position gives a NaN value
+    t, x = np.linspace(0.0, _OBS_T, 5), np.full((5, 2), 0.5)
+    (t if bad == "t" else x[:, 1])[3] = np.nan
+    with pytest.raises(ValueError, match="^observation point 3 is not finite"):
+        ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[2], 2), t, x)
 
 
 # ---------------------------------------------------------------------------
