@@ -202,6 +202,10 @@ class Dataset:
         n = self.y.size
         if n < 1 or self.t.shape != (n,) or self.x.shape[0] != n:
             raise ValueError("inconsistent dataset arrays")
+        bad = ~np.isfinite(self.y)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"observation {i} is not finite: Y = {self.y.flat[i]}")
 
     def __eq__(self, other):
         if not isinstance(other, Dataset):

@@ -32,12 +32,25 @@ flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
 padded transforms through plans of a fixed stack shape
 (:class:`~mckvlab.spectral.PaddedPlan`), built once per solve or per
 operator, bit for bit equal to the one-shot transforms of
-:class:`~mckvlab.spectral.Grid`.  For the same reason the time loop writes
-each predictor and node straight into the state stack, and the backward
-recurrence each weight into its state, with ``out=`` operations in the
-order of the unfused step, and the kernels sum their d axis terms
-ik_j * a_j one axis at a time (:func:`_divergence`); the bits are those of
-the step written with temporaries.
+:class:`~mckvlab.spectral.Grid`.  At d = 1 each padded transform is one
+real matrix, so the two :class:`LWOperator` kernels fold their diagonals
+ik and gradW into two matrices per solve instead (:class:`_FoldedStage`):
+a stage is two matrix products, equal to the one-shot kernels to rounding.
+For the same reason the time loop writes each predictor and node straight
+into the state stack, and the backward recurrence each weight into its
+state, with ``out=`` operations in the order of the unfused step, and the
+kernels sum their d axis terms ik_j * a_j one axis at a time
+(:func:`_divergence`); the bits are those of the step written with
+temporaries.
+
+Every time loop, forward and transposed, checks growth once, after its
+last step (:func:`_check_growth`): the first step in loop order whose
+state has a real or imaginary part that is not finite or exceeds
+:data:`BLOWUP_LIMIT` in modulus raises :class:`NumericalBlowUp`.  So |z|
+may reach sqrt(2) :data:`BLOWUP_LIMIT` unflagged.  The loops run on past a
+blow-up under ``np.errstate(over="ignore", invalid="ignore")``, so the
+error names the step a per-step guard would name and no ``RuntimeWarning``
+escapes.
 """
 
 from __future__ import annotations
@@ -50,7 +63,7 @@ import numpy as np
 from scipy import sparse
 
 from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, get_grid, load_field,
-                       save_field)
+                       real_matrix, save_field)
 
 BLOWUP_LIMIT = 1e12
 
@@ -67,9 +80,12 @@ class NumericalBlowUp(RuntimeError):
 class StepperConfig:
     """Time-stepping parameters.
 
-    M is the number of Lawson-Heun steps over the horizon; a step whose
-    largest coefficient modulus is not finite or exceeds
-    :data:`BLOWUP_LIMIT` raises :class:`NumericalBlowUp`.
+    M is the number of Lawson-Heun steps over the horizon.  A solve whose
+    state at some step has a real or imaginary part that is not finite or
+    exceeds :data:`BLOWUP_LIMIT` in modulus raises :class:`NumericalBlowUp`
+    naming the first such step; the guard reads the states once, after
+    the loop, so a coefficient modulus up to sqrt(2) :data:`BLOWUP_LIMIT`
+    passes.
     """
 
     M: int = 256
@@ -223,8 +239,8 @@ def rel_l2l2_error(a: Trajectory, ref: Trajectory) -> float:
 def _time_bracket(t, T: float, M: int):
     """Node index m < M and weight w with t = (m + w) T/M, for t in [0, T]."""
     t = np.asarray(t, dtype=float)
-    if np.any(t < -1e-12) or np.any(t > T + 1e-12):
-        raise ValueError(f"time outside [0, {T}]")
+    if not np.all((t >= -1e-12) & (t <= T + 1e-12)):  # False on NaN
+        raise ValueError(f"time not finite or outside [0, {T}]")
     s = np.clip(t / (T / M), 0.0, M)
     m = np.minimum(s.astype(int), M - 1)
     return m, s - m
@@ -350,21 +366,22 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     ustar = None if keep_stages else np.empty_like(states[0])
     incr = np.empty_like(states[0])  # (0.5 * dt) * (E * k1 + k2)
 
-    for m in range(M):
-        u = states[m]
-        k1 = rhs(m, u)
-        if keep_stages:
-            ustar = states[M + 1 + m]
-        np.multiply(dt, k1, out=ustar)
-        np.add(u, ustar, out=ustar)
-        np.multiply(E, ustar, out=ustar)
-        k2 = rhs(M + 1 + m, ustar)
-        np.multiply(E, k1, out=incr)
-        np.add(incr, k2, out=incr)
-        np.multiply(0.5 * dt, incr, out=incr)
-        u = np.multiply(E, u, out=states[m + 1])
-        np.add(u, incr, out=u)
-        _check_growth(u, m + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(M):
+            u = states[m]
+            k1 = rhs(m, u)
+            if keep_stages:
+                ustar = states[M + 1 + m]
+            np.multiply(dt, k1, out=ustar)
+            np.add(u, ustar, out=ustar)
+            np.multiply(E, ustar, out=ustar)
+            k2 = rhs(M + 1 + m, ustar)
+            np.multiply(E, k1, out=incr)
+            np.add(incr, k2, out=incr)
+            np.multiply(0.5 * dt, incr, out=incr)
+            u = np.multiply(E, u, out=states[m + 1])
+            np.add(u, incr, out=u)
+    _check_growth(states[1:M + 1], range(1, M + 1))
     return states
 
 
@@ -377,11 +394,22 @@ def _divergence(ik: np.ndarray, a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _check_growth(u: np.ndarray, step: int):
-    """The blow-up guard of every time loop, forward and transposed."""
-    mx = np.abs(u).max()
-    if not np.isfinite(mx) or mx > BLOWUP_LIMIT:
-        raise NumericalBlowUp(step)
+def _check_growth(states: np.ndarray, steps, limit: float = BLOWUP_LIMIT):
+    """The blow-up guard of every time loop, forward and transposed, run once
+    after the loop.
+
+    ``states`` stacks the state the loop wrote at each of ``steps``, in loop
+    order.  A state with a real or imaginary part that is not finite or
+    exceeds ``limit`` in modulus raises :class:`NumericalBlowUp` naming the
+    first such step.  Max and min of the real view build no |z| temporary;
+    they bound |z| to within a factor sqrt(2).
+    """
+    r = states.view(float)
+    if not r.size or r.max() <= limit and r.min() >= -limit:  # False on NaN
+        return
+    r = r.reshape(len(steps), -1)
+    ok = (r.max(axis=1) <= limit) & (r.min(axis=1) >= -limit)
+    raise NumericalBlowUp(steps[int(np.argmin(ok))])
 
 
 def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
@@ -443,16 +471,20 @@ class LWOperator:
     L_W v = Lap(v) + div(v gradW * rho) + div(rho gradW * v), with rho
     read at the solver state s of each application, so that solves of
     (d/dt - L_W)v = g differentiate the discrete scheme exactly.  The
-    values of rho and of the convolutions gradW_j * rho on the padded grid
-    are precomputed at every state; an application then costs one padded
-    synthesis of v with its convolutions and one padded analysis, and its
-    transpose one transposed analysis and one transposed synthesis.  Each
-    of these runs a :class:`~mckvlab.spectral.PaddedPlan` that the operator
-    builds on first use for each stack size B, so a state is a fixed set of
-    BLAS calls into buffers the operator owns; both applications return new
-    arrays.  :meth:`solve` and :meth:`solve_transpose` drop the plans when
-    they return, so an operator kept between solves (as in the memo of
-    ``forward.linearisation``) holds no plan buffers.  Built from (W, rho_traj)
+    values of the convolutions gradW_j * rho and of rho on the padded grid
+    are precomputed at every state as one (S, 1+d, pad grid) array, of
+    which ``conv1_phys`` and ``rho_phys`` are views.  At d >= 2 an
+    application then costs one padded synthesis of v with its convolutions
+    and one padded analysis, and its transpose one transposed analysis and
+    one transposed synthesis.  Each of these runs a
+    :class:`~mckvlab.spectral.PaddedPlan` that the operator builds on first
+    use for each stack size B, so a state is a fixed set of BLAS calls into
+    buffers the operator owns.  At d = 1 each is one :class:`_FoldedStage`
+    instead: two real matrix products with ik and gradW folded in, equal to
+    the plans to rounding.  Both applications return new arrays.
+    :meth:`solve` and :meth:`solve_transpose` drop the plans and folded
+    stages when they return, so an operator kept between solves (as in the
+    memo of ``forward.linearisation``) holds no buffers.  Built from (W, rho_traj)
     alone, it solves on the M steps of ``rho_traj`` and reads rho from
     ``rho_traj.states``, not a copy; every linearised solve of the
     mean-field map goes through :meth:`solve`, and every weight on a transport
@@ -466,20 +498,28 @@ class LWOperator:
         self.M = rho_traj.M
         self.grad_w = _as_grad_coeffs(W, grid)
         self.rho_states = solver_states(rho_traj)  # (S, grid)
-        self.rho_phys = grid.to_padded(self.rho_states)  # (S, pad grid)
+        d = grid.d
+        padded = np.empty((len(self.rho_states), 1 + d) + grid.shape, dtype=complex)
+        for j, gw in enumerate(self.grad_w):
+            np.multiply(gw, self.rho_states, out=padded[:, j])
+        padded[:, d] = self.rho_states
+        self._phys = grid.to_padded(padded)  # (S, 1+d, pad grid): gradW_j * rho..., rho
+        self.conv1_phys = self._phys[:, :d]  # (S, d, pad grid)
+        self.rho_phys = self._phys[:, d]  # (S, pad grid)
         self._ik = grid.ik[:, None]  # (d, 1, grid)
-        conv1 = np.stack([gw * self.rho_states for gw in self.grad_w], axis=1)
-        self.conv1_phys = grid.to_padded(conv1)  # (S, d, pad grid)
-        self._plans: dict[tuple[int, bool], tuple[PaddedPlan, PaddedPlan]] = {}
+        self._plans: dict[tuple[int, bool], tuple[PaddedPlan, PaddedPlan] | _FoldedStage] = {}
 
-    def _plans_for(self, B: int, transpose: bool) -> tuple[PaddedPlan, PaddedPlan]:
+    def _plans_for(self, B: int, transpose: bool):
         """The operator's own plans for stacks of B fields, built on first use:
-        (synthesis, analysis) for :meth:`apply`, (transposed analysis,
-        transposed synthesis) for :meth:`apply_transpose`."""
+        at d = 1 one :class:`_FoldedStage`, at d >= 2 (synthesis, analysis)
+        for :meth:`apply` and (transposed analysis, transposed synthesis) for
+        :meth:`apply_transpose`."""
         plans = self._plans.get((B, transpose))
         if plans is None:
             d, plan = self.grid.d, self.grid.plan
-            if transpose:
+            if d == 1:
+                plans = _FoldedStage(self.grid, self.grad_w[0], B, transpose)
+            elif transpose:
                 plans = (plan("from_padded_transpose", (d, B)),
                          plan("to_padded_transpose", (1 + d, B)))
             else:
@@ -489,6 +529,8 @@ class LWOperator:
 
     def apply(self, s: int, v: np.ndarray) -> np.ndarray:
         """L_W v - Lap v at state s for a stacked v (B, grid); a new array."""
+        if self.grid.d == 1:
+            return self._plans_for(len(v), transpose=False)(self._phys[s], v)
         syn, ana = self._plans_for(len(v), transpose=False)
         # one padded synthesis for v and all gradW_j * v convolutions
         syn.x[0] = v
@@ -507,6 +549,8 @@ class LWOperator:
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
         share one transposed padded analysis and one transposed synthesis.
         """
+        if self.grid.d == 1:
+            return self._plans_for(len(y), transpose=True)(self._phys[s], y)
         ana_t, syn_t = self._plans_for(len(y), transpose=True)
         np.multiply(self._ik, y, out=ana_t.x)
         r = ana_t.run()  # (d, B, pad grid)
@@ -550,9 +594,10 @@ class LWOperator:
                 lv += forcing[s]
             return lv
 
-        states = _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
-        self._plans.clear()
-        return states
+        try:
+            return _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
+        finally:
+            self._plans.clear()
 
     def solve_transpose(self, g: np.ndarray) -> np.ndarray:
         """Transpose of the map from forcing to nodes of :meth:`solve` (v0 = 0).
@@ -568,23 +613,72 @@ class LWOperator:
         E = grid.heat_multiplier(dt)
         w = np.zeros((len(self.rho_states),) + g.shape[1:], dtype=complex)
         lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
-        for m in range(M - 1, -1, -1):
-            # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
-            # into their states of w (predictor M+1+m, node m) as (1, grid) views
-            s = M + 1 + m
-            kappa2 = np.multiply(0.5 * dt, lam, out=w[s:s + 1])
-            mu = self.apply_transpose(s, kappa2)  # weight of the predictor
-            kappa1 = np.multiply(dt, mu, out=w[m:m + 1])
-            np.add(kappa2, kappa1, out=kappa1)
-            np.multiply(E, kappa1, out=kappa1)
-            np.add(lam, mu, out=lam)
-            np.multiply(E, lam, out=lam)
-            back = self.apply_transpose(m, kappa1)
-            back += g[m]
-            lam += back
-            _check_growth(lam, m)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for m in range(M - 1, -1, -1):
+                # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
+                # into their states of w (predictor M+1+m, node m) as (1, grid) views
+                s = M + 1 + m
+                kappa2 = np.multiply(0.5 * dt, lam, out=w[s:s + 1])
+                mu = self.apply_transpose(s, kappa2)  # weight of the predictor
+                kappa1 = np.multiply(dt, mu, out=w[m:m + 1])
+                np.add(kappa2, kappa1, out=kappa1)
+                np.multiply(E, kappa1, out=kappa1)
+                np.add(lam, mu, out=lam)
+                np.multiply(E, lam, out=lam)
+                back = self.apply_transpose(m, kappa1)
+                back += g[m]
+                lam += back
         self._plans.clear()
+        # the weight lam of node m, m = M-1..1 in loop order, is w[M+m] / (0.5 dt)
+        _check_growth(w[M + 1:2 * M][::-1], range(M - 1, 0, -1), 0.5 * dt * BLOWUP_LIMIT)
+        _check_growth(lam[None], [0])
         return w
+
+
+class _FoldedStage:
+    """L_W - Lap at d = 1, or its transpose, on stacks of B fields: two real
+    matrix products around one product with the padded state c_s.
+
+    With one axis each padded transform is one real matrix of :class:`Grid`,
+    so the diagonals ik and gradW fold into two matrices per operator.  With
+    S the synthesis, A the analysis and c_s = [gradW * rho, rho] the two
+    padded rows of state s,
+    apply(s, v) = (v S * c_s[0] + v (gradW S) * c_s[1]) (A ik) and
+    apply_transpose(s, y) = [r * c_s[0], r * c_s[1]] [S^T; S^T gradW] with
+    r = y (ik A^T); complex operands are read as (Re, Im) pairs.  Each
+    product has at least two rows (a lone field goes in over a zero row) and
+    output widths padded to a multiple of 8, as in :meth:`Grid._per_axis`,
+    so a row's bits do not depend on its stack.  A call returns a new array.
+    """
+
+    def __init__(self, grid: Grid, grad_w: np.ndarray, B: int, transpose: bool):
+        S, A, ik, pn = grid.synthesis, grid.analysis, grid.ik[0], grid.pad_n
+        if transpose:
+            self._first = real_matrix(ik[:, None] * A.T, real_in=False, real_out=True)
+            self._second = real_matrix(np.concatenate([S.T, S.T * grad_w]),
+                                       real_in=True, real_out=False)
+        else:
+            self._first = real_matrix(np.concatenate([S, grad_w[:, None] * S], axis=1),
+                                      real_in=False, real_out=True)
+            self._second = real_matrix(A * ik, real_in=True, real_out=False)
+        rows = max(B, 2)
+        self._B, self._transpose, self._width = B, transpose, 2 * grid.n
+        a = np.zeros((rows, 2 * grid.n))
+        self._x, self._a = a.view(complex)[:B], a
+        self._p = np.empty((rows, self._first.shape[1]))
+        self._q = np.empty((rows, self._second.shape[0]))
+        if transpose:  # r as (rows, 1, pn) against the product (rows, 2, pn)
+            self._in, self._out = self._p[:, None, :pn], self._q.reshape(rows, 2, pn)
+        else:  # both padded fields as (rows, 2, pn)
+            self._in = self._out = self._p[:, :2 * pn].reshape(rows, 2, pn)
+
+    def __call__(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        self._x[...] = v
+        np.matmul(self._a, self._first, out=self._p)
+        np.multiply(self._in, c, out=self._out)
+        if not self._transpose:
+            np.add(self._out[:, 0], self._out[:, 1], out=self._q)
+        return (self._q @ self._second)[:self._B, :self._width].view(complex)
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,

@@ -56,8 +56,9 @@ class Grid:
     excluded), the (d, n, ..., n) derivative multipliers 2*pi*i*k_j with
     the Nyquist plane zeroed, and the dense per-axis DFT matrices of the
     3/2-rule padded grid of pad_n = 3n/2 points: the (n, pad_n)
-    synthesis, Nyquist row zero, and the (pad_n, n) analysis, its
-    conjugate transpose over pad_n, which crops to the resolved modes.
+    :attr:`synthesis`, Nyquist row zero, and the (pad_n, n)
+    :attr:`analysis`, its conjugate transpose over pad_n, which crops to
+    the resolved modes.
     All array methods accept stacked inputs (..., n, ..., n) and act on
     the trailing d axes.  The four padded transforms run per axis through
     :meth:`_per_axis` on a call; a kernel that repeats one of them on a
@@ -99,9 +100,9 @@ class Grid:
         j = np.arange(pn)
         ang = TWO_PI * np.minimum(j, pn - j) / pn
         roots = np.cos(ang) + 1j * np.sign(pn - 2 * j) * np.sin(ang)
-        synth = roots[np.outer(axis_modes, j) % pn]  # (n, pad_n)
+        synth = self.synthesis = roots[np.outer(axis_modes, j) % pn]  # (n, pad_n)
         synth[nyq] = 0.0
-        analysis = synth.conj().T / pn  # (pad_n, n)
+        analysis = self.analysis = synth.conj().T / pn  # (pad_n, n)
         self._products = {
             "to_padded": _axis_products(synth, d, real_in=False, real_out=True),
             "from_padded": _axis_products(analysis, d, real_in=True, real_out=False),
@@ -195,26 +196,39 @@ class Grid:
                    for j in range(self.d))
 
 
-def _axis_products(Z: np.ndarray, d: int, real_in: bool, real_out: bool):
-    """(matrix, width, complex in, complex out) of each axis of a d-axis product with Z.
+def real_matrix(Z: np.ndarray, real_in: bool, real_out: bool) -> np.ndarray:
+    """The product with a complex (m, p) matrix Z as one real matrix.
 
-    Complex arrays enter as interleaved (re, im) pairs, so Z becomes a
-    (2m, 2p) real matrix; a real first-axis input keeps its re rows and
-    a real last-axis output its re columns.  Zero columns pad it to a
-    multiple of 8: OpenBLAS picks its small- or large-matrix kernel by
-    the row count, and the two round a column tail of another width
+    Complex operands enter as interleaved (re, im) pairs, so Z becomes a
+    (2m, 2p) real matrix: the re row of input i holds the pairs
+    (Re Z_ik, Im Z_ik) and its im row (-Im Z_ik, Re Z_ik).  A real input
+    keeps its re rows and a real output its re columns.  Zero columns pad
+    it to a multiple of 8: OpenBLAS picks its small- or large-matrix kernel
+    by the row count, and the two round a column tail of another width
     differently.
     """
     m, p = Z.shape
-    full = np.stack([np.stack([Z.real, Z.imag], -1), np.stack([-Z.imag, Z.real], -1)],
-                    axis=1).reshape(2 * m, 2 * p)
+    full = np.empty((m, 2, p, 2))
+    full[:, 0, :, 0] = full[:, 1, :, 1] = Z.real
+    full[:, 0, :, 1] = Z.imag
+    np.negative(Z.imag, out=full[:, 1, :, 0])
+    mat = full[:, :1 if real_in else 2, :, :1 if real_out else 2]
+    rows, width = mat.shape[0] * mat.shape[1], mat.shape[2] * mat.shape[3]
+    out = np.zeros((rows, width + -width % 8))
+    out[:, :width] = mat.reshape(rows, width)
+    return out
+
+
+def _axis_products(Z: np.ndarray, d: int, real_in: bool, real_out: bool):
+    """(matrix, width, complex in, complex out) of each axis of a d-axis product
+    with Z: the :func:`real_matrix` of Z, real in on the first axis when
+    ``real_in`` and real out on the last when ``real_out``; width is its
+    unpadded column count."""
     out = []
     for axis in range(d):
         rin, rout = real_in and axis == 0, real_out and axis == d - 1
-        mat = full[::2 if rin else 1, ::2 if rout else 1]
-        width = mat.shape[1]
-        mat = np.pad(mat, ((0, 0), (0, -width % 8)))
-        out.append((mat, width, not rin, not rout))
+        width = Z.shape[1] * (1 if rout else 2)
+        out.append((real_matrix(Z, rin, rout), width, not rin, not rout))
     return tuple(out)
 
 

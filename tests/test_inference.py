@@ -254,6 +254,21 @@ def test_a_loaded_dataset_with_a_nan_time_is_rejected_by_the_likelihood(tmp_path
         LikelihoodEvaluator(model, Dataset.load(tmp_path / "data.csv"))
 
 
+def test_a_loaded_dataset_with_a_nan_observation_is_rejected(tmp_path):
+    model = _small_model(1)
+    W0 = random_potential(2, 1, np.random.default_rng(27), amplitude=0.4)
+    data = generate_data(W0, model, 10, 0.05, np.random.default_rng(28))
+    data.save(tmp_path / "data.csv")
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    row = lines[4].split(",")  # the point of index 3, below the header
+    lines[4] = ",".join(["nan"] + row[1:])
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="^observation 3 is not finite: Y = nan"):
+        Dataset.load(tmp_path / "data.csv")
+    with pytest.raises(ValueError, match="^observation 1 is not finite: Y = inf"):
+        Dataset(y=[0.0, np.inf], t=[0.0, 0.01], x=[0.3, 0.4], noise_std=0.1)
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 
@@ -739,13 +754,14 @@ def test_a_gradient_synthesises_the_density_states_once(monkeypatch):
     W = random_potential(2, 1, np.random.default_rng(78), amplitude=0.4)
     like = LikelihoodEvaluator(model, generate_data(W, model, 40, 0.05,
                                                     np.random.default_rng(79)))
-    states_shape = (2 * 8 + 1,) + phi.grid.shape
+    S = 2 * 8 + 1
     shapes = []
     to_padded = Grid.to_padded
     monkeypatch.setattr(Grid, "to_padded",
                         lambda self, c: shapes.append(np.shape(c)) or to_padded(self, c))
     like.loglik_and_grad(W)
-    assert shapes.count(states_shape) == 1
+    # one synthesis of the S states, stacked with their convolution gradW * rho
+    assert [shape for shape in shapes if shape[0] == S] == [(S, 2) + phi.grid.shape]
 
 
 # ---------------------------------------------------------------------------
