@@ -21,9 +21,10 @@ out each stacked solve as one array: one operator along rho_W, the nodes
 of the D basis columns (``columns``), their Gram matrix, a vector-Jacobian
 product from one backward solve of the exact transpose of the discrete
 scheme whatever D is (``vjp``), the nodes of D^2 rho_W over all D(D+1)/2
-basis pairs from one solve (``second_derivatives()``), forced one solver
-state at a time by :class:`_PairForcing`, so that neither the forcing of
-every state nor its padded columns are held, and the weighted sum of every
+basis pairs from one solve (``second_derivatives()``), forced by
+:class:`_PairForcing` in blocks of consecutive solver states whose arrays
+stay below a fixed byte budget, so that neither the forcing of every state
+nor its padded columns are held, and the weighted sum of every
 D^2 rho_W[tau_j, tau_k], the correction of the expected Hessian, from one
 backward solve and no second-derivative solve.  Both backward solves end in
 the one pull-back of their weights through the transport forcing,
@@ -47,6 +48,7 @@ density trajectory a caller hands in passes one check,
 from __future__ import annotations
 
 import functools
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, replace
 
@@ -202,64 +204,109 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     return integrate(phi, rhs, T, stepper)
 
 
+# glibc's default mmap threshold: every block temporary of :class:`_PairForcing`
+# stays below it, so none is an mmap'd allocation
+_BLOCK_BYTES = 1 << 17
+
+
 class _PairForcing:
-    """Forcing of D^2 rho_W[tau_r, tau_k] for every pair k >= r, built state by state;
-    the one second-derivative forcing.
+    """Forcing of D^2 rho_W[tau_r, tau_k] for every pair k >= r, built in blocks
+    of solver states; the one second-derivative forcing.
 
     For the gradients ``gtau`` (D, d, grid) of D directions tau_k (the basis,
     or any others) and their first derivatives ``v`` (S, D, grid) in
     solver-state order, ``forcing[s]`` is the (B, grid) forcing at state s of
-    the B = D(D+1)/2 pairs in ``np.triu_indices(D)`` order, a new array;
-    ``shape`` is (S, B, grid), and no array of that shape is built.  With
-    T(a, g, b) = div(a (g * b)), the forcing of the pair (r, k) expands into
-    six terms, A(r, k) + A(k, r) with A(r, k) = T(v_k, grad tau_r, rho)
-    + T(rho, grad tau_r, v_k) + T(v_r, grad W, v_k).  Grouped by their padded
-    factors they are, per axis j, with P the padded synthesis, A the analysis
-    and X_{k,j} = d_j tau_k * rho + d_j W * v_k,
+    the B = D(D+1)/2 pairs in ``np.triu_indices(D)`` order, a view that holds
+    until a state of another block is read; ``shape`` is (S, B, grid), and no
+    array of that shape is built.  With T(a, g, b) = div(a (g * b)), the
+    forcing of the pair (r, k) expands into six terms, A(r, k) + A(k, r) with
+    A(r, k) = T(v_k, grad tau_r, rho) + T(rho, grad tau_r, v_k)
+    + T(v_r, grad W, v_k).  Grouped by their padded factors they are, per
+    axis j, with P the padded synthesis, A the analysis and
+    X_{k,j} = d_j tau_k * rho + d_j W * v_k,
     ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})].
-    At each state one plan synthesises v_s and its X (stack (1+d, D)), and
-    per axis one synthesises the pair sums and one analyses the products
-    (stack (B,)); the object builds its plans once.  A padded line's bits
-    do not depend on its stack, so the forcing equals the six-term expansion
-    to rounding and is the same whatever pairs share the stack.
+
+    A block is ``block`` consecutive states in the order the time loop reads
+    them, m, M+1+m, m+1, ..., with node M, which the loop never reads, last
+    and repeated to fill the last block; only the block of the last state
+    read is kept.  Its arrays are pair-major, (B, block, ...), so the pair
+    gathers index their leading axis, and the largest of them, a
+    (B, block, grid) complex or a (B, block, pad grid) real array, stays
+    below :data:`_BLOCK_BYTES`: the S states make as few blocks as that
+    allows (one state each when one state exceeds it), of equal size.  One
+    plan synthesises v and its X (stack (1+d, D, block)), and per axis one
+    synthesises the pair sums and one analyses the products (stack
+    (B, block)); the object builds them and the block's arrays once, so a
+    block allocates nothing of its size.  A padded line's bits do not depend
+    on its stack, so the forcing equals the six-term expansion to rounding
+    and is the same whatever pairs and states share the stack.
     """
 
     def __init__(self, op: LWOperator, gtau: np.ndarray, v: np.ndarray):
         grid = op.grid
         D, d = gtau.shape[:2]
+        S, M = len(v), op.M
         self.op, self.v = op, v
         self.rows, self.cols = np.triu_indices(D)
         B = len(self.rows)
-        self.shape = (len(v), B) + grid.shape
-        self._gtau = np.moveaxis(gtau, 1, 0)  # (d, D, grid)
-        self._grad_w = np.stack(op.grad_w)[:, None]  # (d, 1, grid)
-        # d_j tau_r and d_j tau_k of every pair (r, k), (d, B, grid)
+        self.shape = (S, B) + grid.shape
+        pad = (grid.pad_n,) * d
+        per_state = B * max(16 * grid.size, 8 * math.prod(pad))
+        blocks = -(-S // max(1, (_BLOCK_BYTES - 1) // per_state))
+        self.block = b = -(-S // blocks)
+        order = [s for m in range(M) for s in (m, M + 1 + m)]
+        self._order = np.array(order + [M] * (blocks * b - len(order)))
+        self._pos = np.argsort(self._order[:S])  # the position of each state
+        self._gtau = np.moveaxis(gtau, 1, 0)[:, :, None]  # (d, D, 1, grid)
+        self._grad_w = np.stack(op.grad_w)[:, None, None]  # (d, 1, 1, grid)
+        # d_j tau_r and d_j tau_k of every pair (r, k), (d, B, 1, grid)
         self._g_r, self._g_k = self._gtau[:, self.rows], self._gtau[:, self.cols]
-        self._syn = grid.plan("to_padded", (1 + d, D))
-        self._pair_syn = grid.plan("to_padded", (B,))
-        self._ana = grid.plan("from_padded", (B,))
+        self._syn = grid.plan("to_padded", (1 + d, D, b))
+        self._pair_syn = grid.plan("to_padded", (B, b))
+        self._ana = grid.plan("from_padded", (B, b))
+        # v_r, v_k, a scratch and the forcing of every pair at the block's states,
+        # and P(v_r), P(v_k) and a scratch on the padded grid
+        self._fields = np.empty((4, B, b) + grid.shape, dtype=complex)
+        self._padded = np.empty((3, B, b) + pad)
+        self._start = -1
 
     def __getitem__(self, s: int) -> np.ndarray:
-        op, v, rows, cols = self.op, self.v[s], self.rows, self.cols
-        x = self._syn.x
-        x[0] = v
-        np.multiply(self._gtau, op.rho_states[s], out=x[1:])
+        i = self._pos[s]
+        start = i - i % self.block
+        if start != self._start:
+            self._build(self._order[start:start + self.block])
+            self._start = start
+        return self._fields[3][:, i - start]
+
+    def _build(self, states: np.ndarray):
+        """Write the (B, block, grid) forcing at ``states`` into ``_fields[3]``."""
+        op, rows, cols = self.op, self.rows, self.cols
+        syn, pair_syn, ana = self._syn, self._pair_syn, self._ana
+        v_r, v_k, tmp, forcing = self._fields
+        p_r, p_k, tmp_p = self._padded
+        # np.take writes into out= unbuffered in mode "clip"; the indices are in range
+        x = syn.x  # (1+d, D, b, grid)
+        v = x[0]
+        np.take(self.v, states, axis=0, out=v.swapaxes(0, 1), mode="clip")
+        np.multiply(self._gtau, op.rho_states[states], out=x[1:])
         x[1:] += self._grad_w * v
-        phys = self._syn.run()  # P(v_k) and P(X_{k,j}), (1+d, D, pad grid)
-        v_r, v_k, p_r, p_k = v[rows], v[cols], phys[0][rows], phys[0][cols]
-        q, a = self._pair_syn.x, self._ana.x
+        phys = syn.run()  # P(v_k) and P(X_{k,j}), (1+d, D, b, pad grid)
+        for src, idx, out in ((v, rows, v_r), (v, cols, v_k), (phys[0], rows, p_r),
+                              (phys[0], cols, p_k)):
+            np.take(src, idx, axis=0, out=out, mode="clip")
+        rho_phys = op.rho_phys[states]
+        q, a = pair_syn.x, ana.x
         for j, ik in enumerate(op.grid.ik):
             np.multiply(self._g_r[j], v_k, out=q)
-            q += self._g_k[j] * v_r
-            np.multiply(self._pair_syn.run(), op.rho_phys[s], out=a)
-            a += p_k * phys[1 + j][rows]
-            a += p_r * phys[1 + j][cols]
-            term = ik * self._ana.run()
+            q += np.multiply(self._g_k[j], v_r, out=tmp)
+            np.multiply(pair_syn.run(), rho_phys, out=a)
+            for p, idx in ((p_k, rows), (p_r, cols)):
+                np.take(phys[1 + j], idx, axis=0, out=tmp_p, mode="clip")
+                a += np.multiply(p, tmp_p, out=tmp_p)
             if j == 0:
-                forcing = term
+                np.multiply(ik, ana.run(), out=forcing)
             else:
-                forcing += term
-        return forcing
+                forcing += np.multiply(ik, ana.run(), out=tmp)
 
 
 def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
@@ -353,14 +400,21 @@ class Linearisation:
         return (self.gtau.reshape(self.gtau.shape[0], -1) @ G.ravel()).real
 
     def gram(self) -> np.ndarray:
-        """Gram matrix (1/T) <col_j, col_k> of the columns; symmetric PSD."""
-        return _gram(self.columns, self.op.T / self.op.M, self.op.T)
+        """Gram matrix (1/T) <col_j, col_k> of the columns; symmetric PSD.
+        Computed on the first call and read-only."""
+        return self._gram_matrix
+
+    @functools.cached_property
+    def _gram_matrix(self) -> np.ndarray:
+        return spectral._read_only(_gram(self.columns, self.op.T / self.op.M, self.op.T))
 
     def second_derivatives(self) -> np.ndarray:
         """The nodes of D^2 rho_W[tau_r, tau_k] of all B = D(D+1)/2 pairs r <= k,
         (B, M+1, grid) in ``np.triu_indices(D)`` order, from one stacked solve
-        forced state by state by :class:`_PairForcing`.  A column's bits do not
-        depend on its stack, so row r equals a solve of that row alone bit for bit.
+        forced block by block of solver states by :class:`_PairForcing`.  A
+        column's bits do not depend on its stack, so row r equals a solve of
+        that row alone, and the result a solve forced one state at a time, bit
+        for bit.
         """
         op = self.op
         forcing = _PairForcing(op, self.gtau, self.states)

@@ -376,7 +376,7 @@ def expected_neg_hessian(W: PotentialVec, W0: PotentialVec, model: ForwardModel)
     """
     lin = linearisation(model.problem(W), model.K)
     rho = lin.rho
-    out = lin.gram()
+    out = lin.gram().copy()
     diff = rho.coeffs - linearisation(model.problem(W0), model.K).rho.coeffs
     if np.max(np.abs(diff)) > 0:
         weights = trapz_weights(rho.M + 1, rho.dt).reshape((-1,) + (1,) * model.d)
@@ -547,19 +547,22 @@ def surrogate_loglik(W: PotentialVec, spec: SurrogateSpec,
     its gradient vanish and no PDE solve is performed.
     """
     dv = W.values - spec.W_init.values
-    s = float(np.linalg.norm(dv))
-    direction = dv / s if s > 0 else np.zeros_like(dv)
-    u = s / spec.r
+    # a W whose distance overflows gets a NaN gradient, which the sampler
+    # reports as a diverged drift, with no RuntimeWarning on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = float(np.linalg.norm(dv))
+        direction = dv / s if s > 0 else np.zeros_like(dv)
+        u = s / spec.r
 
-    g_val = gamma_smooth(s, spec.r)
-    g_der = gamma_smooth_deriv(s, spec.r)
-    a_val = float(cutoff_alpha(u))
-    a_der = float(cutoff_alpha_deriv(u))
+        g_val = gamma_smooth(s, spec.r)
+        g_der = gamma_smooth_deriv(s, spec.r)
+        a_val = float(cutoff_alpha(u))
+        a_der = float(cutoff_alpha_deriv(u))
 
-    if u >= 7.0 / 8.0:
-        value = -spec.lam * g_val
-        grad = -spec.lam * g_der * direction
-        return value, grad
+        if u >= 7.0 / 8.0:
+            value = -spec.lam * g_val
+            grad = -spec.lam * g_der * direction
+            return value, grad
 
     ln, gn = like.loglik_and_grad(W)
     value = a_val * ln - spec.lam * g_val

@@ -34,8 +34,9 @@ padded transforms through plans of a fixed stack shape
 operator, bit for bit equal to the one-shot transforms of
 :class:`~mckvlab.spectral.Grid`.  At d = 1 each padded transform is one
 real matrix, so the two :class:`LWOperator` kernels fold their diagonals
-ik and gradW into two matrices per solve instead (:class:`_FoldedStage`):
-a stage is two matrix products, equal to the one-shot kernels to rounding.
+ik and gradW into two matrices instead (:class:`_FoldedStage`), the one
+with ik built once per grid and the one with gradW once per solve: a stage
+is two matrix products, equal to the one-shot kernels to rounding.
 For the same reason the time loop writes each predictor and node straight
 into the state stack, and the backward recurrence each weight into its
 state, with ``out=`` operations in the order of the unfused step, and the
@@ -57,13 +58,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from scipy import sparse
 
-from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, get_grid, load_field,
-                       real_matrix, save_field)
+from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, _read_only, get_grid,
+                       load_field, real_matrix, save_field)
 
 BLOWUP_LIMIT = 1e12
 
@@ -635,12 +637,25 @@ class LWOperator:
         return w
 
 
+@lru_cache(maxsize=None)
+def _folded_analysis(grid: Grid, transpose: bool) -> np.ndarray:
+    """The matrix of :class:`_FoldedStage` that depends on the grid alone: the
+    :func:`~mckvlab.spectral.real_matrix` of A ik, or of ik A^T for the
+    transpose.  Cached per (grid, transpose) and read-only."""
+    A, ik = grid.analysis, grid.ik[0]
+    if transpose:
+        return _read_only(real_matrix(ik[:, None] * A.T, real_in=False, real_out=True))
+    return _read_only(real_matrix(A * ik, real_in=True, real_out=False))
+
+
 class _FoldedStage:
     """L_W - Lap at d = 1, or its transpose, on stacks of B fields: two real
     matrix products around one product with the padded state c_s.
 
     With one axis each padded transform is one real matrix of :class:`Grid`,
-    so the diagonals ik and gradW fold into two matrices per operator.  With
+    so the diagonals ik and gradW fold into two matrices: the one that holds
+    ik depends on the grid alone (:func:`_folded_analysis`), the other is
+    built per stage object.  With
     S the synthesis, A the analysis and c_s = [gradW * rho, rho] the two
     padded rows of state s,
     apply(s, v) = (v S * c_s[0] + v (gradW S) * c_s[1]) (A ik) and
@@ -652,15 +667,15 @@ class _FoldedStage:
     """
 
     def __init__(self, grid: Grid, grad_w: np.ndarray, B: int, transpose: bool):
-        S, A, ik, pn = grid.synthesis, grid.analysis, grid.ik[0], grid.pad_n
+        S, pn = grid.synthesis, grid.pad_n
         if transpose:
-            self._first = real_matrix(ik[:, None] * A.T, real_in=False, real_out=True)
+            self._first = _folded_analysis(grid, transpose)
             self._second = real_matrix(np.concatenate([S.T, S.T * grad_w]),
                                        real_in=True, real_out=False)
         else:
             self._first = real_matrix(np.concatenate([S, grad_w[:, None] * S], axis=1),
                                       real_in=False, real_out=True)
-            self._second = real_matrix(A * ik, real_in=True, real_out=False)
+            self._second = _folded_analysis(grid, transpose)
         rows = max(B, 2)
         self._B, self._transpose, self._width = B, transpose, 2 * grid.n
         a = np.zeros((rows, 2 * grid.n))

@@ -64,7 +64,8 @@ def ula_step(state: ChainState, drift) -> ChainState:
     if not np.all(np.isfinite(g)):
         raise DriftBlowUp(state.k, state.theta)
     xi = state.rng.standard_normal(state.theta.size)
-    theta = state.theta + state.gamma * g + np.sqrt(2.0 * state.gamma) * xi
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
+        theta = state.theta + state.gamma * g + np.sqrt(2.0 * state.gamma) * xi
     if not np.all(np.isfinite(theta)):
         raise DriftBlowUp(state.k, state.theta)
     return ChainState(theta=theta, gamma=state.gamma, k=state.k + 1,

@@ -422,6 +422,7 @@ def test_seed_override_changes_hash(tmp_path):
     assert manifest["config_hash"] != c1.content_hash()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command", ["sample", "recover"])
 def test_diverging_chain_exits_three(tmp_path, command):
     runner = CliRunner()

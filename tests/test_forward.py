@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -615,22 +617,61 @@ def test_stacked_second_derivative_rows_match_the_row_loop_bit_for_bit(d, scheme
     assert np.array_equal(stacked, _second_derivative_rows(prob, rho, cols))
 
 
-@pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 2), (3, 8, 1)])
-def test_pair_forcing_equals_the_row_forcing_bit_for_bit(d, n, K):
-    # the states of node 0, node M and the last predictor
-    W = random_potential(K, d, np.random.default_rng(35), amplitude=0.5)
+def _pair_forcing_problem(d, n, K, M, seed):
+    W = random_potential(K, d, np.random.default_rng(seed), amplitude=0.5)
     prob = McKVProblem(W=W, phi=decay_density(n, d, zeta=3.0, amplitude=0.2), T=0.1,
-                       stepper=StepperConfig(M=8))
-    lin = Linearisation(prob, solve_mckv(prob))
+                       stepper=StepperConfig(M=M))
+    return Linearisation(prob, solve_mckv(prob))
+
+
+# the states per block at M = 12 (S = 25 states): more than one at (1, 16, 3),
+# (2, 8, 1) and (3, 4, 1), and 25 is a multiple of none of them but 1
+PAIR_FORCING_BLOCK = {(1, 16, 3): 13, (2, 8, 2): 1, (3, 8, 1): 1, (2, 8, 1): 9, (3, 4, 1): 3}
+
+
+@pytest.mark.parametrize("d, n, K", list(PAIR_FORCING_BLOCK))
+def test_pair_forcing_equals_the_row_forcing_bit_for_bit(d, n, K):
+    # every state, read once in the loop order and once shuffled
+    lin = _pair_forcing_problem(d, n, K, 12, 35)
     op, gtau, v = lin.op, lin.gtau, lin.states
     padded = padded_columns(op, gtau, v)
-    D, S = len(gtau), len(v)
+    D, S, M = len(gtau), len(v), op.M
     ref = np.concatenate([second_derivative_row_forcing(op, gtau, v, padded, r)
                           for r in range(D)], axis=1)
-    forcing = _PairForcing(op, gtau, v)
-    assert forcing.shape == ref.shape == (S, D * (D + 1) // 2) + op.grid.shape
-    for s in (0, op.M, S - 1):
-        assert np.array_equal(forcing[s], ref[s])
+    loop_order = [s for m in range(M) for s in (m, M + 1 + m)] + [M]
+    shuffled = np.random.default_rng(36).permutation(S)
+    for order in (loop_order, shuffled):
+        forcing = _PairForcing(op, gtau, v)
+        assert forcing.block == PAIR_FORCING_BLOCK[d, n, K]
+        assert forcing.shape == ref.shape == (S, D * (D + 1) // 2) + op.grid.shape
+        for s in order:
+            assert np.array_equal(forcing[s], ref[s])
+
+
+class _OneStateForcing:
+    """The pair forcing built one solver state at a time by the row oracle."""
+
+    def __init__(self, op, gtau, v):
+        self.op, self.gtau, self.v = op, gtau, v
+        D = len(gtau)
+        self.shape = (len(v), D * (D + 1) // 2) + op.grid.shape
+
+    def __getitem__(self, s):
+        op, gtau, v = self.op, self.gtau, self.v[s:s + 1]
+        one = SimpleNamespace(grid=op.grid, grad_w=op.grad_w,
+                              rho_states=op.rho_states[s:s + 1], rho_phys=op.rho_phys[s:s + 1])
+        padded = padded_columns(one, gtau, v)
+        return np.concatenate([second_derivative_row_forcing(one, gtau, v, padded, r)
+                               for r in range(len(gtau))], axis=1)[0]
+
+
+@pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 1), (3, 4, 1)])
+def test_second_derivatives_equal_a_solve_forced_one_state_at_a_time(d, n, K):
+    # blocks of 13, 9 and 3 of the 25 states
+    lin = _pair_forcing_problem(d, n, K, 12, 37)
+    op = lin.op
+    ref = op.solve(_OneStateForcing(op, lin.gtau, lin.states), keep_stages=False)
+    assert np.array_equal(lin.second_derivatives(), np.moveaxis(ref, 0, 1))
 
 
 @pytest.mark.parametrize("d, n, K", [(1, 16, 3), (2, 8, 2), (3, 8, 1)])

@@ -680,6 +680,19 @@ def test_memo_keeps_the_two_most_recent_problems(monkeypatch, fresh_memo):
     assert len(calls) == 4 and len(fresh_memo) == 2
 
 
+def test_gram_is_computed_once_and_the_expected_hessian_leaves_it_alone(fresh_memo):
+    model = _curvature_model(1)
+    rng = np.random.default_rng(74)
+    W0 = random_potential(2, 1, rng, amplitude=0.3)
+    W = W0 + random_potential(2, 1, rng, amplitude=0.4)
+    gram = linearisation(model.problem(W)).gram()
+    kept = gram.copy()
+    assert linearisation(model.problem(W)).gram() is gram and not gram.flags.writeable
+    hess = expected_neg_hessian(W, W0, model)
+    assert hess is not gram and not np.array_equal(hess, gram)
+    assert np.array_equal(gram, kept)
+
+
 def test_memo_solves_again_after_W_changes_in_place(monkeypatch, fresh_memo):
     model = _curvature_model(1)
     W = random_potential(2, 1, np.random.default_rng(73), amplitude=0.4)

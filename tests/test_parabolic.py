@@ -11,6 +11,7 @@ from mckvlab.parabolic import (
     ObservationOperator,
     StepperConfig,
     Trajectory,
+    _folded_analysis,
     _integrate_arrays,
     heat_trajectory_exact,
     integrate,
@@ -602,6 +603,15 @@ def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B)
             second = _complex(rng, (B,) + op.grid.shape)
             assert_equal(kernel(s, second), oracle(op, s, second))
             assert np.array_equal(out, kept)
+
+
+def test_folded_stage_grid_matrix_is_built_once_per_grid_and_read_only():
+    grid = get_grid(16, 1)
+    for transpose in (False, True):
+        mat = _folded_analysis(grid, transpose)
+        assert _folded_analysis(grid, transpose) is mat
+        assert not mat.flags.writeable
+    assert _folded_analysis(get_grid(32, 1), False).shape != _folded_analysis(grid, False).shape
 
 
 @pytest.mark.parametrize("scheme", ["if-heun"])

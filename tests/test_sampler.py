@@ -264,6 +264,7 @@ def _overflowing_drift(theta):
     return np.full(theta.size, 1e308)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_ula_step_overflow_raises_drift_blowup():
     state = ChainState(theta=np.ones(D), gamma=10.0, k=3, rng=np.random.default_rng(0))
     with pytest.raises(DriftBlowUp) as excinfo:
@@ -272,6 +273,7 @@ def test_ula_step_overflow_raises_drift_blowup():
     np.testing.assert_array_equal(excinfo.value.theta, np.ones(D))
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_run_ula_overflow_raises_drift_blowup():
     with pytest.raises(DriftBlowUp) as excinfo:
         run_ula(_overflowing_drift, np.zeros(D), 10.0, n_steps=5, burn_in=0, seed=0)
