@@ -190,16 +190,21 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     grid = phi.grid
     grad_w = _as_grad_coeffs(W_field, grid)
     # div(u gradW * u), equal bit for bit to grid.transport_div(u, grad_w, u): one
-    # padded synthesis of u and its d convolutions, one analysis of the d products
+    # padded synthesis of u and its d convolutions, one analysis of the d products;
+    # the plans' views and runs are bound once per solve
     syn, ana = grid.plan("to_padded", (1 + grid.d,)), grid.plan("from_padded", (grid.d,))
+    u_in, conv_in = syn.x[0], list(zip(grad_w, syn.x[1:]))
+    u_phys, conv_phys, syn_run, prod, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
+    div_terms = list(zip(grid.ik, ana.y))
 
     def rhs(s, u):
-        syn.x[0] = u
-        for j, gw in enumerate(grad_w):
-            np.multiply(gw, u, out=syn.x[1 + j])
-        phys = syn.run()
-        np.multiply(phys[:1], phys[1:], out=ana.x)
-        return _divergence(grid.ik, ana.run())
+        u_in[...] = u
+        for gw, x in conv_in:
+            np.multiply(gw, u, out=x)
+        syn_run()
+        np.multiply(u_phys, conv_phys, out=prod)
+        ana_run()
+        return _divergence(div_terms)
 
     return integrate(phi, rhs, T, stepper)
 

@@ -237,14 +237,22 @@ class Dataset:
 
     @classmethod
     def load(cls, csv_path) -> "Dataset":
+        """The dataset :meth:`save` wrote.  A CSV with no data row, or with a
+        row of another length than its header, raises ValueError naming the
+        file (and the row)."""
         csv_path = Path(csv_path)
         meta = json.loads(csv_path.with_suffix(".json").read_text())
         rows = []
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
-            next(reader)
+            width = len(next(reader, ()))
             for row in reader:
+                if len(row) != width:
+                    raise ValueError(f"{csv_path}: data row {len(rows) + 1} has {len(row)} "
+                                     f"fields, the header {width}")
                 rows.append([float(v) for v in row])
+        if not rows:
+            raise ValueError(f"{csv_path}: no observation rows")
         arr = np.asarray(rows)
         return cls(y=arr[:, 0], t=arr[:, 1], x=arr[:, 2:],
                    noise_std=float(meta["noise_std"]), seed=meta.get("seed"),

@@ -42,7 +42,10 @@ into the state stack, and the backward recurrence each weight into its
 state, with ``out=`` operations in the order of the unfused step, and the
 kernels sum their d axis terms ik_j * a_j one axis at a time
 (:func:`_divergence`); the bits are those of the step written with
-temporaries.
+temporaries.  The heat factor E is stored complex
+(:meth:`~mckvlab.spectral.Grid.heat_multiplier`), so the products with it,
+three per forward step and two per backward step, skip numpy's cast of a
+real factor and keep its bits.
 
 Every time loop, forward and transposed, checks growth once, after its
 last step (:func:`_check_growth`): the first step in loop order whose
@@ -387,12 +390,16 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     return states
 
 
-def _divergence(ik: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """sum_j ik_j * a_j of per-axis coefficients a (d, ..., n, ..., n), summed one
-    axis at a time in the order of the sum over axis 0; a new array."""
-    out = ik[0] * a[0]
-    for j in range(1, len(ik)):
-        out += ik[j] * a[j]
+def _divergence(terms) -> np.ndarray:
+    """sum_j ik_j * a_j over the d pairs (ik_j, a_j) of ``terms``, axis j's
+    multiplier and per-axis coefficients, summed one axis at a time in the
+    order of the sum over axis 0; a new array.  A kernel that reads a plan's
+    output pairs it with ik once per solve."""
+    terms = iter(terms)
+    ik, a = next(terms)
+    out = ik * a
+    for ik, a in terms:
+        out += ik * a
     return out
 
 
@@ -541,7 +548,7 @@ class LWOperator:
         phys = syn.run()  # (1+d, B, pad grid)
         q = np.multiply(phys[:1], self.conv1_phys[s][:, None], out=ana.x)
         q += self.rho_phys[s] * phys[1:]
-        return _divergence(self.grid.ik, ana.run())
+        return _divergence(zip(self.grid.ik, ana.run()))
 
     def apply_transpose(self, s: int, y: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` under the pairing Re sum(a * c); a new array.

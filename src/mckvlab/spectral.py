@@ -173,8 +173,13 @@ class Grid:
         return self.from_padded(self.to_padded(cf) * self.to_padded(cg))
 
     def heat_multiplier(self, dt: float) -> np.ndarray:
-        """Exact semigroup factor exp(-4 pi^2 |k|^2 dt)."""
-        return np.exp(self.lap_mult * dt)
+        """Exact semigroup factor exp(-4 pi^2 |k|^2 dt), as a complex array.
+
+        numpy has no real-by-complex product loop: it casts a real factor to
+        complex on every product.  Stored complex, the factor gives the same
+        bits and skips that cast in each step of the time loops.
+        """
+        return np.exp(self.lap_mult * dt).astype(complex)
 
     # -- calculus kernels (array level) --------------------------------------
 
@@ -243,7 +248,9 @@ class PaddedPlan:
     same padded matrix as :meth:`Grid._per_axis`, so the output equals it
     bit for bit.  A lone row goes in over a spare zero row, so that BLAS
     runs the two-row product of :meth:`Grid._per_axis`, whose row 0 does
-    not depend on row 1.  Filling a plan's buffers costs more
+    not depend on row 1.  A one-axis plan (every plan at d = 1) runs its
+    single product with no per-axis loop, since a run costs more in Python
+    calls than in flops.  Filling a plan's buffers costs more
     than one call of :meth:`Grid._per_axis`; a plan pays for itself only
     when it runs many times.
     """
@@ -266,6 +273,13 @@ class PaddedPlan:
             y = np.moveaxis(y.view(complex) if complex_out else y, -1, -d)
             shape = y.shape
         self.y = y
+        if d == 1:  # the one product, with no per-axis loop
+            (_, a, mat, b), = self._steps
+
+            def run():
+                np.matmul(a, mat, b)
+                return y
+            self.run = run
 
     def run(self) -> np.ndarray:
         """The transform of :attr:`x`; a view of :attr:`y`, overwritten by the next run."""

@@ -121,11 +121,16 @@ def _margin(coeffs: np.ndarray, d: int, K: int, zeta: float) -> float:
 
 def deconvolution_margin(rho_traj: Trajectory, K: int, zeta: float,
                          t0: float | None = None) -> float:
-    """min |rho_hat(t,k)| |k|^zeta over 0 < |k| <= K and stored t <= t_0."""
+    """min |rho_hat(t,k)| |k|^zeta over 0 < |k| <= K and stored t <= t_0.
+
+    A ``t0`` that is not finite or is below 0 raises ValueError.
+    """
     if K > rho_traj.n // 2 - 1:
         raise ValueError("K exceeds resolved modes")
     if t0 is None:
         t0 = deconvolution_window(rho_traj, K, zeta)
+    elif not (np.isfinite(t0) and t0 >= 0):
+        raise ValueError(f"t0 must be finite and >= 0, got {t0}")
     m_max = int(np.floor(t0 / rho_traj.dt + 1e-12))
     return _margin(rho_traj.coeffs[:m_max + 1], rho_traj.d, K, zeta)
 

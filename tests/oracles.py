@@ -84,6 +84,51 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     return Trajectory(op.T, op.M, states[:, 0])
 
 
+def lawson_heun_loop(u0: np.ndarray, rhs, T: float, M: int, grid: Grid) -> np.ndarray:
+    """The Lawson-Heun time loop written with temporaries and a real heat factor
+    E: the oracle of ``parabolic._integrate_arrays``, whose E is complex.
+
+    Returns the (2M+1, ...) states in solver-state order: node m at m, the
+    predictor E (u + dt k1) of step m at M+1+m, and node m+1 =
+    E u + (dt/2)(E k1 + k2), with ``rhs(s, u)`` the forcing at state s.
+    """
+    dt = T / M
+    E = np.exp(grid.lap_mult * dt)
+    states = np.zeros((2 * M + 1,) + u0.shape, dtype=complex)
+    states[0] = u0
+    for m in range(M):
+        u = states[m]
+        k1 = rhs(m, u)
+        states[M + 1 + m] = E * (u + dt * k1)
+        k2 = rhs(M + 1 + m, states[M + 1 + m])
+        states[m + 1] = E * u + (0.5 * dt) * (E * k1 + k2)
+    return states
+
+
+def lawson_heun_transpose(op: LWOperator, g: np.ndarray) -> np.ndarray:
+    """The backward recurrence of :func:`lawson_heun_loop` along ``op``, with a
+    real E and temporaries: the oracle of ``LWOperator.solve_transpose``.
+
+    ``g`` (M+1, grid) weights the nodes; returns the weights w (S, grid) of
+    the forcing at every solver state.  With lam the weight of node m+1,
+    step m gives its predictor kappa2 = (dt/2) lam and its node
+    kappa1 = E (kappa2 + dt mu), mu = L^T kappa2 at the predictor, and then
+    lam = E (lam + mu) + (L^T kappa1 at node m + g_m).
+    """
+    M = op.M
+    dt = op.T / M
+    E = np.exp(op.grid.lap_mult * dt)
+    w = np.zeros((2 * M + 1,) + g.shape[1:], dtype=complex)
+    lam = g[M][None].astype(complex)
+    for m in range(M - 1, -1, -1):
+        kappa2 = (0.5 * dt) * lam
+        mu = op.apply_transpose(M + 1 + m, kappa2)
+        kappa1 = E * (kappa2 + dt * mu)
+        w[M + 1 + m], w[m] = kappa2[0], kappa1[0]
+        lam = E * (lam + mu) + (op.apply_transpose(m, kappa1) + g[m])
+    return w
+
+
 def second_derivative_forcing(op: LWOperator, grad_h1, grad_h2, v1, v2) -> np.ndarray:
     """Forcing of D^2 rho_W[H1, H2_b] for one H1 and a stack of B directions H2_b:
     the six-term reference of ``forward._PairForcing``.

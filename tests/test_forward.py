@@ -34,6 +34,7 @@ from mckvlab.parabolic import (
 )
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
 from oracles import (
+    lawson_heun_loop,
     mckv_first_derivative,
     padded_columns,
     particle_modes,
@@ -160,20 +161,23 @@ def test_a_potential_off_the_grid_raises(call):
 
 # a "scheme" parameter only labels the case: Lawson-Heun is the one scheme
 @pytest.mark.parametrize("scheme", ["if-heun"])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_solve_mckv_equals_the_loop_on_the_one_shot_transport_kernel(d, scheme):
-    n = 32 if d == 1 else 16
-    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    n = {1: 32, 2: 16, 3: 8}[d]
+    phi = decay_density(n, d, zeta=1.8 + 2 * (d - 1), amplitude=0.3 if d < 3 else 0.2)
     W = random_potential(3, d, np.random.default_rng(30 + d), amplitude=0.6)
     cfg = StepperConfig(M=24)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=T, stepper=cfg))
     grid = phi.grid
     grad_w = [grid.deriv(W.coeff_grid(n), j) for j in range(d)]
-    oracle = integrate(phi, lambda s, u: grid.transport_div(u, grad_w, u), T, cfg)
+    kernel = lambda s, u: grid.transport_div(u, grad_w, u)  # noqa: E731
+    oracle = integrate(phi, kernel, T, cfg)
     assert np.array_equal(rho.coeffs, oracle.coeffs)
     assert (rho.stages is None) == (oracle.stages is None)
     if rho.stages is not None:
         assert np.array_equal(rho.stages, oracle.stages)
+    # and the step with a real heat factor, written with temporaries
+    assert np.array_equal(rho.states, lawson_heun_loop(phi.coeffs, kernel, T, cfg.M, grid))
 
 
 def test_the_mean_field_pde_is_the_limit_of_its_particle_system():

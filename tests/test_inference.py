@@ -269,6 +269,26 @@ def test_a_loaded_dataset_with_a_nan_observation_is_rejected(tmp_path):
         Dataset(y=[0.0, np.inf], t=[0.0, 0.01], x=[0.3, 0.4], noise_std=0.1)
 
 
+def test_a_loaded_dataset_without_rows_names_the_file(tmp_path):
+    data = Dataset(y=[0.1, 0.2], t=[0.0, 0.01], x=[0.3, 0.4], noise_std=0.1)
+    data.save(tmp_path / "data.csv")
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    (tmp_path / "data.csv").write_text(lines[0] + "\n")
+    with pytest.raises(ValueError, match="data.csv: no observation rows"):
+        Dataset.load(tmp_path / "data.csv")
+
+
+def test_a_loaded_dataset_with_a_short_row_names_the_file_and_row(tmp_path):
+    data = Dataset(y=[0.1, 0.2, 0.3], t=[0.0, 0.01, 0.02], x=[[0.3, 0.4]] * 3,
+                   noise_std=0.1)
+    data.save(tmp_path / "data.csv")
+    lines = (tmp_path / "data.csv").read_text().splitlines()
+    lines[2] = ",".join(lines[2].split(",")[:-1])  # data row 2 loses X_2
+    (tmp_path / "data.csv").write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="data.csv: data row 2 has 3 fields, the header 4"):
+        Dataset.load(tmp_path / "data.csv")
+
+
 # ---------------------------------------------------------------------------
 # likelihood
 

@@ -25,7 +25,7 @@ from mckvlab.parabolic import (
 )
 from mckvlab.forward import McKVProblem, decay_density, solve_mckv
 from mckvlab.spectral import PotentialVec, SpectralField, get_grid, random_potential
-from oracles import DenseObservationOperator
+from oracles import DenseObservationOperator, lawson_heun_loop, lawson_heun_transpose
 
 N_GRID = 32
 T = 0.25
@@ -454,6 +454,23 @@ def test_lw_solve_transpose_dot_product_identity(d, scheme):
         _assert_transpose_pair(g, nodes, w, f[:, 0])
 
     check()
+
+
+@pytest.mark.parametrize("B", [1, 8])
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_solve_equals_the_real_heat_factor_loop_bit_for_bit(d, B):
+    op = _lw_operator(d)
+    f = _complex(np.random.default_rng(150 + B), (len(op.rho_states), B) + op.grid.shape)
+    v0 = np.zeros((B,) + op.grid.shape, dtype=complex)
+    oracle = lawson_heun_loop(v0, lambda s, v: op.apply(s, v) + f[s], op.T, op.M, op.grid)
+    assert np.array_equal(op.solve(f), oracle)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_solve_transpose_equals_the_real_heat_factor_recurrence_bit_for_bit(d):
+    op = _lw_operator(d)
+    g = _complex(np.random.default_rng(160 + d), (_LW_M + 1,) + op.grid.shape)
+    assert np.array_equal(op.solve_transpose(g), lawson_heun_transpose(op, g))
 
 
 @pytest.mark.parametrize("scheme", ["if-heun"])

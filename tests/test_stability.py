@@ -120,6 +120,16 @@ def test_margin_equals_per_step_minimum(d, n, K, zeta):
     assert deconvolution_margin(rho, K, zeta, t0=t0) == min(per_step)
 
 
+@pytest.mark.parametrize("t0", [-0.01, -0.001, float("nan"), float("inf")])
+def test_margin_rejects_a_negative_or_non_finite_t0(t0):
+    # t0 = -0.01 on M = 8, T = 0.05 would read nodes 0..M-1 through coeffs[:-1]
+    rho = solve_mckv(McKVProblem(W=PotentialVec.zeros(2, 1), phi=_phi(), T=0.05,
+                                 stepper=StepperConfig(M=8)))
+    with pytest.raises(ValueError, match="^t0 must be finite and >= 0"):
+        deconvolution_margin(rho, 3, 2.0, t0=t0)
+    assert deconvolution_margin(rho, 3, 2.0, t0=0.0) > 0.0
+
+
 def test_margin_zero_iff_vanishing_mode():
     # a density missing mode 3 has zero margin at K = 3, positive at K = 2
     phi = _phi(zeta=2.0, amplitude=0.25)
