@@ -105,6 +105,7 @@ class McKVProblem:
     stepper: StepperConfig
 
     def __post_init__(self):
+        check_horizon(self.T)
         if self.W.d != self.phi.d:
             raise ValueError("potential and initial density dimension mismatch")
         if not abs(self.phi.mean() - 1.0) <= 1e-12:
@@ -113,6 +114,14 @@ class McKVProblem:
             raise ValueError("initial density must be a real field")
         if self.W.K > self.phi.n // 2 - 1:
             raise ValueError("potential truncation exceeds grid resolution")
+
+
+def check_horizon(T: float):
+    """ValueError unless the horizon T is finite and > 0: a negative or NaN T
+    would end in a blow-up that did not happen, and T = 0 in a constant
+    trajectory."""
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
 
 
 def check_density(rho: Trajectory, model) -> Trajectory:
@@ -197,14 +206,14 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     u_phys, conv_phys, syn_run, prod, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
     div_terms = list(zip(grid.ik, ana.y))
 
-    def rhs(s, u):
+    def rhs(s, u, out):
         u_in[...] = u
         for gw, x in conv_in:
             np.multiply(gw, u, out=x)
         syn_run()
         np.multiply(u_phys, conv_phys, out=prod)
         ana_run()
-        return _divergence(div_terms)
+        _divergence(div_terms, out)
 
     return integrate(phi, rhs, T, stepper)
 
@@ -543,9 +552,9 @@ def solve_rd(R: ReactionSpec, phi: SpectralField, T: float,
     """Solve d/dt u = Lap(u) + R(u), u(0) = phi (d <= 3)."""
     grid = phi.grid
 
-    def rhs(s, u):
+    def rhs(s, u, out):
         # R applied pointwise on the 3/2-padded grid
-        return grid.from_padded(R.R(grid.to_padded(u)))
+        out[...] = grid.from_padded(R.R(grid.to_padded(u)))
 
     return integrate(phi, rhs, T, stepper)
 
@@ -560,10 +569,10 @@ def rd_linearisation(R: ReactionSpec, H: callable, u_traj: Trajectory) -> Trajec
     grid = u_traj.grid
     u = solver_states(u_traj)
 
-    def rhs(s, i_c):
+    def rhs(s, i_c, out):
         u_vals = grid.to_padded(u[s])
         i_vals = grid.to_padded(i_c)
-        return grid.from_padded(R.Rprime(u_vals) * i_vals + H(u_vals))
+        out[...] = grid.from_padded(R.Rprime(u_vals) * i_vals + H(u_vals))
 
     i0 = SpectralField.zeros(u_traj.n, u_traj.d)
     return integrate(i0, rhs, u_traj.T, StepperConfig(u_traj.M))

@@ -27,7 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import Linearisation, McKVProblem, check_density, linearisation, solve_mckv
+from .forward import (Linearisation, McKVProblem, check_density, check_horizon,
+                      linearisation, solve_mckv)
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -267,6 +268,9 @@ class ForwardModel:
     T: float
     K: int
     stepper: StepperConfig
+
+    def __post_init__(self):
+        check_horizon(self.T)
 
     @property
     def d(self) -> int:

@@ -27,25 +27,29 @@ the Heun predictor of step m at s = M+1+m (S = 2M+1).  A :class:`Trajectory`
 is one such stack without the B axis, and a solve reads it in place.
 
 At the sizes of the library a stage is paid in numpy calls rather than
-flops, so the per-stage kernels (the nonlinear mean-field right-hand side,
-:meth:`LWOperator.apply` and :meth:`LWOperator.apply_transpose`) run their
-padded transforms through plans of a fixed stack shape
-(:class:`~mckvlab.spectral.PaddedPlan`), built once per solve or per
-operator, bit for bit equal to the one-shot transforms of
-:class:`~mckvlab.spectral.Grid`.  At d = 1 each padded transform is one
-real matrix, so the two :class:`LWOperator` kernels fold their diagonals
-ik and gradW into two matrices instead (:class:`_FoldedStage`), the one
-with ik built once per grid and the one with gradW once per solve: a stage
-is two matrix products, equal to the one-shot kernels to rounding.
-For the same reason the time loop writes each predictor and node straight
-into the state stack, and the backward recurrence each weight into its
-state, with ``out=`` operations in the order of the unfused step, and the
-kernels sum their d axis terms ik_j * a_j one axis at a time
-(:func:`_divergence`); the bits are those of the step written with
-temporaries.  The heat factor E is stored complex
-(:meth:`~mckvlab.spectral.Grid.heat_multiplier`), so the products with it,
-three per forward step and two per backward step, skip numpy's cast of a
-real factor and keep its bits.
+flops, so a stage looks up no kernel, and at d = 1 no stage of a
+mean-field solve allocates an array.  The per-stage kernels (the
+nonlinear mean-field right-hand side, and the one kernel ``(s, v, out)``
+each :class:`LWOperator` direction binds per solve) write into a buffer
+the loop owns and run their padded transforms through plans of a fixed
+stack shape (:class:`~mckvlab.spectral.PaddedPlan`), built once per
+solve, bit for bit equal to the one-shot transforms of
+:class:`~mckvlab.spectral.Grid`.
+At d = 1 each padded transform is one real matrix, so the two
+:class:`LWOperator` kernels fold their diagonals ik and gradW into two
+matrices instead (:class:`_FoldedStage`), the one with ik built once per
+grid and the one with gradW once per solve: a stage is two matrix
+products into buffers the stage owns, equal to the one-shot kernels to
+rounding.  The time loop writes each predictor and node straight into the
+state stack, and the backward recurrence each weight into its state, with
+``out=`` operations in the order of the unfused step, and the kernels sum
+their d axis terms ik_j * a_j one axis at a time (:func:`_divergence`);
+the bits are those of the step written with temporaries.  The heat factor
+E is stored complex (:meth:`~mckvlab.spectral.Grid.heat_multiplier`) and
+dt and dt/2 are 0-d complex arrays, so the products with them skip
+numpy's conversion of a real factor and keep its bits; the backward
+recurrence holds every operand as (1, grid), so that none of its
+products broadcasts.
 
 Every time loop, forward and transposed, checks growth once, after its
 last step (:func:`_check_growth`): the first step in loop order whose
@@ -67,8 +71,8 @@ from pathlib import Path
 import numpy as np
 from scipy import sparse
 
-from .spectral import (Grid, PaddedPlan, PotentialVec, SpectralField, _read_only, get_grid,
-                       load_field, real_matrix, save_field)
+from .spectral import (Grid, PotentialVec, SpectralField, _read_only, get_grid, load_field,
+                       real_matrix, save_field)
 
 BLOWUP_LIMIT = 1e12
 
@@ -96,6 +100,8 @@ class StepperConfig:
     M: int = 256
 
     def __post_init__(self):
+        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
+            raise ValueError(f"step count M must be an integer, got {self.M!r}")
         if self.M < 1:
             raise ValueError("step count M must be >= 1")
 
@@ -267,15 +273,18 @@ class ObservationOperator:
     batched product of the weighted data with the phases; the stack axis
     of the forward map is a batch axis, so a trajectory's values do not
     depend on its stack.  Times outside [0, T] and non-finite points are
-    rejected.  ``key`` is (T, M, n, d), the trajectories the operator
-    applies to.
+    rejected, and so are times t that are not 1-D and positions x whose
+    shape is not (N, d).  ``key`` is (T, M, n, d), the trajectories the
+    operator applies to.
     """
 
     def __init__(self, T: float, M: int, grid: Grid, t, x):
         self.key = (T, M, grid.n, grid.d)
-        t = np.asarray(t, dtype=float)
+        t, x = np.asarray(t, dtype=float), np.asarray(x, dtype=float)
+        if t.ndim != 1 or x.shape != (len(t), grid.d):
+            raise ValueError(f"observation times of shape {t.shape} and positions of shape "
+                             f"{x.shape} do not match (N,) and (N, d) with d = {grid.d}")
         n_pts = len(t)
-        x = np.asarray(x, dtype=float).reshape(n_pts, grid.d)
         bad = ~(np.isfinite(t) & np.isfinite(x).all(axis=1))
         if bad.any():
             i = int(np.argmax(bad))
@@ -345,9 +354,11 @@ class ObservationOperator:
 def integrate(u0: SpectralField, rhs, T: float, config: StepperConfig) -> Trajectory:
     """Integrate d/dt u = Lap(u) + F with M Lawson-Heun steps.
 
-    ``rhs(s, u)`` returns the coefficients of F at solver state s (node m
-    at s = m, the Heun predictor of step m at s = M+1+m) given its
-    coefficient array u.  Deterministic for fixed inputs; raises
+    ``rhs(s, u, out)`` writes into ``out`` the coefficients of F at solver
+    state s (node m at s = m, the Heun predictor of step m at s = M+1+m)
+    given its coefficient array u, which it must not change; ``out`` is a
+    buffer of u's shape that the loop owns and that shares no memory with
+    the returned states.  Deterministic for fixed inputs; raises
     :class:`NumericalBlowUp` on divergence.
     """
     return Trajectory(T, config.M, _integrate_arrays(u0.coeffs, rhs, T, config.M, u0.grid))
@@ -358,46 +369,52 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     """The time loop; ``u0`` may carry leading stack axes.
 
     Returns the states in :func:`solver_states` order, time first; only the
-    M+1 nodes when ``keep_stages`` is False.  The predictor and the node of
-    a step are written in place into their states, in the operation order
-    of E * (u + dt * k1) and E * u + (0.5 * dt) * (E * k1 + k2); ``rhs(s, u)``
-    reads the state u at index s, kept or not, and must not change it.
+    M+1 nodes when ``keep_stages`` is False.  ``rhs(s, u, out)`` reads the
+    state u at index s, kept or not, and must not change it; it writes F at
+    s into ``out``, one of two buffers of u's shape that the loop owns (k1
+    at the node, k2 at the predictor) and that share no memory with the
+    states.  The predictor and the node of a step are written in place into
+    their states, in the operation order of E * (u + dt * k1) and
+    E * u + (0.5 * dt) * (E * k1 + k2), with dt and 0.5 * dt held as 0-d
+    complex arrays.
     """
     dt = T / M
     E = grid.heat_multiplier(dt)
+    dt_c, half_dt = np.array(dt, dtype=complex), np.array(0.5 * dt, dtype=complex)
 
     states = np.zeros((2 * M + 1 if keep_stages else M + 1,) + u0.shape, dtype=complex)
     states[0] = u0
     ustar = None if keep_stages else np.empty_like(states[0])
-    incr = np.empty_like(states[0])  # (0.5 * dt) * (E * k1 + k2)
+    k1, k2 = np.empty_like(states[0]), np.empty_like(states[0])
 
     with np.errstate(over="ignore", invalid="ignore"):
         for m in range(M):
             u = states[m]
-            k1 = rhs(m, u)
+            rhs(m, u, k1)
             if keep_stages:
                 ustar = states[M + 1 + m]
-            np.multiply(dt, k1, out=ustar)
+            np.multiply(dt_c, k1, out=ustar)
             np.add(u, ustar, out=ustar)
             np.multiply(E, ustar, out=ustar)
-            k2 = rhs(M + 1 + m, ustar)
-            np.multiply(E, k1, out=incr)
-            np.add(incr, k2, out=incr)
-            np.multiply(0.5 * dt, incr, out=incr)
+            rhs(M + 1 + m, ustar, k2)
+            # k1 becomes the increment (0.5 * dt) * (E * k1 + k2)
+            np.multiply(E, k1, out=k1)
+            np.add(k1, k2, out=k1)
+            np.multiply(half_dt, k1, out=k1)
             u = np.multiply(E, u, out=states[m + 1])
-            np.add(u, incr, out=u)
+            np.add(u, k1, out=u)
     _check_growth(states[1:M + 1], range(1, M + 1))
     return states
 
 
-def _divergence(terms) -> np.ndarray:
+def _divergence(terms, out: np.ndarray) -> np.ndarray:
     """sum_j ik_j * a_j over the d pairs (ik_j, a_j) of ``terms``, axis j's
     multiplier and per-axis coefficients, summed one axis at a time in the
-    order of the sum over axis 0; a new array.  A kernel that reads a plan's
-    output pairs it with ik once per solve."""
+    order of the sum over axis 0, into ``out``, which it returns.  A kernel
+    that reads a plan's output pairs it with ik once per solve."""
     terms = iter(terms)
     ik, a = next(terms)
-    out = ik * a
+    np.multiply(ik, a, out=out)
     for ik, a in terms:
         out += ik * a
     return out
@@ -490,10 +507,13 @@ class LWOperator:
     use for each stack size B, so a state is a fixed set of BLAS calls into
     buffers the operator owns.  At d = 1 each is one :class:`_FoldedStage`
     instead: two real matrix products with ik and gradW folded in, equal to
-    the plans to rounding.  Both applications return new arrays.
-    :meth:`solve` and :meth:`solve_transpose` drop the plans and folded
-    stages when they return, so an operator kept between solves (as in the
-    memo of ``forward.linearisation``) holds no buffers.  Built from (W, rho_traj)
+    the plans to rounding.  Either is the operator's one kernel
+    ``(s, v, out)`` per stack size and direction, which writes into
+    ``out``: :meth:`solve` and :meth:`solve_transpose` bind it once per
+    solve, and :meth:`apply` and :meth:`apply_transpose` run it into a new
+    array.  The solves drop their kernels when they return, so an operator
+    kept between solves (as in the memo of ``forward.linearisation``) holds
+    no buffers.  Built from (W, rho_traj)
     alone, it solves on the M steps of ``rho_traj`` and reads rho from
     ``rho_traj.states``, not a copy; every linearised solve of the
     mean-field map goes through :meth:`solve`, and every weight on a transport
@@ -516,39 +536,80 @@ class LWOperator:
         self.conv1_phys = self._phys[:, :d]  # (S, d, pad grid)
         self.rho_phys = self._phys[:, d]  # (S, pad grid)
         self._ik = grid.ik[:, None]  # (d, 1, grid)
-        self._plans: dict[tuple[int, bool], tuple[PaddedPlan, PaddedPlan] | _FoldedStage] = {}
+        self._plans: dict[tuple[int, bool], object] = {}
 
-    def _plans_for(self, B: int, transpose: bool):
-        """The operator's own plans for stacks of B fields, built on first use:
-        at d = 1 one :class:`_FoldedStage`, at d >= 2 (synthesis, analysis)
-        for :meth:`apply` and (transposed analysis, transposed synthesis) for
-        :meth:`apply_transpose`."""
-        plans = self._plans.get((B, transpose))
-        if plans is None:
-            d, plan = self.grid.d, self.grid.plan
-            if d == 1:
-                plans = _FoldedStage(self.grid, self.grad_w[0], B, transpose)
+    def _kernel(self, B: int, transpose: bool):
+        """The operator's kernel ``(s, v, out)`` for stacks of B fields, built
+        on first use and kept until a solve returns: it writes
+        :meth:`apply` (or, with ``transpose``, :meth:`apply_transpose`) at
+        state s of v into ``out``.  At d = 1 the bound call of one
+        :class:`_FoldedStage`, at d >= 2 a closure over two plans and their
+        views: (synthesis, analysis), or (transposed analysis, transposed
+        synthesis) for the transpose."""
+        kernel = self._plans.get((B, transpose))
+        if kernel is None:
+            if self.grid.d == 1:
+                stage = _FoldedStage(self.grid, self.grad_w[0], self._phys, B, transpose)
+                kernel = stage.transpose if transpose else stage.apply
             elif transpose:
-                plans = (plan("from_padded_transpose", (d, B)),
-                         plan("to_padded_transpose", (1 + d, B)))
+                kernel = self._planned_transpose(B)
             else:
-                plans = plan("to_padded", (1 + d, B)), plan("from_padded", (d, B))
-            self._plans[B, transpose] = plans
-        return plans
+                kernel = self._planned_apply(B)
+            self._plans[B, transpose] = kernel
+        return kernel
+
+    def _planned_apply(self, B: int):
+        """The d >= 2 kernel of :meth:`apply`: one padded synthesis of v with
+        its d convolutions, one analysis of the products."""
+        d, plan = self.grid.d, self.grid.plan
+        syn, ana = plan("to_padded", (1 + d, B)), plan("from_padded", (d, B))
+        v_in, conv_in = syn.x[0], list(zip(self.grad_w, syn.x[1:]))
+        v_phys, conv_phys, syn_run, q, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
+        conv1, rho = self.conv1_phys[:, :, None], self.rho_phys
+        div_terms = list(zip(self.grid.ik, ana.y))
+
+        def kernel(s, v, out):
+            # one padded synthesis for v and all gradW_j * v convolutions
+            v_in[...] = v
+            for gw, x in conv_in:
+                np.multiply(gw, v, out=x)
+            syn_run()
+            np.multiply(v_phys, conv1[s], out=q)
+            np.add(q, rho[s] * conv_phys, out=q)
+            ana_run()
+            _divergence(div_terms, out)
+        return kernel
+
+    def _planned_transpose(self, B: int):
+        """The d >= 2 kernel of :meth:`apply_transpose`: one transposed padded
+        analysis of the d directions, one transposed synthesis."""
+        d, plan = self.grid.d, self.grid.plan
+        ana_t = plan("from_padded_transpose", (d, B))
+        syn_t = plan("to_padded_transpose", (1 + d, B))
+        ik, y_in, ana_run, r = self._ik, ana_t.x, ana_t.run, ana_t.y
+        w, syn_run, back = syn_t.x, syn_t.run, syn_t.y
+        conv1, rho, grad_w = self.conv1_phys, self.rho_phys, self.grad_w
+
+        def kernel(s, y, out):
+            np.multiply(ik, y, out=y_in)
+            ana_run()  # r: (d, B, pad grid)
+            c = conv1[s]
+            np.multiply(c[0], r[0], out=w[0])
+            for j in range(1, d):
+                w[0] += c[j] * r[j]
+            np.multiply(rho[s], r, out=w[1:])
+            syn_run()  # back: (1+d, B, grid)
+            np.multiply(grad_w[0], back[1], out=out)
+            np.add(back[0], out, out=out)
+            for j in range(1, d):
+                out += grad_w[j] * back[1 + j]
+        return kernel
 
     def apply(self, s: int, v: np.ndarray) -> np.ndarray:
         """L_W v - Lap v at state s for a stacked v (B, grid); a new array."""
-        if self.grid.d == 1:
-            return self._plans_for(len(v), transpose=False)(self._phys[s], v)
-        syn, ana = self._plans_for(len(v), transpose=False)
-        # one padded synthesis for v and all gradW_j * v convolutions
-        syn.x[0] = v
-        for j, gw in enumerate(self.grad_w):
-            np.multiply(gw, v, out=syn.x[1 + j])
-        phys = syn.run()  # (1+d, B, pad grid)
-        q = np.multiply(phys[:1], self.conv1_phys[s][:, None], out=ana.x)
-        q += self.rho_phys[s] * phys[1:]
-        return _divergence(zip(self.grid.ik, ana.run()))
+        out = np.empty(v.shape, dtype=complex)
+        self._kernel(len(v), transpose=False)(s, v, out)
+        return out
 
     def apply_transpose(self, s: int, y: np.ndarray) -> np.ndarray:
         """Transpose of :meth:`apply` under the pairing Re sum(a * c); a new array.
@@ -558,20 +619,8 @@ class LWOperator:
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
         share one transposed padded analysis and one transposed synthesis.
         """
-        if self.grid.d == 1:
-            return self._plans_for(len(y), transpose=True)(self._phys[s], y)
-        ana_t, syn_t = self._plans_for(len(y), transpose=True)
-        np.multiply(self._ik, y, out=ana_t.x)
-        r = ana_t.run()  # (d, B, pad grid)
-        w = syn_t.x
-        np.multiply(self.conv1_phys[s][0], r[0], out=w[0])
-        for j in range(1, self.grid.d):
-            w[0] += self.conv1_phys[s][j] * r[j]
-        np.multiply(self.rho_phys[s], r, out=w[1:])
-        back = syn_t.run()  # (1+d, B, grid)
-        out = back[0] + self.grad_w[0] * back[1]
-        for j in range(1, self.grid.d):
-            out += self.grad_w[j] * back[1 + j]
+        out = np.empty(y.shape, dtype=complex)
+        self._kernel(len(y), transpose=True)(s, y, out)
         return out
 
     def pull_back(self, w: np.ndarray):
@@ -596,13 +645,13 @@ class LWOperator:
         """
         if v0 is None:
             v0 = np.zeros(forcing.shape[1:], dtype=complex)
+        kernel = self._kernel(len(v0), transpose=False)
 
-        def rhs(s, v):
-            lv = self.apply(s, v)
-            if forcing is not None:
-                lv += forcing[s]
-            return lv
+        def forced(s, v, out):
+            kernel(s, v, out)
+            out += forcing[s]
 
+        rhs = kernel if forcing is None else forced
         try:
             return _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
         finally:
@@ -615,33 +664,40 @@ class LWOperator:
         the forcing at every solver state, so that for any forcing f
         (S, 1, grid) Re sum(g * solve(f)[:M + 1, 0]) = Re sum(w * f[:, 0]).
         The recurrence runs the steps of the time loop backwards, with its
-        blow-up guard; each step is transposed through both stages.
+        blow-up guard; each step is transposed through both stages, into
+        buffers the recurrence owns and with dt and 0.5 * dt as 0-d complex
+        arrays, as in the forward loop.
         """
         M, grid = self.M, self.grid
         dt = self.T / M
-        E = grid.heat_multiplier(dt)
-        w = np.zeros((len(self.rho_states),) + g.shape[1:], dtype=complex)
-        lam = g[M][None].astype(complex)  # weight of node m+1, (1, grid)
+        # every operand as (1, grid), so that no product broadcasts
+        E = grid.heat_multiplier(dt)[None]
+        dt_c, half_dt = np.array(dt, dtype=complex), np.array(0.5 * dt, dtype=complex)
+        kernel = self._kernel(1, transpose=True)
+        w = np.zeros((len(self.rho_states), 1) + g.shape[1:], dtype=complex)
+        g = g[:, None]
+        lam = g[M].astype(complex)  # weight of node m+1
+        mu, back = np.empty_like(lam), np.empty_like(lam)
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M - 1, -1, -1):
                 # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
-                # into their states of w (predictor M+1+m, node m) as (1, grid) views
+                # into their states of w (predictor M+1+m, node m)
                 s = M + 1 + m
-                kappa2 = np.multiply(0.5 * dt, lam, out=w[s:s + 1])
-                mu = self.apply_transpose(s, kappa2)  # weight of the predictor
-                kappa1 = np.multiply(dt, mu, out=w[m:m + 1])
+                kappa2 = np.multiply(half_dt, lam, out=w[s])
+                kernel(s, kappa2, mu)  # mu: the weight of the predictor
+                kappa1 = np.multiply(dt_c, mu, out=w[m])
                 np.add(kappa2, kappa1, out=kappa1)
                 np.multiply(E, kappa1, out=kappa1)
                 np.add(lam, mu, out=lam)
                 np.multiply(E, lam, out=lam)
-                back = self.apply_transpose(m, kappa1)
+                kernel(m, kappa1, back)
                 back += g[m]
                 lam += back
         self._plans.clear()
         # the weight lam of node m, m = M-1..1 in loop order, is w[M+m] / (0.5 dt)
         _check_growth(w[M + 1:2 * M][::-1], range(M - 1, 0, -1), 0.5 * dt * BLOWUP_LIMIT)
         _check_growth(lam[None], [0])
-        return w
+        return w[:, 0]
 
 
 @lru_cache(maxsize=None)
@@ -663,17 +719,19 @@ class _FoldedStage:
     so the diagonals ik and gradW fold into two matrices: the one that holds
     ik depends on the grid alone (:func:`_folded_analysis`), the other is
     built per stage object.  With
-    S the synthesis, A the analysis and c_s = [gradW * rho, rho] the two
-    padded rows of state s,
+    S the synthesis, A the analysis and c_s = [gradW * rho, rho] = phys[s]
+    the two padded rows of state s,
     apply(s, v) = (v S * c_s[0] + v (gradW S) * c_s[1]) (A ik) and
-    apply_transpose(s, y) = [r * c_s[0], r * c_s[1]] [S^T; S^T gradW] with
+    transpose(s, y) = [r * c_s[0], r * c_s[1]] [S^T; S^T gradW] with
     r = y (ik A^T); complex operands are read as (Re, Im) pairs.  Each
     product has at least two rows (a lone field goes in over a zero row) and
     output widths padded to a multiple of 8, as in :meth:`Grid._per_axis`,
-    so a row's bits do not depend on its stack.  A call returns a new array.
+    so a row's bits do not depend on its stack.  Both write into ``out``,
+    through buffers the stage owns.
     """
 
-    def __init__(self, grid: Grid, grad_w: np.ndarray, B: int, transpose: bool):
+    def __init__(self, grid: Grid, grad_w: np.ndarray, phys: np.ndarray, B: int,
+                 transpose: bool):
         S, pn = grid.synthesis, grid.pad_n
         if transpose:
             self._first = _folded_analysis(grid, transpose)
@@ -684,23 +742,33 @@ class _FoldedStage:
                                       real_in=False, real_out=True)
             self._second = _folded_analysis(grid, transpose)
         rows = max(B, 2)
-        self._B, self._transpose, self._width = B, transpose, 2 * grid.n
+        self._phys = phys
         a = np.zeros((rows, 2 * grid.n))
         self._x, self._a = a.view(complex)[:B], a
         self._p = np.empty((rows, self._first.shape[1]))
         self._q = np.empty((rows, self._second.shape[0]))
+        self._r = np.empty((rows, self._second.shape[1]))
+        self._y = self._r[:B, :2 * grid.n].view(complex)
         if transpose:  # r as (rows, 1, pn) against the product (rows, 2, pn)
             self._in, self._out = self._p[:, None, :pn], self._q.reshape(rows, 2, pn)
         else:  # both padded fields as (rows, 2, pn)
             self._in = self._out = self._p[:, :2 * pn].reshape(rows, 2, pn)
+            self._sum = self._out[:, 0], self._out[:, 1]
 
-    def __call__(self, c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def apply(self, s: int, v: np.ndarray, out: np.ndarray):
         self._x[...] = v
         np.matmul(self._a, self._first, out=self._p)
-        np.multiply(self._in, c, out=self._out)
-        if not self._transpose:
-            np.add(self._out[:, 0], self._out[:, 1], out=self._q)
-        return (self._q @ self._second)[:self._B, :self._width].view(complex)
+        np.multiply(self._in, self._phys[s], out=self._out)
+        np.add(*self._sum, out=self._q)
+        np.matmul(self._q, self._second, out=self._r)
+        out[...] = self._y
+
+    def transpose(self, s: int, y: np.ndarray, out: np.ndarray):
+        self._x[...] = y
+        np.matmul(self._a, self._first, out=self._p)
+        np.multiply(self._in, self._phys[s], out=self._out)
+        np.matmul(self._q, self._second, out=self._r)
+        out[...] = self._y
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,

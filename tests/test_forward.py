@@ -171,7 +171,7 @@ def test_solve_mckv_equals_the_loop_on_the_one_shot_transport_kernel(d, scheme):
     grid = phi.grid
     grad_w = [grid.deriv(W.coeff_grid(n), j) for j in range(d)]
     kernel = lambda s, u: grid.transport_div(u, grad_w, u)  # noqa: E731
-    oracle = integrate(phi, kernel, T, cfg)
+    oracle = integrate(phi, lambda s, u, out: np.copyto(out, kernel(s, u)), T, cfg)
     assert np.array_equal(rho.coeffs, oracle.coeffs)
     assert (rho.stages is None) == (oracle.stages is None)
     if rho.stages is not None:
@@ -225,6 +225,14 @@ def test_mckv_rejects_non_probability_initial_state():
     f = SpectralField.constant(2.0, N_GRID, 1)
     with pytest.raises(ValueError):
         McKVProblem(W=PotentialVec.zeros(2, 1), phi=f, T=T, stepper=CFG)
+
+
+@pytest.mark.parametrize("bad_T", [-0.05, np.nan, 0.0])
+def test_mckv_problem_rejects_a_horizon_that_is_not_finite_and_positive(bad_T):
+    # T = -0.05 and NaN ended in a blow-up at step 3 of the solve, T = 0 in a
+    # constant trajectory
+    with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+        McKVProblem(W=PotentialVec.zeros(2, 1), phi=_phi(), T=bad_T, stepper=CFG)
 
 
 def test_constant_shift_invariance_of_potential():

@@ -175,6 +175,8 @@ TEST_ONLY = {
     "from_file": "load_yaml and ExperimentConfig, the config reader of the CLI",
     "posterior_energy": "LikelihoodEvaluator.loglik_and_grad plus the prior; "
                         "the energy of the MAP warm start (ROADMAP item 3)",
+    "apply_transpose": "LWOperator.solve_transpose, one state at a time, through the "
+                       "kernel both share",
 }
 
 

@@ -115,6 +115,14 @@ def test_validate_constants_rejects_zeta_equal_beta():
     assert not validate_constants(cfg).checks["zeta_window"]
 
 
+@pytest.mark.parametrize("bad_T", [-0.05, np.nan, 0.0])
+def test_forward_model_rejects_a_horizon_that_is_not_finite_and_positive(bad_T):
+    # before any solve: data generation at such a T raised NumericalBlowUp or
+    # returned a constant trajectory
+    with pytest.raises(ValueError, match="horizon T must be finite and > 0"):
+        replace(_model(), T=bad_T)
+
+
 def test_validate_constants_dimension_and_bias_checks():
     cfg = ConstantsConfig(d=1, alpha=78.0, beta=6.0, zeta=6.55, w=39.5)
     # at alpha = 78 the rate is nearly parametric and N delta_N^2 grows as

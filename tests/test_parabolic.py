@@ -38,7 +38,7 @@ def _phi():
 def solve_heat(u0: SpectralField, T: float, config: StepperConfig) -> Trajectory:
     """Pure heat flow (F = 0); nodes carry the exact semigroup."""
     zero = np.zeros_like(u0.coeffs)
-    return integrate(u0, lambda s, u: zero, T, config)
+    return integrate(u0, lambda s, u, out: np.copyto(out, zero), T, config)
 
 
 def test_zero_forcing_reproduces_heat_semigroup():
@@ -54,7 +54,7 @@ def test_constant_forcing_linear_growth_exact():
     c_field = np.zeros(n, dtype=complex)
     c_field[0] = 0.7
     u0 = SpectralField.zeros(n, 1)
-    traj = integrate(u0, lambda s, u: c_field, T, StepperConfig(M=32))
+    traj = integrate(u0, lambda s, u, out: np.copyto(out, c_field), T, StepperConfig(M=32))
     ts = np.linspace(0, T, 33)
     np.testing.assert_allclose(traj.zero_mode(), 0.7 * ts, atol=1e-14)
 
@@ -64,14 +64,37 @@ def test_the_time_loop_hands_its_rhs_the_solver_state(keep_stages):
     # node m at s = m and the Heun predictor of step m at s = M+1+m, kept or not
     seen = []
 
-    def rhs(s, u):
+    def rhs(s, u, out):
         seen.append(s)
-        return np.zeros_like(u)
+        out[...] = 0
 
     phi = _phi()
     states = _integrate_arrays(phi.coeffs, rhs, T, 3, phi.grid, keep_stages)
     assert seen == [0, 4, 1, 5, 2, 6]
     assert len(states) == (7 if keep_stages else 4)
+
+
+@pytest.mark.parametrize("keep_stages", [True, False])
+def test_the_time_loop_hands_its_rhs_buffers_apart_from_the_states(keep_stages):
+    # rhs writes F into out, a buffer of the loop that no returned state shares
+    outs = []
+
+    def rhs(s, u, out):
+        assert out.shape == u.shape and not np.shares_memory(out, u)
+        outs.append(out)
+        out[...] = 0
+
+    phi = _phi()
+    states = _integrate_arrays(phi.coeffs, rhs, T, 3, phi.grid, keep_stages)
+    assert len(outs) == 6
+    assert not any(np.shares_memory(out, states) for out in outs)
+
+
+@pytest.mark.parametrize("M", [8.0, True, "8"])
+def test_stepper_config_rejects_a_step_count_that_is_not_an_integer(M):
+    # M = 8.0 ended in a TypeError inside the solve, and M = True ran one step
+    with pytest.raises(ValueError, match="step count M must be an integer"):
+        StepperConfig(M=M)
 
 
 def test_zero_mode_conservation_divergence_forcing():
@@ -122,7 +145,8 @@ def test_blowup_detection_reports_step(d):
     grid = phi.grid
     grad_w = [grid.deriv(big.coeff_grid(N_GRID), j) for j in range(d)]
     with pytest.raises(NumericalBlowUp) as oracle:
-        integrate(phi, lambda s, u: grid.transport_div(u, grad_w, u), T, cfg)
+        integrate(phi, lambda s, u, out: np.copyto(out, grid.transport_div(u, grad_w, u)),
+                  T, cfg)
     assert excinfo.value.step == oracle.value.step
 
 
@@ -376,6 +400,22 @@ def test_observation_equals_the_dense_operator(d, design):
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
 
+@pytest.mark.parametrize("t_shape, x_shape", [
+    ((5, 1), (5, 2)),   # t not 1-D
+    ((), (1, 2)),       # a scalar t
+    ((5,), (5,)),       # x without its d axis
+    ((5,), (5, 1)),     # x of another d
+    ((5,), (4, 2)),     # x of another N
+    ((5,), (5, 2, 1)),  # x with a third axis
+])
+def test_observation_rejects_points_of_the_wrong_shape(t_shape, x_shape):
+    # these ended in numpy's reshape errors, or in "object too deep"
+    t, x = np.full(t_shape, 0.5 * _OBS_T), np.full(x_shape, 0.5)
+    with pytest.raises(ValueError) as err:
+        ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[2], 2), t, x)
+    assert str(t_shape) in str(err.value) and str(x_shape) in str(err.value)
+
+
 @pytest.mark.parametrize("bad", ["t", "x"])
 def test_observation_rejects_a_non_finite_point(bad):
     # a NaN time passes every bound check of the bracket; a NaN position gives a NaN value
@@ -390,11 +430,11 @@ def test_observation_rejects_a_non_finite_point(bad):
 
 _LW_T = 0.06
 _LW_M = 6
-_LW_N = {1: 16, 2: 8}
+_LW_N = {1: 16, 2: 8, 3: 6}
 
 
 def _lw_operator(d):
-    phi = decay_density(_LW_N[d], d, zeta=1.8 + 2 * (d - 1), amplitude=0.3)
+    phi = decay_density(_LW_N[d], d, zeta=1.8 + 2 * (d - 1), amplitude=0.2 if d == 3 else 0.3)
     cfg = StepperConfig(M=_LW_M)
     W = random_potential(2, d, np.random.default_rng(70 + d), amplitude=0.4)
     rho = solve_mckv(McKVProblem(W=W, phi=phi, T=_LW_T, stepper=cfg))
@@ -457,7 +497,7 @@ def test_lw_solve_transpose_dot_product_identity(d, scheme):
 
 
 @pytest.mark.parametrize("B", [1, 8])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_lw_solve_equals_the_real_heat_factor_loop_bit_for_bit(d, B):
     op = _lw_operator(d)
     f = _complex(np.random.default_rng(150 + B), (len(op.rho_states), B) + op.grid.shape)
@@ -466,7 +506,7 @@ def test_lw_solve_equals_the_real_heat_factor_loop_bit_for_bit(d, B):
     assert np.array_equal(op.solve(f), oracle)
 
 
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_lw_solve_transpose_equals_the_real_heat_factor_recurrence_bit_for_bit(d):
     op = _lw_operator(d)
     g = _complex(np.random.default_rng(160 + d), (_LW_M + 1,) + op.grid.shape)
