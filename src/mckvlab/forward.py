@@ -204,7 +204,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     syn, ana = grid.plan("to_padded", (1 + grid.d,)), grid.plan("from_padded", (grid.d,))
     u_in, conv_in = syn.x[0], list(zip(grad_w, syn.x[1:]))
     u_phys, conv_phys, syn_run, prod, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
-    div_terms = list(zip(grid.ik, ana.y))
+    div_terms, div_tmp = list(zip(grid.ik, ana.y)), np.empty_like(ana.y[0]) if grid.d > 1 else None
 
     def rhs(s, u, out):
         u_in[...] = u
@@ -213,7 +213,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
         syn_run()
         np.multiply(u_phys, conv_phys, out=prod)
         ana_run()
-        _divergence(div_terms, out)
+        _divergence(div_terms, out, div_tmp)
 
     return integrate(phi, rhs, T, stepper)
 

@@ -487,11 +487,16 @@ def _smoothstep_deriv(x):
 
 
 def cutoff_alpha(t):
-    """Smooth cutoff: 1 on [0, 3/4], 0 on [7/8, infinity)."""
+    """Smooth cutoff: 1 on [0, 3/4], 0 on [7/8, infinity); no numpy on [0, 3/4]."""
+    if isinstance(t, float) and 0.0 <= t <= 0.75:
+        return 1.0
     return _smoothstep((7.0 / 8.0 - np.asarray(t, dtype=float)) * 8.0)
 
 
 def cutoff_alpha_deriv(t):
+    """Derivative of :func:`cutoff_alpha`: -0.0, the formula's bits, on [0, 3/4]."""
+    if isinstance(t, float) and 0.0 <= t <= 0.75:
+        return -0.0
     return -8.0 * _smoothstep_deriv((7.0 / 8.0 - np.asarray(t, dtype=float)) * 8.0)
 
 

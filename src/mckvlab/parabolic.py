@@ -38,9 +38,13 @@ solve, bit for bit equal to the one-shot transforms of
 At d = 1 each padded transform is one real matrix, so the two
 :class:`LWOperator` kernels fold their diagonals ik and gradW into two
 matrices instead (:class:`_FoldedStage`), the one with ik built once per
-grid and the one with gradW once per solve: a stage is two matrix
-products into buffers the stage owns, equal to the one-shot kernels to
-rounding.  The time loop writes each predictor and node straight into the
+grid and the one with gradW once per solve: a stage is two ``np.dot``
+products (one BLAS call each, without the ufunc dispatch of ``np.matmul``)
+into buffers the kernel owns, equal to the one-shot kernels to rounding.
+The backward weights w have a spare state row, so the stage reads state s
+in place as row 0 of the real rows s, s+1, and writes mu and back into
+two-row buffers of the recurrence: row 0 of a product does not depend on
+row 1.  The time loop writes each predictor and node straight into the
 state stack, and the backward recurrence each weight into its state, with
 ``out=`` operations in the order of the unfused step, and the kernels sum
 their d axis terms ik_j * a_j one axis at a time (:func:`_divergence`);
@@ -407,16 +411,17 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     return states
 
 
-def _divergence(terms, out: np.ndarray) -> np.ndarray:
+def _divergence(terms, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
     """sum_j ik_j * a_j over the d pairs (ik_j, a_j) of ``terms``, axis j's
     multiplier and per-axis coefficients, summed one axis at a time in the
-    order of the sum over axis 0, into ``out``, which it returns.  A kernel
-    that reads a plan's output pairs it with ik once per solve."""
+    order of the sum over axis 0, into ``out``, which it returns, through
+    ``tmp`` of out's shape (None at d = 1).  A kernel that reads a plan's
+    output pairs it with ik once per solve."""
     terms = iter(terms)
     ik, a = next(terms)
     np.multiply(ik, a, out=out)
     for ik, a in terms:
-        out += ik * a
+        out += np.multiply(ik, a, out=tmp)
     return out
 
 
@@ -449,20 +454,27 @@ def heat_trajectory_exact(u0: SpectralField, T: float, M: int) -> Trajectory:
 # the linear operator L_W with time-dependent nonlocal coefficients
 
 
-def _as_grad_coeffs(W: PotentialVec | SpectralField, grid: Grid) -> list[np.ndarray]:
+def _as_grad_coeffs(W: PotentialVec | SpectralField, grid: Grid) -> tuple[np.ndarray, ...]:
     """Gradient coefficient arrays of a potential on ``grid``.
 
     The one gate of every potential W, direction H and transport potential
     V: a PotentialVec of another d, or a field of another (n, d), raises
-    ValueError instead of broadcasting against the grid.
+    ValueError instead of broadcasting against the grid.  A PotentialVec's
+    are read-only and kept for its last two values, built once per drift.
     """
     field = isinstance(W, SpectralField)
     if W.d != grid.d or field and W.n != grid.n:
         shape = f"n={W.n}, d={W.d}" if field else f"d={W.d}"
         raise ValueError(f"potential ({shape}) does not match the grid "
                          f"(n={grid.n}, d={grid.d})")
-    c = W.coeffs if field else W.coeff_grid(grid.n)
-    return [grid.deriv(c, j) for j in range(grid.d)]
+    return (tuple(grid.deriv(W.coeffs, j) for j in range(grid.d)) if field
+            else _potential_grads(grid, W.K, W.values.tobytes()))
+
+
+@lru_cache(maxsize=2)
+def _potential_grads(grid: Grid, K: int, values: bytes) -> tuple[np.ndarray, ...]:
+    c = PotentialVec(K, grid.d, np.frombuffer(values)).coeff_grid(grid.n)
+    return tuple(_read_only(grid.deriv(c, j)) for j in range(grid.d))
 
 
 def transport_forcing(grid: Grid, states: np.ndarray, grad_h: np.ndarray) -> np.ndarray:
@@ -567,6 +579,7 @@ class LWOperator:
         v_phys, conv_phys, syn_run, q, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
         conv1, rho = self.conv1_phys[:, :, None], self.rho_phys
         div_terms = list(zip(self.grid.ik, ana.y))
+        q_tmp, div_tmp = np.empty_like(q), np.empty((B,) + self.grid.shape, dtype=complex)
 
         def kernel(s, v, out):
             # one padded synthesis for v and all gradW_j * v convolutions
@@ -575,9 +588,9 @@ class LWOperator:
                 np.multiply(gw, v, out=x)
             syn_run()
             np.multiply(v_phys, conv1[s], out=q)
-            np.add(q, rho[s] * conv_phys, out=q)
+            np.add(q, np.multiply(rho[s], conv_phys, out=q_tmp), out=q)
             ana_run()
-            _divergence(div_terms, out)
+            _divergence(div_terms, out, div_tmp)
         return kernel
 
     def _planned_transpose(self, B: int):
@@ -589,6 +602,7 @@ class LWOperator:
         ik, y_in, ana_run, r = self._ik, ana_t.x, ana_t.run, ana_t.y
         w, syn_run, back = syn_t.x, syn_t.run, syn_t.y
         conv1, rho, grad_w = self.conv1_phys, self.rho_phys, self.grad_w
+        w_tmp, out_tmp = np.empty_like(w[0]), np.empty((B,) + self.grid.shape, dtype=complex)
 
         def kernel(s, y, out):
             np.multiply(ik, y, out=y_in)
@@ -596,13 +610,13 @@ class LWOperator:
             c = conv1[s]
             np.multiply(c[0], r[0], out=w[0])
             for j in range(1, d):
-                w[0] += c[j] * r[j]
+                w[0] += np.multiply(c[j], r[j], out=w_tmp)
             np.multiply(rho[s], r, out=w[1:])
             syn_run()  # back: (1+d, B, grid)
             np.multiply(grad_w[0], back[1], out=out)
             np.add(back[0], out, out=out)
             for j in range(1, d):
-                out += grad_w[j] * back[1 + j]
+                out += np.multiply(grad_w[j], back[1 + j], out=out_tmp)
         return kernel
 
     def apply(self, s: int, v: np.ndarray) -> np.ndarray:
@@ -666,38 +680,46 @@ class LWOperator:
         The recurrence runs the steps of the time loop backwards, with its
         blow-up guard; each step is transposed through both stages, into
         buffers the recurrence owns and with dt and 0.5 * dt as 0-d complex
-        arrays, as in the forward loop.
+        arrays, as in the forward loop.  The returned w is a view of weights
+        with a spare last state row, read at d = 1 as the module notes say.
         """
         M, grid = self.M, self.grid
         dt = self.T / M
         # every operand as (1, grid), so that no product broadcasts
         E = grid.heat_multiplier(dt)[None]
         dt_c, half_dt = np.array(dt, dtype=complex), np.array(0.5 * dt, dtype=complex)
-        kernel = self._kernel(1, transpose=True)
-        w = np.zeros((len(self.rho_states), 1) + g.shape[1:], dtype=complex)
+        w = np.zeros((len(self.rho_states) + 1, 1) + g.shape[1:], dtype=complex)  # a spare row
         g = g[:, None]
         lam = g[M].astype(complex)  # weight of node m+1
-        mu, back = np.empty_like(lam), np.empty_like(lam)
+        if grid.d == 1:  # the stage reads state s in place, as row 0 of the real rows s, s+1
+            stage = _FoldedStage(grid, self.grad_w[0], self._phys, 1, transpose=True)
+            kernel, row = stage.transpose_rows, w.strides[0]
+            w_in = np.ndarray((len(w) - 1, 2, 2 * grid.n), float, w, 0, (row, row, 8))
+            mu_out, back_out = np.empty((2,) + stage._r.shape)
+            mu, back = (x[:1, :2 * grid.n].view(complex) for x in (mu_out, back_out))
+        else:
+            kernel, w_in = self._kernel(1, transpose=True), w
+            mu, back = mu_out, back_out = np.empty((2,) + lam.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M - 1, -1, -1):
                 # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
                 # into their states of w (predictor M+1+m, node m)
                 s = M + 1 + m
                 kappa2 = np.multiply(half_dt, lam, out=w[s])
-                kernel(s, kappa2, mu)  # mu: the weight of the predictor
+                kernel(s, w_in[s], mu_out)  # mu: the weight of the predictor
                 kappa1 = np.multiply(dt_c, mu, out=w[m])
                 np.add(kappa2, kappa1, out=kappa1)
                 np.multiply(E, kappa1, out=kappa1)
                 np.add(lam, mu, out=lam)
                 np.multiply(E, lam, out=lam)
-                kernel(m, kappa1, back)
+                kernel(m, w_in[m], back_out)
                 back += g[m]
                 lam += back
         self._plans.clear()
         # the weight lam of node m, m = M-1..1 in loop order, is w[M+m] / (0.5 dt)
         _check_growth(w[M + 1:2 * M][::-1], range(M - 1, 0, -1), 0.5 * dt * BLOWUP_LIMIT)
         _check_growth(lam[None], [0])
-        return w[:, 0]
+        return w[:-1, 0]
 
 
 @lru_cache(maxsize=None)
@@ -727,7 +749,7 @@ class _FoldedStage:
     product has at least two rows (a lone field goes in over a zero row) and
     output widths padded to a multiple of 8, as in :meth:`Grid._per_axis`,
     so a row's bits do not depend on its stack.  Both write into ``out``,
-    through buffers the stage owns.
+    through buffers the stage owns, or :meth:`transpose_rows` into its ``r``.
     """
 
     def __init__(self, grid: Grid, grad_w: np.ndarray, phys: np.ndarray, B: int,
@@ -757,18 +779,22 @@ class _FoldedStage:
 
     def apply(self, s: int, v: np.ndarray, out: np.ndarray):
         self._x[...] = v
-        np.matmul(self._a, self._first, out=self._p)
+        np.dot(self._a, self._first, out=self._p)
         np.multiply(self._in, self._phys[s], out=self._out)
         np.add(*self._sum, out=self._q)
-        np.matmul(self._q, self._second, out=self._r)
+        np.dot(self._q, self._second, out=self._r)
         out[...] = self._y
 
     def transpose(self, s: int, y: np.ndarray, out: np.ndarray):
         self._x[...] = y
-        np.matmul(self._a, self._first, out=self._p)
-        np.multiply(self._in, self._phys[s], out=self._out)
-        np.matmul(self._q, self._second, out=self._r)
+        self.transpose_rows(s, self._a, self._r)
         out[...] = self._y
+
+    def transpose_rows(self, s: int, a: np.ndarray, r: np.ndarray):
+        """:meth:`transpose` of the C-contiguous real rows ``a`` into those of ``r``."""
+        np.dot(a, self._first, out=self._p)
+        np.multiply(self._in, self._phys[s], out=self._out)
+        np.dot(self._q, self._second, out=r)
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,

@@ -53,8 +53,9 @@ class Grid:
     """Precomputed mode arrays and spectral multipliers for an n^d grid.
 
     Holds the integer mode vectors, the resolved-mode mask (Nyquist
-    excluded), the (d, n, ..., n) derivative multipliers 2*pi*i*k_j with
-    the Nyquist plane zeroed, and the dense per-axis DFT matrices of the
+    excluded), the flat index of -k at each mode k (:attr:`neg_index`),
+    the (d, n, ..., n) derivative multipliers 2*pi*i*k_j with the Nyquist
+    plane zeroed, and the dense per-axis DFT matrices of the
     3/2-rule padded grid of pad_n = 3n/2 points: the (n, pad_n)
     :attr:`synthesis`, Nyquist row zero, and the (pad_n, n)
     :attr:`analysis`, its conjugate transpose over pad_n, which crops to
@@ -88,6 +89,7 @@ class Grid:
         for m in kvec:
             resolved &= np.abs(m) != nyq
         self.resolved = resolved
+        self.neg_index = np.ravel_multi_index([-m % n for m in kvec], self.shape).ravel()
 
         # derivative multipliers; Nyquist zeroed to keep real fields real
         self.ik = TWO_PI * 1j * np.where(np.abs(kvec) == nyq, 0, kvec).astype(float)
@@ -244,15 +246,14 @@ class PaddedPlan:
     stack shape ``lead``.  The caller writes the input into :attr:`x`,
     shape ``lead`` + the input grid, and :meth:`run` returns the output,
     a view of the plan's own buffer that holds only until the next run.
-    Each axis is one ``np.matmul(..., out=)`` on the same rows and the
-    same padded matrix as :meth:`Grid._per_axis`, so the output equals it
-    bit for bit.  A lone row goes in over a spare zero row, so that BLAS
-    runs the two-row product of :meth:`Grid._per_axis`, whose row 0 does
-    not depend on row 1.  A one-axis plan (every plan at d = 1) runs its
-    single product with no per-axis loop, since a run costs more in Python
-    calls than in flops.  Filling a plan's buffers costs more
-    than one call of :meth:`Grid._per_axis`; a plan pays for itself only
-    when it runs many times.
+    Each axis is one ``np.dot(..., out=)`` into a buffer the plan owns (one
+    BLAS call, without the ufunc dispatch of ``np.matmul``) on the same rows
+    and the same padded matrix as :meth:`Grid._per_axis`, so the output
+    equals it bit for bit.  A lone row goes in over a spare zero row, so
+    that BLAS runs the two-row product of :meth:`Grid._per_axis`, whose
+    row 0 does not depend on row 1.  A one-axis plan (every plan at d = 1)
+    runs its single product with no per-axis loop.  A plan pays for its
+    buffers only when it runs many times.
     """
 
     def __init__(self, products, lead: tuple[int, ...]):
@@ -277,7 +278,7 @@ class PaddedPlan:
             (_, a, mat, b), = self._steps
 
             def run():
-                np.matmul(a, mat, b)
+                np.dot(a, mat, out=b)
                 return y
             self.run = run
 
@@ -286,7 +287,7 @@ class PaddedPlan:
         for copy, a, mat, b in self._steps:
             if copy is not None:
                 np.copyto(*copy)
-            np.matmul(a, mat, out=b)
+            np.dot(a, mat, out=b)
         return self.y
 
 
@@ -443,16 +444,9 @@ class SpectralField:
 
     def conj_symmetry_defect(self) -> float:
         """Max deviation from the real-field invariants (for checks)."""
-        c = self.coeffs
-        flipped = c.copy()
-        for ax in range(self.d):
-            flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
-        defect = float(np.max(np.abs(flipped - np.conj(c))))
-        defect = max(defect, float(abs(c[(0,) * self.d].imag)))
-        leak = np.abs(c[~self.grid.resolved])
-        if leak.size:
-            defect = max(defect, float(leak.max()))
-        return defect
+        flat, g = self.coeffs.reshape(-1), self.grid  # flat[0] is the mode k = 0
+        return max(float(np.abs(flat[g.neg_index] - flat.conj()).max()), float(abs(flat[0].imag)),
+                   float(np.abs(self.coeffs[~g.resolved]).max()))  # the Nyquist plane, never empty
 
 # ---------------------------------------------------------------------------
 # the mean-zero trigonometric space E_K

@@ -84,6 +84,19 @@ def mckv_first_derivative(problem: McKVProblem, H: PotentialVec,
     return Trajectory(op.T, op.M, states[:, 0])
 
 
+def conj_symmetry_defect(f: SpectralField) -> float:
+    """The real-field defect of ``f`` built by flips and rolls: the largest of
+    |c[-k] - conj(c[k])|, |Im c[0]| and |c| on the Nyquist planes; the
+    oracle of ``SpectralField.conj_symmetry_defect``."""
+    c = f.coeffs
+    flipped = c.copy()
+    for ax in range(f.d):
+        flipped = np.roll(np.flip(flipped, axis=ax), 1, axis=ax)
+    defect = float(np.max(np.abs(flipped - np.conj(c))))
+    defect = max(defect, float(abs(c[(0,) * f.d].imag)))
+    return max(defect, float(np.max(np.abs(c[~f.grid.resolved]))))
+
+
 def lawson_heun_loop(u0: np.ndarray, rhs, T: float, M: int, grid: Grid) -> np.ndarray:
     """The Lawson-Heun time loop written with temporaries and a real heat factor
     E: the oracle of ``parabolic._integrate_arrays``, whose E is complex.

@@ -42,6 +42,8 @@ from mckvlab.inference import (
     posterior_energy,
     surrogate_loglik,
     _hessian_frobenius,
+    _smoothstep,
+    _smoothstep_deriv,
     validate_constants,
 )
 from mckvlab.parabolic import (
@@ -858,6 +860,17 @@ def test_cutoff_alpha_plateaus():
     ts = np.linspace(0.76, 0.87, 23)
     fd = (cutoff_alpha(ts + 1e-7) - cutoff_alpha(ts - 1e-7)) / 2e-7
     np.testing.assert_allclose(cutoff_alpha_deriv(ts), fd, atol=1e-6)
+
+
+@pytest.mark.parametrize("u", [0.0, 0.5, 0.75, float(np.nextafter(0.75, 1.0)), 7.0 / 8.0,
+                               2.0, float("nan")])
+def test_cutoff_alpha_equals_the_smoothstep_formula_bit_for_bit(u):
+    x = (7.0 / 8.0 - np.asarray(u, dtype=float)) * 8.0
+    with np.errstate(invalid="ignore"):  # 0/0 at NaN
+        pairs = [(cutoff_alpha(u), _smoothstep(x)),
+                 (cutoff_alpha_deriv(u), -8.0 * _smoothstep_deriv(x))]
+    for got, formula in pairs:
+        assert np.asarray(got, dtype=float).tobytes() == np.asarray(formula).tobytes()
 
 
 def test_lambda_floor_enforced():

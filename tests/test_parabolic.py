@@ -11,6 +11,7 @@ from mckvlab.parabolic import (
     ObservationOperator,
     StepperConfig,
     Trajectory,
+    _as_grad_coeffs,
     _folded_analysis,
     _integrate_arrays,
     heat_trajectory_exact,
@@ -511,6 +512,33 @@ def test_lw_solve_transpose_equals_the_real_heat_factor_recurrence_bit_for_bit(d
     op = _lw_operator(d)
     g = _complex(np.random.default_rng(160 + d), (_LW_M + 1,) + op.grid.shape)
     assert np.array_equal(op.solve_transpose(g), lawson_heun_transpose(op, g))
+
+
+@pytest.mark.parametrize("n", [6, 10])
+def test_lw_solve_transpose_at_d1_equals_the_recurrence_when_rows_are_padded(n):
+    # 2n is not a multiple of 8, so the stage's real rows are wider than a state
+    phi = decay_density(n, 1, zeta=1.8, amplitude=0.3)
+    W = random_potential(2, 1, np.random.default_rng(170 + n), amplitude=0.4)
+    op = LWOperator(W, solve_mckv(McKVProblem(W=W, phi=phi, T=_LW_T,
+                                              stepper=StepperConfig(M=_LW_M))))
+    g = _complex(np.random.default_rng(180 + n), (_LW_M + 1, n))
+    w = op.solve_transpose(g)
+    assert w.shape == (2 * _LW_M + 1, n) and w.flags.c_contiguous
+    assert np.array_equal(w, lawson_heun_transpose(op, g))
+
+
+def test_potential_gradients_are_kept_read_only_and_follow_in_place_changes():
+    grid = get_grid(16, 1)
+    W = random_potential(3, 1, np.random.default_rng(190), amplitude=0.5)
+    first = _as_grad_coeffs(W, grid)
+    assert _as_grad_coeffs(PotentialVec(3, 1, W.values.copy()), grid) is first
+    assert not any(g.flags.writeable for g in first)
+    fresh = [grid.deriv(W.coeff_grid(16), 0)]
+    assert all(np.array_equal(a, b) for a, b in zip(first, fresh))
+    W.values[0] += 0.25  # a W changed in place gets its own gradients
+    changed = _as_grad_coeffs(W, grid)
+    assert np.array_equal(changed[0], grid.deriv(W.coeff_grid(16), 0))
+    assert not np.array_equal(changed[0], first[0])
 
 
 @pytest.mark.parametrize("scheme", ["if-heun"])

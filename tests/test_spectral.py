@@ -21,7 +21,7 @@ from mckvlab.spectral import (
     save_field,
     tau_table,
 )
-from oracles import to_field
+from oracles import conj_symmetry_defect, to_field
 
 SQRT2 = np.sqrt(2.0)
 
@@ -400,7 +400,9 @@ def test_load_field_accepts_the_edge_modes(tmp_path):
 _PLAN_TRANSFORMS = ("to_padded", "from_padded", "to_padded_transpose", "from_padded_transpose")
 
 
-@pytest.mark.parametrize("lead", [(1,), (2,), (1, 1), (3, 4)])
+# (36,) and (7, 36): the B = 36 pair stacks and the 252-row forcing blocks of the
+# d = 1 curvature diagnostics, where OpenBLAS leaves its small-matrix kernel
+@pytest.mark.parametrize("lead", [(1,), (2,), (1, 1), (3, 4), (36,), (7, 36)])
 @pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
 def test_padded_plans_equal_the_one_shot_transforms_bit_for_bit(d, n, lead):
     grid = get_grid(n, d)
@@ -422,3 +424,22 @@ def test_padded_plans_equal_the_one_shot_transforms_bit_for_bit(d, n, lead):
             outputs.append(y)
         # the output is the plan's own buffer, overwritten by each run
         assert np.shares_memory(outputs[0], outputs[1])
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (1, 6), (2, 8), (3, 6)])
+def test_conj_symmetry_defect_equals_the_flip_and_roll_oracle(d, n):
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(200 + 10 * d + n)
+    hermitian = grid.from_values(rng.standard_normal(grid.shape))
+    hermitian[(0,) * d] = hermitian[(0,) * d].real
+    leaking = hermitian.copy()
+    leaking[(n // 2,) + (1,) * (d - 1)] = 0.25  # a real mode on a Nyquist plane
+    complex_mean = hermitian.copy()
+    complex_mean[(0,) * d] += 0.125j
+    fields = [_rand_complex(rng, grid.shape), hermitian, leaking, complex_mean,
+              np.zeros(grid.shape, dtype=complex)]
+    for c in fields:
+        f = SpectralField(d, n, c)
+        assert f.conj_symmetry_defect() == conj_symmetry_defect(f)
+    assert SpectralField(d, n, hermitian).conj_symmetry_defect() < 1e-15
+    assert SpectralField(d, n, leaking).conj_symmetry_defect() == 0.25
