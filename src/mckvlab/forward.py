@@ -61,12 +61,13 @@ from .parabolic import (
     Trajectory,
     _as_grad_coeffs,
     _divergence,
+    _folded_analysis,
     integrate,
     solver_states,
     transport_forcing,
     trapz_inner,
 )
-from .spectral import PotentialVec, SpectralField, tau_table
+from .spectral import PaddedPlan, PotentialVec, SpectralField, tau_table
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +98,9 @@ class ReactionSpec:
 
 @dataclass
 class McKVProblem:
-    """Mean-field problem data: potential, initial density, horizon, stepper."""
+    """Mean-field problem data: potential, initial density, horizon, stepper.
+    Built directly it checks T, phi (:func:`check_initial_data`) and W, and
+    from :meth:`_on_checked`, as ``inference.ForwardModel`` builds it, W alone."""
 
     W: PotentialVec
     phi: SpectralField
@@ -105,23 +108,34 @@ class McKVProblem:
     stepper: StepperConfig
 
     def __post_init__(self):
-        check_horizon(self.T)
+        check_initial_data(self.T, self.phi)
+        self._check_potential()
+
+    @classmethod
+    def _on_checked(cls, W, phi, T, stepper) -> "McKVProblem":
+        """The problem at W of a T and phi that passed their checks: W alone is checked."""
+        problem = cls.__new__(cls)
+        vars(problem).update(W=W, phi=phi, T=T, stepper=stepper)
+        problem._check_potential()
+        return problem
+
+    def _check_potential(self):
         if self.W.d != self.phi.d:
             raise ValueError("potential and initial density dimension mismatch")
-        if not abs(self.phi.mean() - 1.0) <= 1e-12:
-            raise ValueError("initial density must have unit mass")
-        if not self.phi.conj_symmetry_defect() <= 1e-10:
-            raise ValueError("initial density must be a real field")
         if self.W.K > self.phi.n // 2 - 1:
             raise ValueError("potential truncation exceeds grid resolution")
 
 
-def check_horizon(T: float):
-    """ValueError unless the horizon T is finite and > 0: a negative or NaN T
+def check_initial_data(T: float, phi: SpectralField):
+    """ValueError unless the horizon T is finite and > 0 (a negative or NaN T
     would end in a blow-up that did not happen, and T = 0 in a constant
-    trajectory."""
+    trajectory) and phi is a real field of unit mass."""
     if not (math.isfinite(T) and T > 0):
         raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
+    if not abs(phi.mean() - 1.0) <= 1e-12:
+        raise ValueError("initial density must have unit mass")
+    if not phi.conj_symmetry_defect() <= 1e-10:
+        raise ValueError("initial density must be a real field")
 
 
 def check_density(rho: Trajectory, model) -> Trajectory:
@@ -250,10 +264,12 @@ class _PairForcing:
     allows (one state each when one state exceeds it), of equal size.  One
     plan synthesises v and its X (stack (1+d, D, block)), and per axis one
     synthesises the pair sums and one analyses the products (stack
-    (B, block)); the object builds them and the block's arrays once, so a
-    block allocates nothing of its size.  A padded line's bits do not depend
-    on its stack, so the forcing equals the six-term expansion to rounding
-    and is the same whatever pairs and states share the stack.
+    (B, block)), at d = 1 through the one matrix of A ik
+    (``parabolic._folded_analysis``), so its plan output is the forcing
+    itself; the object builds them and the block's arrays once, so a block
+    allocates nothing of its size.  A padded line's bits do not depend on its stack,
+    so the forcing equals the six-term expansion to rounding and is the same
+    whatever pairs and states share the stack.
     """
 
     def __init__(self, op: LWOperator, gtau: np.ndarray, v: np.ndarray):
@@ -277,10 +293,12 @@ class _PairForcing:
         self._g_r, self._g_k = self._gtau[:, self.rows], self._gtau[:, self.cols]
         self._syn = grid.plan("to_padded", (1 + d, D, b))
         self._pair_syn = grid.plan("to_padded", (B, b))
-        self._ana = grid.plan("from_padded", (B, b))
-        # v_r, v_k, a scratch and the forcing of every pair at the block's states,
-        # and P(v_r), P(v_k) and a scratch on the padded grid
-        self._fields = np.empty((4, B, b) + grid.shape, dtype=complex)
+        folded = ((_folded_analysis(grid, False), 2 * grid.n, False, True),) if d == 1 else None
+        self._ana = PaddedPlan(folded, (B, b)) if folded else grid.plan("from_padded", (B, b))
+        # v_r, v_k, a scratch and (d > 1) the forcing of every pair at the block's
+        # states, and P(v_r), P(v_k) and a scratch on the padded grid
+        self._fields = np.empty((3 + (d > 1), B, b) + grid.shape, dtype=complex)
+        self._forcing = self._ana.y if d == 1 else self._fields[3]
         self._padded = np.empty((3, B, b) + pad)
         self._start = -1
 
@@ -290,13 +308,13 @@ class _PairForcing:
         if start != self._start:
             self._build(self._order[start:start + self.block])
             self._start = start
-        return self._fields[3][:, i - start]
+        return self._forcing[:, i - start]
 
     def _build(self, states: np.ndarray):
-        """Write the (B, block, grid) forcing at ``states`` into ``_fields[3]``."""
+        """Write the (B, block, grid) forcing at ``states`` into ``_forcing``."""
         op, rows, cols = self.op, self.rows, self.cols
-        syn, pair_syn, ana = self._syn, self._pair_syn, self._ana
-        v_r, v_k, tmp, forcing = self._fields
+        syn, pair_syn, ana, forcing = self._syn, self._pair_syn, self._ana, self._forcing
+        v_r, v_k, tmp = self._fields[:3]
         p_r, p_k, tmp_p = self._padded
         # np.take writes into out= unbuffered in mode "clip"; the indices are in range
         x = syn.x  # (1+d, D, b, grid)
@@ -317,7 +335,9 @@ class _PairForcing:
             for p, idx in ((p_k, rows), (p_r, cols)):
                 np.take(phys[1 + j], idx, axis=0, out=tmp_p, mode="clip")
                 a += np.multiply(p, tmp_p, out=tmp_p)
-            if j == 0:
+            if op.grid.d == 1:
+                ana.run()  # ik folded in: the output is the forcing
+            elif j == 0:
                 np.multiply(ik, ana.run(), out=forcing)
             else:
                 forcing += np.multiply(ik, ana.run(), out=tmp)
@@ -443,32 +463,37 @@ class Linearisation:
         the six-term forcing of the pair (j, k) is A(j, k) + A(k, j), where
         A(j, k) = T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k)
         + T(v_j, gradW, v_k); pairing w with A through the transposed padded
-        transforms gives B_jk with no second-derivative solve, and B + B^T is
-        exactly symmetric.  Equals the contraction of g with the nodes of
-        :meth:`second_derivatives`, scattered to (j, k) and (k, j), to rounding.
+        transforms gives B_jk with no second-derivative solve, each pairing one
+        real product over (D, S grid) rows, and B + B^T is exactly symmetric.
+        Equals the contraction of g with the nodes of :meth:`second_derivatives`,
+        scattered to (j, k) and (k, j), to rounding.
         """
-        op, gtau, v = self.op, self.gtau, self.states
-        grid = op.grid
-        D = gtau.shape[0]
+        op, gtau, grid, D = self.op, self.gtau, self.op.grid, len(self.gtau)
         w = op.solve_transpose(g.reshape((op.M + 1,) + grid.shape))
         # Re sum(w * T(r, gradV, s)) = sum over axes i of Re sum(back_i * gradV_i * s),
         # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w)):
         # the pull-back gives the inner transform and back for r = rho
         r, rho_back = op.pull_back(w)  # (S, d, pad grid), (S, d, grid)
-        v_phys = grid.to_padded(v)  # (S, D, pad grid)
-        S, size = len(w), grid.size
-        rho, vf = op.rho_states.reshape(S, size), v.reshape(S, D, size)
+        v = np.ascontiguousarray(np.moveaxis(self.states, 1, 0))  # (D, S, grid)
+        v_phys = grid.to_padded(v)
+
+        def rows(a):  # Re sum(a_j * b_k) = rows(a) @ rows(conj(b)).T
+            return a.reshape(D, -1).view(float)
+
         B = np.zeros((D, D))
         for i in range(grid.d):
-            v_back = grid.to_padded_transpose(r[:, i:i + 1] * v_phys).reshape(S, D, size)
-            # T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k): grad_i tau_j against
-            # the state sums of v_back_k rho and rho_back v_k
-            y = np.einsum("skg,sg->kg", v_back, rho)
-            y += np.einsum("sg,skg->kg", rho_back[:, i].reshape(S, size), vf)
-            B += (gtau[:, i].reshape(D, size) @ y.T).real
-            # T(v_j, gradW, v_k): v_back_j gradW_i against v_k
-            v_back *= op.grad_w[i].reshape(size)
-            B += np.matmul(v_back, vf.transpose(0, 2, 1)).sum(axis=0).real
+            gt = gtau[:, i, None]  # grad_i tau, (D, 1, grid)
+            # conj(v_back), conjugated on the side that is built anyway: (D, S, grid)
+            v_back = np.conjugate(grid.to_padded_transpose(r[:, i] * v_phys))
+            # T(v_k, grad tau_j, rho): grad_i tau_j rho against v_back_k
+            tmp = gt * op.rho_states
+            B += rows(tmp) @ rows(v_back).T
+            # T(v_j, gradW, v_k) + T(rho, grad tau_j, v_k): v_back_j gradW_i
+            # + grad_i tau_j rho_back against v_k
+            v_back *= op.grad_w[i].conj()
+            v_back += np.multiply(gt.conj(), rho_back[:, i].conj(), out=tmp)
+            B += rows(v_back) @ rows(v).T
+            del v_back, tmp  # neither is held through the next axis's transforms
         return B + B.T
 
 

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .forward import (Linearisation, McKVProblem, check_density, check_horizon,
-                      linearisation, solve_mckv)
+from .forward import (_BLOCK_BYTES, Linearisation, McKVProblem, check_density,
+                      check_initial_data, linearisation, solve_mckv)
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
 from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
 
@@ -262,7 +262,8 @@ class Dataset:
 
 @dataclass
 class ForwardModel:
-    """Fixed problem context: initial density, horizon, truncation, stepper."""
+    """Fixed problem context: initial density, horizon, truncation, stepper; T and
+    phi are checked once, here, and not by :meth:`problem`."""
 
     phi: SpectralField
     T: float
@@ -270,7 +271,7 @@ class ForwardModel:
     stepper: StepperConfig
 
     def __post_init__(self):
-        check_horizon(self.T)
+        check_initial_data(self.T, self.phi)
 
     @property
     def d(self) -> int:
@@ -288,7 +289,7 @@ class ForwardModel:
         return PotentialVec(self.K, self.d, np.asarray(values, dtype=float))
 
     def problem(self, W: PotentialVec) -> McKVProblem:
-        return McKVProblem(W=W, phi=self.phi, T=self.T, stepper=self.stepper)
+        return McKVProblem._on_checked(W, self.phi, self.T, self.stepper)
 
     def solve(self, W: PotentialVec) -> Trajectory:
         return solve_mckv(self.problem(W))
@@ -363,7 +364,7 @@ class LikelihoodEvaluator:
 
     def loglik_and_grad(self, W: PotentialVec):
         """Returns (ell_N, grad) with grad_k = sum_i res_i * D rho[tau_k](t_i, X_i)."""
-        problem = self.model.problem(W)  # one validation of phi, shared by both solves
+        problem = self.model.problem(W)
         res, rho = self._residuals(problem)
         grad = Linearisation(problem, rho, self.model.K).vjp(self._obs.adjoint(res))
         return -0.5 * float(np.dot(res, res)), grad
@@ -618,33 +619,47 @@ def estimate_c1(model: ForwardModel, W: PotentialVec,
                 include_hessian: bool = True, rho: Trajectory | None = None) -> float:
     """Probe-set estimate of the local regularity bound.
 
-    Maximum over the stored trajectory nodes and grid points of |G|,
-    of the Euclidean norm of the gradient vector, and (optionally) of
-    the Hessian operator norm, all read off forward-map outputs.  A
-    supplied rho_W must lie on the model's discretisation; it builds its
-    own linearisation, which is freed on return.  Without one, rho_W and
-    its columns come from the memo of :func:`~mckvlab.forward.linearisation`.
+    Maximum over the stored trajectory nodes and grid points of |G|, of the
+    Euclidean norm of the gradient vector (:func:`_square_sums` of the column
+    nodes) and (optionally) of the Hessian operator norm, all read off
+    forward-map outputs.  A supplied rho_W must lie on the model's
+    discretisation; it builds its own linearisation, which is freed on return.
+    Without one, rho_W and its columns come from the memo of
+    :func:`~mckvlab.forward.linearisation`.
     """
     problem = model.problem(W)
     lin = linearisation(problem, model.K) if rho is None else Linearisation(problem, rho, model.K)
     grid = model.phi.grid
     best = float(np.max(np.abs(grid.to_values(lin.rho.coeffs))))
-
-    col_vals = grid.to_values(lin.columns)  # (D, M+1, grid)
-    grad_norm = np.sqrt(np.sum(col_vals**2, axis=0))
-    best = max(best, float(np.max(grad_norm)))
-
+    grad_sq = _square_sums(grid, lin.states[:lin.rho.M + 1], np.ones(len(lin.gtau)))
+    best = max(best, float(np.sqrt(np.max(grad_sq))))
     if include_hessian:
         # Frobenius bound on the pointwise Hessian operator norm
         best = max(best, float(np.max(_hessian_frobenius(lin))))
     return best
 
 
+def _square_sums(grid, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """sum_b weights[b] values_b^2 of the grid values of ``nodes`` (M+1, B, grid), (M+1, n^d):
+    blocks of nodes below ``forward._BLOCK_BYTES`` go through ``grid.to_values``
+    together, and a block's squares, as (block n^d, B) rows, meet the weights in
+    one product, with the weights as the first of 8 columns as in
+    ``spectral.real_matrix``."""
+    B, block = len(weights), max(1, (_BLOCK_BYTES - 1) // nodes[0].nbytes)
+    columns = np.pad(weights[:, None], ((0, 0), (0, 7)))
+    out = np.empty((len(nodes), grid.size))
+    for m in range(0, len(nodes), block):
+        values = grid.to_values(nodes[m:m + block])
+        sq = np.square(values.reshape(len(values), B, -1).transpose(0, 2, 1), order="C")
+        out[m:m + len(values)] = (sq.reshape(-1, B) @ columns)[:, 0].reshape(len(values), -1)
+    return out
+
+
 def _hessian_frobenius(lin: Linearisation) -> np.ndarray:
-    """sqrt(sum over (j, k) of D^2 rho_W[tau_j, tau_k]^2) in grid values, (M+1, grid),
-    summed row by row (diagonal once, k > j twice): the pair nodes of
-    ``Linearisation.second_derivatives`` are held once, one row in grid values."""
-    D = len(lin.gtau)
-    rows = np.split(lin.second_derivatives(), np.cumsum(np.arange(D, 1, -1)))  # (r, k >= r)
-    sq = (lin.op.grid.to_values(block) ** 2 for block in rows)
-    return np.sqrt(sum(s[0] + 2.0 * np.sum(s[1:], axis=0) for s in sq))
+    """sqrt(sum over (j, k) of D^2 rho_W[tau_j, tau_k]^2) in grid values, (M+1, grid):
+    :func:`_square_sums` of the pair nodes of ``Linearisation.second_derivatives``
+    in the solve's own (M+1, B, grid) order, weight 1 on the diagonal, 2 off it."""
+    rows, cols = np.triu_indices(len(lin.gtau))
+    nodes = np.moveaxis(lin.second_derivatives(), 1, 0)  # a view of the solve's nodes
+    field = _square_sums(lin.op.grid, nodes, np.where(rows == cols, 1.0, 2.0))
+    return np.sqrt(field).reshape((len(nodes),) + lin.op.grid.shape)

@@ -312,11 +312,13 @@ class ObservationOperator:
         weights[:, self._row] = 1.0 - w, w
         self._w = weights.reshape(2, -1, P)
 
-        # per-axis phases on the rows (zero on the unused ones), multiplied out
+        # per-axis phases on the rows (zero on the unused ones), mode -k the conjugate of k
+        h = grid.n // 2
         for j in range(grid.d):
-            e = 2j * np.pi * np.outer(x[:, j], grid.axis_modes)
+            e = 2j * np.pi * np.outer(x[:, j], grid.axis_modes[:h + 1])
             axis = np.zeros((rows, grid.n), dtype=complex)
-            axis[self._row] = np.exp(e, out=e)
+            axis[self._row, :h + 1] = np.exp(e, out=e)
+            axis[self._row, h + 1:] = e[:, h - 1:0:-1].conj()
             phase = axis if j == 0 else (phase[:, :, None] * axis[:, None]).reshape(rows, -1)
         self._phases = phase.view(float).reshape(-1, P, 2 * grid.size)
 

@@ -55,16 +55,22 @@ class Grid:
     Holds the integer mode vectors, the resolved-mode mask (Nyquist
     excluded), the flat index of -k at each mode k (:attr:`neg_index`),
     the (d, n, ..., n) derivative multipliers 2*pi*i*k_j with the Nyquist
-    plane zeroed, and the dense per-axis DFT matrices of the
-    3/2-rule padded grid of pad_n = 3n/2 points: the (n, pad_n)
-    :attr:`synthesis`, Nyquist row zero, and the (pad_n, n)
-    :attr:`analysis`, its conjugate transpose over pad_n, which crops to
-    the resolved modes.
-    All array methods accept stacked inputs (..., n, ..., n) and act on
-    the trailing d axes.  The four padded transforms run per axis through
-    :meth:`_per_axis` on a call; a kernel that repeats one of them on a
-    fixed stack shape builds its own :meth:`plan` instead.  The grid
-    keeps no plan, so no two callers share a buffer.
+    plane zeroed, and dense per-axis DFT matrices (:func:`_dft`): on the
+    3/2-rule padded grid of pad_n = 3n/2 points the (n, pad_n)
+    :attr:`synthesis`, Nyquist row zero, and the (pad_n, n) :attr:`analysis`,
+    its conjugate transpose over pad_n, which crops to the resolved modes;
+    on the n-point grid those of :meth:`to_values`, Nyquist row kept, and
+    :meth:`from_values`, Nyquist column zero.  All array methods accept
+    stacked inputs (..., n, ..., n) and act on the trailing d axes.  The six
+    transforms are dense products per axis (:meth:`_per_axis`).  Against an
+    FFT, :meth:`to_values` and :meth:`from_values` were measured faster up to
+    n = 128 in d = 1, n = 32 in d = 2 and n = 24 in d = 3 (every grid of the
+    tests, the benchmark and the CLI default), about even at n = 32 in d = 3
+    and slower at n = 64 in d = 2 (up to 1.45x) and at n = 48 in d = 3
+    (1.2-2.2x), where one call costs a few percent of one
+    :meth:`transport_div` (README).  A kernel that repeats a padded transform
+    on a fixed stack shape builds its own :meth:`plan`; the grid keeps no
+    plan, so no two callers share a buffer.
     """
 
     def __init__(self, n: int, d: int):
@@ -78,13 +84,12 @@ class Grid:
         self.size = n**d
         self.axes = tuple(range(-d, 0))
 
-        axis_modes = np.fft.fftfreq(n, 1.0 / n).astype(int)
-        self.axis_modes = axis_modes
+        nyq = n // 2
+        axis_modes = self.axis_modes = (np.arange(n) + nyq) % n - nyq  # numpy FFT order
         kvec = np.meshgrid(*([axis_modes] * d), indexing="ij")
         self.kvec = [m.astype(int) for m in kvec]
         self.ksq = sum(m.astype(float) ** 2 for m in kvec)
 
-        nyq = n // 2
         resolved = np.ones(self.shape, dtype=bool)
         for m in kvec:
             resolved &= np.abs(m) != nyq
@@ -95,16 +100,15 @@ class Grid:
         self.ik = TWO_PI * 1j * np.where(np.abs(kvec) == nyq, 0, kvec).astype(float)
         self.lap_mult = -(TWO_PI**2) * self.ksq
 
-        # 3/2-rule padded grid: entries read from an exact table of the
-        # pad_n-th roots of unity at (k x) mod pad_n, conjugate-symmetric
-        # to the bit, so no phase is evaluated at a large argument
         pn = self.pad_n = 3 * n // 2
-        j = np.arange(pn)
-        ang = TWO_PI * np.minimum(j, pn - j) / pn
-        roots = np.cos(ang) + 1j * np.sign(pn - 2 * j) * np.sin(ang)
-        synth = self.synthesis = roots[np.outer(axis_modes, j) % pn]  # (n, pad_n)
+        synth = self.synthesis = _dft(axis_modes, pn)  # (n, pad_n)
         synth[nyq] = 0.0
         analysis = self.analysis = synth.conj().T / pn  # (pad_n, n)
+        values = _dft(axis_modes, n)  # (n, n), Nyquist row kept
+        coeffs = values.conj().T / n
+        coeffs[:, nyq] = 0.0
+        self._to_grid = _axis_products(values, d, real_in=False, real_out=True)
+        self._from_grid = _axis_products(coeffs, d, real_in=True, real_out=False)
         self._products = {
             "to_padded": _axis_products(synth, d, real_in=False, real_out=True),
             "from_padded": _axis_products(analysis, d, real_in=True, real_out=False),
@@ -117,11 +121,11 @@ class Grid:
 
     def to_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Real grid values of a (possibly stacked) coefficient array."""
-        return np.fft.ifftn(coeffs, axes=self.axes).real * self.size
+        return self._per_axis(coeffs, self._to_grid)
 
     def from_values(self, values: np.ndarray) -> np.ndarray:
         """Coefficients of real grid values, Nyquist plane zeroed."""
-        return np.fft.fftn(values, axes=self.axes) / self.size * self.resolved
+        return self._per_axis(values, self._from_grid)
 
     # -- padded transforms ---------------------------------------------------
 
@@ -201,6 +205,15 @@ class Grid:
         r_vals = self.to_padded(r_c)
         return sum(self.ik[j] * self.from_padded(r_vals * self.to_padded(grad_v_c[j] * s_c))
                    for j in range(self.d))
+
+
+def _dft(modes: np.ndarray, p: int) -> np.ndarray:
+    """(len(modes), p) entries exp(2 pi i k x / p) from an exact table of p-th roots of
+    unity at (k x) mod p: conjugate-symmetric to the bit, no phase at a large argument."""
+    j = np.arange(p)
+    ang = TWO_PI * np.minimum(j, p - j) / p
+    roots = np.cos(ang) + 1j * np.sign(p - 2 * j) * np.sin(ang)
+    return roots[np.outer(modes, j) % p]
 
 
 def real_matrix(Z: np.ndarray, real_in: bool, real_out: bool) -> np.ndarray:

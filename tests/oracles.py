@@ -4,8 +4,8 @@ import numpy as np
 from scipy import sparse
 
 from mckvlab.forward import McKVProblem, check_density
-from mckvlab.parabolic import (LWOperator, Trajectory, _as_grad_coeffs, _time_bracket,
-                               transport_forcing)
+from mckvlab.parabolic import (LWOperator, Trajectory, _as_grad_coeffs, _folded_analysis,
+                               _time_bracket, transport_forcing)
 from mckvlab.spectral import Grid, PotentialVec, SpectralField
 
 
@@ -182,7 +182,8 @@ def second_derivative_row_forcing(op, gtau: np.ndarray, v: np.ndarray, padded,
     ``padded`` is :func:`padded_columns` of (op, gtau, v).  Per axis j and
     with A the padded analysis,
     ik_j A[P(rho) P(d_j tau_r v_k + d_j tau_k v_r) + P(v_k) P(X_{r,j}) + P(v_r) P(X_{k,j})],
-    one synthesis and one analysis of D-r columns per axis.
+    one synthesis and one analysis of D-r columns per axis; at d = 1 the
+    analysis is the one matrix of A ik, as ``_PairForcing`` runs it.
     """
     grid, (v_phys, x_phys) = op.grid, padded
     forcing = None
@@ -191,8 +192,11 @@ def second_derivative_row_forcing(op, gtau: np.ndarray, v: np.ndarray, padded,
         q *= op.rho_phys[:, None]
         q += v_phys[:, r:] * x_phys[j][:, r:r + 1]
         q += v_phys[:, r:r + 1] * x_phys[j][:, r:]
-        term = grid.from_padded(q)
-        term *= grid.ik[j]
+        if grid.d == 1:
+            term = grid._per_axis(q, ((_folded_analysis(grid, False), 2 * grid.n, False, True),))
+        else:
+            term = grid.from_padded(q)
+            term *= grid.ik[j]
         if forcing is None:
             forcing = term
         else:

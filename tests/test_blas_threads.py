@@ -82,6 +82,25 @@ for d, n, K, zeta, amplitude in [(1, 32, 4, 1.8, 0.48), (2, 16, 2, 3.8, 0.3)]:
     print(nodes.tobytes().hex())
 """
 
+# estimate_c1 with the Hessian term and the expected Hessian away from W0, at d=1
+# (n=32, K=4) and d=2 (n=16, K=2), M=48, printed as hex
+C1_HESSIAN = """
+import numpy as np
+from mckvlab.forward import decay_density
+from mckvlab.inference import ForwardModel, estimate_c1, expected_neg_hessian
+from mckvlab.parabolic import StepperConfig
+from mckvlab.spectral import random_potential
+
+for d, n, K, zeta, amplitude in [(1, 32, 4, 1.8, 0.48), (2, 16, 2, 3.8, 0.3)]:
+    model = ForwardModel(phi=decay_density(n, d, zeta=zeta, amplitude=amplitude), T=0.06,
+                         K=K, stepper=StepperConfig(M=48))
+    rng = np.random.default_rng(100)
+    W0 = random_potential(K, d, rng, amplitude=0.8, decay=4.0)
+    W = W0 + random_potential(K, d, rng, amplitude=0.2)
+    c1 = estimate_c1(model, W, include_hessian=True)
+    print(np.append(c1, expected_neg_hessian(W, W0, model)).tobytes().hex())
+"""
+
 
 def _run(code, threads, *args):
     """The floats ``code`` prints as hex, run with ``threads`` BLAS threads
@@ -116,4 +135,11 @@ def test_second_derivatives_bit_equal_at_one_and_two_blas_threads():
     # d=1: (49, 32) field and (8, 8, 32) complex nodes; d=2: (49, 16, 16) and (12, 12, 16, 16)
     assert one.size == 49 * 32 + 8 * 8 * 32 * 2 + 49 * 256 + 12 * 12 * 256 * 2
     assert np.all(np.isfinite(one))
+    assert np.array_equal(one, two)
+
+
+def test_c1_and_expected_hessian_bit_equal_at_one_and_two_blas_threads():
+    one, two = _run(C1_HESSIAN, 1), _run(C1_HESSIAN, 2)
+    assert one.size == 1 + 8 * 8 + 1 + 12 * 12
+    assert np.all(np.isfinite(one)) and one[0] > 0 and one[65] > 0
     assert np.array_equal(one, two)

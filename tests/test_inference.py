@@ -52,7 +52,7 @@ from mckvlab.parabolic import (
     StepperConfig,
     solver_states,
 )
-from mckvlab.spectral import Grid, PotentialVec, random_potential
+from mckvlab.spectral import Grid, PotentialVec, SpectralField, random_potential
 from mckvlab.stability import (
     forward_lipschitz_probe,
     gradient_stability_sigma_min,
@@ -553,6 +553,26 @@ def test_hessian_frobenius_summed_by_rows_matches_the_full_array(d, scheme):
     assert np.max(np.abs(field - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_estimate_c1_transforms_the_pair_nodes_in_blocks():
+    # d = 2, D = 12, B = 78 pairs: the pair nodes of the second-derivative solve,
+    # the columns and the solve's buffers peak below three (M+1, B, grid) complex
+    # stacks; a transform of the whole pair stack at once adds more than one
+    phi = decay_density(8, 2, zeta=3.8, amplitude=0.3)
+    model = ForwardModel(phi=phi, T=0.06, K=2, stepper=StepperConfig(M=48))
+    W = random_potential(2, 2, np.random.default_rng(62), amplitude=0.3)
+    rho = model.solve(W)
+    estimate_c1(model, W, include_hessian=True, rho=rho)  # warm the grid and basis caches
+    tracemalloc.start()
+    try:
+        estimate_c1(model, W, include_hessian=True, rho=rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    pairs = model.dim * (model.dim + 1) // 2
+    assert pairs == 78
+    assert peak < 3 * (model.stepper.M + 1) * pairs * phi.grid.size * 16
+
+
 def _count_operator_work(monkeypatch):
     """Count LWOperator constructions and its forward and backward solves."""
     counts = dict.fromkeys(("built", "solve", "solve_transpose"), 0)
@@ -777,17 +797,46 @@ def test_loglik_and_grad_neither_reads_nor_fills_the_memo(monkeypatch, fresh_mem
 
 
 def test_a_gradient_builds_one_problem(monkeypatch):
-    # phi is validated once per gradient, and the solve count stays one
+    # one problem per gradient, its W checked against phi, and the solve count stays one
     model = _model()
     W = random_potential(2, 1, np.random.default_rng(76), amplitude=0.4)
     like = LikelihoodEvaluator(model, generate_data(W, model, 40, 0.05,
                                                     np.random.default_rng(77)))
     built = []
-    post_init = forward.McKVProblem.__post_init__
-    monkeypatch.setattr(forward.McKVProblem, "__post_init__",
-                        lambda self: built.append(post_init(self)))
+    check = forward.McKVProblem._check_potential
+    monkeypatch.setattr(forward.McKVProblem, "_check_potential",
+                        lambda self: built.append(check(self)))
     like.loglik_and_grad(W)
     assert len(built) == 1 and like.n_solves == 1
+
+
+def test_phi_is_checked_once_per_model_and_on_no_drift(monkeypatch):
+    # the model checks phi; the problem of each drift checks W against it alone
+    checks = []
+    defect = SpectralField.conj_symmetry_defect
+    monkeypatch.setattr(SpectralField, "conj_symmetry_defect",
+                        lambda self: checks.append(self) or defect(self))
+    model = _model()
+    assert len(checks) == 1 and checks[0] is model.phi
+    rng = np.random.default_rng(78)
+    W0 = random_potential(2, 1, rng, amplitude=0.4)
+    like = LikelihoodEvaluator(model, generate_data(W0, model, 40, 0.05, rng))
+    spec = SurrogateSpec.build(r=1.0, W_init=W0, n_obs=40)
+    drift = make_drift(spec, PriorSpec(alpha=1.0, K=2, d=1, n_obs=40), like)
+    checks.clear()
+    for _ in range(3):
+        assert np.all(np.isfinite(drift(W0.values + 0.05 * rng.standard_normal(W0.dim))))
+    assert checks == [] and like.n_solves == 3
+
+
+@pytest.mark.parametrize("defect,message", [("mass", "unit mass"), ("imag", "real field")])
+def test_a_bad_phi_raises_when_a_model_or_a_problem_is_built(defect, message):
+    phi = decay_density(N_GRID, 1, zeta=3.0, amplitude=0.3)
+    phi.coeffs[0 if defect == "mass" else 3] += 1e-6 if defect == "mass" else 1e-6j
+    with pytest.raises(ValueError, match=message):
+        ForwardModel(phi=phi, T=T, K=2, stepper=CFG)
+    with pytest.raises(ValueError, match=message):
+        McKVProblem(W=PotentialVec.zeros(2, 1), phi=phi, T=T, stepper=CFG)
 
 
 def test_a_gradient_synthesises_the_density_states_once(monkeypatch):

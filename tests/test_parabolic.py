@@ -366,6 +366,23 @@ def test_observation_stacked_call_equals_single_calls(d):
     assert np.array_equal(op(c), single)
 
 
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 32), (1, 128), (2, 16), (3, 8)])
+def test_observation_phases_equal_the_exponential_of_every_mode_bit_for_bit(d, n):
+    # the operator evaluates the modes 0..n/2-1 and -n/2 and conjugates the rest;
+    # np.exp of every mode, scattered to the rows and multiplied out, has the same bits
+    rng = np.random.default_rng(80 + n + d)
+    N = 50
+    t, x = rng.uniform(0.0, _OBS_T, N), rng.uniform(0.0, 1.0, (N, d))
+    grid = get_grid(n, d)
+    op = ObservationOperator(_OBS_T, _OBS_M, grid, t, x)
+    rows = op._phases.shape[0] * op._phases.shape[1]
+    for j in range(d):
+        axis = np.zeros((rows, n), dtype=complex)
+        axis[op._row] = np.exp(2j * np.pi * np.outer(x[:, j], grid.axis_modes))
+        phase = axis if j == 0 else (phase[:, :, None] * axis[:, None]).reshape(rows, -1)
+    assert op._phases.tobytes() == phase.view(float).tobytes()
+
+
 # time designs of N points: (name, N, times); the degenerate ones put every
 # point in one bracket, on a node or at an end, or leave brackets empty, and
 # three points in each bracket is one past a chunk of P = ceil(N / 2M) = 2

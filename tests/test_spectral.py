@@ -337,6 +337,34 @@ def test_padded_transform_row_bits_do_not_depend_on_the_stack(d, n):
         assert np.array_equal(method(x[3]), whole[3])
 
 
+@pytest.mark.parametrize("d,n", [(1, 8), (1, 32), (1, 10), (2, 16), (3, 8)])
+def test_grid_values_match_the_fft(d, n):
+    # the Nyquist plane of the coefficients enters the values; that of the result is zero
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(90 + 10 * d + n)
+    c = _rand_complex(rng, (3, 2) + grid.shape)
+    v = rng.standard_normal((3, 2) + grid.shape)
+    vals, coeffs = grid.to_values(c), grid.from_values(v)
+    assert vals.dtype == float and vals.shape == c.shape
+    assert coeffs.dtype == complex and coeffs.shape == v.shape
+    _assert_rel(vals, np.fft.ifftn(c, axes=grid.axes).real * grid.size, 1e-14)
+    _assert_rel(coeffs, np.fft.fftn(v, axes=grid.axes) / grid.size * grid.resolved, 1e-14)
+    assert np.all(coeffs[..., ~grid.resolved] == 0)
+
+
+@pytest.mark.parametrize("d,n", [(1, 32), (2, 16), (3, 8)])
+def test_grid_value_transform_row_bits_do_not_depend_on_the_stack(d, n):
+    grid = get_grid(n, d)
+    rng = np.random.default_rng(95 + d)
+    inputs = {grid.to_values: _rand_complex(rng, (48,) + grid.shape),
+              grid.from_values: rng.standard_normal((48,) + grid.shape)}
+    for method, x in inputs.items():
+        for size in (1, 2, 7, 48):
+            stack = method(x[:size])
+            for i in range(size):
+                assert np.array_equal(method(x[i]), stack[i]), (method, size, i)
+
+
 def _direct_product(grid, a, b):
     # coefficient-space convolution over the resolved modes, in centred layout
     h = grid.n // 2 - 1
