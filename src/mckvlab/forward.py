@@ -62,6 +62,7 @@ from .parabolic import (
     _as_grad_coeffs,
     _divergence,
     _folded_analysis,
+    check_horizon,
     integrate,
     solver_states,
     transport_forcing,
@@ -130,8 +131,7 @@ def check_initial_data(T: float, phi: SpectralField):
     """ValueError unless the horizon T is finite and > 0 (a negative or NaN T
     would end in a blow-up that did not happen, and T = 0 in a constant
     trajectory) and phi is a real field of unit mass."""
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
+    check_horizon(T)
     if not abs(phi.mean() - 1.0) <= 1e-12:
         raise ValueError("initial density must have unit mass")
     if not phi.conj_symmetry_defect() <= 1e-10:
@@ -218,7 +218,7 @@ def solve_mckv_field(W_field: SpectralField, phi: SpectralField, T: float,
     syn, ana = grid.plan("to_padded", (1 + grid.d,)), grid.plan("from_padded", (grid.d,))
     u_in, conv_in = syn.x[0], list(zip(grad_w, syn.x[1:]))
     u_phys, conv_phys, syn_run, prod, ana_run = syn.y[:1], syn.y[1:], syn.run, ana.x, ana.run
-    div_terms, div_tmp = list(zip(grid.ik, ana.y)), np.empty_like(ana.y[0]) if grid.d > 1 else None
+    div_terms, div_tmp = list(zip(grid.ik, ana.y)), np.empty_like(ana.y[0])
 
     def rhs(s, u, out):
         u_in[...] = u

@@ -29,26 +29,23 @@ is one such stack without the B axis, and a solve reads it in place.
 At the sizes of the library a stage is paid in numpy calls rather than
 flops, so a stage looks up no kernel, and at d = 1 no stage of a
 mean-field solve allocates an array.  The per-stage kernels (the
-nonlinear mean-field right-hand side, and the one kernel ``(s, v, out)``
-each :class:`LWOperator` direction binds per solve) write into a buffer
-the loop owns and run their padded transforms through plans of a fixed
-stack shape (:class:`~mckvlab.spectral.PaddedPlan`), built once per
-solve, bit for bit equal to the one-shot transforms of
-:class:`~mckvlab.spectral.Grid`.
+nonlinear mean-field right-hand side, and the kernel of each
+:class:`LWOperator` direction) run their padded transforms through plans
+of a fixed stack shape (:class:`~mckvlab.spectral.PaddedPlan`), bit for
+bit equal to the one-shot transforms of :class:`~mckvlab.spectral.Grid`.
 At d = 1 each padded transform is one real matrix, so the two
 :class:`LWOperator` kernels fold their diagonals ik and gradW into two
 matrices instead (:class:`_FoldedStage`), the one with ik built once per
-grid and the one with gradW once per solve: a stage is two ``np.dot``
-products (one BLAS call each, without the ufunc dispatch of ``np.matmul``)
-into buffers the kernel owns, equal to the one-shot kernels to rounding.
-The backward weights w have a spare state row, so the stage reads state s
-in place as row 0 of the real rows s, s+1, and writes mu and back into
-two-row buffers of the recurrence: row 0 of a product does not depend on
-row 1.  The time loop writes each predictor and node straight into the
-state stack, and the backward recurrence each weight into its state, with
-``out=`` operations in the order of the unfused step, and the kernels sum
-their d axis terms ik_j * a_j one axis at a time (:func:`_divergence`);
-the bits are those of the step written with temporaries.  The heat factor
+grid: a stage is two ``np.dot`` products (one BLAS call each, without the
+ufunc dispatch of ``np.matmul``), equal to the one-shot kernels to
+rounding.  The backward weights w have a spare state row, so the
+transposed stage reads state s in place as row 0 of the real rows s, s+1:
+row 0 of a product does not depend on row 1.  The time loop writes each
+predictor and node straight into the state stack, and the backward
+recurrence each weight into its state, with ``out=`` operations in the
+order of the unfused step, and the kernels sum their d axis terms
+ik_j * a_j one axis at a time (:func:`_divergence`); the bits are those
+of the step written with temporaries.  The heat factor
 E is stored complex (:meth:`~mckvlab.spectral.Grid.heat_multiplier`) and
 dt and dt/2 are 0-d complex arrays, so the products with them skip
 numpy's conversion of a real factor and keep its bits; the backward
@@ -68,6 +65,8 @@ escapes.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from pathlib import Path
@@ -89,6 +88,20 @@ class NumericalBlowUp(RuntimeError):
         super().__init__(f"blow-up detected at step {step}")
 
 
+def check_horizon(T):
+    """ValueError unless the horizon T is a real number, finite and > 0: a
+    negative or NaN T would end in a blow-up that did not happen, and T = 0
+    in a constant trajectory."""
+    if isinstance(T, bool) or not isinstance(T, numbers.Real) or not (math.isfinite(T) and T > 0):
+        raise ValueError(f"horizon T must be finite and > 0, got {T!r}")
+
+
+def _check_step_type(M):
+    """ValueError unless the step count M is an integer; a bool or a float is not."""
+    if isinstance(M, bool) or not isinstance(M, (int, np.integer)):
+        raise ValueError(f"step count M must be an integer, got {M!r}")
+
+
 @dataclass
 class StepperConfig:
     """Time-stepping parameters.
@@ -104,8 +117,7 @@ class StepperConfig:
     M: int = 256
 
     def __post_init__(self):
-        if isinstance(self.M, bool) or not isinstance(self.M, (int, np.integer)):
-            raise ValueError(f"step count M must be an integer, got {self.M!r}")
+        _check_step_type(self.M)
         if self.M < 1:
             raise ValueError("step count M must be >= 1")
 
@@ -118,7 +130,9 @@ class Trajectory:
     M+1 nodes, node 0 the initial condition, then, when S = 2M+1, the Heun
     predictor of step m at M+1+m.  ``coeffs`` (the nodes) and ``stages`` (the
     predictors, None when S = M+1) are views of it; only a trajectory that
-    has stages can carry a solve (:func:`solver_states`).
+    has stages can carry a solve (:func:`solver_states`).  An M that is not
+    an integer, or a T that is not finite and > 0 (:func:`check_horizon`),
+    raises ValueError, and so do states of another shape.
     """
 
     T: float
@@ -128,6 +142,8 @@ class Trajectory:
     stages: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self):
+        _check_step_type(self.M)
+        check_horizon(self.T)
         shape = np.shape(self.states)
         space = shape[1:]
         if (self.M < 1 or shape[:1] not in ((self.M + 1,), (2 * self.M + 1,))
@@ -194,12 +210,15 @@ class Trajectory:
     @classmethod
     def load(cls, directory) -> "Trajectory":
         """The nodes :meth:`save` wrote, without predictor stages; any other
-        manifest key, such as the ``"scheme"`` of older artifacts, is ignored."""
+        manifest key, such as the ``"scheme"`` of older artifacts, is ignored.
+        T and M are checked as :class:`Trajectory` checks them before a node is read."""
         directory = Path(directory)
         manifest = json.loads((directory / "manifest.json").read_text())
-        M = int(manifest["M"])
+        T, M = manifest["T"], manifest["M"]
+        _check_step_type(M)
+        check_horizon(T)
         width = len(str(M))
-        return cls(float(manifest["T"]), M, np.array([
+        return cls(float(T), M, np.array([
             load_field(directory / f"node_{m:0{width}d}.csv").coeffs for m in range(M + 1)]))
 
 
@@ -413,12 +432,12 @@ def _integrate_arrays(u0: np.ndarray, rhs, T: float, M: int, grid: Grid,
     return states
 
 
-def _divergence(terms, out: np.ndarray, tmp: np.ndarray | None = None) -> np.ndarray:
+def _divergence(terms, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """sum_j ik_j * a_j over the d pairs (ik_j, a_j) of ``terms``, axis j's
-    multiplier and per-axis coefficients, summed one axis at a time in the
-    order of the sum over axis 0, into ``out``, which it returns, through
-    ``tmp`` of out's shape (None at d = 1).  A kernel that reads a plan's
-    output pairs it with ik once per solve."""
+    multiplier and per-axis coefficients (or any other d pairs of factors),
+    summed one axis at a time in the order of the sum over axis 0, into
+    ``out``, which it returns, through the scratch ``tmp`` of out's shape.
+    A kernel that reads a plan's output pairs it with ik once per solve."""
     terms = iter(terms)
     ik, a = next(terms)
     np.multiply(ik, a, out=out)
@@ -517,17 +536,13 @@ class LWOperator:
     application then costs one padded synthesis of v with its convolutions
     and one padded analysis, and its transpose one transposed analysis and
     one transposed synthesis.  Each of these runs a
-    :class:`~mckvlab.spectral.PaddedPlan` that the operator builds on first
-    use for each stack size B, so a state is a fixed set of BLAS calls into
-    buffers the operator owns.  At d = 1 each is one :class:`_FoldedStage`
+    :class:`~mckvlab.spectral.PaddedPlan`, so a state is a fixed set of
+    BLAS calls.  At d = 1 each is one :class:`_FoldedStage`
     instead: two real matrix products with ik and gradW folded in, equal to
-    the plans to rounding.  Either is the operator's one kernel
-    ``(s, v, out)`` per stack size and direction, which writes into
-    ``out``: :meth:`solve` and :meth:`solve_transpose` bind it once per
-    solve, and :meth:`apply` and :meth:`apply_transpose` run it into a new
-    array.  The solves drop their kernels when they return, so an operator
-    kept between solves (as in the memo of ``forward.linearisation``) holds
-    no buffers.  Built from (W, rho_traj)
+    the plans to rounding.  Either is the kernel of a direction
+    (:meth:`_kernel`), which :meth:`solve` and :meth:`solve_transpose`
+    build once per solve and :meth:`apply` and :meth:`apply_transpose`
+    once per call.  Built from (W, rho_traj)
     alone, it solves on the M steps of ``rho_traj`` and reads rho from
     ``rho_traj.states``, not a copy; every linearised solve of the
     mean-field map goes through :meth:`solve`, and every weight on a transport
@@ -549,28 +564,18 @@ class LWOperator:
         self._phys = grid.to_padded(padded)  # (S, 1+d, pad grid): gradW_j * rho..., rho
         self.conv1_phys = self._phys[:, :d]  # (S, d, pad grid)
         self.rho_phys = self._phys[:, d]  # (S, pad grid)
-        self._ik = grid.ik[:, None]  # (d, 1, grid)
-        self._plans: dict[tuple[int, bool], object] = {}
 
     def _kernel(self, B: int, transpose: bool):
-        """The operator's kernel ``(s, v, out)`` for stacks of B fields, built
-        on first use and kept until a solve returns: it writes
-        :meth:`apply` (or, with ``transpose``, :meth:`apply_transpose`) at
-        state s of v into ``out``.  At d = 1 the bound call of one
-        :class:`_FoldedStage`, at d >= 2 a closure over two plans and their
-        views: (synthesis, analysis), or (transposed analysis, transposed
-        synthesis) for the transpose."""
-        kernel = self._plans.get((B, transpose))
-        if kernel is None:
-            if self.grid.d == 1:
-                stage = _FoldedStage(self.grid, self.grad_w[0], self._phys, B, transpose)
-                kernel = stage.transpose if transpose else stage.apply
-            elif transpose:
-                kernel = self._planned_transpose(B)
-            else:
-                kernel = self._planned_apply(B)
-            self._plans[B, transpose] = kernel
-        return kernel
+        """A kernel for stacks of B fields: ``(s, v, out)`` writes :meth:`apply`
+        at state s of v into ``out``, and with ``transpose`` ``(s, y)``
+        returns :meth:`apply_transpose` at state s of y.  At d = 1 the bound
+        call of one :class:`_FoldedStage`, at d >= 2 a closure over two plans
+        and their views: (synthesis, analysis), or (transposed analysis,
+        transposed synthesis) for the transpose."""
+        if self.grid.d == 1:
+            stage = _FoldedStage(self.grid, self.grad_w[0], self._phys, B, transpose)
+            return stage.transpose if transpose else stage.apply
+        return self._planned_transpose(B) if transpose else self._planned_apply(B)
 
     def _planned_apply(self, B: int):
         """The d >= 2 kernel of :meth:`apply`: one padded synthesis of v with
@@ -601,24 +606,23 @@ class LWOperator:
         d, plan = self.grid.d, self.grid.plan
         ana_t = plan("from_padded_transpose", (d, B))
         syn_t = plan("to_padded_transpose", (1 + d, B))
-        ik, y_in, ana_run, r = self._ik, ana_t.x, ana_t.run, ana_t.y
+        ik, y_in, ana_run, r = self.grid.ik[:, None], ana_t.x, ana_t.run, ana_t.y
         w, syn_run, back = syn_t.x, syn_t.run, syn_t.y
         conv1, rho, grad_w = self.conv1_phys, self.rho_phys, self.grad_w
-        w_tmp, out_tmp = np.empty_like(w[0]), np.empty((B,) + self.grid.shape, dtype=complex)
+        w_tmp = np.empty_like(w[0])
+        out, out_tmp = np.empty((2, B) + self.grid.shape, dtype=complex)
 
-        def kernel(s, y, out):
+        def kernel(s, y):
             np.multiply(ik, y, out=y_in)
             ana_run()  # r: (d, B, pad grid)
-            c = conv1[s]
-            np.multiply(c[0], r[0], out=w[0])
-            for j in range(1, d):
-                w[0] += np.multiply(c[j], r[j], out=w_tmp)
+            _divergence(zip(conv1[s], r), w[0], w_tmp)
             np.multiply(rho[s], r, out=w[1:])
             syn_run()  # back: (1+d, B, grid)
             np.multiply(grad_w[0], back[1], out=out)
             np.add(back[0], out, out=out)
             for j in range(1, d):
-                out += np.multiply(grad_w[j], back[1 + j], out=out_tmp)
+                np.add(out, np.multiply(grad_w[j], back[1 + j], out=out_tmp), out=out)
+            return out
         return kernel
 
     def apply(self, s: int, v: np.ndarray) -> np.ndarray:
@@ -635,9 +639,7 @@ class LWOperator:
         The diagonals ik_j and gradW_j enter unconjugated; the d directions
         share one transposed padded analysis and one transposed synthesis.
         """
-        out = np.empty(y.shape, dtype=complex)
-        self._kernel(len(y), transpose=True)(s, y, out)
-        return out
+        return self._kernel(len(y), transpose=True)(s, y).copy()
 
     def pull_back(self, w: np.ndarray):
         """(r, back) of state weights w (S, grid) on div(rho (gradV * s)):
@@ -657,10 +659,17 @@ class LWOperator:
         object that builds each state's forcing when the loop reads it.
         None is g = 0.  ``v0`` (B, grid) defaults to zero.  Returns the
         states of v in the same layout, (S, B, grid), or its M+1 nodes when
-        ``keep_stages`` is False.
+        ``keep_stages`` is False.  Other shapes, or neither a forcing nor
+        ``v0``, raise ValueError before the first step.
         """
+        S, f_shape = len(self.rho_states), None if forcing is None else tuple(forcing.shape)
+        stack = np.shape(v0) if v0 is not None else (f_shape or ())[1:]
+        if stack[1:] != self.grid.shape or f_shape not in (None, (S,) + stack):
+            raise ValueError(f"forcing of shape {f_shape} and v0 of shape "
+                             f"{None if v0 is None else np.shape(v0)} do not match (S, B) + grid "
+                             f"and (B,) + grid with S = {S} and grid {self.grid.shape}")
         if v0 is None:
-            v0 = np.zeros(forcing.shape[1:], dtype=complex)
+            v0 = np.zeros(stack, dtype=complex)
         kernel = self._kernel(len(v0), transpose=False)
 
         def forced(s, v, out):
@@ -668,10 +677,7 @@ class LWOperator:
             out += forcing[s]
 
         rhs = kernel if forcing is None else forced
-        try:
-            return _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
-        finally:
-            self._plans.clear()
+        return _integrate_arrays(v0, rhs, self.T, self.M, self.grid, keep_stages)
 
     def solve_transpose(self, g: np.ndarray) -> np.ndarray:
         """Transpose of the map from forcing to nodes of :meth:`solve` (v0 = 0).
@@ -680,12 +686,15 @@ class LWOperator:
         the forcing at every solver state, so that for any forcing f
         (S, 1, grid) Re sum(g * solve(f)[:M + 1, 0]) = Re sum(w * f[:, 0]).
         The recurrence runs the steps of the time loop backwards, with its
-        blow-up guard; each step is transposed through both stages, into
-        buffers the recurrence owns and with dt and 0.5 * dt as 0-d complex
-        arrays, as in the forward loop.  The returned w is a view of weights
+        blow-up guard; each step is transposed through both stages, with dt
+        and 0.5 * dt as 0-d complex arrays, as in the forward loop.  The returned w is a view of weights
         with a spare last state row, read at d = 1 as the module notes say.
+        A ``g`` of another shape raises ValueError before the first step.
         """
         M, grid = self.M, self.grid
+        if np.shape(g) != (M + 1,) + grid.shape:
+            raise ValueError(f"node weights g of shape {np.shape(g)} do not match "
+                             f"(M+1,) + grid = {(M + 1,) + grid.shape}")
         dt = self.T / M
         # every operand as (1, grid), so that no product broadcasts
         E = grid.heat_multiplier(dt)[None]
@@ -694,30 +703,26 @@ class LWOperator:
         g = g[:, None]
         lam = g[M].astype(complex)  # weight of node m+1
         if grid.d == 1:  # the stage reads state s in place, as row 0 of the real rows s, s+1
-            stage = _FoldedStage(grid, self.grad_w[0], self._phys, 1, transpose=True)
-            kernel, row = stage.transpose_rows, w.strides[0]
+            kernel = _FoldedStage(grid, self.grad_w[0], self._phys, 1, True).transpose_rows
+            row = w.strides[0]
             w_in = np.ndarray((len(w) - 1, 2, 2 * grid.n), float, w, 0, (row, row, 8))
-            mu_out, back_out = np.empty((2,) + stage._r.shape)
-            mu, back = (x[:1, :2 * grid.n].view(complex) for x in (mu_out, back_out))
         else:
             kernel, w_in = self._kernel(1, transpose=True), w
-            mu, back = mu_out, back_out = np.empty((2,) + lam.shape, dtype=complex)
         with np.errstate(over="ignore", invalid="ignore"):
             for m in range(M - 1, -1, -1):
                 # kappa2 = (0.5 dt) lam and kappa1 = E ((0.5 dt) lam + dt mu), written
                 # into their states of w (predictor M+1+m, node m)
                 s = M + 1 + m
                 kappa2 = np.multiply(half_dt, lam, out=w[s])
-                kernel(s, w_in[s], mu_out)  # mu: the weight of the predictor
+                mu = kernel(s, w_in[s])  # the weight of the predictor
                 kappa1 = np.multiply(dt_c, mu, out=w[m])
                 np.add(kappa2, kappa1, out=kappa1)
                 np.multiply(E, kappa1, out=kappa1)
                 np.add(lam, mu, out=lam)
                 np.multiply(E, lam, out=lam)
-                kernel(m, w_in[m], back_out)
+                back = kernel(m, w_in[m])
                 back += g[m]
                 lam += back
-        self._plans.clear()
         # the weight lam of node m, m = M-1..1 in loop order, is w[M+m] / (0.5 dt)
         _check_growth(w[M + 1:2 * M][::-1], range(M - 1, 0, -1), 0.5 * dt * BLOWUP_LIMIT)
         _check_growth(lam[None], [0])
@@ -750,8 +755,9 @@ class _FoldedStage:
     r = y (ik A^T); complex operands are read as (Re, Im) pairs.  Each
     product has at least two rows (a lone field goes in over a zero row) and
     output widths padded to a multiple of 8, as in :meth:`Grid._per_axis`,
-    so a row's bits do not depend on its stack.  Both write into ``out``,
-    through buffers the stage owns, or :meth:`transpose_rows` into its ``r``.
+    so a row's bits do not depend on its stack.  :meth:`apply` writes into
+    ``out``; :meth:`transpose` and :meth:`transpose_rows` return a view of
+    the stage's output buffer.
     """
 
     def __init__(self, grid: Grid, grad_w: np.ndarray, phys: np.ndarray, B: int,
@@ -787,16 +793,16 @@ class _FoldedStage:
         np.dot(self._q, self._second, out=self._r)
         out[...] = self._y
 
-    def transpose(self, s: int, y: np.ndarray, out: np.ndarray):
+    def transpose(self, s: int, y: np.ndarray) -> np.ndarray:
         self._x[...] = y
-        self.transpose_rows(s, self._a, self._r)
-        out[...] = self._y
+        return self.transpose_rows(s, self._a)
 
-    def transpose_rows(self, s: int, a: np.ndarray, r: np.ndarray):
-        """:meth:`transpose` of the C-contiguous real rows ``a`` into those of ``r``."""
+    def transpose_rows(self, s: int, a: np.ndarray) -> np.ndarray:
+        """:meth:`transpose` of the C-contiguous real rows ``a``."""
         np.dot(a, self._first, out=self._p)
         np.multiply(self._in, self._phys[s], out=self._out)
-        np.dot(self._q, self._second, out=r)
+        np.dot(self._q, self._second, out=self._r)
+        return self._y
 
 
 def solve_linear_lw(W, rho_traj: Trajectory, forcing: Trajectory | None,

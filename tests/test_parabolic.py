@@ -1,3 +1,7 @@
+import gc
+import json
+import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -313,6 +317,24 @@ def test_trajectory_serialization_round_trip(tmp_path):
     np.testing.assert_allclose(back.coeffs, traj.coeffs, atol=0)
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("T", -1.0, "horizon T must be finite and > 0"),
+    ("T", float("nan"), "horizon T must be finite and > 0"),
+    ("M", 8.5, "step count M must be an integer"),
+    ("M", True, "step count M must be an integer"),
+])
+def test_trajectory_load_checks_the_horizon_and_step_count_of_its_manifest(
+        tmp_path, key, value, message):
+    # the manifest comes from outside the program: T = -1 was loaded as it stood,
+    # M = 8.5 as M = 8, and M = true as M = 1
+    Trajectory(T, 8, np.zeros((9, N_GRID), dtype=complex)).save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=message):
+        Trajectory.load(tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # the observation operator and its adjoint
 
@@ -601,6 +623,27 @@ def test_lw_solve_transpose_blowup_guard(scheme):
     assert excinfo.value.step == _LW_M - 1
 
 
+@pytest.mark.parametrize("d", [1, 2])
+def test_lw_solves_reject_operands_of_another_shape(d):
+    # a g with an extra node gave the weights of its first M+1 rows, a forcing with
+    # an extra state was read in part, one with too few raised IndexError partway
+    # through the solve, and solve(None) without v0 an AttributeError
+    op = _lw_operator(d)
+    S, grid = len(op.rho_states), op.grid.shape
+    rng = np.random.default_rng(140)
+    for shape in [(_LW_M + 2,) + grid, (_LW_M,) + grid, (_LW_M + 1, 1) + grid]:
+        with pytest.raises(ValueError, match=re.escape(f"g of shape {shape}")):
+            op.solve_transpose(_complex(rng, shape))
+    for f_shape, v_shape in [((S + 1, 2) + grid, None), ((S - 1, 2) + grid, None),
+                             ((S,) + grid, None), ((S, 2) + grid, (3,) + grid),
+                             (None, grid), (None, None)]:
+        f = None if f_shape is None else _complex(rng, f_shape)
+        v0 = None if v_shape is None else _complex(rng, v_shape)
+        with pytest.raises(ValueError, match=re.escape(
+                f"forcing of shape {f_shape} and v0 of shape {v_shape}")):
+            op.solve(f, v0)
+
+
 @pytest.mark.parametrize("bad", [1e16, np.nan])
 def test_lw_solve_names_the_same_blowup_step_without_stages(bad):
     op = _lw_operator(1)
@@ -635,6 +678,22 @@ def test_trajectory_accepts_matching_stages():
     assert traj.M == 8
     assert (traj.coeffs.shape, traj.stages.shape) == ((9, N_GRID), (8, N_GRID))
     assert Trajectory(T, 8, np.zeros((9, N_GRID), dtype=complex)).stages is None
+
+
+@pytest.mark.parametrize("horizon, M, nodes, message", [
+    (-1.0, 8, 9, "horizon T must be finite and > 0"),
+    (0.0, 8, 9, "horizon T must be finite and > 0"),
+    (np.nan, 8, 9, "horizon T must be finite and > 0"),
+    (np.inf, 8, 9, "horizon T must be finite and > 0"),
+    (T, 8.0, 9, "step count M must be an integer"),
+    (T, True, 2, "step count M must be an integer"),
+    (T, "8", 9, "step count M must be an integer"),
+])
+def test_trajectory_rejects_a_horizon_or_step_count_of_the_wrong_kind(horizon, M, nodes, message):
+    # T = -1 gave dt = -0.125 at M = 8, M = True was taken as M = 1, and M = 8.0
+    # ended in a slicing TypeError
+    with pytest.raises(ValueError, match=message):
+        Trajectory(horizon, M, np.zeros((nodes, N_GRID), dtype=complex))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -678,9 +737,9 @@ def _apply_transpose_oracle(op, s, y):
     return out
 
 
-@pytest.mark.parametrize("B", [1, 3])
+@pytest.mark.parametrize("B", [1, 3, 7])
 @pytest.mark.parametrize("scheme", ["if-heun"])
-@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
 def test_lw_planned_kernels_equal_the_one_shot_kernels_bit_for_bit(d, scheme, B):
     # at d = 1 the diagonals fold into the transform matrices, so the kernels
     # equal the oracles to rounding; at d >= 2 they run the plans, bit for bit
@@ -716,14 +775,32 @@ def test_folded_stage_grid_matrix_is_built_once_per_grid_and_read_only():
     assert _folded_analysis(get_grid(32, 1), False).shape != _folded_analysis(grid, False).shape
 
 
-@pytest.mark.parametrize("scheme", ["if-heun"])
-def test_lw_solves_drop_their_plans(scheme):
-    # an operator kept between solves (the memo of forward.linearisation) holds no buffers
-    op = _lw_operator(2)
+def test_an_lw_operator_holds_no_more_memory_after_its_calls_than_after_construction():
+    # each call builds its own kernel and drops it when it returns, so an operator
+    # kept between calls (the memo of forward.linearisation) holds no buffers
     rng = np.random.default_rng(130)
-    op.apply(0, _complex(rng, (2,) + op.grid.shape))
-    assert op._plans
-    op.solve(_complex(rng, (len(op.rho_states), 3) + op.grid.shape))
-    assert not op._plans
-    op.solve_transpose(_complex(rng, (_LW_M + 1,) + op.grid.shape))
-    assert not op._plans
+    grid = _lw_operator(2).grid
+    v = _complex(rng, (2,) + grid.shape)
+    f = _complex(rng, (2 * _LW_M + 1, 3) + grid.shape)
+    g = _complex(rng, (_LW_M + 1,) + grid.shape)
+
+    def calls(op):
+        return [lambda: op.apply(0, v), lambda: op.apply_transpose(0, v),
+                lambda: op.solve(f), lambda: op.solve_transpose(g)]
+
+    for call in calls(_lw_operator(2)):  # fills the caches of the grid
+        call()
+    held = np.zeros(4, dtype=int)
+    tracemalloc.start()
+    try:
+        op = _lw_operator(2)
+        gc.collect()
+        built = tracemalloc.get_traced_memory()[0]
+        for i, call in enumerate(calls(op)):
+            call()
+            gc.collect()
+            held[i] = tracemalloc.get_traced_memory()[0] - built
+    finally:
+        tracemalloc.stop()
+    # a kernel kept by apply would hold 66 KB here, and one kept by apply_transpose 63 KB more
+    assert held.max() < 4096, held
