@@ -33,8 +33,9 @@ directions, is the same :class:`_PairForcing` solve on two columns.
 
 :func:`linearisation` keeps the :class:`Linearisation` of the
 :data:`MEMO_SIZE` = 2 most recently used (problem, K), keyed by their
-content, so that the W and W0 of one diagnostics pass are solved once;
-an entry at a new K takes rho_W from an entry of the same problem.
+content, and in a second memo rho_W of the MEMO_SIZE + 1 most recently
+used problems, from which a new entry takes it: passes at new W against
+one W0 solve rho_{W0} once, and a new K costs no nonlinear solve.
 ``inference.expected_neg_hessian``, every probe of ``stability`` (the
 pseudo-linearised difference, the Lipschitz probe, sigma_min and its trend)
 and the stability suite of ``checks`` take rho_W from it alone, and
@@ -365,13 +366,14 @@ def mckv_second_derivative(problem: McKVProblem, H1: PotentialVec,
 # whole-basis linearisation
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=None, typed=True)
 def tau_gradient_stack(K: int, grid) -> np.ndarray:
     """Gradient coefficient arrays of every tau_k, shape (D, d, grid).
 
     The cached :func:`spectral.tau_table` times the derivative multipliers
-    ``grid.ik``, so K > n/2 - 1 raises ValueError instead of aliasing.
-    Cached per (K, grid) and read-only, like the table.
+    ``grid.ik``, so a K that is not an integer >= 1, or K > n/2 - 1, raises
+    ValueError.  Cached per (K, grid), a float K apart from the int, and
+    read-only, like the table.
     """
     return spectral._read_only(tau_table(K, grid.d, grid.n)[:, None] * grid.ik)
 
@@ -463,9 +465,11 @@ class Linearisation:
         the six-term forcing of the pair (j, k) is A(j, k) + A(k, j), where
         A(j, k) = T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k)
         + T(v_j, gradW, v_k); pairing w with A through the transposed padded
-        transforms gives B_jk with no second-derivative solve, each pairing one
-        real product over (D, S grid) rows, and B + B^T is exactly symmetric.
-        Equals the contraction of g with the nodes of :meth:`second_derivatives`,
+        transforms gives B_jk with no second-derivative solve, and B + B^T is
+        exactly symmetric.  The columns are read in place, in solver-state
+        order: the pairings with grad tau_j first sum over the states, and
+        T(v_j, gradW, v_k) is one real product per state.  Equals the
+        contraction of g with the nodes of :meth:`second_derivatives`,
         scattered to (j, k) and (k, j), to rounding.
         """
         op, gtau, grid, D = self.op, self.gtau, self.op.grid, len(self.gtau)
@@ -474,32 +478,32 @@ class Linearisation:
         # back_i = to_padded_transpose(r_phys * from_padded_transpose(ik_i * w)):
         # the pull-back gives the inner transform and back for r = rho
         r, rho_back = op.pull_back(w)  # (S, d, pad grid), (S, d, grid)
-        v = np.ascontiguousarray(np.moveaxis(self.states, 1, 0))  # (D, S, grid)
-        v_phys = grid.to_padded(v)
-
-        def rows(a):  # Re sum(a_j * b_k) = rows(a) @ rows(conj(b)).T
-            return a.reshape(D, -1).view(float)
-
+        v, S = self.states, len(w)  # (S, D, grid)
+        v_phys, vf, rho = grid.to_padded(v), v.reshape(S, D, -1), op.rho_states.reshape(S, -1)
         B = np.zeros((D, D))
         for i in range(grid.d):
-            gt = gtau[:, i, None]  # grad_i tau, (D, 1, grid)
-            # conj(v_back), conjugated on the side that is built anyway: (D, S, grid)
-            v_back = np.conjugate(grid.to_padded_transpose(r[:, i] * v_phys))
-            # T(v_k, grad tau_j, rho): grad_i tau_j rho against v_back_k
-            tmp = gt * op.rho_states
-            B += rows(tmp) @ rows(v_back).T
-            # T(v_j, gradW, v_k) + T(rho, grad tau_j, v_k): v_back_j gradW_i
-            # + grad_i tau_j rho_back against v_k
-            v_back *= op.grad_w[i].conj()
-            v_back += np.multiply(gt.conj(), rho_back[:, i].conj(), out=tmp)
-            B += rows(v_back) @ rows(v).T
-            del v_back, tmp  # neither is held through the next axis's transforms
+            # the last axis's product overwrites v_phys, which no later axis reads
+            prod = np.multiply(r[:, i, None], v_phys, out=v_phys if i == grid.d - 1 else None)
+            v_back = grid.to_padded_transpose(prod).reshape(S, D, -1)
+            # T(v_k, grad tau_j, rho) + T(rho, grad tau_j, v_k): grad_i tau_j
+            # against the state sums of rho v_back_k and rho_back_i v_k
+            y = np.einsum("sg,skg->kg", rho, v_back)
+            y += np.einsum("sg,skg->kg", rho_back[:, i].reshape(S, -1), vf)
+            B += (gtau[:, i].reshape(D, -1) @ y.T).real
+            # T(v_j, gradW, v_k): Re(a b) is the real dot product of conj(a) and b
+            # as float pairs, with a = v_back gradW_i conjugated in place
+            v_back *= op.grad_w[i].reshape(-1)
+            np.conjugate(v_back, out=v_back)
+            B += np.matmul(v_back.view(float), vf.view(float).transpose(0, 2, 1)).sum(axis=0)
+            del prod, v_back  # neither is held through the next axis's transforms
         return B + B.T
 
 
 # the W and W0 that a two-potential diagnostic touches
 MEMO_SIZE = 2
 _memo: OrderedDict[tuple, Linearisation] = OrderedDict()
+# rho_W by problem, for the entries of _memo and one more problem
+_densities: OrderedDict[tuple, Trajectory] = OrderedDict()
 
 
 def _problem_key(problem: McKVProblem) -> tuple:
@@ -513,26 +517,29 @@ def linearisation(problem: McKVProblem, K: int | None = None) -> Linearisation:
     kept for the :data:`MEMO_SIZE` most recently used keys.
 
     The key is the content of the problem (W, phi, T, M) and K, so a W
-    changed in place is solved again.  rho_W does not depend on K: a new K
-    takes it from an entry of the same problem if there is one.  An
-    entry's rho_W and columns are read-only, since every caller shares
-    them.  The likelihood does not read the memo: each ULA step is at a
-    new W.
+    changed in place is solved again.  rho_W does not depend on K: a second
+    memo keeps it for the MEMO_SIZE + 1 most recently used problems, and a
+    new entry takes it from there if it can, so a new K, or a problem whose
+    entry was evicted before its density, costs no nonlinear solve.  Every
+    entry's rho_W is among those kept, so at most MEMO_SIZE + 1 are held.
+    A memoised rho_W and an entry's columns are read-only, since every
+    caller shares them.  The likelihood does not read the memo: each ULA
+    step is at a new W.
     """
     K = problem.W.K if K is None else K
     key = _problem_key(problem), K
-    lin = _memo.get(key)
-    if lin is not None:
-        _memo.move_to_end(key)
-        return lin
-    rho = next((e.rho for (p, _), e in _memo.items() if p == key[0]), None)
-    if rho is None:
-        rho = solve_mckv(problem)
-        for a in (rho.states, rho.coeffs, rho.stages):
-            a.flags.writeable = False
-    lin = _memo[key] = Linearisation(problem, rho, K)
-    while len(_memo) > MEMO_SIZE:
-        _memo.popitem(last=False)
+    # a hit moves its entry and its density to the most recent end
+    lin, rho = _memo.pop(key, None), _densities.pop(key[0], None)
+    if lin is None:
+        if rho is None:
+            rho = solve_mckv(problem)
+            for a in (rho.states, rho.coeffs, rho.stages):
+                a.flags.writeable = False
+        lin = Linearisation(problem, rho, K)
+    _memo[key], _densities[key[0]] = lin, lin.rho
+    for memo, size in ((_memo, MEMO_SIZE), (_densities, MEMO_SIZE + 1)):
+        while len(memo) > size:
+            memo.popitem(last=False)
     return lin
 
 

@@ -338,22 +338,24 @@ def mode_array(K: int, d: int) -> np.ndarray:
     return _read_only(k[(ksq > 0) & (ksq <= K * K)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def mode_ksq(K: int, d: int) -> np.ndarray:
     """|k|^2 of every mode of :func:`mode_array`, as floats; read-only."""
     k = mode_array(K, d)
     return _read_only(np.sum(k * k, axis=1).astype(float))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def tau_table(K: int, d: int, n: int) -> np.ndarray:
     """Fourier coefficients of every tau_k of E_K on the n^d grid, (D, n, ..., n).
 
-    Row i belongs to the i-th mode of :func:`mode_array`.  Built per axis
-    from the 1-D rows of sqrt(2) cos(2 pi m y) = (e_m + e_-m)/sqrt(2),
-    the constant 1 and sqrt(2) sin(2 pi m y) = i (e_|m| - e_-|m|)/sqrt(2)
-    for m < 0.  Cached and read-only.
+    Row i belongs to the i-th mode of :func:`mode_array`, which checks K
+    first.  Built per axis from the 1-D rows of
+    sqrt(2) cos(2 pi m y) = (e_m + e_-m)/sqrt(2), the constant 1 and
+    sqrt(2) sin(2 pi m y) = i (e_|m| - e_-|m|)/sqrt(2) for m < 0.  Cached,
+    a float K apart from the int, and read-only.
     """
+    idx = mode_array(K, d) + K
     if K > n // 2 - 1:
         raise ValueError(f"K={K} not representable on grid n={n}")
     w = 1.0 / SQRT2
@@ -362,7 +364,6 @@ def tau_table(K: int, d: int, n: int) -> np.ndarray:
     rows[K, 0] = 1.0
     rows[K + m, m] = rows[K + m, -m] = w
     rows[K - m, m], rows[K - m, -m] = 1j * w, -1j * w
-    idx = mode_array(K, d) + K
     table = rows[idx[:, 0]]
     for j in range(1, d):
         table = table[..., None] * rows[idx[:, j]].reshape((-1,) + (1,) * j + (n,))

@@ -110,11 +110,14 @@ def deconvolution_window(rho_traj: Trajectory, K: int, zeta: float) -> float:
 
 
 def _margin(coeffs: np.ndarray, d: int, K: int, zeta: float) -> float:
-    """min |c_k| |k|^zeta over 0 < |k| <= K and the leading axes of coeffs.
+    """min |c_k| |k|^zeta over 0 < |k| <= K and the leading axes of coeffs;
+    a ``zeta`` that is not finite raises ValueError.
 
     |c_k| is taken by hypot, the scalar complex abs: numpy's vectorised
     complex abs can differ from it in the last bit.
     """
+    if not np.isfinite(zeta):
+        raise ValueError(f"zeta must be finite, got {zeta}")
     c = coeffs[(...,) + tuple((mode_array(K, d) % coeffs.shape[-1]).T)]
     return float(np.min(np.hypot(c.real, c.imag) * np.sqrt(mode_ksq(K, d)) ** zeta))
 
@@ -123,7 +126,8 @@ def deconvolution_margin(rho_traj: Trajectory, K: int, zeta: float,
                          t0: float | None = None) -> float:
     """min |rho_hat(t,k)| |k|^zeta over 0 < |k| <= K and stored t <= t_0.
 
-    A ``t0`` that is not finite or is below 0 raises ValueError.
+    A ``zeta`` that is not finite, or a ``t0`` that is not finite or is
+    below 0, raises ValueError.
     """
     if K > rho_traj.n // 2 - 1:
         raise ValueError("K exceeds resolved modes")
@@ -169,7 +173,10 @@ def sigma_min_trend(problem: McKVProblem, K: int) -> dict[int, float]:
 def forward_lipschitz_probe(problem1: McKVProblem, problem2: McKVProblem,
                             beta: float) -> float:
     """||rho_2 - rho_1||_{L2L2} / ||W_2 - W_1||_{H^-(beta+1)}, with rho_1 and
-    rho_2 read from the memo of :func:`~mckvlab.forward.linearisation`."""
+    rho_2 read from the memo of :func:`~mckvlab.forward.linearisation`; a
+    ``beta`` that is not finite raises ValueError."""
+    if not np.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
     _check_shared_setup(problem1, problem2)
     dW = problem2.W - problem1.W
     denom = dW.sobolev_norm(-(beta + 1.0))

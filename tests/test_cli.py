@@ -200,6 +200,7 @@ def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
 
     config = ExperimentConfig.from_file(_write(tmp_path))
     monkeypatch.setattr(forward, "_memo", OrderedDict())
+    monkeypatch.setattr(forward, "_densities", OrderedDict())
     nonlinear, linear = [], []
     solve, lw_solve = forward.solve_mckv_field, LWOperator.solve
     monkeypatch.setattr(forward, "solve_mckv_field",
@@ -222,6 +223,7 @@ def test_the_stability_suite_solves_each_potential_once(tmp_path, monkeypatch):
 
     config = ExperimentConfig.from_file(_write(tmp_path))
     monkeypatch.setattr(forward, "_memo", OrderedDict())
+    monkeypatch.setattr(forward, "_densities", OrderedDict())
     solves = []
     solve = forward.solve_mckv_field
     monkeypatch.setattr(forward, "solve_mckv_field",
@@ -320,6 +322,7 @@ def test_stability_command_writes_report(tmp_path):
 def test_stability_command_solves_the_columns_once(tmp_path, monkeypatch):
     # the report's sigma_min and the trend read one memoised linearisation at W1
     monkeypatch.setattr(forward, "_memo", OrderedDict())
+    monkeypatch.setattr(forward, "_densities", OrderedDict())
     batches = []
     solve = LWOperator.solve
 
@@ -336,12 +339,13 @@ def test_stability_command_solves_the_columns_once(tmp_path, monkeypatch):
 
 def test_chain_starts_with_an_empty_memo_and_the_memo_c1(tmp_path, monkeypatch):
     # with surrogate.c1_hat null, c1 is estimated on the data's rho_W0; no
-    # linearisation at W0 stays alive while the chain runs
+    # linearisation or memoised density at W0 stays alive while the chain runs
     monkeypatch.setattr(forward, "_memo", OrderedDict())
+    monkeypatch.setattr(forward, "_densities", OrderedDict())
     seen = {}
 
     def run_ula(*args, **kwargs):
-        seen["memo"] = len(forward._memo)
+        seen["memo"] = len(forward._memo) + len(forward._densities)
         return sampler.run_ula(*args, **kwargs)
 
     monkeypatch.setattr(cli, "run_ula", run_ula)

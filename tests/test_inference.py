@@ -646,9 +646,11 @@ def test_linearisation_holds_its_columns_once(d, scheme):
 
 @pytest.fixture
 def fresh_memo(monkeypatch):
-    """An empty memo in place of the module's, restored after the test."""
+    """Empty memos of linearisations and of densities in place of the module's,
+    restored after the test; the memo of linearisations is returned."""
     memo = OrderedDict()
     monkeypatch.setattr(forward, "_memo", memo)
+    monkeypatch.setattr(forward, "_densities", OrderedDict())
     return memo
 
 
@@ -684,14 +686,16 @@ def test_memoised_diagnostics_equal_those_from_an_empty_memo(monkeypatch, d, sch
     model = _curvature_model(d)
     rng = np.random.default_rng(70 + d)
     W0 = random_potential(2, d, rng, amplitude=0.5)
-    shared = OrderedDict()
+    shared, densities = OrderedDict(), OrderedDict()
     for _ in range(2):
         W = W0 + random_potential(2, d, rng, amplitude=0.2)
         fresh = []
         for call in _diagnostics(model, W, W0):
             monkeypatch.setattr(forward, "_memo", OrderedDict())
+            monkeypatch.setattr(forward, "_densities", OrderedDict())
             fresh.append(call())
         monkeypatch.setattr(forward, "_memo", shared)
+        monkeypatch.setattr(forward, "_densities", densities)
         memoised = [call() for call in _diagnostics(model, W, W0)]
         assert memoised == fresh
         assert len(shared) == forward.MEMO_SIZE
@@ -721,13 +725,70 @@ def test_memo_keeps_the_two_most_recent_problems(monkeypatch, fresh_memo):
     assert len(calls) == 3 and len(fresh_memo) == forward.MEMO_SIZE == 2
     assert linearisation(problems[2]) is lins[2] and linearisation(problems[1]) is lins[1]
     assert len(calls) == 3
-    # the first problem was evicted, so it is solved again and evicts the
-    # least recently used entry, the third
-    assert linearisation(problems[0]) is not lins[0] and len(calls) == 4
+    # the first problem's entry was evicted, not its rho_W: a new entry on it,
+    # no solve, which evicts the least recently used entry, the third
+    again = linearisation(problems[0])
+    assert again is not lins[0] and again.rho is lins[0].rho and len(calls) == 3
     assert linearisation(problems[1]) is lins[1] and len(fresh_memo) == 2
     # another K is another entry, on the rho_W of the first: no solve
     assert linearisation(problems[1], K=1).rho is lins[1].rho
-    assert len(calls) == 4 and len(fresh_memo) == 2
+    assert len(calls) == 3 and len(fresh_memo) == 2
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("scheme", ["if-heun"])
+def test_two_passes_at_one_W0_solve_it_once(monkeypatch, fresh_memo, d, scheme):
+    # the curvature benchmark's pass (c1, the expected Hessian, the report against
+    # W0, the trend) ends at W, so the next W evicts the entry at W0; its
+    # density is kept, and the second pass solves its own W alone
+    model = _curvature_model(d)
+    rng = np.random.default_rng(90 + d)
+    W0 = random_potential(2, d, rng, amplitude=0.5)
+    calls = _count_solves(monkeypatch)
+    for _ in range(2):
+        W = W0 + random_potential(2, d, rng, amplitude=0.2)
+        for call in _diagnostics(model, W, W0)[:4]:
+            call()
+    assert len(calls) == 3
+
+
+def test_the_memos_stay_bounded_over_passes(monkeypatch, fresh_memo):
+    model = _curvature_model(1)
+    rng = np.random.default_rng(92)
+    W0 = random_potential(2, 1, rng, amplitude=0.5)
+    calls = _count_solves(monkeypatch)
+    Ws = []
+    for _ in range(5):
+        Ws.append(W0 + random_potential(2, 1, rng, amplitude=0.2))
+        for call in _diagnostics(model, Ws[-1], W0)[:4]:
+            call()
+        assert len(fresh_memo) <= forward.MEMO_SIZE == 2 and len(forward._densities) <= 3
+        # every entry's rho_W is a kept density, so at most three are held
+        kept = {id(rho) for rho in forward._densities.values()}
+        assert {id(lin.rho) for lin in fresh_memo.values()} <= kept
+    assert len(calls) == 6  # rho_{W0} once and one W per pass
+    # the density of the first W was evicted: it is solved again
+    linearisation(model.problem(Ws[0]))
+    assert len(calls) == 7
+
+
+def test_expected_neg_hessian_reads_the_columns_in_place(fresh_memo):
+    # at the curvature benchmark's shape (d, n, K, M) = (1, 32, 4, 48), a warm call
+    # holds no copy of the columns: 1.94 MB with a (D, S, grid) copy and a scratch
+    phi = decay_density(32, 1, zeta=1.8, amplitude=0.48)
+    model = ForwardModel(phi=phi, T=0.06, K=4, stepper=StepperConfig(M=48))
+    rng = np.random.default_rng(93)
+    W0 = random_potential(4, 1, rng, amplitude=0.5)
+    W = W0 + random_potential(4, 1, rng, amplitude=0.2)
+    expected_neg_hessian(W, W0, model)  # both entries, the columns and the Gram
+    tracemalloc.start()
+    try:
+        expected_neg_hessian(W, W0, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert linearisation(model.problem(W)).states.nbytes == 97 * 8 * 32 * 16
+    assert peak <= 1.18e6
 
 
 def test_gram_is_computed_once_and_the_expected_hessian_leaves_it_alone(fresh_memo):
@@ -770,6 +831,7 @@ def test_the_probes_of_a_pair_share_its_two_solves(monkeypatch, fresh_memo, sche
     solve = forward.solve_mckv_field  # behind solve_mckv, wherever it is looked up
     for K in (model.K, model.K - 1):
         fresh_memo.clear()
+        forward._densities.clear()
         solves = []
         monkeypatch.setattr(forward, "solve_mckv_field",
                             lambda *args: solves.append(1) or solve(*args))

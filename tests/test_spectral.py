@@ -151,6 +151,24 @@ def test_mode_array_rejects_a_float_K_and_keeps_the_cache_sound():
         count_dim(2.5, 1)
 
 
+@pytest.mark.parametrize("warm", [False, True])
+def test_tau_tables_check_K_before_using_it(warm):
+    # K = -1 once reached np.zeros, K = 3.0 a float shape, and a float K the
+    # int table cached at its value
+    for cached in (tau_table, tau_gradient_stack, mode_ksq):
+        cached.cache_clear()
+    grid = get_grid(16, 1)
+    if warm:
+        for K in (2, 3):
+            tau_table(K, 1, 16), tau_gradient_stack(K, grid), mode_ksq(K, 1)
+    for K, match in ((-1, ">= 1"), (0, ">= 1"), (2.0, "integer"), (3.0, "integer")):
+        for table in (lambda: tau_table(K, 1, 16), lambda: tau_gradient_stack(K, grid),
+                      lambda: mode_ksq(K, 1)):
+            with pytest.raises(ValueError, match=match):
+                table()
+    assert tau_table(2, 1, 16).shape == (4, 16)
+
+
 def test_basis_orthonormality_by_quadrature():
     K, d, n = 2, 2, 16
     modes = modes_in_ball(K, d)

@@ -130,6 +130,24 @@ def test_margin_rejects_a_negative_or_non_finite_t0(t0):
     assert deconvolution_margin(rho, 3, 2.0, t0=0.0) > 0.0
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_margin_window_and_lipschitz_probe_reject_a_non_finite_exponent(bad):
+    # a NaN zeta or beta once came back as a NaN margin, window or ratio
+    W1 = random_potential(2, 1, np.random.default_rng(42), amplitude=0.4)
+    p1 = _problem(W1, cfg=StepperConfig(M=8))
+    p2 = _problem(W1 + random_potential(2, 1, np.random.default_rng(43), amplitude=0.3),
+                  cfg=StepperConfig(M=8))
+    rho = solve_mckv(p1)
+    for probe in (lambda: deconvolution_margin(rho, 3, bad),
+                  lambda: deconvolution_margin(rho, 3, bad, t0=0.01),
+                  lambda: deconvolution_window(rho, 3, bad)):
+        with pytest.raises(ValueError, match="^zeta must be finite"):
+            probe()
+    with pytest.raises(ValueError, match="^beta must be finite"):
+        forward_lipschitz_probe(p1, p2, bad)
+    assert np.isfinite(forward_lipschitz_probe(p1, p2, 6.0))
+
+
 def test_margin_zero_iff_vanishing_mode():
     # a density missing mode 3 has zero margin at K = 3, positive at K = 2
     phi = _phi(zeta=2.0, amplitude=0.25)
