@@ -72,7 +72,6 @@ from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
-from scipy import sparse
 
 from .spectral import (Grid, PotentialVec, SpectralField, _read_only, get_grid, load_field,
                        real_matrix, save_field)
@@ -293,12 +292,15 @@ class ObservationOperator:
     (Re, Im) parts, the weights (2, C, P), each chunk's node pair (C, 2)
     and each point's row.  A forward map is then one batched real matrix
     product of the node pairs with the phases, and :meth:`adjoint` one
-    batched product of the weighted data with the phases; the stack axis
-    of the forward map is a batch axis, so a trajectory's values do not
-    depend on its stack.  Times outside [0, T] and non-finite points are
-    rejected, and so are times t that are not 1-D and positions x whose
-    shape is not (N, d).  ``key`` is (T, M, n, d), the trajectories the
-    operator applies to.
+    batched product of the weighted data with the phases, whose 2C chunk
+    rows it sums into the M+1 nodes with numpy and no sparse matrix: each
+    node adds its rows one after another from 0.0, in ascending row
+    order, read through a fixed (K, M+1) table of row indices padded with
+    a zero row.  The stack axis of the forward map is a batch axis, so a
+    trajectory's values do not depend on its stack.  Times outside [0, T]
+    and non-finite points are rejected, and so are times t that are not
+    1-D and positions x whose shape is not (N, d).  ``key`` is (T, M, n,
+    d), the trajectories the operator applies to.
     """
 
     def __init__(self, T: float, M: int, grid: Grid, t, x):
@@ -341,10 +343,13 @@ class ObservationOperator:
             phase = axis if j == 0 else (phase[:, :, None] * axis[:, None]).reshape(rows, -1)
         self._phases = phase.view(float).reshape(-1, P, 2 * grid.size)
 
-        # the (M+1, 2C) sum of each chunk's two weighted rows into its nodes
-        C2 = 2 * len(m_c)
-        self._to_nodes = sparse.csr_matrix(
-            (np.ones(C2), (self._pairs.ravel(), np.arange(C2))), shape=(M + 1, C2))
+        # the adjoint's chunk rows 0..2C-1 of each node in ascending order,
+        # (K, M+1) for at most K rows a node, padded with the zero row 2C
+        node = self._pairs.ravel()
+        count = np.bincount(node, minlength=M + 1)
+        place = np.arange(len(node)) - np.repeat(np.cumsum(count) - count, count)
+        self._node_rows = np.full((count.max(), M + 1), len(node))
+        self._node_rows[place, np.repeat(np.arange(M + 1), count)] = np.argsort(node, kind="stable")
 
     def __call__(self, stacked: np.ndarray) -> np.ndarray:
         """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N).
@@ -363,13 +368,20 @@ class ObservationOperator:
 
         The transpose of :meth:`__call__` under the bilinear pairing:
         Re sum(adjoint(y) * c) = y . self(c[None])[0] for every
-        trajectory c of shape (M+1, n, ..., n).
+        trajectory c of shape (M+1, n, ..., n).  A y of any shape other
+        than (N,) raises ``ValueError``.
         """
+        if np.shape(y) != self._row.shape:
+            raise ValueError(f"point data of shape {np.shape(y)} do not match the "
+                             f"{len(self._row)} observation points")
         _, C, P = self._w.shape
         data = np.zeros(C * P)
         data[self._row] = y
-        back = (data.reshape(C, P) * self._w).transpose(1, 0, 2) @ self._phases  # (C, 2, 2 n^d)
-        return (self._to_nodes @ back.reshape(2 * C, -1)).view(complex)
+        rows = np.zeros((2 * C + 1, self._phases.shape[2]))
+        np.matmul((data.reshape(C, P) * self._w).transpose(1, 0, 2), self._phases,
+                  out=rows[:-1].reshape(C, 2, -1))
+        # the reduction runs over the K levels in order, adding row by row from 0.0
+        return np.add.reduce(rows.take(self._node_rows, axis=0), axis=0, initial=0.0).view(complex)
 
 
 # ---------------------------------------------------------------------------

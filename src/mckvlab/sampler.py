@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 SLICED_W2_SEED = 20240807
 SLICED_W2_PROJECTIONS = 128
@@ -206,8 +205,7 @@ def _as_samples(a) -> np.ndarray:
 
 def w2sq_quantile_1d(a, b) -> float:
     """Exact squared W2 between two equal-size 1-d empirical measures."""
-    a = np.sort(np.asarray(a, dtype=float).ravel())
-    b = np.sort(np.asarray(b, dtype=float).ravel())
+    a, b = np.sort(_as_samples(a).ravel()), np.sort(_as_samples(b).ravel())
     if a.size != b.size:
         raise ValueError("quantile path needs equal sample counts")
     return float(np.mean((a - b) ** 2))
@@ -218,6 +216,8 @@ def w2sq_assignment(a, b) -> float:
     a, b = _as_samples(a), _as_samples(b)
     if a.shape != b.shape:
         raise ValueError("assignment path needs equal sample counts")
+    from scipy.optimize import linear_sum_assignment  # scipy loads on the first call
+
     cost = np.sum((a[:, None, :] - b[None, :, :]) ** 2, axis=-1)
     rows, cols = linear_sum_assignment(cost)
     return float(cost[rows, cols].mean())

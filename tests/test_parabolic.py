@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from mckvlab.parabolic import (
     LWOperator,
@@ -418,6 +419,9 @@ _OBS_DESIGNS = [
     ("all at a node", 30, lambda rng, N: np.full(N, 2 * _OBS_T / _OBS_M)),
     ("N = 1", 1, lambda rng, N: rng.uniform(0.0, _OBS_T, N)),
     ("N < M", _OBS_M - 2, lambda rng, N: rng.uniform(0.0, _OBS_T, N)),
+    ("an empty bracket", 30, lambda rng, N: np.where(
+        np.arange(N) % 2, rng.uniform(0.0, 2 * _OBS_T / _OBS_M, N),
+        rng.uniform(3 * _OBS_T / _OBS_M, _OBS_T, N))),
 ]
 
 
@@ -438,6 +442,35 @@ def test_observation_equals_the_dense_operator(d, design):
     for got, ref in ((op(c), dense(c)), (op.adjoint(y), dense.adjoint(y))):
         assert got.shape == ref.shape
         assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("design", ["random", "one past a chunk", "an empty bracket", "N = 1"])
+def test_observation_adjoint_node_sum_equals_the_sparse_product_bit_for_bit(d, design):
+    # each node adds its chunk rows one after another from 0.0, in ascending
+    # row order: the order of a CSR product with the (M+1, 2C) 0/1 node matrix
+    _, N, times = next(entry for entry in _OBS_DESIGNS if entry[0] == design)
+    rng = np.random.default_rng(70 + d)
+    t, x = times(rng, N), rng.uniform(0.0, 1.0, (N, d))
+    op = ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[d], d), t, x)
+    y = rng.standard_normal(N)
+    _, C, P = op._w.shape
+    data = np.zeros(C * P)
+    data[op._row] = y
+    rows = ((data.reshape(C, P) * op._w).transpose(1, 0, 2) @ op._phases).reshape(2 * C, -1)
+    to_nodes = sparse.csr_matrix((np.ones(2 * C), (op._pairs.ravel(), np.arange(2 * C))),
+                                 shape=(_OBS_M + 1, 2 * C))
+    assert op.adjoint(y).tobytes() == (to_nodes @ rows).view(complex).tobytes()
+
+
+@pytest.mark.parametrize("y", [np.ones(1), 1.0, np.ones(10), np.ones((9, 1)), [[0.5] * 9]],
+                         ids=["length 1", "scalar", "N + 1", "(N, 1)", "(1, N)"])
+def test_observation_adjoint_rejects_point_data_of_another_shape(y):
+    # a scalar or a length-1 y was broadcast to every point
+    t, x = np.linspace(0.0, _OBS_T, 9), np.full((9, 1), 0.5)
+    op = ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[1], 1), t, x)
+    with pytest.raises(ValueError, match=re.escape(f"point data of shape {np.shape(y)} ")):
+        op.adjoint(y)
 
 
 @pytest.mark.parametrize("t_shape, x_shape", [

@@ -1,4 +1,9 @@
 import itertools
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -219,6 +224,32 @@ def test_w2_symmetry():
 def test_w2_empty_rejected():
     with pytest.raises(ValueError):
         w2_squared(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+@pytest.mark.parametrize("a, b", [([], []), ([], [1.0]), ([1.0], [])])
+def test_w2_quantile_rejects_an_empty_sample_set(a, b):
+    # ([], []) gave NaN and a "Mean of empty slice" RuntimeWarning
+    with pytest.raises(ValueError, match="^empty sample set$"):
+        w2sq_quantile_1d(a, b)
+
+
+IMPORTS = """
+import json, sys
+import mckvlab, mckvlab.cli
+before = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from mckvlab.sampler import w2sq_assignment
+value = w2sq_assignment([[0.0, 0.0], [2.0, 0.0]], [[2.0, 1.0], [0.0, 1.0]])
+print(json.dumps({"before": before, "value": value, "after": "scipy.optimize" in sys.modules}))
+"""
+
+
+def test_the_package_imports_without_scipy_and_the_assignment_path_loads_it():
+    # scipy loads on the first w2sq_assignment call and on no import
+    paths = [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "-c", IMPORTS], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert json.loads(out.stdout) == {"before": [], "value": 1.0, "after": True}
 
 
 def test_w2_sliced_reasonable_on_shifted_gaussians():
