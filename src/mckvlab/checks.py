@@ -36,11 +36,15 @@ from .stability import (
 )
 
 
-def _record(name, passed, measured, tolerance, **extra):
-    rec = {"name": name, "passed": bool(passed), "measured": float(measured),
-           "tolerance": float(tolerance)}
-    rec.update(extra)
-    return rec
+def _record(name, passed, measured, tolerance):
+    return {"name": name, "passed": bool(passed), "measured": float(measured),
+            "tolerance": float(tolerance)}
+
+
+def _coordinate_fd_error(f, x: np.ndarray, grad: np.ndarray, eps: float) -> float:
+    """max_j |(f(x + eps e_j) - f(x - eps e_j)) / (2 eps) - grad_j| / max(1, max |grad|)."""
+    fd = np.array([(f(x + e) - f(x - e)) / (2 * eps) for e in eps * np.eye(len(x))])
+    return float(np.max(np.abs(fd - grad))) / max(1.0, float(np.max(np.abs(grad))))
 
 
 def suite_gradients(config: ExperimentConfig) -> list[dict]:
@@ -87,12 +91,9 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
     u = solve_rd(R, phi, T, stepper)
     iH = rd_linearisation(R, np.cos, u)
     eps = 1e-3
-    up = solve_rd(ReactionSpec(R=lambda v: np.sin(v) + eps * np.cos(v),
-                               Rprime=lambda v: np.cos(v) - eps * np.sin(v)),
-                  phi, T, stepper)
-    um = solve_rd(ReactionSpec(R=lambda v: np.sin(v) - eps * np.cos(v),
-                               Rprime=lambda v: np.cos(v) + eps * np.sin(v)),
-                  phi, T, stepper)
+    up, um = (solve_rd(ReactionSpec(R=lambda v, s=s: np.sin(v) + s * np.cos(v),
+                                    Rprime=lambda v, s=s: np.cos(v) - s * np.sin(v)),
+                       phi, T, stepper) for s in (eps, -eps))
     fd = (up.coeffs - um.coeffs) / (2 * eps)
     err = float(np.sqrt(np.sum(np.abs(fd - iH.coeffs) ** 2)
                         / np.sum(np.abs(iH.coeffs) ** 2)))
@@ -107,15 +108,7 @@ def suite_gradients(config: ExperimentConfig) -> list[dict]:
     like = LikelihoodEvaluator(model, data)
     Wt = W0 + random_potential(K, d, rng, amplitude=0.1)
     _, grad = like.loglik_and_grad(Wt)
-    eps = 1e-3
-    worst = 0.0
-    scale = max(1.0, float(np.max(np.abs(grad))))
-    for j in range(grad.size):
-        e = np.zeros_like(grad)
-        e[j] = eps
-        fd_j = (like.loglik(model.vec(Wt.values + e))
-                - like.loglik(model.vec(Wt.values - e))) / (2 * eps)
-        worst = max(worst, abs(fd_j - grad[j]) / scale)
+    worst = _coordinate_fd_error(lambda v: like.loglik(model.vec(v)), Wt.values, grad, 1e-3)
     records.append(_record("loglik_grad_fd", worst <= 1e-3, worst, 1e-3))
     return records
 
@@ -197,18 +190,9 @@ def suite_surrogate(config: ExperimentConfig) -> list[dict]:
     # gradient continuity across the annulus r/2 < |.| < 7r/8
     u = rng.standard_normal(model.dim)
     u /= np.linalg.norm(u)
-    worst = 0.0
-    for frac in (0.6, 0.75, 0.85):
-        Wp = model.vec(W0.values + frac * r * u)
-        _, sg = surrogate_loglik(Wp, spec, like)
-        eps = 1e-4
-        scale = max(1.0, float(np.max(np.abs(sg))))
-        for j in range(model.dim):
-            e = np.zeros(model.dim)
-            e[j] = eps
-            fp, _ = surrogate_loglik(model.vec(Wp.values + e), spec, like)
-            fm, _ = surrogate_loglik(model.vec(Wp.values - e), spec, like)
-            worst = max(worst, abs((fp - fm) / (2 * eps) - sg[j]) / scale)
+    loglik = lambda v: surrogate_loglik(model.vec(v), spec, like)  # noqa: E731
+    worst = max(_coordinate_fd_error(lambda v: loglik(v)[0], x, loglik(x)[1], 1e-4)
+                for x in (W0.values + frac * r * u for frac in (0.6, 0.75, 0.85)))
     records.append(_record("annulus_gradient_fd", worst <= 1e-3, worst, 1e-3))
     return records
 

@@ -30,7 +30,7 @@ import numpy as np
 from .forward import (_BLOCK_BYTES, Linearisation, McKVProblem, check_density,
                       check_initial_data, linearisation, solve_mckv)
 from .parabolic import ObservationOperator, StepperConfig, Trajectory, trapz_weights
-from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq
+from .spectral import PotentialVec, SpectralField, count_dim, mode_ksq, real_matrix
 
 
 # ---------------------------------------------------------------------------
@@ -87,47 +87,31 @@ def validate_constants(cfg: ConstantsConfig, n_obs: int | None = None,
     nothing raises.
     """
     d, alpha, beta, zeta, w = cfg.d, cfg.alpha, cfg.beta, cfg.zeta, cfg.w
-    checks: dict = {}
-    values: dict = {}
-
-    checks["beta_even_ge"] = (beta >= 4 + d) and float(beta).is_integer() \
-        and int(beta) % 2 == 0
-    checks["alpha_window"] = alpha > 12.0 * beta + 6.0 * d - 1.0
-    checks["zeta_window"] = (beta + d / 2.0) < zeta < (alpha + 1.0) / 12.0
     w_hi = min((alpha + 1.0) * (beta - 2.0) / beta - 1.5 * zeta,
                alpha + 1.0 - 6.0 * zeta) / d
     w_lo = 6.0 * zeta / d
-    checks["w_window"] = w_lo < w < w_hi
-    values["w_window"] = (w_lo, w_hi)
+    checks = {
+        "beta_even_ge": (beta >= 4 + d) and float(beta).is_integer() and int(beta) % 2 == 0,
+        "alpha_window": alpha > 12.0 * beta + 6.0 * d - 1.0,
+        "zeta_window": (beta + d / 2.0) < zeta < (alpha + 1.0) / 12.0,
+        "w_window": w_lo < w < w_hi,
+    } | dict.fromkeys(("eta_positive", "dim_bound", "bias_forward", "bias_inverse"))
+    values = {"w_window": (w_lo, w_hi)}
 
-    delta = None
     if n_obs is not None:
         delta, eta = delta_n(alpha, d, n_obs), eta_exponent(alpha, beta, zeta)
-        values["delta_N"] = delta
-        values["eta"] = eta
-        values["N_delta2"] = n_obs * delta**2
+        values.update(delta_N=delta, eta=eta, N_delta2=n_obs * delta**2)
         checks["eta_positive"] = eta > 0
-    else:
-        checks["eta_positive"] = None
-
-    if n_obs is not None and K is not None:
-        D = count_dim(K, d)
-        values["D"] = D
-        checks["dim_bound"] = D <= c_pr * n_obs * delta**2
-        values["cutoff_c"] = K / (n_obs * delta**2) ** (1.0 / d)
-    else:
-        checks["dim_bound"] = None
-
-    if bias_forward is not None and delta is not None:
-        checks["bias_forward"] = bias_forward <= delta / 2.0
-        values["bias_forward"] = (bias_forward, delta / 2.0)
-    else:
-        checks["bias_forward"] = None
-    if bias_inverse is not None and delta is not None:
-        checks["bias_inverse"] = bias_inverse <= delta**eta
-        values["bias_inverse"] = (bias_inverse, delta**eta)
-    else:
-        checks["bias_inverse"] = None
+        if K is not None:
+            D = count_dim(K, d)
+            checks["dim_bound"] = D <= c_pr * n_obs * delta**2
+            values.update(D=D, cutoff_c=K / (n_obs * delta**2) ** (1.0 / d))
+        if bias_forward is not None:
+            checks["bias_forward"] = bias_forward <= delta / 2.0
+            values["bias_forward"] = (bias_forward, delta / 2.0)
+        if bias_inverse is not None:
+            checks["bias_inverse"] = bias_inverse <= delta**eta
+            values["bias_inverse"] = (bias_inverse, delta**eta)
 
     return ConstantsReport(checks=checks, values=values, mode=cfg.mode)
 
@@ -643,10 +627,10 @@ def _square_sums(grid, nodes: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """sum_b weights[b] values_b^2 of the grid values of ``nodes`` (M+1, B, grid), (M+1, n^d):
     blocks of nodes below ``forward._BLOCK_BYTES`` go through ``grid.to_values``
     together, and a block's squares, as (block n^d, B) rows, meet the weights in
-    one product, with the weights as the first of 8 columns as in
+    one product, with the weights as the first column of their
     ``spectral.real_matrix``."""
     B, block = len(weights), max(1, (_BLOCK_BYTES - 1) // nodes[0].nbytes)
-    columns = np.pad(weights[:, None], ((0, 0), (0, 7)))
+    columns = real_matrix(weights[:, None], real_in=True, real_out=True)
     out = np.empty((len(nodes), grid.size))
     for m in range(0, len(nodes), block):
         values = grid.to_values(nodes[m:m + block])

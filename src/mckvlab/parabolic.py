@@ -355,13 +355,17 @@ class ObservationOperator:
         """Values of (B, M+1, n, ..., n) trajectories at the points, shape (B, N).
 
         Re(c phase) is the real product of the conjugated coefficients,
-        read as (Re, Im) pairs, with the interleaved phases.
+        read as (Re, Im) pairs, with the interleaved phases.  A stack of any
+        other shape raises ``ValueError``.
         """
-        B, nodes = stacked.shape[:2]
-        real = np.conjugate(stacked.reshape(B, nodes, -1)).view(float)
+        _, M, n, d = self.key
+        if stacked.shape[1:] != (M + 1,) + (n,) * d:
+            raise ValueError(f"trajectories of shape {stacked.shape} do not match "
+                             f"(B, {M + 1}) + {(n,) * d}")
+        real = np.conjugate(stacked.reshape(len(stacked), M + 1, -1)).view(float)
         r = real[:, self._pairs] @ self._phases.transpose(0, 2, 1)  # (B, C, 2, P)
         values = r[:, :, 0] * self._w[0] + r[:, :, 1] * self._w[1]
-        return values.reshape(B, -1)[:, self._row]
+        return values.reshape(len(stacked), -1)[:, self._row]
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         """Back-projection of point data y (N,) to the nodes, shape (M+1, n^d).

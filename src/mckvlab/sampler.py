@@ -204,8 +204,12 @@ def _as_samples(a) -> np.ndarray:
 
 
 def w2sq_quantile_1d(a, b) -> float:
-    """Exact squared W2 between two equal-size 1-d empirical measures."""
-    a, b = np.sort(_as_samples(a).ravel()), np.sort(_as_samples(b).ravel())
+    """Exact squared W2 between two equal-size 1-d empirical measures, each
+    given as (N,) or (N, 1); samples of more than one column raise ``ValueError``."""
+    a, b = _as_samples(a), _as_samples(b)
+    if a.shape[1:] != (1,) or b.shape[1:] != (1,):
+        raise ValueError(f"quantile path needs 1-d samples, got shapes {a.shape} and {b.shape}")
+    a, b = np.sort(a.ravel()), np.sort(b.ravel())
     if a.size != b.size:
         raise ValueError("quantile path needs equal sample counts")
     return float(np.mean((a - b) ** 2))

@@ -36,7 +36,7 @@ import json
 import math
 import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 import numpy as np
@@ -264,16 +264,17 @@ class PaddedPlan:
     and the same padded matrix as :meth:`Grid._per_axis`, so the output
     equals it bit for bit.  A lone row goes in over a spare zero row, so
     that BLAS runs the two-row product of :meth:`Grid._per_axis`, whose
-    row 0 does not depend on row 1.  A one-axis plan (every plan at d = 1)
-    runs its single product with no per-axis loop.  A plan pays for its
-    buffers only when it runs many times.
+    row 0 does not depend on row 1.  The copies of one axis's output into
+    the next axis's input and the products are bound once, in order, as the
+    calls that :meth:`run` makes.  A plan pays for its buffers only when it
+    runs many times.
     """
 
     def __init__(self, products, lead: tuple[int, ...]):
         d = len(products)
         mat, _, complex_in, _ = products[0]
         shape = lead + (mat.shape[0] // (2 if complex_in else 1),) * d
-        self._steps = []  # (copy of the previous output into x, a, mat, b) per axis
+        self._ops = []  # per axis: the copy of the previous output into x, the product
         y = None
         for mat, width, complex_in, complex_out in products:
             rows = math.prod(shape[:-1])
@@ -282,25 +283,18 @@ class PaddedPlan:
             x = a[:rows].view(complex if complex_in else float).reshape(shape)
             if y is None:
                 self.x = x
-            self._steps.append((None if y is None else (x, y), a, mat, b))
+            else:
+                self._ops.append(partial(np.copyto, x, y))
+            self._ops.append(partial(np.dot, a, mat, b))
             y = b[:rows, :width].reshape(shape[:-1] + (width,))
             y = np.moveaxis(y.view(complex) if complex_out else y, -1, -d)
             shape = y.shape
         self.y = y
-        if d == 1:  # the one product, with no per-axis loop
-            (_, a, mat, b), = self._steps
-
-            def run():
-                np.dot(a, mat, out=b)
-                return y
-            self.run = run
 
     def run(self) -> np.ndarray:
         """The transform of :attr:`x`; a view of :attr:`y`, overwritten by the next run."""
-        for copy, a, mat, b in self._steps:
-            if copy is not None:
-                np.copyto(*copy)
-            np.dot(a, mat, out=b)
+        for op in self._ops:
+            op()
         return self.y
 
 

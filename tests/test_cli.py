@@ -194,6 +194,28 @@ def test_verify_gradients_suite_passes(tmp_path):
     assert all(rec["passed"] for rec in report["suites"]["gradients"])
 
 
+def test_the_coordinate_fd_error_is_rounding_on_a_quadratic_and_reads_a_gradient_error():
+    from mckvlab.checks import _coordinate_fd_error
+
+    rng = np.random.default_rng(3)
+    A = rng.standard_normal((5, 5))
+    A = A + A.T
+    b, x = rng.standard_normal(5), rng.standard_normal(5)
+    f = lambda v: 0.5 * v @ A @ v + b @ v  # noqa: E731
+    grad = A @ x + b
+    # central differences of a quadratic are exact but for rounding
+    assert _coordinate_fd_error(f, x, grad, 1e-3) <= 1e-10
+    wrong = grad.copy()
+    wrong[2] += 0.5
+    scale = max(1.0, float(np.max(np.abs(wrong))))
+    assert _coordinate_fd_error(f, x, wrong, 1e-3) == pytest.approx(0.5 / scale, rel=1e-9)
+    # below unit gradients the error is absolute
+    small = np.full(5, 0.25)
+    g = lambda v: 0.25 * np.sum(v)  # noqa: E731
+    assert _coordinate_fd_error(g, x, small + [0, 0, 0, 0.125, 0], 1e-3) \
+        == pytest.approx(0.125, rel=1e-9)
+
+
 def test_the_gradients_suite_solves_each_draw_once(tmp_path, monkeypatch):
     # rho_W and D rho_W[H] of a draw serve the central differences at every eps
     import mckvlab.checks as checks

@@ -235,3 +235,16 @@ def test_a_method_called_only_from_an_unreached_method_is_unreached(tmp_path):
     assert _unreached([library], [caller]) == ["Field", "norm", "eval"]
     caller.write_text("print(Path().eval())\n")
     assert _unreached([library], [caller]) == []
+
+
+# A README module row says what the module holds and names its entry points;
+# each invariant goes once into "Numerical design notes".
+README_ROW_WORDS = 100
+
+
+def test_readme_module_rows_keep_their_word_budget():
+    rows = re.findall(r"^\| `(mckvlab\.\w+)` \| (.*) \|$", (ROOT / "README.md").read_text(),
+                      flags=re.M)
+    assert len(rows) >= len(MODULES) - 1  # checks is described in the cli row
+    words = {name: len(text.split()) for name, text in rows}
+    assert {name: n for name, n in words.items() if n > README_ROW_WORDS} == {}

@@ -489,6 +489,18 @@ def test_observation_rejects_points_of_the_wrong_shape(t_shape, x_shape):
     assert str(t_shape) in str(err.value) and str(x_shape) in str(err.value)
 
 
+@pytest.mark.parametrize("d, shape", [(1, (1, _OBS_M + 3, 16)), (2, (1, _OBS_M + 1, 8, 2)),
+                                      (1, (_OBS_M + 1, 16)), (1, (1, _OBS_M + 1, 8))],
+                         ids=["M + 3 nodes", "d = 2, short last axis", "no stack axis",
+                              "another n"])
+def test_observation_rejects_trajectories_of_another_shape(d, shape):
+    # the first two returned (1, N) values read off the wrong nodes or coefficients
+    t, x = np.linspace(0.0, _OBS_T, 5), np.full((5, d), 0.5)
+    op = ObservationOperator(_OBS_T, _OBS_M, get_grid(_OBS_N[d], d), t, x)
+    with pytest.raises(ValueError, match=re.escape(f"trajectories of shape {shape} ")):
+        op(np.zeros(shape, dtype=complex))
+
+
 @pytest.mark.parametrize("bad", ["t", "x"])
 def test_observation_rejects_a_non_finite_point(bad):
     # a NaN time passes every bound check of the bracket; a NaN position gives a NaN value

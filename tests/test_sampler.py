@@ -233,6 +233,22 @@ def test_w2_quantile_rejects_an_empty_sample_set(a, b):
         w2sq_quantile_1d(a, b)
 
 
+@pytest.mark.parametrize("a, b", [(np.zeros((3, 2)), np.arange(6.0)),
+                                  (np.arange(6.0), np.zeros((3, 2))),
+                                  (np.zeros((6, 1, 1)), np.arange(6.0))],
+                         ids=["(3, 2) against (6,)", "(6,) against (3, 2)", "(6, 1, 1)"])
+def test_w2_quantile_rejects_samples_of_more_than_one_column(a, b):
+    # (3, 2) against arange(6) was raveled and gave 0.0
+    with pytest.raises(ValueError, match="^quantile path needs 1-d samples"):
+        w2sq_quantile_1d(a, b)
+
+
+def test_w2_quantile_takes_one_column_samples_as_1d():
+    a, b = np.array([0.5, -1.0, 2.0]), np.array([1.0, 0.0, 3.0])
+    assert w2sq_quantile_1d(a[:, None], b) == w2sq_quantile_1d(a, b[:, None]) \
+        == w2sq_quantile_1d(a, b) == pytest.approx(2.25 / 3)
+
+
 IMPORTS = """
 import json, sys
 import mckvlab, mckvlab.cli

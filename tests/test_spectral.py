@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mckvlab.forward import tau_gradient_stack
+from mckvlab.parabolic import _folded_analysis
 from mckvlab.spectral import (
+    PaddedPlan,
     PotentialVec,
     SpectralField,
     basis_tau,
@@ -470,6 +472,14 @@ def test_padded_plans_equal_the_one_shot_transforms_bit_for_bit(d, n, lead):
             outputs.append(y)
         # the output is the plan's own buffer, overwritten by each run
         assert np.shares_memory(outputs[0], outputs[1])
+    if d == 1:
+        # the one-axis analysis with ik folded in, as forward._PairForcing builds it
+        folded = ((_folded_analysis(grid, False), 2 * n, False, True),)
+        plan = PaddedPlan(folded, lead)
+        for _ in range(2):
+            x = rng.standard_normal(lead + (grid.pad_n,))
+            plan.x[...] = x
+            assert np.array_equal(plan.run(), grid._per_axis(x, folded)), lead
 
 
 @pytest.mark.parametrize("d,n", [(1, 32), (1, 6), (2, 8), (3, 6)])
